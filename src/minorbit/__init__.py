@@ -29,9 +29,11 @@ from .orbit_cohomology import (
     OrbitCohomology,
     bad_torsion_report,
     cone_over_curve,
+    from_json_dict,
     middle_via_lattice,
     minimal_orbit_cohomology,
     rational_half_check,
+    to_json_dict,
     type_a_alternative,
 )
 from .root_system import (

@@ -208,14 +208,39 @@ def kernel_rank(matrix: Matrix) -> int:
     return n - rank(matrix)
 
 
+# Miller-Rabin with the first 13 primes as bases decides every p below
+# MILLER_RABIN_BOUND exactly (Sorenson and Webster, Strong pseudoprimes to
+# twelve prime bases, Math. Comp. 86, 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic primality test for p < MILLER_RABIN_BOUND (~3.3e24).
+
+    Larger p raise DomainError instead of risking a wrong answer.
+    """
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= MILLER_RABIN_BOUND:
+        raise DomainError(f"primality of {p} is only decided below {MILLER_RABIN_BOUND}")
+    for q in _MILLER_RABIN_BASES:
+        if p % q == 0:
+            return p == q
+    odd, twos = p - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, odd, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -3,8 +3,16 @@
 The long roots of an irreducible system form a graded poset: a long root
 sits at level ht_coroot(highest) - ht_coroot(root), shifted down by one on
 the negative side.  Multiplication by the Chern class of the minimal-orbit
-resolution acts level by level; its matrices are assembled here from edge
-coefficients that only depend on the root combinatorics.
+resolution acts level by level through the matrices ``d_matrix`` returns.
+
+``edge_coefficient`` is the definition of each matrix entry, one pair of
+roots at a time.  ``d_matrix`` assembles the same entries from the
+columns instead: a root beta of level i-1 has an edge only to the simple
+reflections s_j(beta) = beta - c alpha_j with c = <beta, alpha_j^vee> > 0,
+so each column costs one pass over beta's support and one dict lookup per
+such j.  Only the two middle levels, where the linking reflection need
+not be simple, keep the pairwise rule.  The tests hold the assembly equal
+to the definition.
 
 Within a level, roots are listed in decreasing lexicographic order of the
 absolute coordinate vector.  On positive levels this is exactly the order
@@ -18,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import DomainError
-from .root_system import Root, RootSystem, dual_height, is_long
+from .root_system import Root, RootSystem, _dual_height, dual_height, is_long
 
 __all__ = ["level", "levels", "edge_coefficient", "d_matrix", "middle_matrix", "dimension"]
 
@@ -46,14 +54,19 @@ def _level_sort_key(root: Root):
 @lru_cache(maxsize=None)
 def levels(rs: RootSystem) -> tuple[tuple[Root, ...], ...]:
     """All long roots bucketed by level, each level sorted for output."""
+    # a root is long iff r divides every coordinate at a short simple position
+    short = [i for i, length in enumerate(rs.simple_lengths) if length != rs.r]
+    top = rs.h_dual - 1
     buckets: dict[int, list[Root]] = {}
-    for root in rs.roots:
-        if is_long(rs, root):
-            buckets.setdefault(level(rs, root), []).append(root)
-    top = 2 * rs.h_dual - 3
-    if sorted(buckets) != list(range(top + 1)):
+    for root in rs.positive_roots:
+        if all(root[i] % rs.r == 0 for i in short):
+            buckets.setdefault(top - _dual_height(root, rs.simple_lengths, rs.r), []).append(root)
+    if sorted(buckets) != list(range(top)):
         raise DomainError(f"level range broken for {rs.type_label}")
-    return tuple(tuple(sorted(buckets[i], key=_level_sort_key)) for i in range(top + 1))
+    positive = [tuple(sorted(buckets[i], key=_level_sort_key)) for i in range(top)]
+    # negation maps level i onto level 2 h_dual - 3 - i and keeps the order
+    negative = [tuple(tuple(-x for x in root) for root in lv) for lv in reversed(positive)]
+    return tuple(positive + negative)
 
 
 def edge_coefficient(rs: RootSystem, beta: Root, alpha: Root) -> int:
@@ -88,15 +101,43 @@ def d_matrix(rs: RootSystem, i: int) -> tuple[tuple[int, ...], ...]:
     """Matrix of the level-raising map from level i-1 to level i.
 
     Rows are indexed by level i, columns by level i-1, both in the level
-    sort order; entry (alpha, beta) is the edge coefficient.
+    sort order; entry (alpha, beta) is ``edge_coefficient(rs, beta, alpha)``.
+    Each column beta is filled from its simple reflections: for every j
+    with c = <beta, alpha_j^vee> > 0, taken from the Cartan rows over
+    beta's support, the entry at row beta - c alpha_j is c when that root
+    lies in level i.  Between the two middle levels (long simple roots to
+    their negatives) the entry is 2 on (beta, -beta) and 1 when
+    beta - alpha is a root.
     """
     d = dimension(rs)
     if not 1 <= i <= d - 1:
         raise DomainError(f"matrix index {i} outside 1..{d - 1}")
     lv = levels(rs)
-    return tuple(
-        tuple(edge_coefficient(rs, beta, alpha) for beta in lv[i - 1]) for alpha in lv[i]
-    )
+    sources, targets = lv[i - 1], lv[i]
+    if i == rs.h_dual - 1:
+        return tuple(
+            tuple(
+                2 if alpha == tuple(-x for x in beta)
+                else int(rs.is_root(tuple(b - a for b, a in zip(beta, alpha))))
+                for beta in sources
+            )
+            for alpha in targets
+        )
+    row_of = {alpha: row for row, alpha in enumerate(targets)}
+    cartan_rows = [[(j, x) for j, x in enumerate(row) if x] for row in rs.cartan]
+    mat = [[0] * len(sources) for _ in targets]
+    for col, beta in enumerate(sources):
+        pairings: dict[int, int] = {}
+        for k, b in enumerate(beta):
+            if b:
+                for j, x in cartan_rows[k]:
+                    pairings[j] = pairings.get(j, 0) + b * x
+        for j, c in pairings.items():
+            if c > 0:
+                row = row_of.get(beta[:j] + (beta[j] - c,) + beta[j + 1 :])
+                if row is not None:
+                    mat[row][col] = c
+    return tuple(tuple(row) for row in mat)
 
 
 def middle_matrix(rs: RootSystem) -> tuple[tuple[int, ...], ...]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import int_linalg, long_root_poset
 from .errors import DomainError, InvariantFailureError
-from .int_linalg import cokernel, kernel_rank
+from .int_linalg import cokernel, invariant_factors
 from .root_system import (
     RootSystem,
     TypeLabel,
@@ -87,23 +87,24 @@ class OrbitCohomology:
 
 
 def minimal_orbit_cohomology(rs: RootSystem) -> OrbitCohomology:
-    """H^*(minimal orbit, Z) over degrees 0 .. 2d-1, d = 2 h_dual - 2."""
+    """H^*(minimal orbit, Z) over degrees 0 .. 2d-1, d = 2 h_dual - 2.
+
+    Matrix i (level i-1 to level i) gives both the cokernel in degree 2i
+    and the kernel rank in degree 2i-1, so one Smith form per matrix
+    serves both.
+    """
     lv = long_root_poset.levels(rs)
     d = long_root_poset.dimension(rs)
-    matrices = {i: [list(row) for row in long_root_poset.d_matrix(rs, i)] for i in range(1, d)}
-    entries: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for i in range(d):
-        if i == 0:
-            # map from the zero module into Z^{|level 0|}
-            free, torsion = len(lv[0]), ()
-        else:
-            free, torsion = cokernel(matrices[i])
-        entries[2 * i] = (free, torsion)
-        if i + 1 <= d - 1:
-            entries[2 * i + 1] = (kernel_rank(matrices[i + 1]), ())
-        else:
-            # top degree: the map out of the last level is zero
-            entries[2 * d - 1] = (len(lv[d - 1]), ())
+    # the map into level 0 and the map out of the last level are zero
+    entries: dict[int, tuple[int, tuple[int, ...]]] = {
+        0: (len(lv[0]), ()),
+        2 * d - 1: (len(lv[d - 1]), ()),
+    }
+    for i in range(1, d):
+        matrix = long_root_poset.d_matrix(rs, i)
+        factors = invariant_factors([list(row) for row in matrix])
+        entries[2 * i] = (len(matrix) - len(factors), tuple(x for x in factors if x > 1))
+        entries[2 * i - 1] = (len(matrix[0]) - len(factors), ())
     return OrbitCohomology(rs.type_label, d, rs.h_dual, GradedAbelianGroup(entries))
 
 
@@ -207,13 +208,29 @@ def to_json_dict(oc: OrbitCohomology) -> dict:
     }
 
 
+def _field(obj, key: str, kind: type):
+    """obj[key], checked to be a kind; DomainError names the field."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise DomainError(f"cohomology JSON lacks the field {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise DomainError(f"cohomology JSON field {key!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def from_json_dict(obj: dict) -> OrbitCohomology:
+    """Inverse of ``to_json_dict``; DomainError names a missing or ill-typed field."""
     from .root_system import parse_type
 
-    entries = {e["n"]: (e["rank"], tuple(e["torsion"])) for e in obj["H"]}
-    return OrbitCohomology(
-        parse_type(obj["type"]), obj["d"], obj["h_dual"], GradedAbelianGroup(entries)
-    )
+    label = parse_type(_field(obj, "type", str))
+    d, h_dual = _field(obj, "d", int), _field(obj, "h_dual", int)
+    entries = {}
+    for e in _field(obj, "H", list):
+        torsion = _field(e, "torsion", list)
+        if not all(isinstance(t, int) and not isinstance(t, bool) for t in torsion):
+            raise DomainError(f"cohomology JSON field 'torsion' must hold integers, got {torsion!r}")
+        entries[_field(e, "n", int)] = (_field(e, "rank", int), tuple(torsion))
+    return OrbitCohomology(label, d, h_dual, GradedAbelianGroup(entries))
 
 
 def rational_half_check(rs: RootSystem, oc: OrbitCohomology) -> bool:

@@ -139,8 +139,16 @@ def _bad_primes(label: TypeLabel) -> frozenset[int]:
     return BAD_PRIMES[label.series]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootSystem:
+    """All roots and derived data of one irreducible type.
+
+    ``build`` is the only constructor and is deterministic, so the type
+    label determines everything else: equality and hashing read the label
+    alone, which keeps cache lookups keyed on a RootSystem cheap at any
+    rank.
+    """
+
     type_label: TypeLabel
     cartan: tuple[tuple[int, ...], ...]
     r: int
@@ -154,7 +162,17 @@ class RootSystem:
     degrees: tuple[int, ...]
     bad_primes: frozenset[int]
     _root_set: frozenset[Root]
-    _bilinear: tuple[tuple[int, ...], ...]
+    # nonzero entries (i, 2(alpha_i|alpha_j)) of each column j of the
+    # symmetric Gram matrix, which is as sparse as the Dynkin diagram
+    _bilinear: tuple[tuple[tuple[int, int], ...], ...]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RootSystem):
+            return NotImplemented
+        return self.type_label == other.type_label
+
+    def __hash__(self) -> int:
+        return hash(self.type_label)
 
     @property
     def rank(self) -> int:
@@ -165,8 +183,8 @@ class RootSystem:
 
     def bilinear(self, a: Root, b: Root) -> int:
         """Twice the invariant scalar product (a|b), as an integer."""
-        bl = self._bilinear
-        return sum(ai * sum(bj * bl[i][j] for j, bj in enumerate(b) if bj) for i, ai in enumerate(a) if ai)
+        columns = self._bilinear
+        return sum(bj * sum(x * a[i] for i, x in columns[j]) for j, bj in enumerate(b) if bj)
 
     def pairing(self, a: Root, b: Root) -> int:
         """<a, b^vee> = 2(a|b)/(b|b) for a root b."""
@@ -191,21 +209,23 @@ def build(label: TypeLabel) -> RootSystem:
     """Construct the full root system of the given irreducible type."""
     cartan, lengths, r = _cartan_and_lengths(label)
     n = label.rank
-    bilinear = [[cartan[i][j] * lengths[j] for j in range(n)] for i in range(n)]
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
 
-    # closure of the simple roots under the simple reflections
+    # Closure of the simple roots under the simple reflections.  Each root
+    # travels with its pairings p[j] = <root, alpha_j^vee>; s_j moves it
+    # only when p[j] != 0, and row j of the Cartan matrix updates p in O(n).
     seen: set[Root] = set(simple)
-    frontier = list(simple)
+    frontier = [(root, tuple(cartan[i])) for i, root in enumerate(simple)]
     while frontier:
-        nxt: list[Root] = []
-        for root in frontier:
-            for j in range(n):
-                c = sum(root[i] * cartan[i][j] for i in range(n) if root[i])
-                image = tuple(ri - c if i == j else ri for i, ri in enumerate(root))
+        nxt: list[tuple[Root, tuple[int, ...]]] = []
+        for root, pairings in frontier:
+            for j, c in enumerate(pairings):
+                if not c:
+                    continue
+                image = root[:j] + (root[j] - c,) + root[j + 1 :]
                 if image not in seen:
                     seen.add(image)
-                    nxt.append(image)
+                    nxt.append((image, tuple(p - c * x for p, x in zip(pairings, cartan[j]))))
         frontier = nxt
 
     positive = sorted((v for v in seen if all(x >= 0 for x in v)), key=lambda v: (height(v), v))
@@ -232,7 +252,9 @@ def build(label: TypeLabel) -> RootSystem:
         degrees=_degrees(label),
         bad_primes=_bad_primes(label),
         _root_set=frozenset(roots),
-        _bilinear=tuple(tuple(row) for row in bilinear),
+        _bilinear=tuple(
+            tuple((i, cartan[i][j] * lengths[j]) for i in range(n) if cartan[i][j]) for j in range(n)
+        ),
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -107,6 +108,16 @@ def test_fundgroup(capsys):
 def test_decomp_minimal(capsys):
     code, out, _ = run(capsys, "decomp", "minimal", "--type", "f4", "--ell", "3")
     assert code == 0 and out.strip() == "1"
+
+
+def test_decomp_large_prime(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "decomp", "minimal", "--type", "A1", "--ell", "1000000000000000009")
+    assert code == 0 and out.strip() == "0"
+    assert time.perf_counter() - start < 1.0
+    # primality is not decided above the Miller-Rabin bound: a domain error
+    code, out, err = run(capsys, "decomp", "minimal", "--type", "A1", "--ell", str(10**25))
+    assert code == 3 and not out and "primality" in err
 
 
 def test_decomp_subregular(capsys):

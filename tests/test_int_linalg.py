@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 
 from minorbit.errors import DomainError
 from minorbit.int_linalg import (
+    MILLER_RABIN_BOUND,
     cokernel,
     identity,
     invariant_factors,
+    is_prime,
     kernel_rank,
     mat_mul,
     rank,
@@ -180,6 +182,31 @@ def test_tensor_f_dimension():
         tensor_f_dimension((2,), 0, 4)
     with pytest.raises(DomainError):
         tensor_f_dimension((2,), 0, 1)
+
+
+def test_is_prime_matches_trial_division():
+    limit = 10**5
+    sieve = [True] * limit
+    sieve[0] = sieve[1] = False
+    for p in range(2, int(limit**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(sieve[p * p :: p])
+    assert [n for n in range(-5, limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+def test_is_prime_large():
+    assert is_prime(10**18 + 9)
+    assert not is_prime((10**9 + 7) * (10**9 + 9))
+    # strong pseudoprimes to the first 9 and the first 12 prime bases
+    assert not is_prime(3_825_123_056_546_413_051)
+    assert not is_prime(318_665_857_834_031_151_167_461)
+    assert is_prime(2**61 - 1) and not is_prime(2**67 - 1)
+    # the largest prime below the bound
+    assert is_prime(MILLER_RABIN_BOUND - 168)
+    with pytest.raises(DomainError):
+        is_prime(MILLER_RABIN_BOUND)
+    with pytest.raises(DomainError):
+        is_prime(10**30)
 
 
 def test_quotient_orders_500_random():

@@ -37,6 +37,16 @@ def add_e(mat, i, j, value=1):
     return out
 
 
+# every type up to rank 12, plus two larger ranks the assembly makes cheap
+ASSEMBLY_TYPES = (
+    [f"A{n}" for n in range(1, 13)]
+    + [f"B{n}" for n in range(2, 13)]
+    + [f"C{n}" for n in range(2, 13)]
+    + [f"D{n}" for n in range(4, 13)]
+    + ["E6", "E7", "E8", "F4", "G2", "A30", "B20"]
+)
+
+
 @pytest.fixture(params=POSET_TYPES)
 def rs(request):
     return build_from_string(request.param)
@@ -201,3 +211,13 @@ def test_d_family():
             expected = add_e(expected, i + 3 - n, i + 3 - n, -1)
             expected = add_e(expected, i + 3 - n, i + 4 - n)
             assert d_matrix(rs, i) == tuple(tuple(r) for r in expected), f"D{n} D_{i}"
+
+
+@pytest.mark.parametrize("name", ASSEMBLY_TYPES)
+def test_assembly_equals_edge_coefficients(name):
+    # d_matrix assembles column by column; edge_coefficient is the definition
+    rs = build_from_string(name)
+    lv = levels(rs)
+    for i in range(1, dimension(rs)):
+        pairwise = tuple(tuple(edge_coefficient(rs, beta, alpha) for beta in lv[i - 1]) for alpha in lv[i])
+        assert d_matrix(rs, i) == pairwise, f"{name} D_{i}"

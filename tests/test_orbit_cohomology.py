@@ -234,3 +234,44 @@ def test_graded_group_validation():
         GradedAbelianGroup({0: (-1, ())})
     g = GradedAbelianGroup({0: (0, ()), 2: (1, (2, 4))})
     assert g.degrees() == (2,)
+
+
+@pytest.mark.parametrize(
+    "field, path",
+    [
+        ("type", ()),
+        ("d", ()),
+        ("h_dual", ()),
+        ("H", ()),
+        ("n", ("H", 0)),
+        ("rank", ("H", 0)),
+        ("torsion", ("H", 0)),
+    ],
+)
+def test_from_json_dict_names_missing_field(field, path):
+    obj = to_json_dict(minimal_orbit_cohomology(build_from_string("B3")))
+    holder = obj
+    for key in path:
+        holder = holder[key]
+    del holder[field]
+    with pytest.raises(DomainError, match=repr(field)):
+        from_json_dict(obj)
+
+
+def test_from_json_dict_names_ill_typed_field():
+    good = to_json_dict(minimal_orbit_cohomology(build_from_string("G2")))
+    for field, bad in [("type", 2), ("d", "6"), ("h_dual", True), ("H", {})]:
+        with pytest.raises(DomainError, match=repr(field)):
+            from_json_dict({**good, field: bad})
+    for field, bad in [("n", 1.0), ("rank", None), ("torsion", 2), ("torsion", ["2"])]:
+        entries = [dict(good["H"][0], **{field: bad})] + good["H"][1:]
+        with pytest.raises(DomainError, match=repr(field)):
+            from_json_dict({**good, "H": entries})
+    with pytest.raises(DomainError, match="'type'"):
+        from_json_dict(["A2"])
+
+
+def test_json_helpers_exported():
+    import minorbit
+
+    assert minorbit.to_json_dict is to_json_dict and minorbit.from_json_dict is from_json_dict

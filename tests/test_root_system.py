@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -14,6 +15,15 @@ from minorbit.root_system import (
     is_long,
     long_simple_subsystem,
     parse_type,
+)
+
+# closed-form Coxeter numbers of the classical series
+COXETER = {"A": lambda n: n + 1, "B": lambda n: 2 * n, "C": lambda n: 2 * n, "D": lambda n: 2 * n - 2}
+CLOSURE_TYPES = (
+    [f"A{n}" for n in range(1, 41)]
+    + [f"B{n}" for n in range(2, 31)]
+    + [f"C{n}" for n in range(2, 31)]
+    + [f"D{n}" for n in range(4, 31)]
 )
 
 ALL_TYPES = [
@@ -181,3 +191,23 @@ def test_bad_primes():
     assert build_from_string("E6").bad_primes == frozenset({2, 3})
     assert build_from_string("E8").bad_primes == frozenset({2, 3, 5})
     assert build_from_string("G2").bad_primes == frozenset({2, 3})
+
+
+@pytest.mark.parametrize("name", CLOSURE_TYPES)
+def test_closure_counts_large_rank(name):
+    rs = build_from_string(name)
+    h = COXETER[rs.type_label.series](rs.rank)
+    assert rs.h == h
+    assert len(rs.roots) == rs.rank * h
+    assert len(set(rs.roots)) == len(rs.roots)
+
+
+def test_equality_and_hash_read_the_label_only():
+    e8 = build_from_string("E8")
+    # a copy whose roots are unhashable lists: hashing it must not touch them
+    copy = dataclasses.replace(e8, roots=[list(v) for v in e8.roots], positive_roots=())
+    assert copy is not e8
+    assert copy == e8 and hash(copy) == hash(e8) == hash(e8.type_label)
+    assert e8 != build_from_string("E7") and e8 != "E8"
+    a60 = build_from_string("A60")
+    assert hash(a60) == hash(a60.type_label)
