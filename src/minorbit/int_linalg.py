@@ -4,11 +4,23 @@ Everything here works on plain ``list[list[int]]`` matrices with Python's
 arbitrary-precision integers, so no intermediate result can overflow.
 A matrix with zero columns is written ``[[], [], ...]`` (one empty row per
 row); a 0x0 matrix is ``[]``.
+
+One elimination kernel serves all: ``smith`` runs it with both transforms,
+``invariant_factors`` (so ``rank``, ``cokernel``, ``kernel_rank``) without.
+Then, once a row operation makes an entry exceed the input's Hadamard
+bound, a Bareiss pass gives the rank r and M = |a nonzero r x r minor|,
+and trailing entries are kept as symmetric residues mod M (Domich, Kannan
+and Trotter, Math. Oper. Res. 12, 1987).  That yields the Smith form of
+[A | M*I], d_1, ..., d_r, M, ..., M, as each invariant factor d_i of A
+divides M; so the chain of gcd(x, M) over the diagonal starts with the
+exact d_1, ..., d_r.  Sparse inputs (boundary matrices) never grow so far.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import DomainError
 
@@ -49,18 +61,114 @@ class SmithForm:
     right: tuple[tuple[int, ...], ...]
 
 
-def _find_pivot(a: Matrix, t: int, m: int, n: int) -> tuple[int, int] | None:
+def _find_pivot(a: Matrix, t: int, n: int) -> tuple[int, int] | None:
     """Smallest nonzero |entry| in the trailing block, ties broken row-major."""
-    best = None
-    best_val = None
-    for i in range(t, m):
-        for j in range(t, n):
-            v = abs(a[i][j])
-            if v and (best_val is None or v < best_val):
-                best, best_val = (i, j), v
-                if v == 1:
-                    return best
-    return best
+    v, i = 0, 0
+    for k in range(t, len(a)):
+        w = min(filter(None, map(abs, a[k][t:n])), default=0)
+        if w and (w < v or not v):
+            v, i = w, k
+            if w == 1:
+                break
+    return (i, t + list(map(abs, a[i][t:n])).index(v)) if v else None
+
+
+def _bareiss(matrix: Matrix) -> tuple[int, int]:
+    """(r, M): rank of matrix and M = |a nonzero r x r minor|, fraction-free
+    (each entry is a minor of the input, so divisions are exact)."""
+    rows, r, prev = [list(row) for row in matrix], 0, 1
+    for c in range(len(matrix[0]) if matrix else 0):
+        piv = next((row for row in rows if row[c]), None)
+        if piv is not None:
+            rows.remove(piv)
+            rows = [[(piv[c] * x - row[c] * y) // prev for x, y in zip(row, piv)] for row in rows]
+            r, prev = r + 1, piv[c]
+    return r, abs(prev)
+
+
+def _eliminate(matrix: Matrix, vt: Matrix | None = None) -> tuple[Matrix, list[int], int, int]:
+    """Diagonalise a copy of matrix; returns (a, diagonal, modulus, rank).
+
+    Clear the smallest pivot's column and row, restarting from any nonzero
+    remainder.  Given vt (V transposed), column operations act on its rows,
+    a carries U past column n, and the modulus is 0.
+    """
+    m, n = _shape(matrix)
+    a = [list(row) for row in matrix]
+    if vt is not None:
+        a, bound = [row + e for row, e in zip(a, identity(m))], None
+    else:  # Hadamard bound: the product of the row norms exceeds every minor
+        bound = math.isqrt(math.prod(sum(map(mul, row, row)) or 1 for row in a)) + 1
+    modulus = half = rank = t = 0
+    grown = False
+    while t < min(m, n):
+        if grown and not modulus:
+            rank, modulus = _bareiss(matrix)
+            half = modulus // 2
+            a[t:] = [[(x + half) % modulus - half for x in row] for row in a[t:]]
+        piv = _find_pivot(a, t, n)
+        if piv is None:
+            break
+        a[t], a[piv[0]] = a[piv[0]], a[t]
+        if piv[1] != t:
+            _swap_columns(a, vt, t, piv[1])
+        while True:
+            at, p = a[t], a[t][t]
+            for i, ai in enumerate(a[t + 1 :], t + 1):
+                if not ai[t]:
+                    continue
+                q = ai[t] // p
+                if modulus:
+                    ai[t:] = [(x - q * y + half) % modulus - half for x, y in zip(ai[t:], at[t:])]
+                else:
+                    ai[t:] = [x - q * y for x, y in zip(ai[t:], at[t:])]
+                    grown = grown or (bound is not None and (max(ai) > bound or -min(ai) > bound))
+                if ai[t]:
+                    a[t], a[i] = ai, at
+                    break
+            else:
+                # column t is zero off the pivot: column operations change only a[t][j]
+                for j in range(t + 1, n):
+                    if not at[j]:
+                        continue
+                    q = at[j] // p
+                    at[j] -= q * p
+                    if vt is not None:
+                        vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
+                    if at[j]:
+                        _swap_columns(a, vt, t, j)
+                        break
+                else:
+                    break
+        t += 1
+    return a, [a[i][i] for i in range(min(m, n))], modulus, rank if modulus else t
+
+
+def _swap_columns(a: Matrix, vt: Matrix | None, t: int, j: int) -> None:
+    for row in a[t:]:  # rows above t are zero in both columns
+        row[t], row[j] = row[j], row[t]
+    if vt is not None:
+        vt[t], vt[j] = vt[j], vt[t]
+
+
+def _divisibility_chain(d: list[int], u: Matrix | None = None, vt: Matrix | None = None) -> list[int]:
+    """Make each nonzero d[t] divide every later entry, in place: with
+    g = s*x + c*y = gcd(x, y), [[s, c], [-y/g, x/g]] diag(x, y) [[1, -c*y/g],
+    [1, s*x/g]] = diag(g, xy/g); both transforms (determinant 1) act on u, vt."""
+    for t in range(len(d)):
+        for i in range(t + 1, len(d)):
+            x, y = d[t], d[i]
+            if x and y % x:
+                g = math.gcd(x, y)
+                xg, yg = x // g, y // g
+                d[t], d[i] = g, xg * y
+                if u is not None:
+                    s = pow(xg, -1, abs(yg))
+                    c = (1 - s * xg) // yg
+                    for w, (p, q, r, z) in ((u, (s, c, -yg, xg)), (vt, (1, 1, -c * yg, s * xg))):
+                        pairs = list(zip(w[t], w[i]))
+                        w[t], w[i] = [p * e + q * f for e, f in pairs], [r * e + z * f for e, f in pairs]
+    return d
 
 
 def smith(matrix: Matrix) -> SmithForm:
@@ -71,123 +179,20 @@ def smith(matrix: Matrix) -> SmithForm:
     The pivot strategy (smallest absolute value, row-major ties) makes the
     transforms deterministic; the diagonal is canonical regardless.
     """
-    m, n = _shape(matrix)
-    a = [list(row) for row in matrix]
-    u = identity(m)
-    v = identity(n)
-
-    t = 0
-    k = min(m, n)
-    while t < k:
-        piv = _find_pivot(a, t, m, n)
-        if piv is None:
-            break
-        i0, j0 = piv
-        if i0 != t:
-            a[t], a[i0] = a[i0], a[t]
-            u[t], u[i0] = u[i0], u[t]
-        if j0 != t:
-            for row in a:
-                row[t], row[j0] = row[j0], row[t]
-            for row in v:
-                row[t], row[j0] = row[j0], row[t]
-
-        # Clear row t and column t; a nonzero remainder becomes the new,
-        # strictly smaller pivot, so this terminates.
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    for j in range(n):
-                        a[i][j] -= q * a[t][j]
-                    for j in range(m):
-                        u[i][j] -= q * u[t][j]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        u[t], u[i] = u[i], u[t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for i in range(m):
-                        a[i][j] -= q * a[i][t]
-                    for i in range(n):
-                        v[i][j] -= q * v[i][t]
-                    if a[t][j]:
-                        for i in range(m):
-                            a[i][t], a[i][j] = a[i][j], a[i][t]
-                        for i in range(n):
-                            v[i][t], v[i][j] = v[i][j], v[i][t]
-                        dirty = True
-                        break
-        t += 1
-
-    # Enforce the divisibility chain d_t | d_i by folding offending entries
-    # back into the pivot position and re-clearing.
-    changed = True
-    while changed:
-        changed = False
-        for t in range(k):
-            if a[t][t] == 0:
-                continue
-            for i in range(t + 1, k):
-                if a[i][i] % a[t][t]:
-                    for r in range(m):
-                        a[r][t] += a[r][i]
-                    for r in range(n):
-                        v[r][t] += v[r][i]
-                    # re-clear the 2x2 block at (t, i)
-                    g_done = False
-                    while not g_done:
-                        g_done = True
-                        if a[i][t]:
-                            q = a[i][t] // a[t][t]
-                            for j in range(n):
-                                a[i][j] -= q * a[t][j]
-                            for j in range(m):
-                                u[i][j] -= q * u[t][j]
-                            if a[i][t]:
-                                a[t], a[i] = a[i], a[t]
-                                u[t], u[i] = u[i], u[t]
-                                g_done = False
-                                continue
-                        if a[t][i]:
-                            q = a[t][i] // a[t][t]
-                            for r in range(m):
-                                a[r][i] -= q * a[r][t]
-                            for r in range(n):
-                                v[r][i] -= q * v[r][t]
-                            if a[t][i]:
-                                for r in range(m):
-                                    a[r][t], a[r][i] = a[r][i], a[r][t]
-                                for r in range(n):
-                                    v[r][t], v[r][i] = v[r][i], v[r][t]
-                                g_done = False
-                    changed = True
-
-    for t in range(k):
-        if a[t][t] < 0:
-            for j in range(n):
-                a[t][j] = -a[t][j]
-            for j in range(m):
-                u[t][j] = -u[t][j]
-
-    diag = tuple(a[t][t] for t in range(k))
-    return SmithForm(
-        left=tuple(tuple(row) for row in u),
-        diag=diag,
-        right=tuple(tuple(row) for row in v),
-    )
+    _, n = _shape(matrix)
+    vt = identity(n)
+    a, d, _, _ = _eliminate(matrix, vt)
+    u = [row[n:] for row in a]
+    for t, x in enumerate(_divisibility_chain(d, u, vt)):
+        if x < 0:
+            d[t], u[t] = -x, [-e for e in u[t]]
+    return SmithForm(left=tuple(tuple(row) for row in u), diag=tuple(d), right=tuple(zip(*vt)))
 
 
 def invariant_factors(matrix: Matrix) -> tuple[int, ...]:
     """Nonzero diagonal of the Smith form, in divisibility order."""
-    return tuple(d for d in smith(matrix).diag if d)
+    _, d, modulus, r = _eliminate(matrix)
+    return tuple(_divisibility_chain([math.gcd(x, modulus) for x in d])[:r])
 
 
 def rank(matrix: Matrix) -> int:

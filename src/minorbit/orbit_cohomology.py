@@ -160,39 +160,27 @@ def cone_over_curve(g: int, c: int) -> GradedAbelianGroup:
 def bad_torsion_report(oc: OrbitCohomology) -> dict[int, tuple[int, ...]]:
     """Primes dividing torsion away from the middle degree, with locations.
 
-    Every such prime must be a bad prime of the type; a violation would
-    falsify the computation and raises accordingly.
+    Every such prime must be a bad prime of the type (all lie in {2, 3, 5}),
+    so each torsion coefficient is divided by those alone: a cofactor above
+    1 would falsify the computation and raises accordingly.
     """
-    bad = build(oc.type_label).bad_primes
-    found: dict[int, list[int]] = {}
+    bad = sorted(build(oc.type_label).bad_primes)
+    found: dict[int, set[int]] = {}
     for n, (_, torsion) in oc.table.items():
         if n == oc.d:
             continue
         for t in torsion:
-            for p in _prime_divisors(t):
-                if p not in bad:
-                    raise InvariantFailureError(
-                        f"prime {p} divides torsion at degree {n} of {oc.type_label} "
-                        f"but is not in the bad-prime set {sorted(bad)}"
-                    )
-                found.setdefault(p, [])
-                if n not in found[p]:
-                    found[p].append(n)
+            for p in bad:
+                if t % p == 0:
+                    found.setdefault(p, set()).add(n)
+                while t % p == 0:
+                    t //= p
+            if t > 1:
+                raise InvariantFailureError(
+                    f"torsion at degree {n} of {oc.type_label} has the cofactor {t} "
+                    f"prime to the bad primes {bad}"
+                )
     return {p: tuple(sorted(ds)) for p, ds in sorted(found.items())}
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def to_json_dict(oc: OrbitCohomology) -> dict:

@@ -1,8 +1,9 @@
 """Smith form and cokernel tests, checked against independent oracles.
 
 The oracles here never touch the Smith reduction path: determinants come
-from cofactor expansion, invariant factors from gcds of k x k minors, and
-small quotient groups are enumerated coset by coset.
+from cofactor expansion (fraction-free elimination for large transforms),
+invariant factors from gcds of k x k minors or from sympy, and small
+quotient groups are enumerated coset by coset.
 """
 
 import itertools
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minorbit import int_linalg
 from minorbit.errors import DomainError
 from minorbit.int_linalg import (
     MILLER_RABIN_BOUND,
@@ -87,11 +89,27 @@ def quotient_order_oracle(m):
     return modulus**rows // len(subgroup)
 
 
-def check_form(m):
+def bareiss_det(m):
+    """Fraction-free determinant, for transforms too large for cofactor expansion."""
+    a = [list(row) for row in m]
+    sign, prev = 1, 1
+    for k in range(len(a)):
+        i0 = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if i0 is None:
+            return 0
+        if i0 != k:
+            a[k], a[i0], sign = a[i0], a[k], -sign
+        for i in range(k + 1, len(a)):
+            a[i] = [(a[k][k] * x - a[i][k] * y) // prev for x, y in zip(a[i], a[k])]
+        prev = a[k][k]
+    return sign * prev
+
+
+def check_form(m, det=det_oracle):
     form = smith(m)
     rows, cols = len(m), len(m[0]) if m else 0
-    assert abs(det_oracle([list(r) for r in form.left])) == 1
-    assert abs(det_oracle([list(r) for r in form.right])) == 1
+    assert abs(det([list(r) for r in form.left])) == 1
+    assert abs(det([list(r) for r in form.right])) == 1
     product = mat_mul(mat_mul([list(r) for r in form.left], m), [list(r) for r in form.right])
     for i in range(rows):
         for j in range(cols):
@@ -239,3 +257,104 @@ def test_quotient_orders_500_random():
 def test_reconstruction_property(m):
     check_form(m)
     assert list(invariant_factors(m)) == minor_gcd_oracle(m)
+
+
+def dense(rows, cols, seed):
+    rng = random.Random(seed)
+    return [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+
+
+def dense_unimodular(n, seed):
+    """A walk of elementary row operations from the identity that keeps every
+    entry in [-9, 9]: determinant 1, and dense after enough steps."""
+    rng = random.Random(seed)
+    w = identity(n)
+    for _ in range(2000):
+        i, j = rng.sample(range(n), 2)
+        sign = rng.choice((1, -1))
+        row = [x + sign * y for x, y in zip(w[i], w[j])]
+        if max(map(abs, row)) <= 9:
+            w[i] = row
+    return w
+
+
+def with_zero_columns(m, columns):
+    return [[0 if j in columns else x for j, x in enumerate(row)] for row in m]
+
+
+# Dense [-9, 9] inputs whose elimination outgrows the Hadamard bound, so the
+# transform-free path switches to residues mod a minor.
+MODULAR = {
+    **{f"square-{s}": dense(s, s, s) for s in (12, 18, 24, 30)},
+    **{f"{r}x{c}": dense(r, c, 100 * r + c) for r, c in ((16, 20), (20, 16), (26, 22), (22, 26))},
+    "repeated-rows": dense(10, 18, 7) + dense(10, 18, 7)[:6],
+    "zero-columns": with_zero_columns(dense(16, 16, 8), {3, 9}),
+    "unimodular": dense_unimodular(14, 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODULAR))
+def test_modular_branch_matches_certified_smith(name, monkeypatch):
+    m = MODULAR[name]
+    minors = []
+    bareiss = int_linalg._bareiss
+    monkeypatch.setattr(int_linalg, "_bareiss", lambda a: minors.append(bareiss(a)) or minors[-1])
+    form = check_form(m, det=bareiss_det)
+    nonzero = tuple(d for d in form.diag if d)
+    assert minors == []  # smith keeps exact entries and never reduces
+    assert invariant_factors(m) == nonzero
+    assert cokernel(m) == (len(m) - len(nonzero), tuple(d for d in nonzero if d > 1))
+    assert kernel_rank(m) == len(m[0]) - len(nonzero)
+    assert rank(m) == len(nonzero)
+    assert [r for r, _ in minors] == [len(nonzero)] * 4
+    if name == "unimodular":
+        assert [modulus for _, modulus in minors] == [1] * 4
+    for _, modulus in minors:
+        assert modulus % math.prod(nonzero) == 0
+
+
+@pytest.mark.parametrize("name", sorted(MODULAR))
+def test_invariant_factors_match_sympy(name):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
+
+    m = MODULAR[name]
+    expected = tuple(int(d) for d in sympy_invariant_factors(sympy.Matrix(m), domain=sympy.ZZ) if d)
+    assert invariant_factors(m) == expected
+
+
+def test_dense_growth_budget(time_budget):
+    # Without the modulus, eliminating a dense 60x60 does not finish in a minute.
+    m = dense(60, 60, 60)
+    with time_budget(10):
+        factors = invariant_factors(m)
+        assert cokernel(m) == (0, tuple(d for d in factors if d > 1))
+        assert kernel_rank(m) == 0
+    assert len(factors) == 60 and math.prod(factors) == abs(bareiss_det(m))
+    with time_budget(1):
+        assert cokernel(dense(40, 40, 40))[0] == 0
+
+
+# cli-cold's types plus three larger ones
+TRAFFIC_TYPES = (
+    ["G2", "F4", "E6", "E7", "E8", "A30", "B20", "D20"]
+    + [f"A{n}" for n in range(2, 17)]
+    + [f"B{n}" for n in range(2, 14)]
+    + [f"C{n}" for n in range(2, 21)]
+    + [f"D{n}" for n in range(4, 13)]
+)
+
+
+@pytest.mark.parametrize("label", TRAFFIC_TYPES)
+def test_invariant_factors_on_boundary_matrices(label, monkeypatch):
+    from minorbit.long_root_poset import d_matrix, dimension
+    from minorbit.root_system import build_from_string
+
+    def bareiss(matrix):
+        pytest.fail(f"a {label} boundary matrix outgrew the Hadamard bound")
+
+    monkeypatch.setattr(int_linalg, "_bareiss", bareiss)
+    rs = build_from_string(label)
+    for i in range(1, dimension(rs)):
+        m = [list(row) for row in d_matrix(rs, i)]
+        assert invariant_factors(m) == tuple(d for d in smith(m).diag if d)

@@ -209,6 +209,15 @@ def test_bad_torsion_flags_violations():
         bad_torsion_report(broken)
 
 
+def test_bad_torsion_refuses_a_large_cofactor_at_once(time_budget):
+    # factoring this semiprime by trial division would take ~10^9 steps
+    semiprime = (10**9 + 7) * (10**9 + 9)
+    obj = to_json_dict(minimal_orbit_cohomology(build_from_string("G2")))
+    next(e for e in obj["H"] if e["n"] == 4)["torsion"] = [3 * semiprime]
+    with time_budget(1), pytest.raises(InvariantFailureError, match=f"degree 4 of G2 .* cofactor {semiprime}"):
+        bad_torsion_report(from_json_dict(obj))
+
+
 def test_rational_half_check(rs):
     assert rational_half_check(rs, minimal_orbit_cohomology(rs))
 
