@@ -8,20 +8,15 @@ it relies on, which would mean a bug).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import Counter
 
-from . import decomposition, gln_springer, long_root_poset, weyl_oracle
 from .errors import DomainError, InvalidTypeError, InvariantFailureError
-from .int_linalg import tensor_f_dimension
-from .orbit_cohomology import (
-    OrbitCohomology,
-    minimal_orbit_cohomology,
-    middle_via_lattice,
-    to_json_dict,
-)
 from .root_system import TypeLabel, build, long_simple_subsystem, parse_type
+
+# Each cmd_* imports the modules it computes with, and ``json`` is imported
+# on the JSON output path only, so a cold process compiles no more than
+# its one subcommand needs.
 
 TABLE_TYPES = (
     [TypeLabel("B", n) for n in range(2, 9)]
@@ -44,7 +39,8 @@ def format_group(rank: int, torsion: tuple[int, ...]) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def format_table_text(oc: OrbitCohomology) -> str:
+def format_table_text(oc) -> str:
+    """Text table of an OrbitCohomology, one line per group."""
     lines = [f"H^i of the minimal orbit, type {oc.type_label} (d = {oc.d}, h_dual = {oc.h_dual}):"]
     by_group: dict[str, list[int]] = {}
     for n, (free, torsion) in oc.table.items():
@@ -64,14 +60,22 @@ def format_root(root) -> str:
     return "(" + ",".join(str(x) for x in root) + ")"
 
 
+def _print_json(obj) -> None:
+    import json
+
+    print(json.dumps(obj, indent=2))
+
+
 def _emit(obj, fmt: str, text: str) -> None:
     if fmt == "json":
-        print(json.dumps(obj, indent=2))
+        _print_json(obj)
     else:
         print(text)
 
 
 def cmd_cohomology(args) -> int:
+    from .orbit_cohomology import minimal_orbit_cohomology, to_json_dict
+
     label = parse_type(args.type)
     oc = minimal_orbit_cohomology(build(label))
     _emit(to_json_dict(oc), args.format, format_table_text(oc))
@@ -79,6 +83,8 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_dmatrices(args) -> int:
+    from . import long_root_poset
+
     rs = build(parse_type(args.type))
     lv = long_root_poset.levels(rs)
     d = long_root_poset.dimension(rs)
@@ -93,7 +99,7 @@ def cmd_dmatrices(args) -> int:
                 for i, mat in enumerate(matrices, start=1)
             ],
         }
-        print(json.dumps(obj, indent=2))
+        _print_json(obj)
         return 0
     print(f"type {rs.type_label}: d = {d}, levels 0..{d - 1}")
     for i, level in enumerate(lv):
@@ -106,20 +112,13 @@ def cmd_dmatrices(args) -> int:
 
 
 def cmd_fundgroup(args) -> int:
+    from .orbit_cohomology import middle_via_lattice
+
     rs = build(parse_type(args.type))
     sub = long_simple_subsystem(rs)
     factors = middle_via_lattice(rs)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "type": str(rs.type_label),
-                    "subsystem": str(sub),
-                    "invariant_factors": list(factors),
-                },
-                indent=2,
-            )
-        )
+        _print_json({"type": str(rs.type_label), "subsystem": str(sub), "invariant_factors": list(factors)})
     else:
         print(f"long-simple subsystem: {sub}")
         print(f"fundamental group: {format_group(0, factors)}")
@@ -127,6 +126,9 @@ def cmd_fundgroup(args) -> int:
 
 
 def cmd_decomp(args) -> int:
+    from . import decomposition
+    from .int_linalg import tensor_f_dimension
+
     label = parse_type(args.type)
     if args.mode == "minimal":
         value = decomposition.decomp_minimal(label, args.ell)
@@ -160,6 +162,8 @@ def cmd_decomp(args) -> int:
 
 
 def cmd_springer_gln(args) -> int:
+    from . import gln_springer
+
     image = gln_springer.springer_image(args.n, args.ell)
     regular = [p for p in gln_springer.partitions_of(args.n) if gln_springer.is_ell_regular(p, args.ell)]
     mapping = [(mu, gln_springer.psi(mu, args.ell)) for mu in regular]
@@ -170,7 +174,7 @@ def cmd_springer_gln(args) -> int:
             "image": [list(p) for p in image],
             "map": [{"regular": list(mu), "orbit": list(la)} for mu, la in mapping],
         }
-        print(json.dumps(obj, indent=2))
+        _print_json(obj)
         return 0
     print(f"restricted orbits for n = {args.n}, ell = {args.ell}:")
     for p in image:
@@ -182,6 +186,8 @@ def cmd_springer_gln(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import weyl_oracle
+
     rs = build(parse_type(args.type))
     ok_level = weyl_oracle.verify_level_length(rs)
     ok_reflection = weyl_oracle.verify_reflection_length(rs)
@@ -191,9 +197,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    from .orbit_cohomology import minimal_orbit_cohomology, to_json_dict
+
     tables = [minimal_orbit_cohomology(build(label)) for label in TABLE_TYPES]
     if args.format == "json":
-        print(json.dumps([to_json_dict(oc) for oc in tables], indent=2))
+        _print_json([to_json_dict(oc) for oc in tables])
         return 0
     print("\n\n".join(format_table_text(oc) for oc in tables))
     return 0

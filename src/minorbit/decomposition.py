@@ -10,7 +10,7 @@ dimension of the full quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, InvariantFailureError
 from .int_linalg import cokernel, is_prime, tensor_f_dimension
@@ -30,14 +30,11 @@ __all__ = [
 _CHARACTER_DEGREES = {"1": 1, "eps": 1, "psi": 2}
 
 
-@dataclass(frozen=True)
-class SimpleSingularityData:
-    """Homogeneous diagram, symmetry group and lattice quotient of a type."""
+class SimpleSingularityData(namedtuple("SimpleSingularityData", "gamma gamma_hat symmetry_group quotient")):
+    """Homogeneous diagram, symmetry group ("trivial", "Z2" or "S3") and the
+    invariant factors of the weight/root quotient of a type."""
 
-    gamma: TypeLabel
-    gamma_hat: TypeLabel
-    symmetry_group: str  # "trivial", "Z2" or "S3"
-    quotient: tuple[int, ...]  # invariant factors of weight/root quotient
+    __slots__ = ()
 
 
 def _gamma_hat(label: TypeLabel) -> tuple[TypeLabel, str]:

@@ -11,16 +11,23 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import islice
 
 from .errors import DomainError, InvariantFailureError
 from .int_linalg import is_prime
 
 Partition = tuple[int, ...]
 
+# partitions_of refuses an n with more partitions than this (p(45) = 89134
+# is admitted, p(46) = 105558 is not): the callers scan all of them.
+PARTITION_BUDGET = 100_000
+
 __all__ = [
     "Partition",
     "parse_partition",
     "format_partition",
+    "PARTITION_BUDGET",
+    "partition_count",
     "partitions_of",
     "conjugate",
     "dominance_le",
@@ -59,11 +66,41 @@ def format_partition(p: Partition) -> str:
     return ",".join(str(x) for x in p)
 
 
-@lru_cache(maxsize=None)
-def partitions_of(n: int) -> tuple[Partition, ...]:
-    """All partitions of n in decreasing lexicographic order."""
+def _partition_numbers():
+    """p(0), p(1), ... by Euler's pentagonal recurrence,
+    p(m) = sum over k >= 1 of (-1)^(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2)),
+    so p(m) takes O(sqrt m) integer steps."""
+    p = [1]
+    while True:
+        yield p[-1]
+        m, total, k = len(p), 0, 1
+        while (g := k * (3 * k - 1) // 2) <= m:
+            term = p[m - g] + (p[m - g - k] if g + k <= m else 0)
+            total += term if k % 2 else -term
+            k += 1
+        p.append(total)
+
+
+def partition_count(n: int) -> int:
+    """p(n), the number of partitions of n, in O(n sqrt n) integer steps."""
     if n < 0:
         raise DomainError("partitions of a negative integer")
+    return next(islice(_partition_numbers(), n, None))
+
+
+@lru_cache(maxsize=None)
+def partitions_of(n: int) -> tuple[Partition, ...]:
+    """All partitions of n in decreasing lexicographic order.
+
+    Refuses, before enumerating, an n with more than PARTITION_BUDGET
+    partitions.  p is increasing, so the recurrence stops at the first
+    m <= n past the budget, and the check is as cheap for a huge n.
+    """
+    if n < 0:
+        raise DomainError("partitions of a negative integer")
+    for m, count in zip(range(n + 1), _partition_numbers()):
+        if count > PARTITION_BUDGET:
+            raise DomainError(f"p({n}) exceeds the partition budget of {PARTITION_BUDGET} (p({m}) = {count})")
 
     def gen(rest: int, cap: int):
         if rest == 0:

@@ -19,7 +19,7 @@ exact d_1, ..., d_r.  Sparse inputs (boundary matrices) never grow so far.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 from .errors import DomainError
@@ -52,13 +52,10 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return [[sum(a[i][k] * b[k][j] for k in range(na)) for j in range(nb)] for i in range(ma)]
 
 
-@dataclass(frozen=True)
-class SmithForm:
-    """Unimodular factorization left * matrix * right = diag(diag)."""
+class SmithForm(namedtuple("SmithForm", "left diag right")):
+    """Unimodular factorization left * matrix * right = diag(diag), all tuples."""
 
-    left: tuple[tuple[int, ...], ...]
-    diag: tuple[int, ...]
-    right: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 def _find_pivot(a: Matrix, t: int, n: int) -> tuple[int, int] | None:

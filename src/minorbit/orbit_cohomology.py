@@ -10,8 +10,7 @@ lattice, bad-prime locality, the rational half).
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from . import int_linalg, long_root_poset
 from .errors import DomainError, InvariantFailureError
@@ -78,12 +77,10 @@ class GradedAbelianGroup:
         return f"GradedAbelianGroup({self._entries!r})"
 
 
-@dataclass(frozen=True)
-class OrbitCohomology:
-    type_label: TypeLabel
-    d: int
-    h_dual: int
-    table: GradedAbelianGroup
+class OrbitCohomology(namedtuple("OrbitCohomology", "type_label d h_dual table")):
+    """H^* of a minimal orbit of complex dimension d, as a GradedAbelianGroup."""
+
+    __slots__ = ()
 
 
 def minimal_orbit_cohomology(rs: RootSystem) -> OrbitCohomology:

@@ -10,7 +10,7 @@ n_1...n_rank match the standard published diagrams.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import DomainError, InvalidTypeError
@@ -39,17 +39,33 @@ BAD_PRIMES = {
     "G": frozenset({2, 3}),
 }
 
+# Coxeter number h in closed form; a type has rank * h roots.
+_COXETER_NUMBER = {
+    "A": lambda n: n + 1,
+    "B": lambda n: 2 * n,
+    "C": lambda n: 2 * n,
+    "D": lambda n: 2 * n - 2,
+    "E": lambda n: {6: 12, 7: 18, 8: 30}[n],
+    "F": lambda n: 12,
+    "G": lambda n: 6,
+}
 
-@dataclass(frozen=True, order=True)
-class TypeLabel:
-    series: str
-    rank: int
+# build refuses a type with more roots than this, before the closure: the
+# work per type grows about as rank^3 in the classical series.
+ROOT_BUDGET = 10_000
 
-    def __post_init__(self) -> None:
-        if self.series not in _RANK_CONSTRAINTS:
-            raise InvalidTypeError(f"unknown series {self.series!r}")
-        if not _RANK_CONSTRAINTS[self.series](self.rank):
-            raise InvalidTypeError(f"rank {self.rank} invalid for series {self.series}")
+
+class TypeLabel(namedtuple("TypeLabel", "series rank")):
+    """A validated Dynkin type: series letter and rank, ordered as a tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, series: str, rank: int):
+        if series not in _RANK_CONSTRAINTS:
+            raise InvalidTypeError(f"unknown series {series!r}")
+        if not _RANK_CONSTRAINTS[series](rank):
+            raise InvalidTypeError(f"rank {rank} invalid for series {series}")
+        return super().__new__(cls, series, rank)
 
     def __str__(self) -> str:
         return f"{self.series}{self.rank}"
@@ -139,7 +155,6 @@ def _bad_primes(label: TypeLabel) -> frozenset[int]:
     return BAD_PRIMES[label.series]
 
 
-@dataclass(frozen=True, eq=False)
 class RootSystem:
     """All roots and derived data of one irreducible type.
 
@@ -165,6 +180,14 @@ class RootSystem:
     # nonzero entries (i, 2(alpha_i|alpha_j)) of each column j of the
     # symmetric Gram matrix, which is as sparse as the Dynkin diagram
     _bilinear: tuple[tuple[tuple[int, int], ...], ...]
+
+    def __init__(self, **fields) -> None:
+        if fields.keys() != self.__annotations__.keys():
+            raise TypeError(f"RootSystem takes exactly the fields {', '.join(self.__annotations__)}")
+        vars(self).update(fields)
+
+    def __repr__(self) -> str:
+        return f"RootSystem(type_label={self.type_label!r})"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RootSystem):
@@ -207,8 +230,11 @@ def height(root: Root) -> int:
 @lru_cache(maxsize=None)
 def build(label: TypeLabel) -> RootSystem:
     """Construct the full root system of the given irreducible type."""
-    cartan, lengths, r = _cartan_and_lengths(label)
     n = label.rank
+    count = n * _COXETER_NUMBER[label.series](n)
+    if count > ROOT_BUDGET:
+        raise DomainError(f"{label} has {count} roots, over the budget of {ROOT_BUDGET}")
+    cartan, lengths, r = _cartan_and_lengths(label)
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
 
     # Closure of the simple roots under the simple reflections.  Each root

@@ -11,7 +11,7 @@ representatives, and that reflection lengths follow the (dual) height.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import long_root_poset
@@ -31,10 +31,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    perm: bytes  # perm[i] = index of the image of root i
-    length: int
+class WeylElement(namedtuple("WeylElement", "perm length")):
+    """perm[i] is the index of the image of root i; length is the Coxeter length."""
+
+    __slots__ = ()
 
 
 def group_order(rs: RootSystem) -> int:

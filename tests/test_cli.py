@@ -1,9 +1,12 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
+from minorbit import orbit_cohomology
 from minorbit.cli import main
+from minorbit.errors import InvariantFailureError
 from minorbit.orbit_cohomology import from_json_dict, minimal_orbit_cohomology
 from minorbit.root_system import build_from_string
 
@@ -163,3 +166,47 @@ def test_tables_json(capsys):
         + [f"D{n}" for n in range(4, 9)]
         + ["E6", "E7", "E8", "F4", "G2"]
     )
+
+
+HELP = json.loads((Path(__file__).parent / "cli_help.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_help_is_unchanged(command, capsys, monkeypatch):
+    # cli_help.json holds every --help text at 80 columns, top level under ""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main([*command.split(), "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out == HELP[command]
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["cohomology", "--type", "A100"], 3, "A100 has 10100 roots, over the budget"),
+        (["dmatrices", "--type", "D3"], 2, "rank 3 invalid for series D"),
+        (["dmatrices", "--type", "B71"], 3, "over the budget"),
+        (["fundgroup", "--type", "Q2"], 2, "unknown series 'Q'"),
+        (["fundgroup", "--type", "C80", "--format", "json"], 3, "over the budget"),
+        (["decomp", "simple", "--type", "E9"], 2, "rank 9 invalid for series E"),
+        (["decomp", "subregular", "--type", "B3", "--ell", "6"], 3, "6 is not prime"),
+        (["springer-gln", "--n", "0", "--ell", "2"], 3, "n >= 1"),
+        (["verify", "--type", "x"], 2, "cannot parse type label"),
+        (["tables", "--all", "--format", "json"], 0, ""),
+    ],
+)
+def test_exit_codes_per_subcommand(argv, code, message, capsys):
+    got, out, err = run(capsys, *argv)
+    assert got == code and message in err
+    assert bool(out) == (code == 0)
+
+
+def test_invariant_failure_exit_4(capsys, monkeypatch):
+    # each subcommand reads its layer at call time, so a patched layer is seen
+    def broken(rs):
+        raise InvariantFailureError(f"broken for {rs.type_label}")
+
+    monkeypatch.setattr(orbit_cohomology, "minimal_orbit_cohomology", broken)
+    code, out, err = run(capsys, "cohomology", "--type", "G2")
+    assert code == 4 and not out and err == "invariant failure: broken for G2\n"

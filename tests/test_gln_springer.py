@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minorbit.cli import main
 from minorbit.errors import DomainError
 from minorbit.gln_springer import (
+    PARTITION_BUDGET,
     adjacent_in_dominance,
     conjugate,
     decomp_adjacent,
@@ -15,6 +17,7 @@ from minorbit.gln_springer import (
     is_ell_restricted,
     minimal_degeneration,
     parse_partition,
+    partition_count,
     partitions_of,
     psi,
     row_column_invariance_check,
@@ -212,3 +215,36 @@ def test_invariance_check_exhaustive():
 def test_invariance_check_examples():
     assert row_column_invariance_check((4, 2), (4, 1, 1), 2)
     assert row_column_invariance_check((2,), (1, 1), 2)  # already reduced
+
+
+def test_partition_count_matches_enumeration():
+    for n in range(31):
+        assert partition_count(n) == len(partitions_of(n))
+    # Hardy-Ramanujan's values
+    assert partition_count(50) == 204226 and partition_count(100) == 190569292
+    with pytest.raises(DomainError):
+        partition_count(-1)
+
+
+def test_partition_budget_refuses_just_past_the_boundary(time_budget):
+    # the boundary comes from the recurrence; the refused n is never enumerated
+    n = next(m for m in range(1000) if partition_count(m) > PARTITION_BUDGET)
+    assert len(partitions_of(n - 1)) == partition_count(n - 1) <= PARTITION_BUDGET
+    partitions_of.cache_clear()
+    big = (n,), (n - 1, 1)
+    with time_budget(1.0):
+        for m in (n, 80, 10**12):
+            with pytest.raises(DomainError, match="partition budget"):
+                partitions_of(m)
+        with pytest.raises(DomainError, match="partition budget"):
+            springer_image(n, 2)
+        with pytest.raises(DomainError, match="partition budget"):
+            adjacent_in_dominance(*big)
+        with pytest.raises(DomainError, match="partition budget"):
+            minimal_degeneration(*big)
+
+
+def test_springer_gln_cli_refuses_over_budget(capsys):
+    code = main(["springer-gln", "--n", "80", "--ell", "2"])
+    captured = capsys.readouterr()
+    assert code == 3 and not captured.out and "partition budget" in captured.err

@@ -1,0 +1,105 @@
+"""The package surface: lazy exports, the CLI's import footprint, and the
+value semantics of the small record types."""
+
+import ast
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import minorbit
+from minorbit.int_linalg import SmithForm, smith
+from minorbit.orbit_cohomology import OrbitCohomology, minimal_orbit_cohomology
+from minorbit.root_system import TypeLabel, build_from_string
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def modules_after(code: str) -> set[str]:
+    """Modules loaded by `code` in a fresh interpreter started with -S, so
+    that site imports nothing; `code` must end by printing sys.modules."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    return set(ast.literal_eval(out.stdout.splitlines()[-1]))
+
+
+def test_cli_import_loads_no_unused_layer():
+    loaded = modules_after("import sys, minorbit.cli; print(sorted(sys.modules))")
+    for name in ("dataclasses", "inspect", "json"):
+        assert name not in loaded
+    for name in ("decomposition", "gln_springer", "weyl_oracle", "int_linalg", "orbit_cohomology"):
+        assert f"minorbit.{name}" not in loaded
+
+
+def test_dmatrices_loads_no_smith_layer():
+    loaded = modules_after(
+        "import sys; from minorbit import cli; cli.main(['dmatrices', '--type', 'G2']); print(sorted(sys.modules))"
+    )
+    assert "minorbit.long_root_poset" in loaded
+    assert "minorbit.int_linalg" not in loaded and "minorbit.orbit_cohomology" not in loaded
+
+
+def test_text_cohomology_loads_no_json():
+    loaded = modules_after(
+        "import sys; from minorbit import cli; cli.main(['cohomology', '--type', 'G2']); print(sorted(sys.modules))"
+    )
+    assert "minorbit.orbit_cohomology" in loaded
+    assert "json" not in loaded and "minorbit.weyl_oracle" not in loaded
+
+
+def test_every_export_is_its_submodule_attribute():
+    for module, names in minorbit._EXPORTS.items():
+        mod = importlib.import_module(f"minorbit.{module}")
+        for name in names:
+            assert getattr(minorbit, name) is getattr(mod, name)
+    assert set(minorbit.__all__) <= set(dir(minorbit))
+    assert minorbit.to_json_dict is minorbit.orbit_cohomology.to_json_dict
+
+
+def test_exports_follow_rebinding_of_the_submodule(monkeypatch):
+    # the benchmark tracer rebinds submodule attributes; the package must
+    # not keep a stale copy
+    marker = object()
+    monkeypatch.setattr(minorbit.root_system, "build", marker)
+    assert minorbit.build is marker
+    monkeypatch.undo()
+    assert minorbit.build is minorbit.root_system.build
+
+
+def test_unknown_export_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        minorbit.no_such_name
+
+
+def test_star_import_binds_all():
+    namespace: dict = {}
+    exec("from minorbit import *", namespace)
+    assert set(minorbit.__all__) <= set(namespace)
+    assert namespace["build"] is minorbit.root_system.build
+
+
+def test_record_types_keep_value_semantics():
+    a3 = TypeLabel("A", 3)
+    assert repr(a3) == "TypeLabel(series='A', rank=3)" and str(a3) == "A3"
+    assert a3 == TypeLabel("A", 3) and hash(a3) == hash(TypeLabel("A", 3))
+    labels = [TypeLabel("E", 6), TypeLabel("A", 9), TypeLabel("A", 2), TypeLabel("D", 4)]
+    assert sorted(labels) == [TypeLabel("A", 2), TypeLabel("A", 9), TypeLabel("D", 4), TypeLabel("E", 6)]
+
+    sf = smith([[2, 4], [6, 8]])
+    assert sf == smith([[2, 4], [6, 8]]) and hash(sf) == hash(smith([[2, 4], [6, 8]]))
+    assert repr(sf) == f"SmithForm(left={sf.left!r}, diag={sf.diag!r}, right={sf.right!r})"
+    assert isinstance(sf, SmithForm) and sf.diag == (2, 4)
+
+    oc = minimal_orbit_cohomology(build_from_string("G2"))
+    again = minimal_orbit_cohomology(build_from_string("G2"))
+    assert oc == again and hash(oc) == hash(again) and isinstance(oc, OrbitCohomology)
+    assert repr(oc).startswith("OrbitCohomology(type_label=TypeLabel(series='G', rank=2), d=6, h_dual=4, table=")
+
+    for record, field in ((a3, "rank"), (sf, "diag"), (oc, "d")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+        with pytest.raises(AttributeError):
+            record.extra = 0

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -6,7 +5,10 @@ import pytest
 from minorbit.errors import DomainError, InvalidTypeError
 from minorbit.int_linalg import cokernel
 from minorbit.root_system import (
+    ROOT_BUDGET,
+    RootSystem,
     TypeLabel,
+    build,
     build_from_string,
     cartan_of_subset,
     dual_height,
@@ -205,9 +207,32 @@ def test_closure_counts_large_rank(name):
 def test_equality_and_hash_read_the_label_only():
     e8 = build_from_string("E8")
     # a copy whose roots are unhashable lists: hashing it must not touch them
-    copy = dataclasses.replace(e8, roots=[list(v) for v in e8.roots], positive_roots=())
+    copy = RootSystem(**{**vars(e8), "roots": [list(v) for v in e8.roots], "positive_roots": ()})
     assert copy is not e8
     assert copy == e8 and hash(copy) == hash(e8) == hash(e8.type_label)
     assert e8 != build_from_string("E7") and e8 != "E8"
     a60 = build_from_string("A60")
     assert hash(a60) == hash(a60.type_label)
+
+
+def last_admitted_rank(series: str) -> int:
+    """Largest rank whose closed-form root count rank * h fits the budget."""
+    n = {"A": 1, "B": 2, "C": 2, "D": 4}[series]
+    while (n + 1) * COXETER[series](n + 1) <= ROOT_BUDGET:
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("series", "ABCD")
+def test_root_budget_refuses_just_past_the_boundary(series):
+    # the refused types are never built: build checks before the closure
+    n = last_admitted_rank(series) + 1
+    with pytest.raises(DomainError, match=f"{series}{n} has {n * COXETER[series](n)} roots, over the budget"):
+        build(TypeLabel(series, n))
+    with pytest.raises(DomainError, match="over the budget"):
+        build(TypeLabel(series, 10**12))
+
+
+def test_root_budget_admits_its_boundary():
+    n = last_admitted_rank("B")
+    assert len(build(TypeLabel("B", n)).roots) == n * COXETER["B"](n) <= ROOT_BUDGET
