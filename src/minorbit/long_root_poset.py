@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import DomainError
-from .root_system import Root, RootSystem, _dual_height, dual_height, is_long
+from .root_system import Root, RootSystem
 
 __all__ = ["level", "levels", "edge_coefficient", "d_matrix", "middle_matrix", "dimension"]
 
@@ -38,12 +38,11 @@ def dimension(rs: RootSystem) -> int:
 
 def level(rs: RootSystem, root: Root) -> int:
     """Grading of a long root, from 0 (highest root) to 2 h_dual - 3."""
-    if not is_long(rs, root):
+    dh = rs._dual_heights.get(root)
+    if dh is None:
         raise DomainError(f"level is defined on long roots only, got {root}")
     top = rs.h_dual - 1
-    if all(x >= 0 for x in root):
-        return top - dual_height(rs, root)
-    return top - dual_height(rs, root) - 1
+    return top - dh if dh > 0 else top - dh - 1
 
 
 def _level_sort_key(root: Root):
@@ -54,13 +53,11 @@ def _level_sort_key(root: Root):
 @lru_cache(maxsize=None)
 def levels(rs: RootSystem) -> tuple[tuple[Root, ...], ...]:
     """All long roots bucketed by level, each level sorted for output."""
-    # a root is long iff r divides every coordinate at a short simple position
-    short = [i for i, length in enumerate(rs.simple_lengths) if length != rs.r]
     top = rs.h_dual - 1
     buckets: dict[int, list[Root]] = {}
-    for root in rs.positive_roots:
-        if all(root[i] % rs.r == 0 for i in short):
-            buckets.setdefault(top - _dual_height(root, rs.simple_lengths, rs.r), []).append(root)
+    for root, dh in rs._dual_heights.items():
+        if dh > 0:
+            buckets.setdefault(top - dh, []).append(root)
     if sorted(buckets) != list(range(top)):
         raise DomainError(f"level range broken for {rs.type_label}")
     positive = [tuple(sorted(buckets[i], key=_level_sort_key)) for i in range(top)]

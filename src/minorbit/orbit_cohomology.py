@@ -12,16 +12,10 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 
-from . import int_linalg, long_root_poset
+from . import long_root_poset
 from .errors import DomainError, InvariantFailureError
 from .int_linalg import cokernel, invariant_factors
-from .root_system import (
-    RootSystem,
-    TypeLabel,
-    build,
-    cartan_matrix,
-    long_simple_subsystem,
-)
+from .root_system import RootSystem, TypeLabel, build, cartan_of_subset
 
 __all__ = [
     "GradedAbelianGroup",
@@ -108,9 +102,7 @@ def minimal_orbit_cohomology(rs: RootSystem) -> OrbitCohomology:
 def middle_via_lattice(rs: RootSystem) -> tuple[int, ...]:
     """Invariant factors of the coweight/coroot quotient of the long-simple
     subsystem; an independent route to the torsion in degree d."""
-    sub = long_simple_subsystem(rs)
-    transposed = int_linalg.transpose(cartan_matrix(sub))
-    free, torsion = cokernel(transposed)
+    free, torsion = cokernel(cartan_of_subset(rs, rs.long_simple_indices))
     if free:
         raise InvariantFailureError("Cartan matrix of a finite type is singular")
     return torsion

@@ -27,18 +27,6 @@ _RANK_CONSTRAINTS = {
     "G": lambda n: n == 2,
 }
 
-BAD_PRIMES = {
-    "A": frozenset(),
-    "B": frozenset({2}),
-    "C": frozenset({2}),
-    "D": frozenset({2}),
-    "E6": frozenset({2, 3}),
-    "E7": frozenset({2, 3}),
-    "E8": frozenset({2, 3, 5}),
-    "F": frozenset({2, 3}),
-    "G": frozenset({2, 3}),
-}
-
 # Coxeter number h in closed form; a type has rank * h roots.
 _COXETER_NUMBER = {
     "A": lambda n: n + 1,
@@ -50,8 +38,8 @@ _COXETER_NUMBER = {
     "G": lambda n: 6,
 }
 
-# build refuses a type with more roots than this, before the closure: the
-# work per type grows about as rank^3 in the classical series.
+# No Cartan matrix, and so no root system, is made for a type with more
+# roots than this: the closure grows about as rank^3 in the classical series.
 ROOT_BUDGET = 10_000
 
 
@@ -91,22 +79,28 @@ def cartan_matrix(label: TypeLabel) -> list[list[int]]:
     return [list(row) for row in _cartan_and_lengths(label)[0]]
 
 
-def _cartan_and_lengths(label: TypeLabel) -> tuple[list[list[int]], list[int], int]:
-    """(cartan, squared length of each simple root, max squared length r).
+def _cartan_and_lengths(label: TypeLabel) -> tuple[list[list[int]], list[int], int, int]:
+    """(cartan, squared length of each simple root, max squared length r,
+    Coxeter number h).
 
     Lengths are normalized so the short roots have squared length 1.
+    Refuses, before making the matrix, a type with more than ROOT_BUDGET
+    roots (rank * h in closed form).
     """
     s, n = label.series, label.rank
+    h = _COXETER_NUMBER[s](n)
+    if n * h > ROOT_BUDGET:
+        raise DomainError(f"{label} has {n * h} roots, over the budget of {ROOT_BUDGET}")
     if s == "A":
-        return _chain_cartan(n), [1] * n, 1
+        return _chain_cartan(n), [1] * n, 1, h
     if s == "B":
         c = _chain_cartan(n)
         c[n - 2][n - 1] = -2  # alpha_{n-1} long, alpha_n short
-        return c, [2] * (n - 1) + [1], 2
+        return c, [2] * (n - 1) + [1], 2, h
     if s == "C":
         c = _chain_cartan(n)
         c[n - 1][n - 2] = -2  # alpha_n long, the rest short
-        return c, [1] * (n - 1) + [2], 2
+        return c, [1] * (n - 1) + [2], 2, h
     if s == "D":
         c = _chain_cartan(n - 1)
         for row in c:
@@ -115,7 +109,7 @@ def _cartan_and_lengths(label: TypeLabel) -> tuple[list[list[int]], list[int], i
         c[n - 1][n - 1] = 2
         c[n - 2][n - 1] = c[n - 1][n - 2] = 0
         c[n - 3][n - 1] = c[n - 1][n - 3] = -1  # fork tips n-1, n on vertex n-2
-        return c, [1] * n, 1
+        return c, [1] * n, 1, h
     if s == "E":
         c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
         bonds = [(1, 3), (3, 4), (4, 5), (5, 6), (2, 4)]
@@ -125,13 +119,13 @@ def _cartan_and_lengths(label: TypeLabel) -> tuple[list[list[int]], list[int], i
             bonds.append((7, 8))
         for i, j in bonds:
             c[i - 1][j - 1] = c[j - 1][i - 1] = -1
-        return c, [1] * n, 1
+        return c, [1] * n, 1, h
     if s == "F":
         c = _chain_cartan(4)
         c[1][2] = -2  # alpha_1, alpha_2 long; alpha_3, alpha_4 short
-        return c, [2, 2, 1, 1], 2
+        return c, [2, 2, 1, 1], 2, h
     # G2: alpha_1 long, alpha_2 short, triple bond
-    return [[2, -3], [-1, 2]], [3, 1], 3
+    return [[2, -3], [-1, 2]], [3, 1], 3, h
 
 
 def _degrees(label: TypeLabel) -> tuple[int, ...]:
@@ -147,12 +141,6 @@ def _degrees(label: TypeLabel) -> tuple[int, ...]:
     if s == "F":
         return (2, 6, 8, 12)
     return (2, 6)
-
-
-def _bad_primes(label: TypeLabel) -> frozenset[int]:
-    if label.series == "E":
-        return BAD_PRIMES[f"E{label.rank}"]
-    return BAD_PRIMES[label.series]
 
 
 class RootSystem:
@@ -177,6 +165,9 @@ class RootSystem:
     degrees: tuple[int, ...]
     bad_primes: frozenset[int]
     _root_set: frozenset[Root]
+    # the one record of root length: each long root, both signs, mapped to
+    # the (signed) height of its coroot; short roots are absent
+    _dual_heights: dict[Root, int]
     # nonzero entries (i, 2(alpha_i|alpha_j)) of each column j of the
     # symmetric Gram matrix, which is as sparse as the Dynkin diagram
     _bilinear: tuple[tuple[tuple[int, int], ...], ...]
@@ -231,10 +222,7 @@ def height(root: Root) -> int:
 def build(label: TypeLabel) -> RootSystem:
     """Construct the full root system of the given irreducible type."""
     n = label.rank
-    count = n * _COXETER_NUMBER[label.series](n)
-    if count > ROOT_BUDGET:
-        raise DomainError(f"{label} has {count} roots, over the budget of {ROOT_BUDGET}")
-    cartan, lengths, r = _cartan_and_lengths(label)
+    cartan, lengths, r, h = _cartan_and_lengths(label)
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
 
     # Closure of the simple roots under the simple reflections.  Each root
@@ -255,14 +243,21 @@ def build(label: TypeLabel) -> RootSystem:
         frontier = nxt
 
     positive = sorted((v for v in seen if all(x >= 0 for x in v)), key=lambda v: (height(v), v))
-    if 2 * len(positive) != len(seen):
+    if len(seen) != n * h or 2 * len(positive) != len(seen):
         raise InvalidTypeError(f"root enumeration failed for {label}")
-    roots = tuple(positive) + tuple(tuple(-x for x in v) for v in positive)
+    negative = [tuple(-x for x in v) for v in positive]
 
-    h = len(seen) // n
-    long_simple = tuple(i for i in range(n) if lengths[i] == r)
+    # The one place that decides root length: a root is long iff r divides
+    # every coordinate at a short simple position, and then its coroot has
+    # height sum(c_i * |alpha_i|^2) / r.
+    short = [i for i in range(n) if lengths[i] != r]
+    dual_heights: dict[Root, int] = {}
+    for v, minus_v in zip(positive, negative):
+        if all(v[i] % r == 0 for i in short):
+            dual_heights[v] = sum(c * length for c, length in zip(v, lengths)) // r
+            dual_heights[minus_v] = -dual_heights[v]
     highest = positive[-1]
-    h_dual = 1 + _dual_height(highest, lengths, r)
+    roots = tuple(positive + negative)
 
     return RootSystem(
         type_label=label,
@@ -272,12 +267,14 @@ def build(label: TypeLabel) -> RootSystem:
         roots=roots,
         positive_roots=tuple(positive),
         simple_roots=tuple(simple),
-        long_simple_indices=long_simple,
+        long_simple_indices=tuple(i for i in range(n) if lengths[i] == r),
         h=h,
-        h_dual=h_dual,
+        h_dual=1 + dual_heights[highest],
         degrees=_degrees(label),
-        bad_primes=_bad_primes(label),
+        # the primes dividing a coefficient of the highest root (each is at most 6)
+        bad_primes=frozenset(p for p in (2, 3, 5) if any(c % p == 0 for c in highest)),
         _root_set=frozenset(roots),
+        _dual_heights=dual_heights,
         _bilinear=tuple(
             tuple((i, cartan[i][j] * lengths[j]) for i in range(n) if cartan[i][j]) for j in range(n)
         ),
@@ -294,29 +291,18 @@ def highest_root(rs: RootSystem) -> Root:
 
 
 def is_long(rs: RootSystem, root: Root) -> bool:
-    """True iff the root has maximal squared length.
-
-    Equivalently (and this is asserted by the tests): r divides every
-    coordinate sitting at a short simple-root position.
-    """
+    """True iff the root has maximal squared length (decided once, in build)."""
     if not rs.is_root(root):
         raise DomainError(f"{root} is not a root of {rs.type_label}")
-    return rs.bilinear(root, root) == 2 * rs.r
-
-
-def _dual_height(root: Root, lengths: list[int] | tuple[int, ...], r: int) -> int:
-    total_long = sum(c for c, length in zip(root, lengths) if length == r)
-    total_short = sum(c for c, length in zip(root, lengths) if length != r)
-    if total_short % r:
-        raise DomainError(f"{root} is not a long root")
-    return total_long + total_short // r
+    return root in rs._dual_heights
 
 
 def dual_height(rs: RootSystem, root: Root) -> int:
-    """Height of the coroot of a long root."""
-    if not rs.is_root(root) or not is_long(rs, root):
+    """Height of the coroot of a long root, negative for a negative root."""
+    dh = rs._dual_heights.get(root)
+    if dh is None:
         raise DomainError(f"dual height is defined on long roots only, got {root}")
-    return _dual_height(root, rs.simple_lengths, rs.r)
+    return dh
 
 
 def cartan_of_subset(rs: RootSystem, indices: tuple[int, ...] | list[int]) -> list[list[int]]:
@@ -327,51 +313,13 @@ def cartan_of_subset(rs: RootSystem, indices: tuple[int, ...] | list[int]) -> li
     return [[rs.cartan[i][j] for j in indices] for i in indices]
 
 
-def _classify_simply_laced(cartan_sub: list[list[int]]) -> TypeLabel:
-    """Identify a connected simply-laced Cartan matrix as A/D/E."""
-    k = len(cartan_sub)
-    adj = {i: [j for j in range(k) if j != i and cartan_sub[i][j]] for i in range(k)}
-    for i in range(k):
-        for j in adj[i]:
-            if cartan_sub[i][j] != -1 or cartan_sub[j][i] != -1:
-                raise DomainError("subdiagram is not simply laced")
-    edges = sum(len(v) for v in adj.values()) // 2
-    if edges != k - 1:
-        raise DomainError("subdiagram is not a tree")
-    reached = {0}
-    stack = [0]
-    while stack:
-        for j in adj[stack.pop()]:
-            if j not in reached:
-                reached.add(j)
-                stack.append(j)
-    if len(reached) != k:
-        raise DomainError("subdiagram is not connected")
-
-    forks = [i for i in range(k) if len(adj[i]) >= 3]
-    if not forks:
-        return TypeLabel("A", k)
-    if len(forks) > 1 or len(adj[forks[0]]) > 3:
-        raise DomainError("subdiagram is not of finite type")
-    center = forks[0]
-    branch_sizes = []
-    for start in adj[center]:
-        size, prev, cur = 1, center, start
-        while True:
-            ahead = [j for j in adj[cur] if j != prev]
-            if not ahead:
-                break
-            prev, cur = cur, ahead[0]
-            size += 1
-        branch_sizes.append(size)
-    a, b, c = sorted(branch_sizes)
-    if (a, b) == (1, 1):
-        return TypeLabel("D", c + 3)
-    if (a, b) == (1, 2) and c in (2, 3, 4):
-        return TypeLabel("E", c + 4)
-    raise DomainError("subdiagram is not of finite type")
-
-
 def long_simple_subsystem(rs: RootSystem) -> TypeLabel:
     """Type of the root subsystem generated by the long simple roots."""
-    return _classify_simply_laced(cartan_of_subset(rs, rs.long_simple_indices))
+    s, n = rs.type_label
+    if s == "B":
+        return TypeLabel("A", n - 1)
+    if s in ("C", "G"):
+        return TypeLabel("A", 1)
+    if s == "F":
+        return TypeLabel("A", 2)
+    return rs.type_label

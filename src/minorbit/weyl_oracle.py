@@ -71,15 +71,15 @@ def _invert(perm: bytes) -> bytes:
 
 
 @lru_cache(maxsize=8)
-def enumerate_group(rs: RootSystem, guard: int = DEFAULT_GUARD) -> tuple[WeylElement, ...]:
+def enumerate_group(rs: RootSystem) -> tuple[WeylElement, ...]:
     """All Weyl group elements with their lengths.
 
     Refuses to run when the group order (product of the degrees) exceeds
-    the guard; the default admits everything up to |W(E6)| = 51840.
+    DEFAULT_GUARD, which admits everything up to |W(E6)| = 51840.
     """
     order = group_order(rs)
-    if order > guard:
-        raise DomainError(f"|W| = {order} exceeds the guard {guard}")
+    if order > DEFAULT_GUARD:
+        raise DomainError(f"|W| = {order} exceeds the guard {DEFAULT_GUARD}")
     nroots = len(rs.roots)
     if nroots > 255:
         raise DomainError("root index does not fit in a byte")
@@ -103,7 +103,7 @@ def enumerate_group(rs: RootSystem, guard: int = DEFAULT_GUARD) -> tuple[WeylEle
     return tuple(WeylElement(w, _length_of(w, npos)) for w in sorted(seen))
 
 
-def coset_reps(rs: RootSystem, indices, guard: int = DEFAULT_GUARD) -> tuple[WeylElement, ...]:
+def coset_reps(rs: RootSystem, indices) -> tuple[WeylElement, ...]:
     """Minimal-length representatives of W / W_I for a simple-root subset I.
 
     These are the elements keeping every positive root supported on I
@@ -113,7 +113,7 @@ def coset_reps(rs: RootSystem, indices, guard: int = DEFAULT_GUARD) -> tuple[Wey
     root_idx = _root_index(rs)
     gen_positions = [root_idx[rs.simple_roots[i]] for i in indices]
     return tuple(
-        w for w in enumerate_group(rs, guard) if all(w.perm[p] < npos for p in gen_positions)
+        w for w in enumerate_group(rs) if all(w.perm[p] < npos for p in gen_positions)
     )
 
 
@@ -133,7 +133,7 @@ def _root_link(rs: RootSystem, beta, alpha):
     return found if found is not None else (None, None)
 
 
-def verify_level_length(rs: RootSystem, guard: int = DEFAULT_GUARD) -> bool:
+def verify_level_length(rs: RootSystem) -> bool:
     """Check the dictionary between long roots and coset representatives.
 
     The representatives modulo the stabilizer of the highest root must
@@ -145,7 +145,7 @@ def verify_level_length(rs: RootSystem, guard: int = DEFAULT_GUARD) -> bool:
     """
     root_idx = _root_index(rs)
     top_idx = root_idx[highest_root(rs)]
-    reps = coset_reps(rs, _orthogonal_simple_indices(rs), guard)
+    reps = coset_reps(rs, _orthogonal_simple_indices(rs))
     if len(reps) != sum(1 for root in rs.roots if is_long(rs, root)):
         return False
 
@@ -178,7 +178,7 @@ def verify_level_length(rs: RootSystem, guard: int = DEFAULT_GUARD) -> bool:
     return True
 
 
-def verify_reflection_length(rs: RootSystem, guard: int = DEFAULT_GUARD) -> bool:
+def verify_reflection_length(rs: RootSystem) -> bool:
     """Reflection lengths follow the height: l(s_b) = 2 ht_coroot(b) - 1 for
     long b, 2 ht(b) - 1 for short b (read off the permutation directly)."""
     npos = len(rs.positive_roots)

@@ -123,6 +123,14 @@ def test_decomp_large_prime(capsys):
     assert code == 3 and not out and "primality" in err
 
 
+def test_decomp_over_the_root_budget_exits_3(capsys, time_budget):
+    # simple_singularity refuses the A100000 Cartan matrix before making it
+    with time_budget(1.0):
+        for mode in (["simple"], ["subregular", "--ell", "2"]):
+            code, out, err = run(capsys, "decomp", *mode, "--type", "A100000")
+            assert code == 3 and not out and "over the budget" in err
+
+
 def test_decomp_subregular(capsys):
     code, out, _ = run(capsys, "decomp", "subregular", "--type", "C3", "--ell", "2")
     assert code == 0 and out.strip() == "1: 2"

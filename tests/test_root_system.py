@@ -10,6 +10,7 @@ from minorbit.root_system import (
     TypeLabel,
     build,
     build_from_string,
+    cartan_matrix,
     cartan_of_subset,
     dual_height,
     height,
@@ -129,6 +130,22 @@ def test_is_long_divisibility(rs):
         is_long(rs, tuple([5] * rs.rank))
 
 
+def test_is_long_matches_the_bilinear_form(rs):
+    # a long root has (v|v) = r, and bilinear gives 2(v|v)
+    for v in rs.roots:
+        assert is_long(rs, v) == (rs.bilinear(v, v) == 2 * rs.r)
+
+
+def test_dual_height_matches_the_bilinear_form(rs):
+    # the coroot of v is 2v/(v|v), so its height is sum v_i (alpha_i|alpha_i) / (v|v)
+    for v in rs.roots:
+        if is_long(rs, v):
+            numerator = sum(c * length for c, length in zip(v, rs.simple_lengths))
+            half_norm = rs.bilinear(v, v) // 2
+            assert numerator % half_norm == 0
+            assert dual_height(rs, v) == numerator // half_norm
+
+
 def test_is_long_g2():
     g2 = build_from_string("G2")
     assert is_long(g2, (1, 3))
@@ -169,6 +186,12 @@ def test_long_simple_subsystem():
         assert str(long_simple_subsystem(build_from_string(label))) == expected
 
 
+@pytest.mark.parametrize("name", CLOSURE_TYPES + ["E6", "E7", "E8", "F4", "G2"])
+def test_long_simple_subsystem_is_the_long_simple_diagram(name):
+    rs = build_from_string(name)
+    assert cartan_matrix(long_simple_subsystem(rs)) == cartan_of_subset(rs, rs.long_simple_indices)
+
+
 def test_connection_index(rs):
     # |det cartan| equals the order of the weight/root quotient
     free, torsion = cokernel([list(r) for r in rs.cartan])
@@ -185,6 +208,19 @@ def test_degrees(rs):
     assert len(rs.degrees) == rs.rank
     assert max(rs.degrees) == rs.h
     assert sum(d - 1 for d in rs.degrees) == len(rs.positive_roots)
+
+
+# the published table of bad primes (Springer-Steinberg)
+BAD_PRIMES = {
+    "A": frozenset(), "B": frozenset({2}), "C": frozenset({2}), "D": frozenset({2}),
+    "E6": frozenset({2, 3}), "E7": frozenset({2, 3}), "E8": frozenset({2, 3, 5}),
+    "F": frozenset({2, 3}), "G": frozenset({2, 3}),
+}
+
+
+def test_bad_primes_match_the_published_table(rs):
+    series = rs.type_label.series
+    assert rs.bad_primes == BAD_PRIMES[str(rs.type_label) if series == "E" else series]
 
 
 def test_bad_primes():
@@ -236,3 +272,12 @@ def test_root_budget_refuses_just_past_the_boundary(series):
 def test_root_budget_admits_its_boundary():
     n = last_admitted_rank("B")
     assert len(build(TypeLabel("B", n)).roots) == n * COXETER["B"](n) <= ROOT_BUDGET
+
+
+def test_cartan_matrix_budget_at_its_boundary():
+    # build and cartan_matrix share one budget: the refused matrix is never made
+    n = last_admitted_rank("A")
+    assert n == 99
+    assert len(cartan_matrix(TypeLabel("A", n))) == n
+    with pytest.raises(DomainError, match=f"A{n + 1} has {(n + 1) * (n + 2)} roots, over the budget"):
+        cartan_matrix(TypeLabel("A", n + 1))
