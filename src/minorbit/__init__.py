@@ -30,7 +30,10 @@ _EXPORTS = {
         "RootSystem", "TypeLabel", "build", "build_from_string", "cartan_of_subset", "dual_height", "highest_root",
         "is_long", "long_simple_subsystem", "parse_type",
     ),
-    "weyl_oracle": ("coset_reps", "enumerate_group", "verify_level_length", "verify_reflection_length"),
+    "weyl_oracle": (
+        "coset_reps", "level_length_failure", "reflection_length_failure", "verify_level_length",
+        "verify_reflection_length",
+    ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

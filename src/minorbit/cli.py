@@ -189,11 +189,15 @@ def cmd_verify(args) -> int:
     from . import weyl_oracle
 
     rs = build(parse_type(args.type))
-    ok_level = weyl_oracle.verify_level_length(rs)
-    ok_reflection = weyl_oracle.verify_reflection_length(rs)
-    print(f"level-length: {'ok' if ok_level else 'FAILED'}")
-    print(f"reflection-length: {'ok' if ok_reflection else 'FAILED'}")
-    return 0 if ok_level and ok_reflection else 4
+    checks = {
+        "level-length": weyl_oracle.level_length_failure(rs),
+        "reflection-length": weyl_oracle.reflection_length_failure(rs),
+    }
+    for name, failure in checks.items():
+        print(f"{name}: {'ok' if failure is None else 'FAILED'}")
+        if failure is not None:
+            print(f"{name}: {failure}", file=sys.stderr)
+    return 4 if any(checks.values()) else 0
 
 
 def cmd_tables(args) -> int:

@@ -55,7 +55,11 @@ def simple_singularity(label: TypeLabel) -> SimpleSingularityData:
     """Attach the homogeneous diagram, its symmetry group, and the
     invariant factors of its weight lattice modulo root lattice."""
     hat, sym = _gamma_hat(label)
-    free, torsion = cokernel(cartan_matrix(hat))
+    try:
+        cartan = cartan_matrix(hat)
+    except DomainError as exc:
+        raise DomainError(f"{label}: the homogeneous diagram {exc}") from None
+    free, torsion = cokernel(cartan)
     if free:
         raise InvariantFailureError("Cartan matrix of a finite type is singular")
     return SimpleSingularityData(label, hat, sym, torsion)

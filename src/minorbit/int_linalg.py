@@ -39,19 +39,6 @@ def identity(k: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 
-def transpose(matrix: Matrix) -> Matrix:
-    m, n = _shape(matrix)
-    return [[matrix[i][j] for i in range(m)] for j in range(n)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    ma, na = _shape(a)
-    mb, nb = _shape(b)
-    if na != mb:
-        raise DomainError(f"cannot multiply {ma}x{na} by {mb}x{nb}")
-    return [[sum(a[i][k] * b[k][j] for k in range(na)) for j in range(nb)] for i in range(ma)]
-
-
 class SmithForm(namedtuple("SmithForm", "left diag right")):
     """Unimodular factorization left * matrix * right = diag(diag), all tuples."""
 

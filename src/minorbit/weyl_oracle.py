@@ -1,33 +1,43 @@
-"""Brute-force Weyl group engine for small ranks.
+"""Weyl-group oracle over minimal coset representatives.
 
-Elements are stored as permutations of the root list (bytes, one byte per
-root index), which keeps full groups up to ~200000 elements cheap and lets
-composition run through bytes.translate.  The point of the module is to
-verify, by direct enumeration, that the level grading and edge structure
-on long roots mirror lengths and covering relations of minimal coset
-representatives, and that reflection lengths follow the (dual) height.
+The level grading on long roots is the length function on W^J, the
+minimal representatives of W modulo the stabilizer W_J of the highest
+root (J: the simple roots orthogonal to it).  This module checks that
+dictionary without building W: ``coset_reps`` generates W^I for any
+simple-root subset I by left multiplication (Deodhar's lemma; Bjorner and
+Brenti, Combinatorics of Coxeter Groups, 2.4-2.5), deciding every step on
+the permutations alone, never through ``levels`` or ``d_matrix``.
+
+An element is a permutation of the root list, a tuple with perm[i] the
+index of the image of root i; the positive roots come first, so a root
+index i is positive iff i < |Phi^+|.  Each call refuses, before any
+work, an input whose element count times |Phi| exceeds ORACLE_BUDGET:
+|W^I| in ``coset_reps``, the larger of |W^J| and |Phi^+| in the checks.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
+from operator import itemgetter, lt, mul
 
 from . import long_root_poset
 from .errors import DomainError
 from .root_system import RootSystem, dual_height, height, highest_root, is_long
 
-DEFAULT_GUARD = 200_000
+# Largest |W^I| * |Phi| an oracle call works on: W(E6) whole is 3,732,480;
+# verify admits A44, B31, C37, D32 and every exceptional type.
+ORACLE_BUDGET = 4_000_000
 
 __all__ = [
     "WeylElement",
     "group_order",
-    "enumerate_group",
     "coset_reps",
+    "level_length_failure",
+    "reflection_length_failure",
     "verify_level_length",
     "verify_reflection_length",
-    "DEFAULT_GUARD",
+    "ORACLE_BUDGET",
 ]
 
 
@@ -45,76 +55,81 @@ def _root_index(rs: RootSystem) -> dict:
     return {root: i for i, root in enumerate(rs.roots)}
 
 
-def _reflection_perm(rs: RootSystem, root) -> bytes:
-    index = _root_index(rs)
-    return bytes(index[rs.reflect(other, root)] for other in rs.roots)
+def _reflection_perm(rs: RootSystem, index: dict, gamma) -> tuple[int, ...]:
+    """The permutation of the roots made by the reflection in gamma."""
+    twice = [rs.bilinear(s, gamma) for s in rs.simple_roots]  # 2(alpha_i|gamma)
+    norm = rs.bilinear(gamma, gamma)
+    perm = []
+    for i, v in enumerate(rs.roots):
+        c = 2 * sum(map(mul, v, twice)) // norm  # <v, gamma^vee>
+        perm.append(index[tuple(x - c * g for x, g in zip(v, gamma))] if c else i)
+    return tuple(perm)
 
 
-_IDENTITY_TAIL = bytes(range(256))
+def _compose(outer: tuple, inner: tuple) -> tuple:
+    """Permutation product: result[i] = outer[inner[i]] (every root list has
+    at least two entries, so itemgetter returns a tuple)."""
+    return itemgetter(*inner)(outer)
 
 
-def _compose(outer: bytes, inner: bytes) -> bytes:
-    """Permutation product: result[i] = outer[inner[i]]."""
-    return inner.translate(outer + _IDENTITY_TAIL[len(outer):])
+def _check_budget(rs: RootSystem, elements: int, what: str) -> None:
+    cost = elements * len(rs.roots)
+    if cost > ORACLE_BUDGET:
+        raise DomainError(
+            f"{rs.type_label}: {what} = {elements} times |Phi| = {len(rs.roots)} is {cost}, "
+            f"over the budget of {ORACLE_BUDGET}"
+        )
 
 
-def _length_of(perm: bytes, npos: int) -> int:
-    """Number of positive roots sent to negative ones."""
-    return sum(1 for i in range(npos) if perm[i] >= npos)
+def _check_verify_budget(rs: RootSystem) -> int:
+    """Refuse a type on which either verify check would walk more than the
+    budget (W^J for the levels, Phi^+ for the reflections), so that both
+    refuse the same types before any work; returns the long-root count,
+    which is |W^J|."""
+    n_long = sum(1 for root in rs.roots if is_long(rs, root))
+    _check_budget(rs, max(n_long, len(rs.positive_roots)), "max(|W^J|, |Phi^+|)")
+    return n_long
 
 
-def _invert(perm: bytes) -> bytes:
-    inv = bytearray(len(perm))
-    for i, image in enumerate(perm):
-        inv[image] = i
-    return bytes(inv)
-
-
-@lru_cache(maxsize=8)
-def enumerate_group(rs: RootSystem) -> tuple[WeylElement, ...]:
-    """All Weyl group elements with their lengths.
-
-    Refuses to run when the group order (product of the degrees) exceeds
-    DEFAULT_GUARD, which admits everything up to |W(E6)| = 51840.
-    """
-    order = group_order(rs)
-    if order > DEFAULT_GUARD:
-        raise DomainError(f"|W| = {order} exceeds the guard {DEFAULT_GUARD}")
-    nroots = len(rs.roots)
-    if nroots > 255:
-        raise DomainError("root index does not fit in a byte")
-    gens = [_reflection_perm(rs, s) for s in rs.simple_roots]
-    ident = bytes(range(nroots))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            padded = w + _IDENTITY_TAIL[nroots:]
-            for s in gens:
-                ws = s.translate(padded)  # i -> w[s[i]], the product w o s
-                if ws not in seen:
-                    seen.add(ws)
-                    nxt.append(ws)
-        frontier = nxt
-    if len(seen) != order:
-        raise DomainError(f"enumerated {len(seen)} elements, expected {order}")
-    npos = nroots // 2
-    return tuple(WeylElement(w, _length_of(w, npos)) for w in sorted(seen))
+def _coset_count(rs: RootSystem, indices) -> int:
+    """|W^I| = |W| / |W_I| in closed form, the Poincare series of W / W_I at
+    t = 1: the product of (ht + 1) / ht over the positive roots outside the
+    span of I."""
+    outside = set(range(rs.rank)).difference(indices)
+    heights = [height(v) for v in rs.positive_roots if any(v[k] for k in outside)]
+    return math.prod(h + 1 for h in heights) // math.prod(heights)
 
 
 def coset_reps(rs: RootSystem, indices) -> tuple[WeylElement, ...]:
-    """Minimal-length representatives of W / W_I for a simple-root subset I.
+    """Minimal-length representatives of W / W_I for a simple-root subset I,
+    in order of length; ``coset_reps(rs, ())`` is all of W.
 
-    These are the elements keeping every positive root supported on I
-    positive; it is enough to test the simple roots of I themselves.
+    W^I is the set of w sending every alpha_k, k in I, to a positive root.
+    From w in W^I, s_j w is longer exactly when w^-1(alpha_j) > 0, and
+    then s_j w lies in W^I unless w^-1(alpha_j) is some alpha_k, k in I,
+    because s_j makes only alpha_j negative among the positive roots.
+    Every element of W^I is reached this way from the identity.
     """
+    _check_budget(rs, _coset_count(rs, indices), "|W^I|")
+    index = _root_index(rs)
     npos = len(rs.positive_roots)
-    root_idx = _root_index(rs)
-    gen_positions = [root_idx[rs.simple_roots[i]] for i in indices]
-    return tuple(
-        w for w in enumerate_group(rs) if all(w.perm[p] < npos for p in gen_positions)
-    )
+    simple = [index[s] for s in rs.simple_roots]
+    blocked = {simple[k] for k in indices}
+    gens = [_reflection_perm(rs, index, s) for s in rs.simple_roots]
+    reps = []
+    frontier = [tuple(range(len(rs.roots)))]
+    length = 0
+    while frontier:
+        reps.extend(WeylElement(w, length) for w in frontier)
+        longer = {}  # every s_j w found is one longer than w, so only these can repeat
+        for w in frontier:
+            for j, s in zip(simple, gens):
+                pre = w.index(j)  # w^-1(alpha_j)
+                if pre < npos and pre not in blocked:
+                    longer[_compose(s, w)] = None
+        frontier = list(longer)
+        length += 1
+    return tuple(reps)
 
 
 def _orthogonal_simple_indices(rs: RootSystem) -> tuple[int, ...]:
@@ -122,71 +137,98 @@ def _orthogonal_simple_indices(rs: RootSystem) -> tuple[int, ...]:
     return tuple(i for i, s in enumerate(rs.simple_roots) if rs.bilinear(top, s) == 0)
 
 
-def _root_link(rs: RootSystem, beta, alpha):
-    """The unique positive root gamma with s_gamma(beta) = alpha, if any."""
-    found = None
-    for gamma in rs.positive_roots:
-        if rs.reflect(beta, gamma) == alpha:
-            if found is not None:
-                raise DomainError("linking reflection is not unique")
-            found = (gamma, rs.pairing(beta, gamma))
-    return found if found is not None else (None, None)
+def _root_on_line(rs: RootSystem, v):
+    """The positive root gamma with v in Z gamma, or None (roots are primitive)."""
+    g = math.gcd(*v) if min(v) >= 0 else -math.gcd(*v)
+    gamma = tuple(x // g for x in v)
+    return gamma if rs.is_root(gamma) else None
 
 
-def verify_level_length(rs: RootSystem) -> bool:
-    """Check the dictionary between long roots and coset representatives.
+def level_length_failure(rs: RootSystem) -> str | None:
+    """Why the long roots and W^J disagree, or None when they agree.
 
     The representatives modulo the stabilizer of the highest root must
     biject onto the long roots via w -> w(highest), with length equal to
-    the level; covering edges must exist on both sides simultaneously,
-    carried by the same reflection, with the pairing equal to the stored
-    edge coefficient.  A False return means the level combinatorics and
-    the group disagree, i.e. an implementation bug.
+    the level.  Between adjacent levels, beta -> alpha is an edge on the
+    group side when x_alpha x_beta^-1 is a reflection s_gamma, and on the
+    root side when s_gamma(beta) = alpha; both force beta - alpha into
+    Z gamma, so gamma is read off that line.  The two sides must agree,
+    with the pairing <beta, gamma^vee> equal to the stored edge
+    coefficient, and the coefficient 0 off the edges.  A failure means the
+    level combinatorics and the group disagree, i.e. an implementation bug.
     """
-    root_idx = _root_index(rs)
-    top_idx = root_idx[highest_root(rs)]
+    n_long = _check_verify_budget(rs)
+    top_idx = rs.roots.index(highest_root(rs))
     reps = coset_reps(rs, _orthogonal_simple_indices(rs))
-    if len(reps) != sum(1 for root in rs.roots if is_long(rs, root)):
-        return False
+    if len(reps) != n_long:
+        return f"W^J has {len(reps)} elements, but there are {n_long} long roots"
 
     by_root = {}
     for w in reps:
         image = rs.roots[w.perm[top_idx]]
         if image in by_root:
-            return False
-        by_root[image] = w
-    for root, w in by_root.items():
-        if w.length != long_root_poset.level(rs, root):
-            return False
+            return f"two representatives send the highest root to {image}"
+        level = long_root_poset.level(rs, image)
+        if w.length != level:
+            return f"the representative sending the highest root to {image} has length {w.length}, level {level}"
+        by_root[image] = w.perm
 
-    reflection_by_perm = {_reflection_perm(rs, root): root for root in rs.positive_roots}
+    index = _root_index(rs)
+    reflections: dict = {}
     lv = long_root_poset.levels(rs)
     for i in range(len(lv) - 1):
         for beta in lv[i]:
             for alpha in lv[i + 1]:
-                gamma_root, pair_root = _root_link(rs, beta, alpha)
-                # the group-side link: x_alpha x_beta^{-1} must be a reflection
-                u = _compose(by_root[alpha].perm, _invert(by_root[beta].perm))
-                gamma_group = reflection_by_perm.get(u)
                 stored = long_root_poset.edge_coefficient(rs, beta, alpha)
-                if gamma_root is None or gamma_group is None:
-                    if gamma_root is not None or gamma_group is not None or stored != 0:
-                        return False
-                    continue
-                if gamma_root != gamma_group or pair_root != stored:
-                    return False
-    return True
+                gamma = _root_on_line(rs, tuple(b - a for b, a in zip(beta, alpha)))
+                root_side = group_side = False
+                if gamma is not None:
+                    root_side = rs.reflect(beta, gamma) == alpha
+                    if gamma not in reflections:
+                        reflections[gamma] = _reflection_perm(rs, index, gamma)
+                    group_side = _compose(reflections[gamma], by_root[beta]) == by_root[alpha]
+                pair = f"({beta}, {alpha})"
+                if root_side != group_side:
+                    side = "root" if root_side else "group"
+                    return f"{pair}: only the {side} side links them, by the reflection in {gamma}"
+                expected = rs.pairing(beta, gamma) if root_side else 0
+                if stored != expected:
+                    return f"{pair}: stored edge coefficient {stored}, expected {expected}"
+    return None
+
+
+def verify_level_length(rs: RootSystem) -> bool:
+    """True when the long roots and W^J agree (see ``level_length_failure``)."""
+    return level_length_failure(rs) is None
+
+
+def reflection_length_failure(rs: RootSystem) -> str | None:
+    """Why a reflection length breaks the height rule, or None.
+
+    l(s_b) = 2 ht_coroot(b) - 1 for long b and 2 ht(b) - 1 for short b.
+    l(s_b) is counted as the positive roots g that s_b sends negative:
+    s_b(g) = g - <g, b^vee> b has height ht(g) - <g, b^vee> ht(b).
+    """
+    _check_verify_budget(rs)
+    positive = rs.positive_roots
+    heights = [height(g) for g in positive]
+    columns = list(zip(*positive))  # column k: coordinate k of every positive root
+    for b, hb in zip(positive, heights):
+        norm = rs.bilinear(b, b)
+        # 2(g|b) = sum_k g_k 2(alpha_k|b), so <g, b^vee> = 2 (g . twice) / norm
+        dots = [0] * len(positive)
+        for column, t in zip(columns, (rs.bilinear(s, b) for s in rs.simple_roots)):
+            if t:
+                dots = [d + t * x for d, x in zip(dots, column)]
+        # s_b(g) < 0  iff  ht(g) norm < 2 (g . twice) ht(b)
+        length = sum(map(lt, (h * norm for h in heights), (2 * hb * d for d in dots)))
+        expected = 2 * (dual_height(rs, b) if is_long(rs, b) else height(b)) - 1
+        if length != expected:
+            return f"the reflection in {b} has length {length}, expected {expected}"
+    return None
 
 
 def verify_reflection_length(rs: RootSystem) -> bool:
-    """Reflection lengths follow the height: l(s_b) = 2 ht_coroot(b) - 1 for
-    long b, 2 ht(b) - 1 for short b (read off the permutation directly)."""
-    npos = len(rs.positive_roots)
-    for root in rs.positive_roots:
-        length = _length_of(_reflection_perm(rs, root), npos)
-        if is_long(rs, root):
-            if length != 2 * dual_height(rs, root) - 1:
-                return False
-        elif length != 2 * height(root) - 1:
-            return False
-    return True
+    """True when every reflection length follows the height rule (see
+    ``reflection_length_failure``)."""
+    return reflection_length_failure(rs) is None

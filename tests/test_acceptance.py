@@ -32,10 +32,10 @@ from minorbit.gln_springer import (
     psi,
     row_column_invariance_check,
 )
-from minorbit.int_linalg import cokernel, invariant_factors, mat_mul, smith
+from minorbit.int_linalg import cokernel, invariant_factors, smith
 from minorbit.long_root_poset import d_matrix, dimension, levels
 from minorbit.root_system import parse_type
-from test_int_linalg import det_oracle, minor_gcd_oracle, quotient_order_oracle
+from test_int_linalg import det_oracle, mat_mul, minor_gcd_oracle, quotient_order_oracle
 from test_orbit_cohomology import closed_form
 
 EXCEPTIONAL = ["E6", "E7", "E8", "F4", "G2"]

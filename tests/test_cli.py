@@ -67,8 +67,8 @@ def test_bad_type_exit_2(capsys):
 def test_domain_error_exit_3(capsys):
     code, _, err = run(capsys, "decomp", "minimal", "--type", "A3", "--ell", "4")
     assert code == 3 and "prime" in err
-    code, _, err = run(capsys, "verify", "--type", "E7")
-    assert code == 3 and "guard" in err
+    code, _, err = run(capsys, "verify", "--type", "A60")
+    assert code == 3 and "over the budget of" in err
 
 
 def test_usage_error_exit_2():
@@ -129,6 +129,21 @@ def test_decomp_over_the_root_budget_exits_3(capsys, time_budget):
         for mode in (["simple"], ["subregular", "--ell", "2"]):
             code, out, err = run(capsys, "decomp", *mode, "--type", "A100000")
             assert code == 3 and not out and "over the budget" in err
+
+
+def test_decomp_refusal_names_the_requested_type(capsys):
+    # B51 has 5202 roots, but its homogeneous diagram A101 has 10302
+    for mode in (["simple"], ["subregular", "--ell", "3"]):
+        code, out, err = run(capsys, "decomp", *mode, "--type", "B51")
+        assert code == 3 and not out
+        assert err == "error: B51: the homogeneous diagram A101 has 10302 roots, over the budget of 10000\n"
+
+
+def test_verify_over_the_oracle_budget_exits_3(capsys, time_budget):
+    # the W^J of A45 times its roots is 2070 * 2070, refused before any oracle work
+    with time_budget(1.0):
+        code, out, err = run(capsys, "verify", "--type", "A45")
+    assert code == 3 and not out and "over the budget" in err
 
 
 def test_decomp_subregular(capsys):

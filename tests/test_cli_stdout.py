@@ -37,7 +37,6 @@ CALLS = {
     + [["decomp", "subregular", "--type", t, "--ell", "3", "--format", "json"] for t in TYPES],
     "decomp simple": [["decomp", "simple", "--type", t] for t in TYPES]
     + [["decomp", "simple", "--type", t, "--ell", "2", "--format", "json"] for t in TYPES],
-    # E7 is over the oracle's guard and exits 3
     "verify": [["verify", "--type", t] for t in ("G2", "A4", "B3", "C3", "D4", "F4", "E7")],
 }
 

@@ -23,12 +23,20 @@ from minorbit.int_linalg import (
     invariant_factors,
     is_prime,
     kernel_rank,
-    mat_mul,
     rank,
     smith,
     tensor_f_dimension,
-    transpose,
 )
+
+
+def transpose(m):
+    return [list(col) for col in zip(*m)]
+
+
+def mat_mul(a, b):
+    """Schoolbook product; the shapes must agree."""
+    assert all(len(row) == len(b) for row in a)
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def det_oracle(m):

@@ -1,21 +1,88 @@
+import itertools
+
 import pytest
 
+from minorbit import cli, long_root_poset, weyl_oracle
 from minorbit.errors import DomainError
 from minorbit.long_root_poset import level
 from minorbit.root_system import build_from_string, highest_root, is_long
 from minorbit.weyl_oracle import (
+    ORACLE_BUDGET,
+    WeylElement,
+    _check_budget,
+    _check_verify_budget,
     _compose,
-    _invert,
+    _coset_count,
     _orthogonal_simple_indices,
     _reflection_perm,
+    _root_index,
     coset_reps,
-    enumerate_group,
     group_order,
+    level_length_failure,
+    reflection_length_failure,
     verify_level_length,
     verify_reflection_length,
 )
 
 SMALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2"]
+# every type with |W| <= |W(E6)| = 51840
+UP_TO_E6 = (
+    [f"A{n}" for n in range(1, 8)]
+    + [f"B{n}" for n in range(2, 7)]
+    + [f"C{n}" for n in range(2, 7)]
+    + ["D4", "D5", "D6", "E6", "F4", "G2"]
+)
+
+
+# The independent oracle: the closure of the identity under the simple
+# reflections over all of W, with byte permutations composed through
+# bytes.translate, then the minimal representatives picked out by
+# positivity on the simple roots of I.
+
+_IDENTITY_TAIL = bytes(range(256))
+
+
+def _length_of(perm, npos: int) -> int:
+    """Number of positive roots sent to negative ones."""
+    return sum(1 for i in range(npos) if perm[i] >= npos)
+
+
+def enumerate_group(rs) -> list[WeylElement]:
+    """All of W by closure under right multiplication, lengths counted."""
+    nroots = len(rs.roots)
+    assert nroots <= 255 and group_order(rs) <= 51840
+    index = _root_index(rs)
+    gens = [bytes(index[rs.reflect(v, s)] for v in rs.roots) for s in rs.simple_roots]
+    ident = bytes(range(nroots))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            padded = w + _IDENTITY_TAIL[nroots:]
+            for s in gens:
+                ws = s.translate(padded)  # i -> w[s[i]], the product w o s
+                if ws not in seen:
+                    seen.add(ws)
+                    nxt.append(ws)
+        frontier = nxt
+    npos = nroots // 2
+    return [WeylElement(tuple(w), _length_of(w, npos)) for w in seen]
+
+
+def filtered_coset_reps(rs, group, indices) -> set[WeylElement]:
+    """The elements keeping every simple root of I positive."""
+    npos = len(rs.positive_roots)
+    index = _root_index(rs)
+    positions = [index[rs.simple_roots[i]] for i in indices]
+    return {w for w in group if all(w.perm[p] < npos for p in positions)}
+
+
+def invert(perm: tuple) -> tuple:
+    inv = [0] * len(perm)
+    for i, image in enumerate(perm):
+        inv[image] = i
+    return tuple(inv)
 
 
 def test_group_orders():
@@ -28,7 +95,7 @@ def test_group_orders():
 @pytest.mark.parametrize("label", SMALL_TYPES)
 def test_enumeration_count_and_lengths(label):
     rs = build_from_string(label)
-    elements = enumerate_group(rs)
+    elements = coset_reps(rs, ())
     assert len(elements) == group_order(rs)
     nu = len(rs.positive_roots)
     longest = max(w.length for w in elements)
@@ -36,23 +103,68 @@ def test_enumeration_count_and_lengths(label):
     assert sum(1 for w in elements if w.length == 0) == 1
 
 
-def test_guard():
+def test_guard(time_budget):
+    # |W(E7)| * |Phi| = 2903040 * 126 is over the budget, refused before any work
     e7 = build_from_string("E7")
-    with pytest.raises(DomainError):
-        enumerate_group(e7)
+    with time_budget(1.0), pytest.raises(DomainError, match="over the budget"):
+        coset_reps(e7, ())
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "G2"])
 def test_coset_reps_counts(label):
     rs = build_from_string(label)
     whole = enumerate_group(rs)
-    assert coset_reps(rs, ()) == whole
+    assert set(coset_reps(rs, ())) == set(whole)
     assert len(coset_reps(rs, tuple(range(rs.rank)))) == 1
     indices = _orthogonal_simple_indices(rs)
     reps = coset_reps(rs, indices)
     sub_order = group_order(rs) // len(reps)
     assert len(reps) * sub_order == group_order(rs)
     assert len(reps) == sum(1 for v in rs.roots if is_long(rs, v))
+
+
+@pytest.mark.parametrize("label", UP_TO_E6)
+def test_coset_reps_equal_the_filtered_group(label):
+    rs = build_from_string(label)
+    group = enumerate_group(rs)
+    assert len(group) == group_order(rs)
+    subsets = [(), _orthogonal_simple_indices(rs)]
+    if rs.rank <= 4:
+        subsets += [I for k in range(1, rs.rank + 1) for I in itertools.combinations(range(rs.rank), k)]
+    for indices in subsets:
+        reps = coset_reps(rs, indices)
+        assert len(reps) == _coset_count(rs, indices)
+        assert set(reps) == filtered_coset_reps(rs, group, indices), indices
+        assert [w.length for w in reps] == sorted(w.length for w in reps)
+
+
+@pytest.mark.parametrize("label", UP_TO_E6 + ["E7", "E8", "A30", "B20", "C20", "D20"])
+def test_coset_count_closed_form(label):
+    rs = build_from_string(label)
+    assert _coset_count(rs, ()) == group_order(rs)
+    assert _coset_count(rs, tuple(range(rs.rank))) == 1
+    n_long = sum(1 for v in rs.roots if is_long(rs, v))
+    assert _coset_count(rs, _orthogonal_simple_indices(rs)) == n_long
+
+
+def test_budget_at_its_boundary(time_budget):
+    # verify walks max(|W^J|, |Phi^+|) elements times |Phi| roots.  A_n:
+    # |W^J| = |Phi| = n(n+1); C_n: |W^J| = 2n < |Phi^+| = n^2, |Phi| = 2n^2.
+    last_a = max(n for n in range(1, 100) if (n * (n + 1)) ** 2 <= ORACLE_BUDGET)
+    last_c = max(n for n in range(2, 100) if n**2 * 2 * n**2 <= ORACLE_BUDGET)
+    assert (last_a, last_c) == (44, 37)
+    for label, count in ((f"A{last_a}", last_a * (last_a + 1)), (f"C{last_c}", last_c**2)):
+        rs = build_from_string(label)
+        assert _check_verify_budget(rs) == _coset_count(rs, _orthogonal_simple_indices(rs))
+        assert max(_coset_count(rs, _orthogonal_simple_indices(rs)), len(rs.positive_roots)) == count
+    for label in (f"A{last_a + 1}", f"C{last_c + 1}"):
+        rs = build_from_string(label)
+        for check in (verify_level_length, verify_reflection_length):
+            with time_budget(1.0), pytest.raises(DomainError, match="over the budget"):
+                check(rs)
+    # the whole of W(E6) is admitted, so the oracle above can be compared with it
+    e6 = build_from_string("E6")
+    _check_budget(e6, group_order(e6), "|W|")
 
 
 def test_g2_coset_reps_lengths():
@@ -83,10 +195,77 @@ def test_verify_e6():
     assert verify_reflection_length(e6)
 
 
+@pytest.mark.parametrize("label", ["E7", "E8"])
+def test_verify_e7_e8(label, time_budget):
+    rs = build_from_string(label)
+    with time_budget(5.0):
+        assert verify_level_length(rs)
+        assert verify_reflection_length(rs)
+
+
+def test_failure_names_the_pair(monkeypatch, capsys):
+    b3 = build_from_string("B3")
+    lv = long_root_poset.levels(b3)
+    beta, alpha = lv[2][0], lv[3][0]
+    true_coefficient = long_root_poset.edge_coefficient
+    wrong = true_coefficient(b3, beta, alpha) + 1
+
+    def patched(rs, b, a):
+        return wrong if (b, a) == (beta, alpha) else true_coefficient(rs, b, a)
+
+    monkeypatch.setattr(long_root_poset, "edge_coefficient", patched)
+    assert not verify_level_length(b3)
+    reason = level_length_failure(b3)
+    assert f"({beta}, {alpha})" in reason and f"stored edge coefficient {wrong}" in reason
+    assert verify_reflection_length(b3)
+
+    assert cli.main(["verify", "--type", "B3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "level-length: FAILED\nreflection-length: ok\n"
+    assert captured.err == f"level-length: {reason}\n"
+
+
+def test_failure_names_a_one_sided_edge(monkeypatch):
+    # break the root side of one edge: the group still links the pair
+    g2 = build_from_string("G2")
+    lv = long_root_poset.levels(g2)
+    beta, alpha = lv[0][0], lv[1][0]
+    gamma = next(s for s in g2.simple_roots if g2.reflect(beta, s) == alpha)
+    true_reflect = g2.reflect
+    monkeypatch.setattr(g2, "reflect", lambda a, b: a if (a, b) == (beta, gamma) else true_reflect(a, b))
+    assert long_root_poset.edge_coefficient(g2, beta, alpha) == 0
+    reason = f"({beta}, {alpha}): only the group side links them, by the reflection in {gamma}"
+    assert level_length_failure(g2) == reason
+
+
+def test_failure_names_a_repeated_image(monkeypatch):
+    b3 = build_from_string("B3")
+    true_reps = coset_reps(b3, _orthogonal_simple_indices(b3))
+    monkeypatch.setattr(weyl_oracle, "coset_reps", lambda rs, indices: true_reps[:-1] + true_reps[:1])
+    assert level_length_failure(b3) == f"two representatives send the highest root to {highest_root(b3)}"
+
+
+def test_failure_names_the_root(monkeypatch, capsys):
+    g2 = build_from_string("G2")
+    top = highest_root(g2)
+    true_level = long_root_poset.level
+    monkeypatch.setattr(long_root_poset, "level", lambda rs, v: true_level(rs, v) + (v == top))
+    reason = level_length_failure(g2)
+    assert reason == f"the representative sending the highest root to {top} has length 0, level 1"
+
+    true_dual_height = weyl_oracle.dual_height
+    monkeypatch.setattr(weyl_oracle, "dual_height", lambda rs, v: true_dual_height(rs, v) + (v == top))
+    assert reflection_length_failure(g2) == f"the reflection in {top} has length 5, expected 7"
+    assert cli.main(["verify", "--type", "G2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "level-length: FAILED\nreflection-length: FAILED\n"
+    assert captured.err.splitlines()[1] == f"reflection-length: the reflection in {top} has length 5, expected 7"
+
+
 @pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2"])
 def test_longest_element_identities(label):
     rs = build_from_string(label)
-    elements = enumerate_group(rs)
+    elements = coset_reps(rs, ())
     nu = len(rs.positive_roots)
     w0 = next(w for w in elements if w.length == nu)
     lengths = {w.perm: w.length for w in elements}
@@ -98,8 +277,9 @@ def test_longest_element_identities(label):
     # the longest elements of W and of the highest-root stabilizer compose
     # to the reflection in the highest root
     indices = _orthogonal_simple_indices(rs)
-    ident = bytes(range(len(rs.roots)))
-    gens = [_reflection_perm(rs, rs.simple_roots[i]) for i in indices]
+    index = _root_index(rs)
+    ident = tuple(range(len(rs.roots)))
+    gens = [_reflection_perm(rs, index, rs.simple_roots[i]) for i in indices]
     sub = {ident}
     frontier = [ident]
     while frontier:
@@ -112,7 +292,7 @@ def test_longest_element_identities(label):
                     nxt.append(ws)
         frontier = nxt
     w_sub = max(sub, key=lambda p: lengths[p])
-    s_top = _reflection_perm(rs, highest_root(rs))
+    s_top = _reflection_perm(rs, index, highest_root(rs))
     assert _compose(w0.perm, w_sub) == s_top
     assert _compose(w_sub, w0.perm) == s_top
 
@@ -125,12 +305,13 @@ def test_negative_rep_factors_through_reflection(label):
     top_idx = rs.roots.index(highest_root(rs))
     reps = coset_reps(rs, _orthogonal_simple_indices(rs))
     by_image = {rs.roots[w.perm[top_idx]]: w for w in reps}
+    index = _root_index(rs)
     for root in rs.positive_roots:
         if not is_long(rs, root):
             continue
         x_pos = by_image[root]
         x_neg = by_image[tuple(-c for c in root)]
-        s = _reflection_perm(rs, root)
+        s = _reflection_perm(rs, index, root)
         assert _compose(s, x_pos.perm) == x_neg.perm
         npos = len(rs.positive_roots)
         s_len = sum(1 for i in range(npos) if s[i] >= npos)
@@ -139,5 +320,5 @@ def test_negative_rep_factors_through_reflection(label):
 
 def test_invert():
     rs = build_from_string("B2")
-    for w in enumerate_group(rs):
-        assert _compose(w.perm, _invert(w.perm)) == bytes(range(len(rs.roots)))
+    for w in coset_reps(rs, ()):
+        assert _compose(w.perm, invert(w.perm)) == tuple(range(len(rs.roots)))
