@@ -6,13 +6,16 @@ the negative side.  Multiplication by the Chern class of the minimal-orbit
 resolution acts level by level through the matrices ``d_matrix`` returns.
 
 ``edge_coefficient`` is the definition of each matrix entry, one pair of
-roots at a time.  ``d_matrix`` assembles the same entries from the
-columns instead: a root beta of level i-1 has an edge only to the simple
+roots at a time: the reflection linking beta to alpha is read off the
+line of beta - alpha.  ``d_matrix`` assembles the same entries from the
+columns instead: off the two middle levels the linking reflection is
+simple, so a root beta of level i-1 has an edge only to the simple
 reflections s_j(beta) = beta - c alpha_j with c = <beta, alpha_j^vee> > 0,
-so each column costs one pass over beta's support and one dict lookup per
-such j.  Only the two middle levels, where the linking reflection need
-not be simple, keep the pairwise rule.  The tests hold the assembly equal
-to the definition.
+and each column costs one pass over beta's support and one dict lookup
+per such j.  Between the two middle levels the matrix is the Cartan
+matrix of the long simple roots with the signs dropped.  The tests hold
+the assembly equal to the definition, and ``weyl_oracle`` certifies the
+assembled entries against the Weyl group.
 
 Within a level, roots are listed in decreasing lexicographic order of the
 absolute coordinate vector.  On positive levels this is exactly the order
@@ -23,10 +26,11 @@ degrees literal transposes of each other.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .errors import DomainError
-from .root_system import Root, RootSystem
+from .root_system import Root, RootSystem, cartan_of_subset
 
 __all__ = ["level", "levels", "edge_coefficient", "d_matrix", "middle_matrix", "dimension"]
 
@@ -66,31 +70,38 @@ def levels(rs: RootSystem) -> tuple[tuple[Root, ...], ...]:
     return tuple(positive + negative)
 
 
+def _root_on_line(rs: RootSystem, v: Root) -> Root | None:
+    """The positive root gamma with v in Z gamma, or None (roots are primitive)."""
+    g = math.gcd(*v) if min(v) >= 0 else -math.gcd(*v)
+    gamma = tuple(x // g for x in v)
+    return gamma if rs.is_root(gamma) else None
+
+
 def edge_coefficient(rs: RootSystem, beta: Root, alpha: Root) -> int:
     """Multiplicity of the covering edge from beta down to alpha.
 
-    beta and alpha must be long with level(alpha) = level(beta) + 1.
-    Between the two middle levels (simple long roots to their negatives)
-    the linking reflection may be non-simple: the coefficient is 2 on the
-    pair (beta, -beta) and 1 when beta - alpha is a root.  Everywhere else
-    an edge needs a simple root gamma with s_gamma(beta) = alpha, and the
-    coefficient <beta, gamma^vee> is 1 for gamma long, r for gamma short.
+    beta and alpha must be long with level(alpha) = level(beta) + 1.  The
+    edge is the reflection s_gamma with s_gamma(beta) = alpha, and its
+    coefficient is c = <beta, gamma^vee>.  Then beta - alpha = c gamma, so
+    gamma is the root on the line of beta - alpha and the coefficient is c
+    when c gamma = beta - alpha, else 0.
+
+    This one rule covers every level.  s_gamma(beta)^vee = beta^vee -
+    <gamma, beta^vee> gamma^vee, and a level step lowers the coroot height
+    by 1, except across the middle (simple long roots to their negatives),
+    where it drops by 2.  Off the middle this forces <gamma, beta^vee> = 1
+    and ht(gamma^vee) = 1, so gamma is simple and c is 1 for gamma long, r
+    for gamma short.  Across the middle either gamma = beta, with c = 2,
+    or ht(gamma^vee) = 2 and gamma = beta - alpha is a root, with c = 1.
     """
     if level(rs, alpha) != level(rs, beta) + 1:
         raise DomainError("edge coefficient needs level(alpha) = level(beta) + 1")
-    if _is_simple(beta) and _is_simple(tuple(-x for x in alpha)):
-        if alpha == tuple(-x for x in beta):
-            return 2
-        diff = tuple(b - a for b, a in zip(beta, alpha))
-        return 1 if rs.is_root(diff) else 0
-    for gamma in rs.simple_roots:
-        if rs.bilinear(beta, gamma) > 0 and rs.reflect(beta, gamma) == alpha:
-            return rs.pairing(beta, gamma)
-    return 0
-
-
-def _is_simple(root: Root) -> bool:
-    return sum(root) == 1 and all(x in (0, 1) for x in root)
+    v = tuple(b - a for b, a in zip(beta, alpha))
+    gamma = _root_on_line(rs, v)
+    if gamma is None:
+        return 0
+    c = rs.pairing(beta, gamma)
+    return c if tuple(c * x for x in gamma) == v else 0
 
 
 @lru_cache(maxsize=None)
@@ -103,23 +114,17 @@ def d_matrix(rs: RootSystem, i: int) -> tuple[tuple[int, ...], ...]:
     with c = <beta, alpha_j^vee> > 0, taken from the Cartan rows over
     beta's support, the entry at row beta - c alpha_j is c when that root
     lies in level i.  Between the two middle levels (long simple roots to
-    their negatives) the entry is 2 on (beta, -beta) and 1 when
-    beta - alpha is a root.
+    their negatives) the matrix is ``middle_matrix``: the entry is 2 on
+    (beta, -beta) and 1 when beta - alpha is a root, i.e. when the two
+    long simple roots are joined in the Dynkin diagram.
     """
     d = dimension(rs)
     if not 1 <= i <= d - 1:
         raise DomainError(f"matrix index {i} outside 1..{d - 1}")
+    if i == rs.h_dual - 1:
+        return tuple(tuple(map(abs, row)) for row in cartan_of_subset(rs, rs.long_simple_indices))
     lv = levels(rs)
     sources, targets = lv[i - 1], lv[i]
-    if i == rs.h_dual - 1:
-        return tuple(
-            tuple(
-                2 if alpha == tuple(-x for x in beta)
-                else int(rs.is_root(tuple(b - a for b, a in zip(beta, alpha))))
-                for beta in sources
-            )
-            for alpha in targets
-        )
     row_of = {alpha: row for row, alpha in enumerate(targets)}
     cartan_rows = [[(j, x) for j, x in enumerate(row) if x] for row in rs.cartan]
     mat = [[0] * len(sources) for _ in targets]

@@ -218,7 +218,7 @@ def rational_half_check(rs: RootSystem, oc: OrbitCohomology) -> bool:
     roots.
     """
     k = len(rs.long_simple_indices)
-    expected = Counter(d - 2 for d in sorted(rs.degrees)[:k])
+    expected = Counter(d - 2 for d in rs.degrees[:k])
     got: Counter[int] = Counter()
     for n, (free, _) in oc.table.items():
         if n % 2 == 0 and n < oc.d and free:

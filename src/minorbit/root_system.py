@@ -128,21 +128,6 @@ def _cartan_and_lengths(label: TypeLabel) -> tuple[list[list[int]], list[int], i
     return [[2, -3], [-1, 2]], [3, 1], 3, h
 
 
-def _degrees(label: TypeLabel) -> tuple[int, ...]:
-    s, n = label.series, label.rank
-    if s == "A":
-        return tuple(range(2, n + 2))
-    if s in ("B", "C"):
-        return tuple(2 * i for i in range(1, n + 1))
-    if s == "D":
-        return tuple(sorted([2 * i for i in range(1, n)] + [n]))
-    if s == "E":
-        return {6: (2, 5, 6, 8, 9, 12), 7: (2, 6, 8, 10, 12, 14, 18), 8: (2, 8, 12, 14, 18, 20, 24, 30)}[n]
-    if s == "F":
-        return (2, 6, 8, 12)
-    return (2, 6)
-
-
 class RootSystem:
     """All roots and derived data of one irreducible type.
 
@@ -259,6 +244,12 @@ def build(label: TypeLabel) -> RootSystem:
     highest = positive[-1]
     roots = tuple(positive + negative)
 
+    # Kostant: the exponents are the conjugate partition of the counts of
+    # positive roots by height, and each degree is an exponent plus 1.
+    by_height = [0] * h
+    for v in positive:
+        by_height[height(v)] += 1
+
     return RootSystem(
         type_label=label,
         cartan=tuple(tuple(row) for row in cartan),
@@ -270,7 +261,7 @@ def build(label: TypeLabel) -> RootSystem:
         long_simple_indices=tuple(i for i in range(n) if lengths[i] == r),
         h=h,
         h_dual=1 + dual_heights[highest],
-        degrees=_degrees(label),
+        degrees=tuple(1 + sum(c >= j for c in by_height) for j in range(n, 0, -1)),
         # the primes dividing a coefficient of the highest root (each is at most 6)
         bad_primes=frozenset(p for p in (2, 3, 5) if any(c % p == 0 for c in highest)),
         _root_set=frozenset(roots),

@@ -137,25 +137,19 @@ def _orthogonal_simple_indices(rs: RootSystem) -> tuple[int, ...]:
     return tuple(i for i, s in enumerate(rs.simple_roots) if rs.bilinear(top, s) == 0)
 
 
-def _root_on_line(rs: RootSystem, v):
-    """The positive root gamma with v in Z gamma, or None (roots are primitive)."""
-    g = math.gcd(*v) if min(v) >= 0 else -math.gcd(*v)
-    gamma = tuple(x // g for x in v)
-    return gamma if rs.is_root(gamma) else None
-
-
 def level_length_failure(rs: RootSystem) -> str | None:
     """Why the long roots and W^J disagree, or None when they agree.
 
     The representatives modulo the stabilizer of the highest root must
     biject onto the long roots via w -> w(highest), with length equal to
-    the level.  Between adjacent levels, beta -> alpha is an edge on the
-    group side when x_alpha x_beta^-1 is a reflection s_gamma, and on the
-    root side when s_gamma(beta) = alpha; both force beta - alpha into
-    Z gamma, so gamma is read off that line.  The two sides must agree,
-    with the pairing <beta, gamma^vee> equal to the stored edge
-    coefficient, and the coefficient 0 off the edges.  A failure means the
-    level combinatorics and the group disagree, i.e. an implementation bug.
+    the level.  Then every entry of ``long_root_poset.d_matrix``, the
+    matrices the cohomology is computed from, is checked against the
+    group: for beta in level i and alpha in level i+1, beta -> alpha is an
+    edge when x_alpha x_beta^-1 is a reflection s_gamma, and since
+    s_gamma(beta) = alpha puts beta - alpha in Z gamma, gamma is read off
+    that line.  The entry must be <beta, gamma^vee> on an edge and 0 off
+    the edges.  A failure means the level combinatorics and the group
+    disagree, i.e. an implementation bug.
     """
     n_long = _check_verify_budget(rs)
     top_idx = rs.roots.index(highest_root(rs))
@@ -177,23 +171,18 @@ def level_length_failure(rs: RootSystem) -> str | None:
     reflections: dict = {}
     lv = long_root_poset.levels(rs)
     for i in range(len(lv) - 1):
-        for beta in lv[i]:
-            for alpha in lv[i + 1]:
-                stored = long_root_poset.edge_coefficient(rs, beta, alpha)
-                gamma = _root_on_line(rs, tuple(b - a for b, a in zip(beta, alpha)))
-                root_side = group_side = False
+        mat = long_root_poset.d_matrix(rs, i + 1)
+        for col, beta in enumerate(lv[i]):
+            for row, alpha in enumerate(lv[i + 1]):
+                gamma = long_root_poset._root_on_line(rs, tuple(b - a for b, a in zip(beta, alpha)))
+                expected = 0
                 if gamma is not None:
-                    root_side = rs.reflect(beta, gamma) == alpha
                     if gamma not in reflections:
                         reflections[gamma] = _reflection_perm(rs, index, gamma)
-                    group_side = _compose(reflections[gamma], by_root[beta]) == by_root[alpha]
-                pair = f"({beta}, {alpha})"
-                if root_side != group_side:
-                    side = "root" if root_side else "group"
-                    return f"{pair}: only the {side} side links them, by the reflection in {gamma}"
-                expected = rs.pairing(beta, gamma) if root_side else 0
-                if stored != expected:
-                    return f"{pair}: stored edge coefficient {stored}, expected {expected}"
+                    if _compose(reflections[gamma], by_root[beta]) == by_root[alpha]:
+                        expected = rs.pairing(beta, gamma)
+                if mat[row][col] != expected:
+                    return f"({beta}, {alpha}): d_matrix({i + 1}) entry {mat[row][col]}, expected {expected}"
     return None
 
 

@@ -97,17 +97,20 @@ def test_edge_coefficients_basic():
         edge_coefficient(b2, levels(b2)[0][0], levels(b2)[0][0])
 
 
-def test_crossing_coefficients(rs):
+@pytest.mark.parametrize("name", POSET_TYPES + ["A60", "B40", "D40"])
+def test_crossing_coefficients(name):
     # between the middle levels: 2 on (beta, -beta), 1 when beta - alpha is a root
+    rs = build_from_string(name)
     lv = levels(rs)
-    for beta in lv[rs.h_dual - 2]:
-        for alpha in lv[rs.h_dual - 1]:
+    middle = middle_matrix(rs)
+    for col, beta in enumerate(lv[rs.h_dual - 2]):
+        for row, alpha in enumerate(lv[rs.h_dual - 1]):
             expected = 0
             if alpha == tuple(-x for x in beta):
                 expected = 2
             elif rs.is_root(tuple(b - a for b, a in zip(beta, alpha))):
                 expected = 1
-            assert edge_coefficient(rs, beta, alpha) == expected
+            assert edge_coefficient(rs, beta, alpha) == middle[row][col] == expected
 
 
 def test_d_matrix_range(rs):

@@ -204,7 +204,29 @@ def test_connection_index(rs):
     assert math.prod(torsion) if torsion else 1 == expected
 
 
-def test_degrees(rs):
+# the published degrees of the Weyl group (Bourbaki, Lie VI, planches)
+EXCEPTIONAL_DEGREES = {
+    "E6": (2, 5, 6, 8, 9, 12), "E7": (2, 6, 8, 10, 12, 14, 18), "E8": (2, 8, 12, 14, 18, 20, 24, 30),
+    "F4": (2, 6, 8, 12), "G2": (2, 6),
+}
+
+
+def published_degrees(label) -> tuple[int, ...]:
+    s, n = label
+    if s == "A":
+        return tuple(range(2, n + 2))
+    if s in ("B", "C"):
+        return tuple(range(2, 2 * n + 1, 2))
+    if s == "D":
+        return tuple(sorted([*range(2, 2 * n - 1, 2), n]))
+    return EXCEPTIONAL_DEGREES[str(label)]
+
+
+@pytest.mark.parametrize("name", ALL_TYPES + ["A40", "B25", "C40", "D30", "D31"])
+def test_degrees(name):
+    # build reads the degrees off the positive roots (Kostant)
+    rs = build_from_string(name)
+    assert rs.degrees == published_degrees(rs.type_label)
     assert len(rs.degrees) == rs.rank
     assert max(rs.degrees) == rs.h
     assert sum(d - 1 for d in rs.degrees) == len(rs.positive_roots)

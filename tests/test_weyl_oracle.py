@@ -203,20 +203,40 @@ def test_verify_e7_e8(label, time_budget):
         assert verify_reflection_length(rs)
 
 
+def test_verify_level_length_a30(time_budget):
+    # every entry is read off the stored matrices; the group side is the only
+    # per-pair work left
+    a30 = build_from_string("A30")
+    with time_budget(1.5):
+        assert verify_level_length(a30)
+
+
+def _patch_entry(monkeypatch, rs, i, row, col, value):
+    """Make long_root_poset.d_matrix(rs, i) report value at (row, col)."""
+    true_d_matrix = long_root_poset.d_matrix
+
+    def patched(rs_, j):
+        mat = true_d_matrix(rs_, j)
+        if (rs_, j) != (rs, i):
+            return mat
+        rows = [list(r) for r in mat]
+        rows[row][col] = value
+        return tuple(tuple(r) for r in rows)
+
+    monkeypatch.setattr(long_root_poset, "d_matrix", patched)
+
+
 def test_failure_names_the_pair(monkeypatch, capsys):
+    # a wrong coefficient on an edge the group has
     b3 = build_from_string("B3")
     lv = long_root_poset.levels(b3)
     beta, alpha = lv[2][0], lv[3][0]
-    true_coefficient = long_root_poset.edge_coefficient
-    wrong = true_coefficient(b3, beta, alpha) + 1
-
-    def patched(rs, b, a):
-        return wrong if (b, a) == (beta, alpha) else true_coefficient(rs, b, a)
-
-    monkeypatch.setattr(long_root_poset, "edge_coefficient", patched)
+    true_value = long_root_poset.d_matrix(b3, 3)[0][0]
+    assert true_value == long_root_poset.edge_coefficient(b3, beta, alpha) == 1
+    _patch_entry(monkeypatch, b3, 3, 0, 0, 2)
     assert not verify_level_length(b3)
     reason = level_length_failure(b3)
-    assert f"({beta}, {alpha})" in reason and f"stored edge coefficient {wrong}" in reason
+    assert reason == f"({beta}, {alpha}): d_matrix(3) entry 2, expected 1"
     assert verify_reflection_length(b3)
 
     assert cli.main(["verify", "--type", "B3"]) == 4
@@ -226,16 +246,23 @@ def test_failure_names_the_pair(monkeypatch, capsys):
 
 
 def test_failure_names_a_one_sided_edge(monkeypatch):
-    # break the root side of one edge: the group still links the pair
+    # a 0 where the group has an edge, then a nonzero entry where it has none
     g2 = build_from_string("G2")
     lv = long_root_poset.levels(g2)
-    beta, alpha = lv[0][0], lv[1][0]
-    gamma = next(s for s in g2.simple_roots if g2.reflect(beta, s) == alpha)
-    true_reflect = g2.reflect
-    monkeypatch.setattr(g2, "reflect", lambda a, b: a if (a, b) == (beta, gamma) else true_reflect(a, b))
-    assert long_root_poset.edge_coefficient(g2, beta, alpha) == 0
-    reason = f"({beta}, {alpha}): only the group side links them, by the reflection in {gamma}"
-    assert level_length_failure(g2) == reason
+    beta, alpha = lv[1][0], lv[2][0]
+    assert long_root_poset.d_matrix(g2, 2) == ((3,),)
+    _patch_entry(monkeypatch, g2, 2, 0, 0, 0)
+    assert level_length_failure(g2) == f"({beta}, {alpha}): d_matrix(2) entry 0, expected 3"
+
+    monkeypatch.undo()
+    a3 = build_from_string("A3")
+    lv = long_root_poset.levels(a3)
+    mat = long_root_poset.d_matrix(a3, 2)
+    row, col = next((r, c) for r in range(len(mat)) for c in range(len(mat[0])) if not mat[r][c])
+    beta, alpha = lv[1][col], lv[2][row]
+    assert long_root_poset.edge_coefficient(a3, beta, alpha) == 0
+    _patch_entry(monkeypatch, a3, 2, row, col, 1)
+    assert level_length_failure(a3) == f"({beta}, {alpha}): d_matrix(2) entry 1, expected 0"
 
 
 def test_failure_names_a_repeated_image(monkeypatch):
