@@ -38,6 +38,11 @@ CALLS = {
     "decomp simple": [["decomp", "simple", "--type", t] for t in TYPES]
     + [["decomp", "simple", "--type", t, "--ell", "2", "--format", "json"] for t in TYPES],
     "verify": [["verify", "--type", t] for t in ("G2", "A4", "B3", "C3", "D4", "F4", "E7")],
+    "cohomology": [["cohomology", "--type", t, *fmt] for t in TYPES for fmt in FORMATS],
+    "dmatrices": [["dmatrices", "--type", t, *fmt] for t in TYPES for fmt in FORMATS],
+    "springer-gln": [
+        ["springer-gln", "--n", str(n), "--ell", ell, *fmt] for n in range(1, 13) for ell in ELLS for fmt in FORMATS
+    ],
 }
 
 
