@@ -1,5 +1,11 @@
 """Command-line surface: every computation, deterministic text or JSON.
 
+Each subcommand computes one JSON-ready object.  ``main`` prints it, as
+``json.dumps(obj, indent=2)`` under ``--format json`` and otherwise as
+the text its renderer makes from the same object, so the two forms read
+one result.  ``verify`` alone prints for itself: one line per check, the
+reason for a failed check on stderr.
+
 Exit codes: 0 success, 2 usage (including bad type labels), 3 domain
 errors, 4 invariant failures (a computation contradicting the structure
 it relies on, which would mean a bug).
@@ -27,7 +33,7 @@ TABLE_TYPES = (
 )
 
 
-def format_group(rank: int, torsion: tuple[int, ...]) -> str:
+def format_group(rank: int, torsion: list[int]) -> str:
     """Render an abelian group: Z, Z^2, Z/4, (Z/2)^2, Z^2 + Z/3, or 0."""
     parts = []
     if rank == 1:
@@ -39,12 +45,12 @@ def format_group(rank: int, torsion: tuple[int, ...]) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def format_table_text(oc) -> str:
-    """Text table of an OrbitCohomology, one line per group."""
-    lines = [f"H^i of the minimal orbit, type {oc.type_label} (d = {oc.d}, h_dual = {oc.h_dual}):"]
+def format_table_text(obj: dict) -> str:
+    """Text table of a cohomology in its ``to_json_dict`` form, one line per group."""
+    lines = [f"H^i of the minimal orbit, type {obj['type']} (d = {obj['d']}, h_dual = {obj['h_dual']}):"]
     by_group: dict[str, list[int]] = {}
-    for n, (free, torsion) in oc.table.items():
-        by_group.setdefault(format_group(free, torsion), []).append(n)
+    for e in obj["H"]:
+        by_group.setdefault(format_group(e["rank"], e["torsion"]), []).append(e["n"])
     width = max((len(g) for g in by_group), default=1)
     for group, degrees in sorted(by_group.items(), key=lambda kv: kv[1][0]):
         lines.append(f"  {group:<{width}}  for i = {', '.join(str(n) for n in degrees)}")
@@ -60,87 +66,64 @@ def format_root(root) -> str:
     return "(" + ",".join(str(x) for x in root) + ")"
 
 
-def _print_json(obj) -> None:
-    import json
-
-    print(json.dumps(obj, indent=2))
-
-
-def _emit(obj, fmt: str, text: str) -> None:
-    if fmt == "json":
-        _print_json(obj)
-    else:
-        print(text)
-
-
-def cmd_cohomology(args) -> int:
+def cmd_cohomology(args) -> dict:
     from .orbit_cohomology import minimal_orbit_cohomology, to_json_dict
 
-    label = parse_type(args.type)
-    oc = minimal_orbit_cohomology(build(label))
-    _emit(to_json_dict(oc), args.format, format_table_text(oc))
-    return 0
+    return to_json_dict(minimal_orbit_cohomology(build(parse_type(args.type))))
 
 
-def cmd_dmatrices(args) -> int:
+def render_cohomology(obj: dict, args) -> str:
+    return format_table_text(obj)
+
+
+def cmd_dmatrices(args) -> dict:
     from . import long_root_poset
 
     rs = build(parse_type(args.type))
-    lv = long_root_poset.levels(rs)
     d = long_root_poset.dimension(rs)
-    matrices = [long_root_poset.d_matrix(rs, i) for i in range(1, d)]
-    if args.format == "json":
-        obj = {
-            "type": str(rs.type_label),
-            "d": d,
-            "levels": [[list(root) for root in level] for level in lv],
-            "matrices": [
-                {"i": i, "entries": [list(row) for row in mat]}
-                for i, mat in enumerate(matrices, start=1)
-            ],
-        }
-        _print_json(obj)
-        return 0
-    print(f"type {rs.type_label}: d = {d}, levels 0..{d - 1}")
-    for i, level in enumerate(lv):
-        print(f"level {i}: {' '.join(format_root(root) for root in level)}")
-    for i, mat in enumerate(matrices, start=1):
-        print(f"D_{i} (level {i - 1} -> level {i}), {len(mat)} x {len(mat[0])}:")
-        for row in mat:
-            print("  [" + " ".join(str(x) for x in row) + "]")
-    return 0
+    return {
+        "type": str(rs.type_label),
+        "d": d,
+        "levels": [[list(root) for root in level] for level in long_root_poset.levels(rs)],
+        "matrices": [
+            {"i": i, "entries": [list(row) for row in long_root_poset.d_matrix(rs, i)]} for i in range(1, d)
+        ],
+    }
 
 
-def cmd_fundgroup(args) -> int:
+def render_dmatrices(obj: dict, args) -> str:
+    lines = [f"type {obj['type']}: d = {obj['d']}, levels 0..{obj['d'] - 1}"]
+    lines += [f"level {i}: {' '.join(map(format_root, level))}" for i, level in enumerate(obj["levels"])]
+    for m in obj["matrices"]:
+        i, mat = m["i"], m["entries"]
+        lines.append(f"D_{i} (level {i - 1} -> level {i}), {len(mat)} x {len(mat[0])}:")
+        lines += ["  [" + " ".join(map(str, row)) + "]" for row in mat]
+    return "\n".join(lines)
+
+
+def cmd_fundgroup(args) -> dict:
     from .orbit_cohomology import middle_via_lattice
 
     rs = build(parse_type(args.type))
     sub = long_simple_subsystem(rs)
-    factors = middle_via_lattice(rs)
-    if args.format == "json":
-        _print_json({"type": str(rs.type_label), "subsystem": str(sub), "invariant_factors": list(factors)})
-    else:
-        print(f"long-simple subsystem: {sub}")
-        print(f"fundamental group: {format_group(0, factors)}")
-    return 0
+    return {"type": str(rs.type_label), "subsystem": str(sub), "invariant_factors": list(middle_via_lattice(rs))}
 
 
-def cmd_decomp(args) -> int:
+def render_fundgroup(obj: dict, args) -> str:
+    group = format_group(0, obj["invariant_factors"])
+    return f"long-simple subsystem: {obj['subsystem']}\nfundamental group: {group}"
+
+
+def cmd_decomp(args) -> dict:
     from . import decomposition
     from .int_linalg import tensor_f_dimension
 
     label = parse_type(args.type)
     if args.mode == "minimal":
-        value = decomposition.decomp_minimal(label, args.ell)
-        _emit({"type": str(label), "ell": args.ell, "value": value}, args.format, str(value))
-        return 0
+        return {"type": str(label), "ell": args.ell, "value": decomposition.decomp_minimal(label, args.ell)}
     if args.mode == "subregular":
         mults = decomposition.decomp_subregular(label, args.ell)
-        text = "\n".join(f"{name}: {value}" for name, value in mults.items())
-        _emit(
-            {"type": str(label), "ell": args.ell, "multiplicities": mults}, args.format, text
-        )
-        return 0
+        return {"type": str(label), "ell": args.ell, "multiplicities": mults}
     data = decomposition.simple_singularity(label)
     obj = {
         "type": str(label),
@@ -148,41 +131,47 @@ def cmd_decomp(args) -> int:
         "symmetry_group": data.symmetry_group,
         "invariant_factors": list(data.quotient),
     }
+    if args.ell is not None:
+        obj["dim_mod_ell"] = tensor_f_dimension(data.quotient, 0, args.ell)
+    return obj
+
+
+def render_decomp(obj: dict, args) -> str:
+    if args.mode == "minimal":
+        return str(obj["value"])
+    if args.mode == "subregular":
+        return "\n".join(f"{name}: {value}" for name, value in obj["multiplicities"].items())
     lines = [
-        f"homogeneous diagram: {data.gamma_hat}",
-        f"symmetry group: {data.symmetry_group}",
-        f"quotient: {format_group(0, data.quotient)}",
+        f"homogeneous diagram: {obj['homogeneous_diagram']}",
+        f"symmetry group: {obj['symmetry_group']}",
+        f"quotient: {format_group(0, obj['invariant_factors'])}",
     ]
     if args.ell is not None:
-        dim = tensor_f_dimension(data.quotient, 0, args.ell)
-        obj["dim_mod_ell"] = dim
-        lines.append(f"dim over F_{args.ell}: {dim}")
-    _emit(obj, args.format, "\n".join(lines))
-    return 0
+        lines.append(f"dim over F_{args.ell}: {obj['dim_mod_ell']}")
+    return "\n".join(lines)
 
 
-def cmd_springer_gln(args) -> int:
-    from . import gln_springer
+def cmd_springer_gln(args) -> dict:
+    from .gln_springer import is_ell_regular, partitions_of, psi, springer_image
 
-    image = gln_springer.springer_image(args.n, args.ell)
-    regular = [p for p in gln_springer.partitions_of(args.n) if gln_springer.is_ell_regular(p, args.ell)]
-    mapping = [(mu, gln_springer.psi(mu, args.ell)) for mu in regular]
-    if args.format == "json":
-        obj = {
-            "n": args.n,
-            "ell": args.ell,
-            "image": [list(p) for p in image],
-            "map": [{"regular": list(mu), "orbit": list(la)} for mu, la in mapping],
-        }
-        _print_json(obj)
-        return 0
-    print(f"restricted orbits for n = {args.n}, ell = {args.ell}:")
-    for p in image:
-        print(f"  {gln_springer.format_partition(p)}")
-    print("map:")
-    for mu, la in mapping:
-        print(f"  {gln_springer.format_partition(mu)} -> {gln_springer.format_partition(la)}")
-    return 0
+    image = springer_image(args.n, args.ell)
+    regular = [p for p in partitions_of(args.n) if is_ell_regular(p, args.ell)]
+    return {
+        "n": args.n,
+        "ell": args.ell,
+        "image": [list(p) for p in image],
+        "map": [{"regular": list(mu), "orbit": list(psi(mu, args.ell))} for mu in regular],
+    }
+
+
+def render_springer_gln(obj: dict, args) -> str:
+    from .gln_springer import format_partition
+
+    lines = [f"restricted orbits for n = {obj['n']}, ell = {obj['ell']}:"]
+    lines += [f"  {format_partition(p)}" for p in obj["image"]]
+    lines.append("map:")
+    lines += [f"  {format_partition(e['regular'])} -> {format_partition(e['orbit'])}" for e in obj["map"]]
+    return "\n".join(lines)
 
 
 def cmd_verify(args) -> int:
@@ -200,19 +189,29 @@ def cmd_verify(args) -> int:
     return 4 if any(checks.values()) else 0
 
 
-def cmd_tables(args) -> int:
+def cmd_tables(args) -> list:
     from .orbit_cohomology import minimal_orbit_cohomology, to_json_dict
 
-    tables = [minimal_orbit_cohomology(build(label)) for label in TABLE_TYPES]
-    if args.format == "json":
-        _print_json([to_json_dict(oc) for oc in tables])
-        return 0
-    print("\n\n".join(format_table_text(oc) for oc in tables))
-    return 0
+    return [to_json_dict(minimal_orbit_cohomology(build(label))) for label in TABLE_TYPES]
 
 
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("text", "json"), default="text")
+def render_tables(objs: list, args) -> str:
+    return "\n\n".join(map(format_table_text, objs))
+
+
+TYPE = ("--type", {"required": True})
+
+
+def _command(p: argparse.ArgumentParser, run, render, *options) -> None:
+    """Give a subcommand parser its options, ``--format`` when the command
+    has a text renderer, and the functions ``main`` calls: ``run(args)``
+    returns the result, ``render(result, args)`` its text form (None for
+    a command that prints for itself)."""
+    for flag, kwargs in options:
+        p.add_argument(flag, **kwargs)
+    if render is not None:
+        p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(run=run, render=render)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,54 +221,38 @@ def build_parser() -> argparse.ArgumentParser:
         "decomposition numbers attached to them.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cohomology", help="integral cohomology table of the minimal orbit")
-    p.add_argument("--type", required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_cohomology)
-
-    p = sub.add_parser("dmatrices", help="level bases and boundary matrices")
-    p.add_argument("--type", required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_dmatrices)
-
-    p = sub.add_parser("fundgroup", help="fundamental group of the long-simple subsystem")
-    p.add_argument("--type", required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_fundgroup)
-
-    p = sub.add_parser("decomp", help="decomposition numbers")
-    mode = p.add_subparsers(dest="mode", required=True)
+    add = sub.add_parser
+    cohomology = add("cohomology", help="integral cohomology table of the minimal orbit")
+    _command(cohomology, cmd_cohomology, render_cohomology, TYPE)
+    _command(add("dmatrices", help="level bases and boundary matrices"), cmd_dmatrices, render_dmatrices, TYPE)
+    fundgroup = add("fundgroup", help="fundamental group of the long-simple subsystem")
+    _command(fundgroup, cmd_fundgroup, render_fundgroup, TYPE)
+    mode = add("decomp", help="decomposition numbers").add_subparsers(dest="mode", required=True)
     for name, needs_ell in (("minimal", True), ("subregular", True), ("simple", False)):
-        q = mode.add_parser(name)
-        q.add_argument("--type", required=True)
-        q.add_argument("--ell", type=int, required=needs_ell, default=None)
-        _add_format(q)
-        q.set_defaults(func=cmd_decomp)
-
-    p = sub.add_parser("springer-gln", help="modular orbit correspondence for GL_n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_springer_gln)
-
-    p = sub.add_parser("verify", help="run the Weyl-group oracle checks")
-    p.add_argument("--type", required=True)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("tables", help="all classical and exceptional tables")
-    p.add_argument("--all", action="store_true", required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_tables)
-
+        ell = ("--ell", {"type": int, "required": needs_ell, "default": None})
+        _command(mode.add_parser(name), cmd_decomp, render_decomp, TYPE, ell)
+    springer = add("springer-gln", help="modular orbit correspondence for GL_n")
+    n, ell = ("--n", {"type": int, "required": True}), ("--ell", {"type": int, "required": True})
+    _command(springer, cmd_springer_gln, render_springer_gln, n, ell)
+    _command(add("verify", help="run the Weyl-group oracle checks"), cmd_verify, None, TYPE)
+    tables = add("tables", help="all classical and exceptional tables")
+    _command(tables, cmd_tables, render_tables, ("--all", {"action": "store_true", "required": True}))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        result = args.run(args)
+        if args.render is None:  # verify printed its checks; result is the exit code
+            return result
+        if args.format == "json":
+            import json
+
+            print(json.dumps(result, indent=2))
+        else:
+            print(args.render(result, args))
+        return 0
     except InvalidTypeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

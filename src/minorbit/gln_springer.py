@@ -110,7 +110,7 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
             for tail in gen(rest - first, first):
                 yield (first,) + tail
 
-    return tuple(sorted(gen(n, n), reverse=True))
+    return tuple(gen(n, n))
 
 
 def conjugate(p: Partition) -> Partition:
@@ -196,19 +196,26 @@ def row_column_reduce(lam: Partition, mu: Partition) -> tuple[Partition, Partiti
 
 
 def adjacent_in_dominance(lam: Partition, mu: Partition) -> bool:
-    """True iff the two partitions are comparable with nothing in between."""
+    """True iff the two partitions are comparable with nothing in between.
+
+    Brylawski's rule (Discrete Math. 6, 1973): the upper partition covers
+    the lower iff they differ in exactly two rows i < j, by one box each,
+    and either j = i + 1 or the upper one has lam_i = lam_j + 2.  O(n),
+    so unlike partitions_of it needs no budget.
+    """
+    _validate(lam)
+    _validate(mu)
     if sum(lam) != sum(mu):
         raise DomainError("adjacency compares partitions of the same integer")
-    if lam == mu:
+    k = max(len(lam), len(mu))
+    lam, mu = lam + (0,) * (k - len(lam)), mu + (0,) * (k - len(mu))
+    rows = [r for r in range(k) if lam[r] != mu[r]]
+    if len(rows) != 2:
         return False
-    if dominance_le(lam, mu):
+    i, j = rows
+    if lam[i] < mu[i]:
         lam, mu = mu, lam
-    elif not dominance_le(mu, lam):
-        return False
-    return not any(
-        nu != lam and nu != mu and dominance_le(mu, nu) and dominance_le(nu, lam)
-        for nu in partitions_of(sum(lam))
-    )
+    return lam[i] - mu[i] == 1 and (j == i + 1 or lam[i] == lam[j] + 2)
 
 
 def minimal_degeneration(lam: Partition, mu: Partition) -> tuple[str, int]:

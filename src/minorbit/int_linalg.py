@@ -2,6 +2,8 @@
 
 Everything here works on plain ``list[list[int]]`` matrices with Python's
 arbitrary-precision integers, so no intermediate result can overflow.
+Inputs are only read (the kernel eliminates on a copy), so a tuple of
+tuples serves as well.
 A matrix with zero columns is written ``[[], [], ...]`` (one empty row per
 row); a 0x0 matrix is ``[]``.
 

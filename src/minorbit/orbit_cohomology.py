@@ -15,7 +15,7 @@ from collections import Counter, namedtuple
 from . import long_root_poset
 from .errors import DomainError, InvariantFailureError
 from .int_linalg import cokernel, invariant_factors
-from .root_system import RootSystem, TypeLabel, build, cartan_of_subset
+from .root_system import RootSystem, TypeLabel, build, cartan_of_subset, parse_type
 
 __all__ = [
     "GradedAbelianGroup",
@@ -93,7 +93,7 @@ def minimal_orbit_cohomology(rs: RootSystem) -> OrbitCohomology:
     }
     for i in range(1, d):
         matrix = long_root_poset.d_matrix(rs, i)
-        factors = invariant_factors([list(row) for row in matrix])
+        factors = invariant_factors(matrix)
         entries[2 * i] = (len(matrix) - len(factors), tuple(x for x in factors if x > 1))
         entries[2 * i - 1] = (len(matrix[0]) - len(factors), ())
     return OrbitCohomology(rs.type_label, d, rs.h_dual, GradedAbelianGroup(entries))
@@ -196,11 +196,15 @@ def _field(obj, key: str, kind: type):
 
 
 def from_json_dict(obj: dict) -> OrbitCohomology:
-    """Inverse of ``to_json_dict``; DomainError names a missing or ill-typed field."""
-    from .root_system import parse_type
-
+    """Inverse of ``to_json_dict``; DomainError names a missing or ill-typed
+    field, or a ``d`` or ``h_dual`` that contradicts the type."""
     label = parse_type(_field(obj, "type", str))
     d, h_dual = _field(obj, "d", int), _field(obj, "h_dual", int)
+    expected = build(label).h_dual
+    if h_dual != expected:
+        raise DomainError(f"cohomology JSON field 'h_dual' is {h_dual}, but {label} has h_dual = {expected}")
+    if d != 2 * h_dual - 2:
+        raise DomainError(f"cohomology JSON field 'd' is {d}, but {label} has d = 2 h_dual - 2 = {2 * h_dual - 2}")
     entries = {}
     for e in _field(obj, "H", list):
         torsion = _field(e, "torsion", list)

@@ -280,6 +280,14 @@ def test_from_json_dict_names_ill_typed_field():
         from_json_dict(["A2"])
 
 
+def test_from_json_dict_rejects_d_or_h_dual_contradicting_the_type():
+    # bad input, refused as such: loaded, it would fail bad_torsion_report as a bug
+    good = to_json_dict(minimal_orbit_cohomology(build_from_string("B3")))
+    for bad, field in [({"d": 7}, "d"), ({"type": "A1"}, "h_dual"), ({"h_dual": 4, "d": 6}, "h_dual")]:
+        with pytest.raises(DomainError, match=repr(field)):
+            from_json_dict({**good, **bad})
+
+
 def test_json_helpers_exported():
     import minorbit
 

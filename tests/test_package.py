@@ -42,12 +42,27 @@ def test_dmatrices_loads_no_smith_layer():
     assert "minorbit.int_linalg" not in loaded and "minorbit.orbit_cohomology" not in loaded
 
 
-def test_text_cohomology_loads_no_json():
+@pytest.mark.parametrize(
+    "argv, layer",
+    [
+        pytest.param("cohomology --type G2", "orbit_cohomology", id="cohomology"),
+        pytest.param("dmatrices --type G2", "long_root_poset", id="dmatrices"),
+        pytest.param("fundgroup --type G2", "orbit_cohomology", id="fundgroup"),
+        pytest.param("decomp minimal --type G2 --ell 2", "decomposition", id="decomp-minimal"),
+        pytest.param("decomp subregular --type G2 --ell 2", "decomposition", id="decomp-subregular"),
+        pytest.param("decomp simple --type G2 --ell 2", "decomposition", id="decomp-simple"),
+        pytest.param("springer-gln --n 4 --ell 2", "gln_springer", id="springer-gln"),
+        pytest.param("tables --all", "orbit_cohomology", id="tables"),
+        pytest.param("verify --type G2", "weyl_oracle", id="verify"),
+    ],
+)
+def test_text_output_loads_no_json(argv, layer):
+    # json is imported by main on the --format json path only
     loaded = modules_after(
-        "import sys; from minorbit import cli; cli.main(['cohomology', '--type', 'G2']); print(sorted(sys.modules))"
+        f"import sys; from minorbit import cli; cli.main({argv.split()!r}); print(sorted(sys.modules))"
     )
-    assert "minorbit.orbit_cohomology" in loaded
-    assert "json" not in loaded and "minorbit.weyl_oracle" not in loaded
+    assert f"minorbit.{layer}" in loaded and "json" not in loaded
+    assert ("minorbit.weyl_oracle" in loaded) == (layer == "weyl_oracle")
 
 
 def test_every_export_is_its_submodule_attribute():
