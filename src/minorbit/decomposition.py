@@ -61,7 +61,7 @@ def simple_singularity(label: TypeLabel) -> SimpleSingularityData:
         raise DomainError(f"{label}: the homogeneous diagram {exc}") from None
     free, torsion = cokernel(cartan)
     if free:
-        raise InvariantFailureError("Cartan matrix of a finite type is singular")
+        raise InvariantFailureError(f"{label}: the Cartan matrix of its homogeneous diagram {hat} is singular")
     return SimpleSingularityData(label, hat, sym, torsion)
 
 

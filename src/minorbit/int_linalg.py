@@ -1,27 +1,28 @@
 """Exact integer linear algebra: Smith normal form, cokernels, kernel ranks.
 
 Everything here works on plain ``list[list[int]]`` matrices with Python's
-arbitrary-precision integers, so no intermediate result can overflow.
-Inputs are only read (the kernel eliminates on a copy), so a tuple of
-tuples serves as well.
-A matrix with zero columns is written ``[[], [], ...]`` (one empty row per
-row); a 0x0 matrix is ``[]``.
+arbitrary-precision integers, so no intermediate result can overflow.  An
+entry that is not an ``int`` (bools included) raises DomainError.  Inputs
+are only read, so a tuple of tuples serves as well.  A matrix with zero
+columns is written ``[[], [], ...]``; a 0x0 matrix is ``[]``.
 
 One elimination kernel serves all: ``smith`` runs it with both transforms,
 ``invariant_factors`` (so ``rank``, ``cokernel``, ``kernel_rank``) without.
-Then, once a row operation makes an entry exceed the input's Hadamard
-bound, a Bareiss pass gives the rank r and M = |a nonzero r x r minor|,
-and trailing entries are kept as symmetric residues mod M (Domich, Kannan
-and Trotter, Math. Oper. Res. 12, 1987).  That yields the Smith form of
-[A | M*I], d_1, ..., d_r, M, ..., M, as each invariant factor d_i of A
-divides M; so the chain of gcd(x, M) over the diagonal starts with the
-exact d_1, ..., d_r.  Sparse inputs (boundary matrices) never grow so far.
+Each step clears the pivot's column and row in one pass, by extended-gcd
+pairs where the pivot does not divide.  Once an entry exceeds the input's
+Hadamard bound, a Bareiss pass gives the rank r and M = |a nonzero r x r
+minor|, and trailing entries are kept as symmetric residues mod M (Domich,
+Kannan and Trotter, Math. Oper. Res. 12, 1987).  That yields the Smith
+form of [A | M*I], d_1, ..., d_r, M, ..., M, as each d_i divides M; so the
+chain of gcd(x, M) over the diagonal starts with the exact d_1, ..., d_r.
+Sparse inputs (boundary matrices) never grow so far.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import chain
 from operator import mul
 
 from .errors import DomainError
@@ -30,10 +31,13 @@ Matrix = list[list[int]]
 
 
 def _shape(matrix: Matrix) -> tuple[int, int]:
+    """(rows, columns); DomainError for a ragged matrix or a non-int entry."""
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    if any(len(row) != n for row in matrix):
+    if not {n}.issuperset(map(len, matrix)):
         raise DomainError("ragged matrix")
+    if not {int}.issuperset(map(type, chain.from_iterable(matrix))):
+        raise DomainError("matrix entries must be integers")
     return m, n
 
 
@@ -75,9 +79,11 @@ def _bareiss(matrix: Matrix) -> tuple[int, int]:
 def _eliminate(matrix: Matrix, vt: Matrix | None = None) -> tuple[Matrix, list[int], int, int]:
     """Diagonalise a copy of matrix; returns (a, diagonal, modulus, rank).
 
-    Clear the smallest pivot's column and row, restarting from any nonzero
-    remainder.  Given vt (V transposed), column operations act on its rows,
-    a carries U past column n, and the modulus is 0.
+    Move the smallest entry p to (t, t); clear its column, then its row, in one
+    pass each.  A multiple x of p is subtracted away, any other x cleared by the
+    pair [[s, c], [-x/g, p/g]] of determinant 1, with g = s*p + c*x = gcd(p, x)
+    the new pivot; a column pair refills column t, cleared again (|p| shrinks).
+    Given vt (V transposed), column operations act on its rows; U rides in a past n.
     """
     m, n = _shape(matrix)
     a = [list(row) for row in matrix]
@@ -85,8 +91,7 @@ def _eliminate(matrix: Matrix, vt: Matrix | None = None) -> tuple[Matrix, list[i
         a, bound = [row + e for row, e in zip(a, identity(m))], None
     else:  # Hadamard bound: the product of the row norms exceeds every minor
         bound = math.isqrt(math.prod(sum(map(mul, row, row)) or 1 for row in a)) + 1
-    modulus = half = rank = t = 0
-    grown = False
+    modulus = half = rank = t = grown = 0
     while t < min(m, n):
         if grown and not modulus:
             rank, modulus = _bareiss(matrix)
@@ -95,46 +100,64 @@ def _eliminate(matrix: Matrix, vt: Matrix | None = None) -> tuple[Matrix, list[i
         piv = _find_pivot(a, t, n)
         if piv is None:
             break
-        a[t], a[piv[0]] = a[piv[0]], a[t]
-        if piv[1] != t:
-            _swap_columns(a, vt, t, piv[1])
+        i, j = piv
+        a[t], a[i] = a[i], a[t]
+        if j != t:
+            for row in a[t:]:  # rows above t are zero in both columns
+                row[t], row[j] = row[j], row[t]
+            if vt is not None:
+                vt[t], vt[j] = vt[j], vt[t]
+        at = a[t]
         while True:
-            at, p = a[t], a[t][t]
-            for i, ai in enumerate(a[t + 1 :], t + 1):
-                if not ai[t]:
+            for ai in a[t + 1 :]:
+                x, p = ai[t], at[t]
+                if not x:
                     continue
-                q = ai[t] // p
-                if modulus:
-                    ai[t:] = [(x - q * y + half) % modulus - half for x, y in zip(ai[t:], at[t:])]
+                q, r = divmod(x, p)
+                if r:
+                    g, s, c = _xgcd(p, x)
+                    at[t:], ai[t:] = _combine(at[t:], ai[t:], s, c, -x // g, p // g)
+                    if modulus:
+                        at[t:], ai[t:] = ([(y + half) % modulus - half for y in w] for w in (at[t:], ai[t:]))
+                elif modulus:
+                    ai[t:] = [(z - q * y + half) % modulus - half for y, z in zip(at[t:], ai[t:])]
                 else:
-                    ai[t:] = [x - q * y for x, y in zip(ai[t:], at[t:])]
+                    ai[t:] = [z - q * y for y, z in zip(at[t:], ai[t:])]
                     grown = grown or (bound is not None and (max(ai) > bound or -min(ai) > bound))
-                if ai[t]:
-                    a[t], a[i] = ai, at
-                    break
-            else:
-                # column t is zero off the pivot: column operations change only a[t][j]
-                for j in range(t + 1, n):
-                    if not at[j]:
-                        continue
-                    q = at[j] // p
-                    at[j] -= q * p
+            for j in range(t + 1, n):
+                y, p = at[j], at[t]
+                if not y:
+                    continue
+                if y % p:  # a column pair refills column t: clear it again
+                    g, s, c = _xgcd(p, y)
+                    for row in a[t:]:
+                        row[t], row[j] = s * row[t] + c * row[j], (p * row[j] - y * row[t]) // g
                     if vt is not None:
-                        vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
-                    if at[j]:
-                        _swap_columns(a, vt, t, j)
-                        break
-                else:
+                        vt[t], vt[j] = _combine(vt[t], vt[j], s, c, -y // g, p // g)
                     break
+                at[j], q = 0, y // p  # column t is zero off the pivot, so only a[t][j] changes
+                if vt is not None:
+                    vt[j] = [z - q * e for e, z in zip(vt[t], vt[j])]
+            else:
+                break
         t += 1
     return a, [a[i][i] for i in range(min(m, n))], modulus, rank if modulus else t
 
 
-def _swap_columns(a: Matrix, vt: Matrix | None, t: int, j: int) -> None:
-    for row in a[t:]:  # rows above t are zero in both columns
-        row[t], row[j] = row[j], row[t]
-    if vt is not None:
-        vt[t], vt[j] = vt[j], vt[t]
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, c) with g = s*a + c*b = gcd(a, b) >= 0."""
+    g = math.gcd(a, b)
+    if not b:
+        return g, -1 if a < 0 else 1, 0
+    k = abs(b // g)
+    s = (pow(a // g, -1, k) + k // 2) % k - k // 2  # the symmetric residue, |s| <= k/2
+    return g, s, (g - s * a) // b
+
+
+def _combine(x: list[int], y: list[int], s: int, c: int, r: int, z: int) -> tuple[list[int], list[int]]:
+    """The rows s*x + c*y and r*x + z*y."""
+    pairs = list(zip(x, y))
+    return [s * e + c * f for e, f in pairs], [r * e + z * f for e, f in pairs]
 
 
 def _divisibility_chain(d: list[int], u: Matrix | None = None, vt: Matrix | None = None) -> list[int]:
@@ -145,15 +168,12 @@ def _divisibility_chain(d: list[int], u: Matrix | None = None, vt: Matrix | None
         for i in range(t + 1, len(d)):
             x, y = d[t], d[i]
             if x and y % x:
-                g = math.gcd(x, y)
+                g, s, c = _xgcd(x, y)
                 xg, yg = x // g, y // g
                 d[t], d[i] = g, xg * y
                 if u is not None:
-                    s = pow(xg, -1, abs(yg))
-                    c = (1 - s * xg) // yg
-                    for w, (p, q, r, z) in ((u, (s, c, -yg, xg)), (vt, (1, 1, -c * yg, s * xg))):
-                        pairs = list(zip(w[t], w[i]))
-                        w[t], w[i] = [p * e + q * f for e, f in pairs], [r * e + z * f for e, f in pairs]
+                    u[t], u[i] = _combine(u[t], u[i], s, c, -yg, xg)
+                    vt[t], vt[i] = _combine(vt[t], vt[i], 1, 1, -c * yg, s * xg)
     return d
 
 
@@ -165,10 +185,9 @@ def smith(matrix: Matrix) -> SmithForm:
     The pivot strategy (smallest absolute value, row-major ties) makes the
     transforms deterministic; the diagonal is canonical regardless.
     """
-    _, n = _shape(matrix)
-    vt = identity(n)
+    vt = identity(len(matrix[0]) if matrix else 0)
     a, d, _, _ = _eliminate(matrix, vt)
-    u = [row[n:] for row in a]
+    u = [row[len(vt) :] for row in a]
     for t, x in enumerate(_divisibility_chain(d, u, vt)):
         if x < 0:
             d[t], u[t] = -x, [-e for e in u[t]]
@@ -188,15 +207,13 @@ def rank(matrix: Matrix) -> int:
 
 def cokernel(matrix: Matrix) -> tuple[int, tuple[int, ...]]:
     """(free rank, torsion invariant factors) of Z^rows / column span."""
-    m, _ = _shape(matrix)
     factors = invariant_factors(matrix)
-    return m - len(factors), tuple(d for d in factors if d > 1)
+    return len(matrix) - len(factors), tuple(d for d in factors if d > 1)
 
 
 def kernel_rank(matrix: Matrix) -> int:
     """Dimension of the rational kernel (columns minus rank)."""
-    _, n = _shape(matrix)
-    return n - rank(matrix)
+    return len(matrix[0]) - rank(matrix) if matrix else 0
 
 
 # Miller-Rabin with the first 13 primes as bases decides every p below

@@ -104,7 +104,7 @@ def middle_via_lattice(rs: RootSystem) -> tuple[int, ...]:
     subsystem; an independent route to the torsion in degree d."""
     free, torsion = cokernel(cartan_of_subset(rs, rs.long_simple_indices))
     if free:
-        raise InvariantFailureError("Cartan matrix of a finite type is singular")
+        raise InvariantFailureError(f"{rs.type_label}: the Cartan matrix of its long-simple subsystem is singular")
     return torsion
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from minorbit import orbit_cohomology
+from minorbit import decomposition, orbit_cohomology
 from minorbit.cli import main
 from minorbit.errors import InvariantFailureError
 from minorbit.orbit_cohomology import from_json_dict, minimal_orbit_cohomology
@@ -233,3 +233,16 @@ def test_invariant_failure_exit_4(capsys, monkeypatch):
     monkeypatch.setattr(orbit_cohomology, "minimal_orbit_cohomology", broken)
     code, out, err = run(capsys, "cohomology", "--type", "G2")
     assert code == 4 and not out and err == "invariant failure: broken for G2\n"
+
+
+@pytest.mark.parametrize(
+    "module, argv, message",
+    [
+        (decomposition, ("decomp", "simple", "--type", "B3"), "B3: the Cartan matrix of its homogeneous diagram A5"),
+        (orbit_cohomology, ("fundgroup", "--type", "F4"), "F4: the Cartan matrix of its long-simple subsystem"),
+    ],
+)
+def test_singular_cartan_names_the_type(module, argv, message, capsys, monkeypatch):
+    monkeypatch.setattr(module, "cokernel", lambda matrix: (1, ()))
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and not out and err == f"invariant failure: {message} is singular\n"

@@ -9,9 +9,10 @@ quotient groups are enumerated coset by coset.
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minorbit import int_linalg
@@ -265,6 +266,61 @@ def test_quotient_orders_500_random():
 def test_reconstruction_property(m):
     check_form(m)
     assert list(invariant_factors(m)) == minor_gcd_oracle(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-(10**40), 10**40) | st.integers(-12, 12), st.integers(-(10**40), 10**40) | st.integers(-12, 12))
+@example(0, 0)
+@example(0, -5)
+@example(-6, 0)
+@example(-4, 6)
+def test_xgcd_bezout(a, b):
+    g, s, c = int_linalg._xgcd(a, b)
+    assert s * a + c * b == g == math.gcd(a, b)
+
+
+# Each matrix drives one branch of an elimination step, with its count of
+# extended-gcd pairs.  The column reaches gcd 1 from the pivot 6 through 2,
+# by two row pairs.  The row needs two column pairs, each followed by
+# clearing column t again: a no-op with one row, while with a second row the
+# first pair writes c*7 under the pivot, which a row pair (2, -7) clears.
+STEP_CASES = {
+    "column": ([[6], [10], [15]], 2),
+    "row": ([[6, 10, 15]], 2),
+    "row-refill": ([[6, 10, 15], [0, 7, 0]], 3),
+    "negative-pivot": ([[-4, 6], [6, 9]], 2),
+    "zero-leading-column": ([[0, 4, 6], [0, 10, 15]], 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_CASES))
+def test_one_pass_step_branches(name, monkeypatch):
+    m, pairs = STEP_CASES[name]
+    form = check_form(m)
+    nonzero = tuple(d for d in form.diag if d)
+    assert list(nonzero) == minor_gcd_oracle(m)
+    calls = []
+    xgcd = int_linalg._xgcd
+    monkeypatch.setattr(int_linalg, "_xgcd", lambda a, b: calls.append((a, b)) or xgcd(a, b))
+    assert invariant_factors(m) == nonzero
+    assert len(calls) == pairs
+    assert cokernel(m) == (len(m) - len(nonzero), tuple(d for d in nonzero if d > 1))
+    assert kernel_rank(m) == len(m[0]) - len(nonzero)
+
+
+@pytest.mark.parametrize("entry", [1.5, 2.0, True, False, None, "1", Fraction(1)])
+def test_non_integer_entries_raise(entry):
+    # bool is an int subclass, but True and False are flags: they are refused too
+    m = [[entry, 2], [3, 4]]
+    for f in (smith, invariant_factors, rank, cokernel, kernel_rank):
+        with pytest.raises(DomainError, match="integers"):
+            f(m)
+
+
+def test_ragged_matrix_raises():
+    for f in (smith, invariant_factors, rank, cokernel, kernel_rank):
+        with pytest.raises(DomainError, match="ragged"):
+            f([[1, 2], [3]])
 
 
 def dense(rows, cols, seed):
