@@ -10,16 +10,21 @@ the permutations alone, never through ``levels`` or ``d_matrix``.
 
 An element is a permutation of the root list, a tuple with perm[i] the
 index of the image of root i; the positive roots come first, so a root
-index i is positive iff i < |Phi^+|.  Each call refuses, before any
-work, an input whose element count times |Phi| exceeds ORACLE_BUDGET:
-|W^I| in ``coset_reps``, the larger of |W^J| and |Phi^+| in the checks.
+index i is positive iff i < |Phi^+|.  Only the simple reflections come
+from the form; the others are conjugated from them once per type
+(s_gamma = s_j s_{s_j(gamma)} s_j), and both checks read that table.
+Each call refuses, before any work, an input whose element count times
+|Phi| exceeds ORACLE_BUDGET: |W^I| in ``coset_reps``, the larger of
+|W^J| and |Phi^+| in the checks.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from operator import itemgetter, lt, mul
+from functools import lru_cache, partial
+from itertools import compress
+from operator import add, itemgetter, sub
 
 from . import long_root_poset
 from .errors import DomainError
@@ -56,20 +61,42 @@ def _root_index(rs: RootSystem) -> dict:
 
 
 def _reflection_perm(rs: RootSystem, index: dict, gamma) -> tuple[int, ...]:
-    """The permutation of the roots made by the reflection in gamma."""
-    twice = [rs.bilinear(s, gamma) for s in rs.simple_roots]  # 2(alpha_i|gamma)
+    """The permutation of the roots made by the reflection in gamma.  Only the positive v with
+    2(v|gamma) = sum_k v_k 2(alpha_k|gamma) != 0 are looked up; s_gamma(-v) = -s_gamma(v)."""
+    positive = rs.positive_roots
+    npos = len(positive)
+    dots = [0] * npos
+    for k, s in enumerate(rs.simple_roots):
+        if t := rs.bilinear(s, gamma):
+            dots = list(map(add, dots, map(t.__mul__, map(itemgetter(k), positive))))
     norm = rs.bilinear(gamma, gamma)
-    perm = []
-    for i, v in enumerate(rs.roots):
-        c = 2 * sum(map(mul, v, twice)) // norm  # <v, gamma^vee>
-        perm.append(index[tuple(x - c * g for x, g in zip(v, gamma))] if c else i)
-    return tuple(perm)
+    shift = {c: tuple(c * g for g in gamma) for c in (-3, -2, -1, 1, 2, 3)}  # |<v, gamma^vee>| <= 3
+    perm = list(range(npos))
+    for i in compress(range(npos), dots):
+        perm[i] = index[tuple(map(sub, positive[i], shift[2 * dots[i] // norm]))]
+    return tuple(perm + [p + npos if p < npos else p - npos for p in perm])
+
+
+@lru_cache(maxsize=16)  # as the table below: every type a session verifies
+def _simple_reflections(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(partial(_reflection_perm, rs, _root_index(rs)), rs.simple_roots))
 
 
 def _compose(outer: tuple, inner: tuple) -> tuple:
     """Permutation product: result[i] = outer[inner[i]] (every root list has
     at least two entries, so itemgetter returns a tuple)."""
     return itemgetter(*inner)(outer)
+
+
+@lru_cache(maxsize=16)  # holds every type a session verifies in turn
+def _reflection_table(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """s_gamma for each positive root gamma, in ``rs.positive_roots`` order: the simple roots
+    come first, and a later gamma has a lower s_j(gamma), so s_gamma = s_j s_{s_j(gamma)} s_j."""
+    table = list(_simple_reflections(rs)[::-1])  # alpha_n, ..., alpha_1
+    for k in range(rs.rank, len(rs.positive_roots)):
+        s = next(s for s in table[: rs.rank] if s[k] < k)
+        table.append(_compose(s, _compose(table[s[k]], s)))
+    return tuple(table)
 
 
 def _check_budget(rs: RootSystem, elements: int, what: str) -> None:
@@ -86,7 +113,7 @@ def _check_verify_budget(rs: RootSystem) -> int:
     budget (W^J for the levels, Phi^+ for the reflections), so that both
     refuse the same types before any work; returns the long-root count,
     which is |W^J|."""
-    n_long = sum(1 for root in rs.roots if is_long(rs, root))
+    n_long = len(rs._dual_heights)
     _check_budget(rs, max(n_long, len(rs.positive_roots)), "max(|W^J|, |Phi^+|)")
     return n_long
 
@@ -111,11 +138,10 @@ def coset_reps(rs: RootSystem, indices) -> tuple[WeylElement, ...]:
     Every element of W^I is reached this way from the identity.
     """
     _check_budget(rs, _coset_count(rs, indices), "|W^I|")
-    index = _root_index(rs)
     npos = len(rs.positive_roots)
-    simple = [index[s] for s in rs.simple_roots]
+    simple = [rs.roots.index(s) for s in rs.simple_roots]  # the first rank roots
     blocked = {simple[k] for k in indices}
-    gens = [_reflection_perm(rs, index, s) for s in rs.simple_roots]
+    gens = _simple_reflections(rs)
     reps = []
     frontier = [tuple(range(len(rs.roots)))]
     length = 0
@@ -168,7 +194,7 @@ def level_length_failure(rs: RootSystem) -> str | None:
         by_root[image] = w.perm
 
     index = _root_index(rs)
-    reflections: dict = {}
+    table = _reflection_table(rs)
     lv = long_root_poset.levels(rs)
     for i in range(len(lv) - 1):
         mat = long_root_poset.d_matrix(rs, i + 1)
@@ -176,11 +202,8 @@ def level_length_failure(rs: RootSystem) -> str | None:
             for row, alpha in enumerate(lv[i + 1]):
                 gamma = long_root_poset._root_on_line(rs, tuple(b - a for b, a in zip(beta, alpha)))
                 expected = 0
-                if gamma is not None:
-                    if gamma not in reflections:
-                        reflections[gamma] = _reflection_perm(rs, index, gamma)
-                    if _compose(reflections[gamma], by_root[beta]) == by_root[alpha]:
-                        expected = rs.pairing(beta, gamma)
+                if gamma is not None and _compose(table[index[gamma]], by_root[beta]) == by_root[alpha]:
+                    expected = rs.pairing(beta, gamma)
                 if mat[row][col] != expected:
                     return f"({beta}, {alpha}): d_matrix({i + 1}) entry {mat[row][col]}, expected {expected}"
     return None
@@ -195,22 +218,13 @@ def reflection_length_failure(rs: RootSystem) -> str | None:
     """Why a reflection length breaks the height rule, or None.
 
     l(s_b) = 2 ht_coroot(b) - 1 for long b and 2 ht(b) - 1 for short b.
-    l(s_b) is counted as the positive roots g that s_b sends negative:
-    s_b(g) = g - <g, b^vee> b has height ht(g) - <g, b^vee> ht(b).
+    l(s_b) is counted on the group element, s_b from the reflection table
+    (conjugated from the simple reflections): the positive roots it negates.
     """
     _check_verify_budget(rs)
-    positive = rs.positive_roots
-    heights = [height(g) for g in positive]
-    columns = list(zip(*positive))  # column k: coordinate k of every positive root
-    for b, hb in zip(positive, heights):
-        norm = rs.bilinear(b, b)
-        # 2(g|b) = sum_k g_k 2(alpha_k|b), so <g, b^vee> = 2 (g . twice) / norm
-        dots = [0] * len(positive)
-        for column, t in zip(columns, (rs.bilinear(s, b) for s in rs.simple_roots)):
-            if t:
-                dots = [d + t * x for d, x in zip(dots, column)]
-        # s_b(g) < 0  iff  ht(g) norm < 2 (g . twice) ht(b)
-        length = sum(map(lt, (h * norm for h in heights), (2 * hb * d for d in dots)))
+    npos = len(rs.positive_roots)
+    for b, perm in zip(rs.positive_roots, _reflection_table(rs)):
+        length = sum(map(npos.__le__, perm[:npos]))
         expected = 2 * (dual_height(rs, b) if is_long(rs, b) else height(b)) - 1
         if length != expected:
             return f"the reflection in {b} has length {length}, expected {expected}"

@@ -5,7 +5,7 @@ import pytest
 from minorbit import cli, long_root_poset, weyl_oracle
 from minorbit.errors import DomainError
 from minorbit.long_root_poset import level
-from minorbit.root_system import build_from_string, highest_root, is_long
+from minorbit.root_system import build_from_string, height, highest_root, is_long
 from minorbit.weyl_oracle import (
     ORACLE_BUDGET,
     WeylElement,
@@ -15,7 +15,9 @@ from minorbit.weyl_oracle import (
     _coset_count,
     _orthogonal_simple_indices,
     _reflection_perm,
+    _reflection_table,
     _root_index,
+    _simple_reflections,
     coset_reps,
     group_order,
     level_length_failure,
@@ -76,6 +78,26 @@ def filtered_coset_reps(rs, group, indices) -> set[WeylElement]:
     index = _root_index(rs)
     positions = [index[rs.simple_roots[i]] for i in indices]
     return {w for w in group if all(w.perm[p] < npos for p in positions)}
+
+
+def formula_lengths(rs) -> list[int]:
+    """l(s_b) for every positive b by heights alone, with no group element:
+    s_b(g) = g - <g, b^vee> b has height ht(g) - <g, b^vee> ht(b), so s_b
+    sends g negative iff ht(g) norm < 2 dot ht(b), with norm = 2(b|b) and
+    dot = 2(g|b)."""
+    positive = rs.positive_roots
+    heights = [height(g) for g in positive]
+    columns = list(zip(*positive))  # column k: coordinate k of every positive root
+    lengths = []
+    for b, hb in zip(positive, heights):
+        norm = rs.bilinear(b, b)
+        # 2(g|b) = sum_k g_k 2(alpha_k|b), so <g, b^vee> = 2 dot / norm
+        dots = [0] * len(positive)
+        for column, t in zip(columns, (rs.bilinear(s, b) for s in rs.simple_roots)):
+            if t:
+                dots = [d + t * x for d, x in zip(dots, column)]
+        lengths.append(sum(h * norm < 2 * hb * d for h, d in zip(heights, dots)))
+    return lengths
 
 
 def invert(perm: tuple) -> tuple:
@@ -147,6 +169,39 @@ def test_coset_count_closed_form(label):
     assert _coset_count(rs, _orthogonal_simple_indices(rs)) == n_long
 
 
+@pytest.mark.parametrize("label", UP_TO_E6 + ["E7", "E8", "A30", "B20", "C20", "D20"])
+def test_reflection_table(label):
+    # every s_gamma conjugated from the simple reflections equals the one made
+    # from the form, is an involution, negates gamma, and has the length the
+    # height formula counts
+    rs = build_from_string(label)
+    index = _root_index(rs)
+    npos = len(rs.positive_roots)
+    for s in rs.simple_roots:
+        assert _reflection_perm(rs, index, s) == tuple(index[rs.reflect(v, s)] for v in rs.roots)
+    table = _reflection_table(rs)
+    assert len(table) == npos
+    identity = tuple(range(len(rs.roots)))
+    for k, (gamma, s, length) in enumerate(zip(rs.positive_roots, table, formula_lengths(rs))):
+        assert s == _reflection_perm(rs, index, gamma), gamma
+        assert _compose(s, s) == identity
+        assert s[k] == k + npos
+        assert _length_of(s, npos) == length, gamma
+
+
+def test_coset_reps_build_no_table(time_budget):
+    # coset_reps needs the simple reflections only; the table of every s_gamma
+    # would be |Phi^+| |Phi| = 49,005,000 entries at A99
+    a99 = build_from_string("A99")
+    _simple_reflections.cache_clear()
+    before = _reflection_table.cache_info()
+    with time_budget(1.0):
+        reps = coset_reps(a99, tuple(range(1, 99)))
+    assert len(reps) == 100 == _coset_count(a99, tuple(range(1, 99)))
+    assert [w.length for w in reps] == list(range(100))
+    assert _reflection_table.cache_info() == before
+
+
 def test_budget_at_its_boundary(time_budget):
     # verify walks max(|W^J|, |Phi^+|) elements times |Phi| roots.  A_n:
     # |W^J| = |Phi| = n(n+1); C_n: |W^J| = 2n < |Phi^+| = n^2, |Phi| = 2n^2.
@@ -157,11 +212,14 @@ def test_budget_at_its_boundary(time_budget):
         rs = build_from_string(label)
         assert _check_verify_budget(rs) == _coset_count(rs, _orthogonal_simple_indices(rs))
         assert max(_coset_count(rs, _orthogonal_simple_indices(rs)), len(rs.positive_roots)) == count
+    tables, simple = _reflection_table.cache_info(), _simple_reflections.cache_info()
     for label in (f"A{last_a + 1}", f"C{last_c + 1}"):
         rs = build_from_string(label)
         for check in (verify_level_length, verify_reflection_length):
             with time_budget(1.0), pytest.raises(DomainError, match="over the budget"):
                 check(rs)
+    # refused before any work: no reflection was made
+    assert (_reflection_table.cache_info(), _simple_reflections.cache_info()) == (tables, simple)
     # the whole of W(E6) is admitted, so the oracle above can be compared with it
     e6 = build_from_string("E6")
     _check_budget(e6, group_order(e6), "|W|")
