@@ -152,10 +152,10 @@ def render_decomp(obj: dict, args) -> str:
 
 
 def cmd_springer_gln(args) -> dict:
-    from .gln_springer import is_ell_regular, partitions_of, psi, springer_image
+    from .gln_springer import _regular, partitions_of, psi, springer_image
 
     image = springer_image(args.n, args.ell)
-    regular = [p for p in partitions_of(args.n) if is_ell_regular(p, args.ell)]
+    regular = [p for p in partitions_of(args.n) if _regular(p, args.ell)]
     return {
         "n": args.n,
         "ell": args.ell,

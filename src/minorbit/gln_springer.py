@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice
 
 from .errors import DomainError, InvariantFailureError
 from .int_linalg import is_prime
@@ -114,11 +114,10 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
 
 
 def conjugate(p: Partition) -> Partition:
-    """Transpose of the Young diagram."""
+    """Transpose of the Young diagram: p_i - p_{i+1} parts equal to i."""
     _validate(p)
-    if not p:
-        return ()
-    return tuple(sum(1 for x in p if x > i) for i in range(p[0]))
+    q = p + (0,)
+    return tuple(i for i in range(len(p), 0, -1) for _ in range(q[i - 1] - q[i]))
 
 
 def dominance_le(mu: Partition, lam: Partition) -> bool:
@@ -127,26 +126,33 @@ def dominance_le(mu: Partition, lam: Partition) -> bool:
     _validate(lam)
     if sum(mu) != sum(lam):
         raise DomainError("dominance compares partitions of the same integer")
-    total_mu = total_lam = 0
-    for i in range(max(len(mu), len(lam))):
-        total_mu += mu[i] if i < len(mu) else 0
-        total_lam += lam[i] if i < len(lam) else 0
-        if total_mu > total_lam:
-            return False
-    return True
+    # zip stops at the shorter one's last part, where its sum n settles the rest
+    return all(a <= b for a, b in zip(accumulate(mu), accumulate(lam)))
+
+
+def _regular(p: Partition, ell: int) -> bool:
+    return all(a != b for a, b in zip(p, p[ell - 1 :]))
+
+
+def _restricted(p: Partition, ell: int) -> bool:
+    return all(a - b < ell for a, b in zip(p, p[1:] + (0,)))
 
 
 def is_ell_regular(p: Partition, ell: int) -> bool:
-    """No part repeated ell times or more."""
+    """No part repeated ell times or more: no ell consecutive parts equal."""
     _validate(p)
     if ell < 2:
         raise DomainError("ell must be at least 2")
-    return all(p.count(x) < ell for x in set(p))
+    return _regular(p, ell)
 
 
 def is_ell_restricted(p: Partition, ell: int) -> bool:
-    """Conjugate is ell-regular."""
-    return is_ell_regular(conjugate(p), ell)
+    """Conjugate is ell-regular: every step down p_i - p_{i+1} (a 0 read
+    after the last part) is below ell, by the rule in ``conjugate``."""
+    _validate(p)
+    if ell < 2:
+        raise DomainError("ell must be at least 2")
+    return _restricted(p, ell)
 
 
 def springer_image(n: int, ell: int) -> tuple[Partition, ...]:
@@ -155,7 +161,7 @@ def springer_image(n: int, ell: int) -> tuple[Partition, ...]:
         raise DomainError("springer_image needs n >= 1")
     if not is_prime(ell):
         raise DomainError(f"{ell} is not prime")
-    return tuple(p for p in partitions_of(n) if is_ell_restricted(p, ell))
+    return tuple(p for p in partitions_of(n) if _restricted(p, ell))
 
 
 def psi(mu: Partition, ell: int) -> Partition:

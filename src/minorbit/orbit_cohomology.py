@@ -2,10 +2,11 @@
 
 The Gysin sequence of the C*-bundle resolving the orbit closure breaks the
 cohomology into cokernels (even degrees) and kernels (odd degrees) of the
-level-raising matrices of the long-root poset.  Everything else here is
-bookkeeping around that: the closed-form alternative in type A, the cone
-over a smooth projective curve, and cross-checks (middle group from the
-lattice, bad-prime locality, the rational half).
+level-raising matrices of the long-root poset.  Matrix d - i is the
+transpose of matrix i, so one Smith form per transposed pair serves four
+degrees.  The rest is bookkeeping: the closed-form alternative in type A,
+the cone over a smooth projective curve, and cross-checks (middle group
+from the lattice, bad-prime locality, the rational half).
 """
 
 from __future__ import annotations
@@ -80,10 +81,10 @@ class OrbitCohomology(namedtuple("OrbitCohomology", "type_label d h_dual table")
 def minimal_orbit_cohomology(rs: RootSystem) -> OrbitCohomology:
     """H^*(minimal orbit, Z) over degrees 0 .. 2d-1, d = 2 h_dual - 2.
 
-    Matrix i (level i-1 to level i) gives both the cokernel in degree 2i
-    and the kernel rank in degree 2i-1, so one Smith form per matrix
-    serves both.
-    """
+    Matrix i (level i-1 to level i) gives the cokernel in degree 2i and the
+    kernel rank in degree 2i-1; its transpose, matrix d-i, gives degrees
+    2(d-i) and 2(d-i)-1 with rows and columns swapped.  One Smith form per
+    transposed pair serves all four; only matrices i <= h_dual-1 are built."""
     lv = long_root_poset.levels(rs)
     d = long_root_poset.dimension(rs)
     # the map into level 0 and the map out of the last level are zero
@@ -91,11 +92,13 @@ def minimal_orbit_cohomology(rs: RootSystem) -> OrbitCohomology:
         0: (len(lv[0]), ()),
         2 * d - 1: (len(lv[d - 1]), ()),
     }
-    for i in range(1, d):
+    for i in range(1, rs.h_dual):
         matrix = long_root_poset.d_matrix(rs, i)
         factors = invariant_factors(matrix)
-        entries[2 * i] = (len(matrix) - len(factors), tuple(x for x in factors if x > 1))
-        entries[2 * i - 1] = (len(matrix[0]) - len(factors), ())
+        torsion = tuple(x for x in factors if x > 1)
+        rows, cols = len(matrix) - len(factors), len(matrix[0]) - len(factors)
+        entries[2 * i], entries[2 * i - 1] = (rows, torsion), (cols, ())
+        entries[2 * (d - i)], entries[2 * (d - i) - 1] = (cols, torsion), (rows, ())
     return OrbitCohomology(rs.type_label, d, rs.h_dual, GradedAbelianGroup(entries))
 
 

@@ -8,6 +8,7 @@ from minorbit.cli import main
 from minorbit.errors import DomainError
 from minorbit.gln_springer import (
     PARTITION_BUDGET,
+    _regular,
     adjacent_in_dominance,
     conjugate,
     decomp_adjacent,
@@ -24,6 +25,7 @@ from minorbit.gln_springer import (
     row_column_reduce,
     springer_image,
 )
+from minorbit.int_linalg import is_prime
 
 PRIMES = [2, 3, 5, 7]
 
@@ -68,12 +70,24 @@ def test_dominance():
         dominance_le((2,), (1, 1, 1))
 
 
+def dominance_by_running_sums(mu, lam):
+    """The reference: running sums over the longer length, parts past the end read as 0."""
+    total_mu = total_lam = 0
+    for i in range(max(len(mu), len(lam))):
+        total_mu += mu[i] if i < len(mu) else 0
+        total_lam += lam[i] if i < len(lam) else 0
+        if total_mu > total_lam:
+            return False
+    return True
+
+
 def test_dominance_minimum_and_antitone():
     for n in range(1, 9):
         for lam in partitions_of(n):
             assert dominance_le((1,) * n, lam)
             for mu in partitions_of(n):
                 assert dominance_le(mu, lam) == dominance_le(conjugate(lam), conjugate(mu))
+                assert dominance_le(mu, lam) == dominance_by_running_sums(mu, lam), (mu, lam)
 
 
 def test_regular_restricted():
@@ -89,6 +103,59 @@ def test_regular_restricted():
             padded = p + (0,)
             diffs_ok = all(padded[i] - padded[i + 1] <= 1 for i in range(len(p)))
             assert is_ell_restricted(p, 2) == diffs_ok
+
+
+def conjugate_by_counts(p):
+    """The reference transpose: column i has as many boxes as parts above i."""
+    return tuple(sum(1 for x in p if x > i) for i in range(p[0])) if p else ()
+
+
+def regular_by_counts(p, ell):
+    """The reference rule: no part occurs ell times or more."""
+    return all(p.count(x) < ell for x in set(p))
+
+
+def restricted_by_counts(p, ell):
+    """The reference rule: the conjugate is ell-regular."""
+    return regular_by_counts(conjugate_by_counts(p), ell)
+
+
+def test_gap_and_run_rules_match_the_conjugate_counts():
+    for n in range(1, 31):
+        above_n = next(q for q in itertools.count(n + 1) if is_prime(q))
+        ells = (2, 3, 5, 7, 11, 13, 31, above_n)
+        parts = partitions_of(n)
+        conjugates = [conjugate_by_counts(p) for p in parts]
+        assert [conjugate(p) for p in parts] == conjugates, n
+        for ell in ells:
+            restricted = [regular_by_counts(c, ell) for c in conjugates]
+            regular = [regular_by_counts(p, ell) for p in parts]
+            assert springer_image(n, ell) == tuple(p for p, r in zip(parts, restricted) if r), (n, ell)
+            assert [is_ell_restricted(p, ell) for p in parts] == restricted, (n, ell)
+            assert [is_ell_regular(p, ell) for p in parts] == regular, (n, ell)
+            assert [_regular(p, ell) for p in parts] == regular, (n, ell)
+
+
+@pytest.mark.parametrize("check", [is_ell_regular, is_ell_restricted])
+def test_ell_rules_refuse_ell_below_2_and_non_partitions(check):
+    for ell in (1, 0, -3):
+        with pytest.raises(DomainError, match="ell must be at least 2"):
+            check((2, 1), ell)
+    for bad in [(1, 2), (3, 0), (2, -1), (1, 1, 2)]:
+        with pytest.raises(DomainError, match="partition parts"):
+            check(bad, 2)
+
+
+def test_gap_and_run_rules_at_n45(time_budget):
+    # p(45) = 89134 partitions, the most the budget admits; enumerated first
+    parts = partitions_of(45)
+    for ell in (2, 3, 7):
+        with time_budget(1.0):
+            image = springer_image(45, ell)
+        with time_budget(1.0):
+            regular = [p for p in parts if _regular(p, ell)]
+        # conjugation is a bijection from the ell-restricted onto the ell-regular
+        assert len(image) == len(regular)
 
 
 def test_springer_image_small():

@@ -1,9 +1,10 @@
 import pytest
 
 from golden_data import COHOMOLOGY
+from minorbit import long_root_poset, orbit_cohomology
 from minorbit.errors import DomainError, InvariantFailureError
-from minorbit.int_linalg import cokernel, kernel_rank
-from minorbit.long_root_poset import levels
+from minorbit.int_linalg import cokernel, invariant_factors, kernel_rank
+from minorbit.long_root_poset import d_matrix, levels
 from minorbit.orbit_cohomology import (
     GradedAbelianGroup,
     bad_torsion_report,
@@ -119,6 +120,38 @@ def test_odd_degrees_free_and_vanishing_low(rs):
         if n % 2:
             assert torsion == ()
             assert n > oc.d - 1
+
+
+def cohomology_all_matrices(rs):
+    """The reference: one Smith form for each of the d - 1 boundary matrices."""
+    lv = levels(rs)
+    d = 2 * rs.h_dual - 2
+    entries = {0: (len(lv[0]), ()), 2 * d - 1: (len(lv[d - 1]), ())}
+    for i in range(1, d):
+        matrix = d_matrix(rs, i)
+        factors = invariant_factors(matrix)
+        entries[2 * i] = (len(matrix) - len(factors), tuple(x for x in factors if x > 1))
+        entries[2 * i - 1] = (len(matrix[0]) - len(factors), ())
+    return GradedAbelianGroup(entries)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES + ["A30", "B20", "C20", "D20"])
+def test_cohomology_equals_the_all_matrices_loop(name):
+    rs = build_from_string(name)
+    assert minimal_orbit_cohomology(rs).table == cohomology_all_matrices(rs)
+
+
+@pytest.mark.parametrize("name", ["E8", "B5"])
+def test_one_smith_form_per_transposed_pair(name, monkeypatch):
+    rs = build_from_string(name)
+    factored, requested = [], []
+    real_factors, real_d_matrix = orbit_cohomology.invariant_factors, long_root_poset.d_matrix
+    monkeypatch.setattr(orbit_cohomology, "invariant_factors", lambda m: factored.append(m) or real_factors(m))
+    monkeypatch.setattr(long_root_poset, "d_matrix", lambda r, i: requested.append(i) or real_d_matrix(r, i))
+    minimal_orbit_cohomology(rs)
+    assert len(factored) == rs.h_dual - 1
+    # nothing above the middle matrix, i = h_dual - 1, is asked for
+    assert sorted(requested) == list(range(1, rs.h_dual))
 
 
 def test_middle_cross_method(rs):
