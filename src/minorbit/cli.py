@@ -152,7 +152,7 @@ def render_decomp(obj: dict, args) -> str:
 
 
 def cmd_springer_gln(args) -> dict:
-    from .gln_springer import _regular, partitions_of, psi, springer_image
+    from .gln_springer import _conjugate, _regular, partitions_of, springer_image
 
     image = springer_image(args.n, args.ell)
     regular = [p for p in partitions_of(args.n) if _regular(p, args.ell)]
@@ -160,7 +160,7 @@ def cmd_springer_gln(args) -> dict:
         "n": args.n,
         "ell": args.ell,
         "image": [list(p) for p in image],
-        "map": [{"regular": list(mu), "orbit": list(psi(mu, args.ell))} for mu in regular],
+        "map": [{"regular": list(mu), "orbit": list(_conjugate(mu))} for mu in regular],
     }
 
 

@@ -113,11 +113,15 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(gen(n, n))
 
 
-def conjugate(p: Partition) -> Partition:
+def _conjugate(p: Partition) -> Partition:
     """Transpose of the Young diagram: p_i - p_{i+1} parts equal to i."""
-    _validate(p)
     q = p + (0,)
     return tuple(i for i in range(len(p), 0, -1) for _ in range(q[i - 1] - q[i]))
+
+
+def conjugate(p: Partition) -> Partition:
+    """Transpose of the Young diagram of a partition, validated first."""
+    return _conjugate(_validate(p))
 
 
 def dominance_le(mu: Partition, lam: Partition) -> bool:
@@ -168,7 +172,7 @@ def psi(mu: Partition, ell: int) -> Partition:
     """Orbit attached to the simple module labelled by an ell-regular mu."""
     if not is_ell_regular(mu, ell):
         raise DomainError(f"{mu} is not {ell}-regular, no simple module attached")
-    return conjugate(mu)
+    return _conjugate(mu)
 
 
 def row_column_reduce(lam: Partition, mu: Partition) -> tuple[Partition, Partition]:
@@ -190,7 +194,7 @@ def row_column_reduce(lam: Partition, mu: Partition) -> tuple[Partition, Partiti
             r += 1
         if r:
             lam, mu = lam[r:], mu[r:]
-        lam_c, mu_c = conjugate(lam), conjugate(mu)
+        lam_c, mu_c = _conjugate(lam), _conjugate(mu)
         s = 0
         while s < min(len(lam_c), len(mu_c)) and lam_c[s] == mu_c[s]:
             s += 1

@@ -1,10 +1,13 @@
 """Irreducible reduced root systems with all derived combinatorial data.
 
-Roots are integer coordinate vectors over the simple-root basis.  The
-simple-root numbering follows the usual Dynkin-diagram conventions (the
-branch node of E-types is vertex 4, the short roots of B/F sit at the
-high-numbered end, G2 has the long root first), so the coordinate strings
-n_1...n_rank match the standard published diagrams.
+Roots are integer coordinate vectors over the simple-root basis.  A type
+is its Dynkin diagram: the bonds between simple roots and the squared
+length of each simple root (short = 1).  A bond's Cartan entry
+<alpha_i, alpha_j^vee> is -(|alpha_i|^2 // |alpha_j|^2 or 1): -2 or -3
+from the long root to the short one, else -1.  The numbering follows the
+usual conventions (E's branch node is vertex 4, the short roots of B/F
+sit at the high end, G2 has the long root first), so the coordinate
+strings n_1...n_rank match the standard published diagrams.
 """
 
 from __future__ import annotations
@@ -38,6 +41,17 @@ _COXETER_NUMBER = {
     "G": lambda n: 6,
 }
 
+# Squared length of each simple root, short roots = 1.
+_SIMPLE_LENGTHS = {
+    "A": lambda n: [1] * n,
+    "B": lambda n: [2] * (n - 1) + [1],
+    "C": lambda n: [1] * (n - 1) + [2],
+    "D": lambda n: [1] * n,
+    "E": lambda n: [1] * n,
+    "F": lambda n: [2, 2, 1, 1],
+    "G": lambda n: [3, 1],
+}
+
 # No Cartan matrix, and so no root system, is made for a type with more
 # roots than this: the closure grows about as rank^3 in the classical series.
 ROOT_BUDGET = 10_000
@@ -51,6 +65,8 @@ class TypeLabel(namedtuple("TypeLabel", "series rank")):
     def __new__(cls, series: str, rank: int):
         if series not in _RANK_CONSTRAINTS:
             raise InvalidTypeError(f"unknown series {series!r}")
+        if type(rank) is not int:
+            raise InvalidTypeError(f"rank must be an int, got {rank!r}")
         if not _RANK_CONSTRAINTS[series](rank):
             raise InvalidTypeError(f"rank {rank} invalid for series {series}")
         return super().__new__(cls, series, rank)
@@ -67,16 +83,18 @@ def parse_type(text: str) -> TypeLabel:
     return TypeLabel(m.group(1).upper(), int(m.group(2)))
 
 
-def _chain_cartan(n: int) -> list[list[int]]:
-    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n - 1):
-        c[i][i + 1] = c[i + 1][i] = -1
-    return c
+def _bonds(s: str, n: int) -> list[tuple[int, int]]:
+    """The diagram's bonds, 0-based: a chain but for D's fork and E's branch."""
+    if s == "D":
+        return [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]
+    if s == "E":
+        return [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, n - 1)]
+    return [(i, i + 1) for i in range(n - 1)]
 
 
 def cartan_matrix(label: TypeLabel) -> list[list[int]]:
     """Cartan matrix with entries <alpha_i, alpha_j^vee>."""
-    return [list(row) for row in _cartan_and_lengths(label)[0]]
+    return _cartan_and_lengths(label)[0]
 
 
 def _cartan_and_lengths(label: TypeLabel) -> tuple[list[list[int]], list[int], int, int]:
@@ -87,45 +105,16 @@ def _cartan_and_lengths(label: TypeLabel) -> tuple[list[list[int]], list[int], i
     Refuses, before making the matrix, a type with more than ROOT_BUDGET
     roots (rank * h in closed form).
     """
-    s, n = label.series, label.rank
+    s, n = label
     h = _COXETER_NUMBER[s](n)
     if n * h > ROOT_BUDGET:
         raise DomainError(f"{label} has {n * h} roots, over the budget of {ROOT_BUDGET}")
-    if s == "A":
-        return _chain_cartan(n), [1] * n, 1, h
-    if s == "B":
-        c = _chain_cartan(n)
-        c[n - 2][n - 1] = -2  # alpha_{n-1} long, alpha_n short
-        return c, [2] * (n - 1) + [1], 2, h
-    if s == "C":
-        c = _chain_cartan(n)
-        c[n - 1][n - 2] = -2  # alpha_n long, the rest short
-        return c, [1] * (n - 1) + [2], 2, h
-    if s == "D":
-        c = _chain_cartan(n - 1)
-        for row in c:
-            row.append(0)
-        c.append([0] * n)
-        c[n - 1][n - 1] = 2
-        c[n - 2][n - 1] = c[n - 1][n - 2] = 0
-        c[n - 3][n - 1] = c[n - 1][n - 3] = -1  # fork tips n-1, n on vertex n-2
-        return c, [1] * n, 1, h
-    if s == "E":
-        c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-        bonds = [(1, 3), (3, 4), (4, 5), (5, 6), (2, 4)]
-        if n >= 7:
-            bonds.append((6, 7))
-        if n == 8:
-            bonds.append((7, 8))
-        for i, j in bonds:
-            c[i - 1][j - 1] = c[j - 1][i - 1] = -1
-        return c, [1] * n, 1, h
-    if s == "F":
-        c = _chain_cartan(4)
-        c[1][2] = -2  # alpha_1, alpha_2 long; alpha_3, alpha_4 short
-        return c, [2, 2, 1, 1], 2, h
-    # G2: alpha_1 long, alpha_2 short, triple bond
-    return [[2, -3], [-1, 2]], [3, 1], 3, h
+    lengths = _SIMPLE_LENGTHS[s](n)
+    c = [[0] * i + [2] + [0] * (n - 1 - i) for i in range(n)]
+    for i, j in _bonds(s, n):
+        c[i][j] = -(lengths[i] // lengths[j] or 1)
+        c[j][i] = -(lengths[j] // lengths[i] or 1)
+    return c, lengths, max(lengths), h
 
 
 class RootSystem:
@@ -215,7 +204,7 @@ def build(label: TypeLabel) -> RootSystem:
     # only when p[j] != 0, and row j of the Cartan matrix updates p in O(n).
     seen: set[Root] = set(simple)
     frontier = [(root, tuple(cartan[i])) for i, root in enumerate(simple)]
-    while frontier:
+    while frontier and len(seen) <= n * h:  # a wrong matrix could give infinitely many roots
         nxt: list[tuple[Root, tuple[int, ...]]] = []
         for root, pairings in frontier:
             for j, c in enumerate(pairings):
@@ -296,21 +285,20 @@ def dual_height(rs: RootSystem, root: Root) -> int:
     return dh
 
 
+def _check_indices(rs: RootSystem, indices) -> None:
+    for i in indices:
+        if type(i) is not int or not 0 <= i < rs.rank:
+            raise DomainError(f"{i!r} is not a simple-root index of {rs.type_label}")
+
+
 def cartan_of_subset(rs: RootSystem, indices: tuple[int, ...] | list[int]) -> list[list[int]]:
     """Principal submatrix of the Cartan matrix on a vertex subset."""
-    for i in indices:
-        if not 0 <= i < rs.rank:
-            raise DomainError(f"index {i} out of range")
+    _check_indices(rs, indices)
     return [[rs.cartan[i][j] for j in indices] for i in indices]
 
 
 def long_simple_subsystem(rs: RootSystem) -> TypeLabel:
-    """Type of the root subsystem generated by the long simple roots."""
-    s, n = rs.type_label
-    if s == "B":
-        return TypeLabel("A", n - 1)
-    if s in ("C", "G"):
-        return TypeLabel("A", 1)
-    if s == "F":
-        return TypeLabel("A", 2)
-    return rs.type_label
+    """Type of the root subsystem generated by the long simple roots: the type
+    itself when all are long, else A_k (in B, C, F, G they form a chain)."""
+    k = len(rs.long_simple_indices)
+    return rs.type_label if k == rs.rank else TypeLabel("A", k)

@@ -28,7 +28,7 @@ from operator import add, itemgetter, sub
 
 from . import long_root_poset
 from .errors import DomainError
-from .root_system import RootSystem, dual_height, height, highest_root, is_long
+from .root_system import RootSystem, _check_indices, dual_height, height, highest_root, is_long
 
 # Largest |W^I| * |Phi| an oracle call works on: W(E6) whole is 3,732,480;
 # verify admits A44, B31, C37, D32 and every exceptional type.
@@ -137,6 +137,7 @@ def coset_reps(rs: RootSystem, indices) -> tuple[WeylElement, ...]:
     because s_j makes only alpha_j negative among the positive roots.
     Every element of W^I is reached this way from the identity.
     """
+    _check_indices(rs, indices)
     _check_budget(rs, _coset_count(rs, indices), "|W^I|")
     npos = len(rs.positive_roots)
     simple = [rs.roots.index(s) for s in rs.simple_roots]  # the first rank roots

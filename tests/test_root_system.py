@@ -8,6 +8,7 @@ from minorbit.root_system import (
     ROOT_BUDGET,
     RootSystem,
     TypeLabel,
+    _cartan_and_lengths,
     build,
     build_from_string,
     cartan_matrix,
@@ -22,6 +23,7 @@ from minorbit.root_system import (
 
 # closed-form Coxeter numbers of the classical series
 COXETER = {"A": lambda n: n + 1, "B": lambda n: 2 * n, "C": lambda n: 2 * n, "D": lambda n: 2 * n - 2}
+FIRST_RANK = {"A": 1, "B": 2, "C": 2, "D": 4}
 CLOSURE_TYPES = (
     [f"A{n}" for n in range(1, 41)]
     + [f"B{n}" for n in range(2, 31)]
@@ -173,8 +175,16 @@ def test_cartan_of_subset():
     assert cartan_of_subset(f4, f4.long_simple_indices) == [[2, -1], [-1, 2]]
     cn = build_from_string("C5")
     assert cartan_of_subset(cn, cn.long_simple_indices) == [[2]]
-    with pytest.raises(DomainError):
-        cartan_of_subset(f4, [9])
+    for bad in ([9], [-1], [True]):
+        with pytest.raises(DomainError, match="is not a simple-root index of F4"):
+            cartan_of_subset(f4, bad)
+
+
+def test_type_label_rank_must_be_an_int():
+    # the same rule as matrix entries: type int exactly, so no bool
+    for series, rank in [("A", True), ("A", False), ("E", 6.0), ("B", "3"), ("G", None)]:
+        with pytest.raises(InvalidTypeError, match="rank must be an int"):
+            TypeLabel(series, rank)
 
 
 def test_long_simple_subsystem():
@@ -186,10 +196,29 @@ def test_long_simple_subsystem():
         assert str(long_simple_subsystem(build_from_string(label))) == expected
 
 
+def long_simple_by_hand(label: TypeLabel) -> TypeLabel:
+    """The per-series table the module kept before reading the long simple roots."""
+    s, n = label
+    if s == "B":
+        return TypeLabel("A", n - 1)
+    if s in ("C", "G"):
+        return TypeLabel("A", 1)
+    if s == "F":
+        return TypeLabel("A", 2)
+    return label
+
+
 @pytest.mark.parametrize("name", CLOSURE_TYPES + ["E6", "E7", "E8", "F4", "G2"])
 def test_long_simple_subsystem_is_the_long_simple_diagram(name):
     rs = build_from_string(name)
     assert cartan_matrix(long_simple_subsystem(rs)) == cartan_of_subset(rs, rs.long_simple_indices)
+
+
+def test_long_simple_subsystem_equals_the_table_up_to_rank_20():
+    labels = [TypeLabel(s, n) for s, low in FIRST_RANK.items() for n in range(low, 21)]
+    labels += [TypeLabel("E", n) for n in (6, 7, 8)] + [TypeLabel("F", 4), TypeLabel("G", 2)]
+    for label in labels:
+        assert long_simple_subsystem(build(label)) == long_simple_by_hand(label), label
 
 
 def test_connection_index(rs):
@@ -275,7 +304,7 @@ def test_equality_and_hash_read_the_label_only():
 
 def last_admitted_rank(series: str) -> int:
     """Largest rank whose closed-form root count rank * h fits the budget."""
-    n = {"A": 1, "B": 2, "C": 2, "D": 4}[series]
+    n = FIRST_RANK[series]
     while (n + 1) * COXETER[series](n + 1) <= ROOT_BUDGET:
         n += 1
     return n
@@ -303,3 +332,62 @@ def test_cartan_matrix_budget_at_its_boundary():
     assert len(cartan_matrix(TypeLabel("A", n))) == n
     with pytest.raises(DomainError, match=f"A{n + 1} has {(n + 1) * (n + 2)} roots, over the budget"):
         cartan_matrix(TypeLabel("A", n + 1))
+
+
+def chain_cartan(n: int) -> list[list[int]]:
+    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n - 1):
+        c[i][i + 1] = c[i + 1][i] = -1
+    return c
+
+
+def cartan_by_hand(label: TypeLabel) -> tuple[list[list[int]], list[int], int]:
+    """(cartan, squared simple lengths, r) placed entry by entry per series,
+    the way the module built them before deriving them from the bonds."""
+    s, n = label
+    if s == "A":
+        return chain_cartan(n), [1] * n, 1
+    if s == "B":
+        c = chain_cartan(n)
+        c[n - 2][n - 1] = -2  # alpha_{n-1} long, alpha_n short
+        return c, [2] * (n - 1) + [1], 2
+    if s == "C":
+        c = chain_cartan(n)
+        c[n - 1][n - 2] = -2  # alpha_n long, the rest short
+        return c, [1] * (n - 1) + [2], 2
+    if s == "D":
+        c = chain_cartan(n - 1)
+        for row in c:
+            row.append(0)
+        c.append([0] * n)
+        c[n - 1][n - 1] = 2
+        c[n - 2][n - 1] = c[n - 1][n - 2] = 0
+        c[n - 3][n - 1] = c[n - 1][n - 3] = -1  # fork tips n-1, n on vertex n-2
+        return c, [1] * n, 1
+    if s == "E":
+        c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        bonds = [(1, 3), (3, 4), (4, 5), (5, 6), (2, 4)]
+        if n >= 7:
+            bonds.append((6, 7))
+        if n == 8:
+            bonds.append((7, 8))
+        for i, j in bonds:
+            c[i - 1][j - 1] = c[j - 1][i - 1] = -1
+        return c, [1] * n, 1
+    if s == "F":
+        c = chain_cartan(4)
+        c[1][2] = -2  # alpha_1, alpha_2 long; alpha_3, alpha_4 short
+        return c, [2, 2, 1, 1], 2
+    # G2: alpha_1 long, alpha_2 short, triple bond
+    return [[2, -3], [-1, 2]], [3, 1], 3
+
+
+def test_the_diagram_gives_the_hand_placed_cartan_on_every_admitted_type():
+    # every type the root budget admits; no closure is made, so this is cheap
+    labels = [TypeLabel(s, n) for s in "ABCD" for n in range(FIRST_RANK[s], last_admitted_rank(s) + 1)]
+    labels += [TypeLabel("E", n) for n in (6, 7, 8)] + [TypeLabel("F", 4), TypeLabel("G", 2)]
+    assert len(labels) == 310 and labels[98] == TypeLabel("A", 99) and labels[-6] == TypeLabel("D", 71)
+    for label in labels:
+        cartan, lengths, r, h = _cartan_and_lengths(label)
+        assert (cartan, lengths, r) == cartan_by_hand(label), label
+        assert h == max(published_degrees(label)), label

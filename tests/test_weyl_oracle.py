@@ -407,3 +407,11 @@ def test_invert():
     rs = build_from_string("B2")
     for w in coset_reps(rs, ()):
         assert _compose(w.perm, invert(w.perm)) == tuple(range(len(rs.roots)))
+
+
+@pytest.mark.parametrize("indices", [[9], [-1], [0, 3], [True], [1.0], ["a"]])
+def test_coset_reps_refuses_an_index_outside_the_diagram(indices):
+    # -1 is not read as the last simple root, nor True as the second: the
+    # check comes before the coset count and the budget
+    with pytest.raises(DomainError, match=rf"^{indices[-1]!r} is not a simple-root index of A3$"):
+        coset_reps(build_from_string("A3"), indices)
