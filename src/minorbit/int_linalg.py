@@ -6,20 +6,27 @@ entry that is not an ``int`` (bools included) raises DomainError.  Inputs
 are only read, so a tuple of tuples serves as well.  A matrix with zero
 columns is written ``[[], [], ...]``; a 0x0 matrix is ``[]``.
 
-One elimination kernel serves all: ``smith`` runs it with both transforms,
-``invariant_factors`` (so ``rank``, ``cokernel``, ``kernel_rank``) without.
-Each step clears the pivot's column and row in one pass, by extended-gcd
-pairs where the pivot does not divide.  Once an entry exceeds the input's
-Hadamard bound, a Bareiss pass gives the rank r and M = |a nonzero r x r
-minor|, and trailing entries are kept as symmetric residues mod M (Domich,
-Kannan and Trotter, Math. Oper. Res. 12, 1987).  That yields the Smith
-form of [A | M*I], d_1, ..., d_r, M, ..., M, as each d_i divides M; so the
-chain of gcd(x, M) over the diagonal starts with the exact d_1, ..., d_r.
-Sparse inputs (boundary matrices) never grow so far.
+Two independent Smith algorithms share only the gcd step and the final
+divisibility chain.  ``invariant_factors`` (so ``cokernel``) runs a
+transform-free elimination: each step clears the pivot's column and row in
+one pass, by extended-gcd pairs where the pivot does not divide.  Once an
+entry exceeds the input's Hadamard bound, a fraction-free Bareiss pass over
+the input (all that ``rank`` and ``kernel_rank`` run) gives the rank r and
+M = |a nonzero r x r minor|, and trailing entries are kept as symmetric
+residues mod M (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987).
+That yields the Smith form of [A | M*I], d_1, ..., d_r, M, ..., M, as each
+d_i divides M; so the chain of gcd(x, M) over the diagonal starts with the
+exact d_1, ..., d_r.
+Sparse inputs (boundary matrices) never grow so far.  ``smith``, which
+keeps U and V, alternates row Hermite passes on A and on its transpose
+instead, every entry reduced modulo a pivot, so the transforms stay bounded.
+Without transforms those passes take two to three times as long as the
+elimination on boundary matrices, so each algorithm keeps its own loop.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import namedtuple
 from itertools import chain
@@ -51,16 +58,16 @@ class SmithForm(namedtuple("SmithForm", "left diag right")):
     __slots__ = ()
 
 
-def _find_pivot(a: Matrix, t: int, n: int) -> tuple[int, int] | None:
+def _find_pivot(a: Matrix, t: int) -> tuple[int, int] | None:
     """Smallest nonzero |entry| in the trailing block, ties broken row-major."""
     v, i = 0, 0
     for k in range(t, len(a)):
-        w = min(filter(None, map(abs, a[k][t:n])), default=0)
+        w = min(filter(None, map(abs, a[k][t:])), default=0)
         if w and (w < v or not v):
             v, i = w, k
             if w == 1:
                 break
-    return (i, t + list(map(abs, a[i][t:n])).index(v)) if v else None
+    return (i, t + list(map(abs, a[i][t:])).index(v)) if v else None
 
 
 def _bareiss(matrix: Matrix) -> tuple[int, int]:
@@ -76,28 +83,25 @@ def _bareiss(matrix: Matrix) -> tuple[int, int]:
     return r, abs(prev)
 
 
-def _eliminate(matrix: Matrix, vt: Matrix | None = None) -> tuple[Matrix, list[int], int, int]:
-    """Diagonalise a copy of matrix; returns (a, diagonal, modulus, rank).
+def _eliminate(matrix: Matrix) -> tuple[list[int], int, int]:
+    """Diagonalise a copy of matrix; returns (diagonal, modulus, rank).
 
     Move the smallest entry p to (t, t); clear its column, then its row, in one
     pass each.  A multiple x of p is subtracted away, any other x cleared by the
     pair [[s, c], [-x/g, p/g]] of determinant 1, with g = s*p + c*x = gcd(p, x)
     the new pivot; a column pair refills column t, cleared again (|p| shrinks).
-    Given vt (V transposed), column operations act on its rows; U rides in a past n.
     """
     m, n = _shape(matrix)
     a = [list(row) for row in matrix]
-    if vt is not None:
-        a, bound = [row + e for row, e in zip(a, identity(m))], None
-    else:  # Hadamard bound: the product of the row norms exceeds every minor
-        bound = math.isqrt(math.prod(sum(map(mul, row, row)) or 1 for row in a)) + 1
+    # Hadamard bound: the product of the row norms exceeds every minor
+    bound = math.isqrt(math.prod(sum(map(mul, row, row)) or 1 for row in a)) + 1
     modulus = half = rank = t = grown = 0
     while t < min(m, n):
         if grown and not modulus:
             rank, modulus = _bareiss(matrix)
             half = modulus // 2
             a[t:] = [[(x + half) % modulus - half for x in row] for row in a[t:]]
-        piv = _find_pivot(a, t, n)
+        piv = _find_pivot(a, t)
         if piv is None:
             break
         i, j = piv
@@ -105,8 +109,6 @@ def _eliminate(matrix: Matrix, vt: Matrix | None = None) -> tuple[Matrix, list[i
         if j != t:
             for row in a[t:]:  # rows above t are zero in both columns
                 row[t], row[j] = row[j], row[t]
-            if vt is not None:
-                vt[t], vt[j] = vt[j], vt[t]
         at = a[t]
         while True:
             for ai in a[t + 1 :]:
@@ -123,7 +125,7 @@ def _eliminate(matrix: Matrix, vt: Matrix | None = None) -> tuple[Matrix, list[i
                     ai[t:] = [(z - q * y + half) % modulus - half for y, z in zip(at[t:], ai[t:])]
                 else:
                     ai[t:] = [z - q * y for y, z in zip(at[t:], ai[t:])]
-                    grown = grown or (bound is not None and (max(ai) > bound or -min(ai) > bound))
+                    grown = grown or max(ai) > bound or -min(ai) > bound
             for j in range(t + 1, n):
                 y, p = at[j], at[t]
                 if not y:
@@ -132,16 +134,12 @@ def _eliminate(matrix: Matrix, vt: Matrix | None = None) -> tuple[Matrix, list[i
                     g, s, c = _xgcd(p, y)
                     for row in a[t:]:
                         row[t], row[j] = s * row[t] + c * row[j], (p * row[j] - y * row[t]) // g
-                    if vt is not None:
-                        vt[t], vt[j] = _combine(vt[t], vt[j], s, c, -y // g, p // g)
                     break
-                at[j], q = 0, y // p  # column t is zero off the pivot, so only a[t][j] changes
-                if vt is not None:
-                    vt[j] = [z - q * e for e, z in zip(vt[t], vt[j])]
+                at[j] = 0  # column t is zero off the pivot, so only a[t][j] changes
             else:
                 break
         t += 1
-    return a, [a[i][i] for i in range(min(m, n))], modulus, rank if modulus else t
+    return [a[i][i] for i in range(min(m, n))], modulus, rank if modulus else t
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -177,32 +175,107 @@ def _divisibility_chain(d: list[int], u: Matrix | None = None, vt: Matrix | None
     return d
 
 
+def _hermite(a: Matrix, t: Matrix) -> tuple[Matrix, Matrix]:
+    """Row Hermite form of [a | t], pivots of either sign, for t unimodular;
+    returns it split back into (a, t).
+
+    Rows enter one at a time (Kannan and Bachem, SIAM J. Comput. 8, 1979).
+    Each is cleared against the pivot rows, by extended-gcd pairs where the
+    pivot does not divide, until its leading entry is a new pivot; then
+    every entry above a pivot is reduced to a symmetric residue modulo it.
+    [a | t] has full row rank, so a row whose a-part vanishes (a left-kernel
+    row) gets its pivot in t and is kept reduced too, and no entry grows
+    without bound.  The columns of t enter in reverse order: with t = I, no
+    row so far has an entry in t's columns past i, so a left-kernel row i
+    leads with its own diagonal entry and becomes a pivot at once, instead
+    of being cleared against every earlier left-kernel row.
+    """
+    w = len(a[0])
+    rows: Matrix = []  # the Hermite form so far, by pivot column
+    cols: list[int] = []
+    for row in map(list.__add__, a, (r[::-1] for r in t)):
+        j, moved = 0, set()  # pivot columns whose rows changed
+        while True:
+            j = next(i for i in range(j, len(row)) if row[i])
+            k = bisect.bisect_left(cols, j)
+            if k == len(cols) or cols[k] != j:
+                rows.insert(k, row)
+                cols.insert(k, j)
+                moved.add(j)
+                break
+            h, p, x = rows[k], rows[k][j], row[j]
+            q, r = divmod(x, p)
+            if r:  # both rows are zero before column j
+                g, s, c = _xgcd(p, x)
+                h[j:], row[j:] = _combine(h[j:], row[j:], s, c, -x // g, p // g)
+                moved.add(j)
+            else:
+                _subtract(row, q, h, j)
+        # A changed row is reduced against every row below it; any other row
+        # only against the changed rows, until that reduction changes it.
+        # Reducing every pair instead costs a quotient per pair and insertion,
+        # which dominates once t adds hundreds of left-kernel rows (a 5x500 input).
+        hot = [k for k, j in enumerate(cols) if j in moved]
+        for i in range(len(rows) - 2, -1, -1):
+            row, start = rows[i], i + 1
+            if cols[i] not in moved:
+                below = hot[bisect.bisect_right(hot, i) :]
+                start = next((k + 1 for k in below if _reduce(row, rows[k], cols[k])), len(rows))
+            for k in range(start, len(rows)):
+                _reduce(row, rows[k], cols[k])
+    return [row[:w] for row in rows], [row[w:][::-1] for row in rows]
+
+
+def _reduce(row: list[int], h: list[int], j: int) -> int:
+    """Make row[j] a symmetric residue modulo the pivot h[j], by row -= q * h
+    with h zero before column j; returns q."""
+    q = (2 * row[j] + h[j]) // (2 * h[j])
+    if q:
+        _subtract(row, q, h, j)
+    return q
+
+
+def _subtract(row: list[int], q: int, h: list[int], j: int) -> None:
+    """row -= q * h in place, where h is zero before column j."""
+    for i in range(j, len(h)):  # faster than building a new list
+        row[i] -= q * h[i]
+
+
 def smith(matrix: Matrix) -> SmithForm:
     """Smith normal form of an integer matrix.
 
     Returns U, diag, V with U*matrix*V diagonal, |det U| = |det V| = 1,
     diag nonnegative and each entry dividing the next (zeros at the tail).
-    The pivot strategy (smallest absolute value, row-major ties) makes the
-    transforms deterministic; the diagonal is canonical regardless.
+    Row Hermite passes on the matrix and on its transpose alternate until it
+    is diagonal, U and V riding along, so the transforms stay bounded and
+    deterministic; the diagonal is canonical regardless.  This shares no
+    elimination step with ``invariant_factors``, so each checks the other.
     """
-    vt = identity(len(matrix[0]) if matrix else 0)
-    a, d, _, _ = _eliminate(matrix, vt)
-    u = [row[len(vt) :] for row in a]
-    for t, x in enumerate(_divisibility_chain(d, u, vt)):
+    m, n = _shape(matrix)
+    a, sides, passes = [list(row) for row in matrix], [identity(m), identity(n)], 0
+    # At least one pass, even on a diagonal input: a Hermite form puts its
+    # zero rows last, so a diagonal result has its zeros at the tail.
+    while a and (not passes or any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j)):
+        a, sides[0] = _hermite(a, sides[0])
+        a, sides, passes = [list(col) for col in zip(*a)], sides[::-1], passes + 1
+    u, vt = sides[:: (-1) ** passes]  # a diagonal a reads the same transposed
+    d = _divisibility_chain([a[i][i] for i in range(min(m, n))], u, vt)
+    for t, x in enumerate(d):
         if x < 0:
             d[t], u[t] = -x, [-e for e in u[t]]
-    return SmithForm(left=tuple(tuple(row) for row in u), diag=tuple(d), right=tuple(zip(*vt)))
+    return SmithForm(left=tuple(map(tuple, u)), diag=tuple(d), right=tuple(zip(*vt)))
 
 
 def invariant_factors(matrix: Matrix) -> tuple[int, ...]:
     """Nonzero diagonal of the Smith form, in divisibility order."""
-    _, d, modulus, r = _eliminate(matrix)
+    d, modulus, r = _eliminate(matrix)
     return tuple(_divisibility_chain([math.gcd(x, modulus) for x in d])[:r])
 
 
 def rank(matrix: Matrix) -> int:
     """Rank over the rationals."""
-    return len(invariant_factors(matrix))
+    _shape(matrix)
+    return _bareiss(matrix)[0]
 
 
 def cokernel(matrix: Matrix) -> tuple[int, tuple[int, ...]]:

@@ -63,7 +63,7 @@ class TypeLabel(namedtuple("TypeLabel", "series rank")):
     __slots__ = ()
 
     def __new__(cls, series: str, rank: int):
-        if series not in _RANK_CONSTRAINTS:
+        if type(series) is not str or series not in _RANK_CONSTRAINTS:
             raise InvalidTypeError(f"unknown series {series!r}")
         if type(rank) is not int:
             raise InvalidTypeError(f"rank must be an int, got {rank!r}")

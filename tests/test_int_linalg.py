@@ -387,6 +387,101 @@ def test_invariant_factors_match_sympy(name):
     assert invariant_factors(m) == expected
 
 
+@pytest.mark.parametrize("name", sorted(MODULAR))
+def test_smith_diagonal_matches_sympy(name):
+    sympy = pytest.importorskip("sympy")
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    if not hasattr(normalforms, "smith_normal_decomp"):
+        pytest.skip("this sympy has no smith_normal_decomp")
+    m = MODULAR[name]
+    form = normalforms.smith_normal_decomp(sympy.Matrix(m), domain=sympy.ZZ)[0]
+    assert smith(m).diag == tuple(abs(int(form[i, i])) for i in range(min(form.shape)))
+
+
+def hadamard_bits(m):
+    """Bit length of the smaller of the row-norm and column-norm Hadamard
+    bounds, each above every minor of m."""
+    bound = min(math.prod(math.isqrt(sum(x * x for x in v)) + 1 for v in vs) for vs in (m, zip(*m)))
+    return bound.bit_length()
+
+
+@pytest.mark.parametrize("name", sorted(MODULAR))
+def test_smith_transforms_stay_below_the_hadamard_bound(name):
+    # Every U and V entry is smaller than the input's Hadamard bound; with
+    # unreduced transforms they grew to tens of thousands of bits.
+    m = MODULAR[name]
+    form = smith(m)
+    bits = max(abs(x).bit_length() for t in (form.left, form.right) for row in t for x in row)
+    assert bits <= hadamard_bits(m)
+
+
+@pytest.mark.parametrize("name", sorted(MODULAR))
+def test_rank_stops_at_the_bareiss_pass(name, monkeypatch):
+    # Once the Bareiss pass has given r, rank and kernel_rank return it:
+    # no pivot search, gcd step or modular elimination follows.
+    m = MODULAR[name]
+    calls = []
+    for helper in ("_bareiss", "_find_pivot", "_xgcd"):
+        f = getattr(int_linalg, helper)
+        monkeypatch.setattr(int_linalg, helper, lambda *a, f=f, helper=helper: calls.append(helper) or f(*a))
+    nonzero = sum(1 for d in smith(m).diag if d)
+    for f, want in ((rank, nonzero), (kernel_rank, len(m[0]) - nonzero)):
+        calls.clear()
+        assert f(m) == want
+        assert calls.count("_bareiss") == 1 and calls[-1] == "_bareiss"
+
+
+# Each shape certified, with its nonzero diagonal checked against minor gcds.
+DEGENERATE = {
+    "0x0": [],
+    "3x0": [[], [], []],
+    "zero-3x4": [[0] * 4 for _ in range(3)],
+    "1xn": [[6, -10, 15, 0, 4]],
+    "nx1": [[6], [-10], [15], [0], [4]],
+    "1x1-negative": [[-7]],
+    "negative-diagonal": [[-2, 0], [0, -3]],
+    # Diagonal inputs with a zero before a nonzero entry: the zeros must move
+    # to the tail, though no off-diagonal entry needs clearing.
+    "diagonal-leading-zero": [[0, 0], [0, 3]],
+    "diagonal-leading-zero-3x2": [[0, 0], [0, 5], [0, 0]],
+    "diagonal-inner-zero": [[3, 0, 0], [0, 0, 0], [0, 0, 5]],
+    "repeated-rows": [[2, 4, 6], [2, 4, 6], [2, 4, 6], [1, 3, 5]],
+    "zero-columns": [[0, 3, 0, 6], [0, -9, 0, 12], [0, 1, 0, 5]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_smith_degenerate_shapes(name):
+    m = DEGENERATE[name]
+    form = check_form(m)
+    rows, cols = len(m), len(m[0]) if m else 0
+    assert (len(form.left), len(form.diag), len(form.right)) == (rows, min(rows, cols), cols)
+    nonzero = tuple(d for d in form.diag if d)
+    assert list(nonzero) == minor_gcd_oracle(m)
+    assert invariant_factors(m) == nonzero
+    assert rank(m) == len(nonzero) and kernel_rank(m) == cols - len(nonzero)
+
+
+@pytest.mark.parametrize("m", [[[1, 2.0, 3]], [[1], [2], [None]], [[True]], [[0, 0], [0, Fraction(0)]]])
+def test_smith_degenerate_shapes_refuse_non_integers(m):
+    with pytest.raises(DomainError, match="integers"):
+        smith(m)
+
+
+def test_smith_dense_budget(time_budget):
+    # With unreduced transforms (800,000 bits) this 40x40 took about 8 s,
+    # and the 60x60 did not finish in 20 s.
+    m = dense(40, 40, 40)
+    with time_budget(1):
+        form = smith(m)
+    check_form(m, det=bareiss_det)
+    assert math.prod(form.diag) == abs(bareiss_det(m))
+    m = dense(60, 60, 60)
+    with time_budget(5):
+        form = smith(m)
+    assert form.diag == invariant_factors(m)
+
+
 def test_dense_growth_budget(time_budget):
     # Without the modulus, eliminating a dense 60x60 does not finish in a minute.
     m = dense(60, 60, 60)
@@ -397,6 +492,18 @@ def test_dense_growth_budget(time_budget):
     assert len(factors) == 60 and math.prod(factors) == abs(bareiss_det(m))
     with time_budget(1):
         assert cokernel(dense(40, 40, 40))[0] == 0
+
+
+@pytest.mark.parametrize("shape", [(4, 120), (120, 4), (5, 500), (500, 5)])
+def test_smith_far_from_square(shape, time_budget):
+    # A left-kernel row takes its pivot on its own diagonal entry of U or V.
+    # Cleared against every earlier one instead, a 5x500 took over 3 s.
+    m = dense(*shape, sum(shape))
+    with time_budget(1.5):
+        form = smith(m)
+    assert tuple(d for d in form.diag if d) == invariant_factors(m)
+    if max(shape) <= 120:  # a 500x500 determinant is too slow to certify here
+        check_form(m, det=bareiss_det)
 
 
 # cli-cold's types plus three larger ones

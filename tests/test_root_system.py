@@ -187,6 +187,13 @@ def test_type_label_rank_must_be_an_int():
             TypeLabel(series, rank)
 
 
+def test_type_label_series_must_be_a_letter():
+    # an unhashable series must not escape as a bare TypeError from the lookup
+    for series in [["A"], {"A": 1}, {"A"}, None, 65, b"A", "a", "AB"]:
+        with pytest.raises(InvalidTypeError, match="unknown series"):
+            TypeLabel(series, 3)
+
+
 def test_long_simple_subsystem():
     cases = {
         "E7": "E7", "A4": "A4", "D6": "D6", "E8": "E8",
