@@ -10,12 +10,13 @@ roots at a time: the reflection linking beta to alpha is read off the
 line of beta - alpha.  ``d_matrix`` assembles the same entries from the
 columns instead: off the two middle levels the linking reflection is
 simple, so a root beta of level i-1 has an edge only to the simple
-reflections s_j(beta) = beta - c alpha_j with c = <beta, alpha_j^vee> > 0,
-and each column costs one pass over beta's support and one dict lookup
-per such j.  Between the two middle levels the matrix is the Cartan
-matrix of the long simple roots with the signs dropped.  The tests hold
-the assembly equal to the definition, and ``weyl_oracle`` certifies the
-assembled entries against the Weyl group.
+reflections s_j(beta) = beta - c alpha_j with c = <beta, alpha_j^vee> > 0.
+``build`` records these lowering edges (j, c) of every root, so a column
+costs one dict lookup per edge and computes no pairing.  Between the two
+middle levels the matrix is the Cartan matrix of the long simple roots
+with the signs dropped.  The tests hold the assembly equal to the
+definition, and ``weyl_oracle`` certifies the entries against the Weyl
+group.
 
 Within a level, roots are listed in decreasing lexicographic order of the
 absolute coordinate vector.  On positive levels this is exactly the order
@@ -110,13 +111,13 @@ def d_matrix(rs: RootSystem, i: int) -> tuple[tuple[int, ...], ...]:
 
     Rows are indexed by level i, columns by level i-1, both in the level
     sort order; entry (alpha, beta) is ``edge_coefficient(rs, beta, alpha)``.
-    Each column beta is filled from its simple reflections: for every j
-    with c = <beta, alpha_j^vee> > 0, taken from the Cartan rows over
-    beta's support, the entry at row beta - c alpha_j is c when that root
-    lies in level i.  Between the two middle levels (long simple roots to
-    their negatives) the matrix is ``middle_matrix``: the entry is 2 on
-    (beta, -beta) and 1 when beta - alpha is a root, i.e. when the two
-    long simple roots are joined in the Dynkin diagram.
+    Each column beta is filled from its simple reflections: for every
+    lowering edge (j, c) that ``build`` recorded for beta, the entry at
+    row beta - c alpha_j is c when that root lies in level i.  Between the
+    two middle levels (long simple roots to their negatives) the matrix is
+    ``middle_matrix``: the entry is 2 on (beta, -beta) and 1 when
+    beta - alpha is a root, i.e. when the two long simple roots are joined
+    in the Dynkin diagram.
     """
     d = dimension(rs)
     if not 1 <= i <= d - 1:
@@ -126,19 +127,12 @@ def d_matrix(rs: RootSystem, i: int) -> tuple[tuple[int, ...], ...]:
     lv = levels(rs)
     sources, targets = lv[i - 1], lv[i]
     row_of = {alpha: row for row, alpha in enumerate(targets)}
-    cartan_rows = [[(j, x) for j, x in enumerate(row) if x] for row in rs.cartan]
     mat = [[0] * len(sources) for _ in targets]
     for col, beta in enumerate(sources):
-        pairings: dict[int, int] = {}
-        for k, b in enumerate(beta):
-            if b:
-                for j, x in cartan_rows[k]:
-                    pairings[j] = pairings.get(j, 0) + b * x
-        for j, c in pairings.items():
-            if c > 0:
-                row = row_of.get(beta[:j] + (beta[j] - c,) + beta[j + 1 :])
-                if row is not None:
-                    mat[row][col] = c
+        for j, c in rs._lowering[beta]:
+            row = row_of.get(beta[:j] + (beta[j] - c,) + beta[j + 1 :])
+            if row is not None:
+                mat[row][col] = c
     return tuple(tuple(row) for row in mat)
 
 

@@ -39,11 +39,11 @@ class GradedAbelianGroup:
         clean: dict[int, tuple[int, tuple[int, ...]]] = {}
         for n, (free, torsion) in entries.items():
             torsion = tuple(torsion)
+            if any(t < 2 for t in torsion):
+                raise DomainError(f"torsion {torsion} has an entry below 2")
             for a, b in zip(torsion, torsion[1:]):
-                if a < 2 or b % a:
+                if b % a:
                     raise DomainError(f"torsion {torsion} is not a divisibility chain")
-            if torsion and torsion[0] < 2:
-                raise DomainError(f"torsion {torsion} contains a unit")
             if free < 0:
                 raise DomainError("negative free rank")
             if free or torsion:
@@ -200,7 +200,7 @@ def _field(obj, key: str, kind: type):
 
 def from_json_dict(obj: dict) -> OrbitCohomology:
     """Inverse of ``to_json_dict``; DomainError names a missing or ill-typed
-    field, or a ``d`` or ``h_dual`` that contradicts the type."""
+    field, a ``d`` or ``h_dual`` contradicting the type, or a bad degree ``n``."""
     label = parse_type(_field(obj, "type", str))
     d, h_dual = _field(obj, "d", int), _field(obj, "h_dual", int)
     expected = build(label).h_dual
@@ -213,7 +213,10 @@ def from_json_dict(obj: dict) -> OrbitCohomology:
         torsion = _field(e, "torsion", list)
         if not all(isinstance(t, int) and not isinstance(t, bool) for t in torsion):
             raise DomainError(f"cohomology JSON field 'torsion' must hold integers, got {torsion!r}")
-        entries[_field(e, "n", int)] = (_field(e, "rank", int), tuple(torsion))
+        n = _field(e, "n", int)
+        if n in entries or not 0 <= n < 2 * d:
+            raise DomainError(f"cohomology JSON degree n = {n} is repeated or outside 0 .. {2 * d - 1}")
+        entries[n] = (_field(e, "rank", int), tuple(torsion))
     return OrbitCohomology(label, d, h_dual, GradedAbelianGroup(entries))
 
 

@@ -138,7 +138,8 @@ class RootSystem:
     h_dual: int
     degrees: tuple[int, ...]
     bad_primes: frozenset[int]
-    _root_set: frozenset[Root]
+    # every root mapped to its lowering edges, the (j, c) with c = <root, alpha_j^vee> > 0
+    _lowering: dict[Root, tuple[tuple[int, int], ...]]
     # the one record of root length: each long root, both signs, mapped to
     # the (signed) height of its coroot; short roots are absent
     _dual_heights: dict[Root, int]
@@ -167,7 +168,7 @@ class RootSystem:
         return self.type_label.rank
 
     def is_root(self, v: Root) -> bool:
-        return v in self._root_set
+        return v in self._lowering
 
     def bilinear(self, a: Root, b: Root) -> int:
         """Twice the invariant scalar product (a|b), as an integer."""
@@ -202,24 +203,26 @@ def build(label: TypeLabel) -> RootSystem:
     # Closure of the simple roots under the simple reflections.  Each root
     # travels with its pairings p[j] = <root, alpha_j^vee>; s_j moves it
     # only when p[j] != 0, and row j of the Cartan matrix updates p in O(n).
-    seen: set[Root] = set(simple)
+    # The moves with p[j] > 0 are the root's lowering edges, kept in the record.
+    lowering: dict[Root, tuple[tuple[int, int], ...]] = dict.fromkeys(simple, ())
     frontier = [(root, tuple(cartan[i])) for i, root in enumerate(simple)]
-    while frontier and len(seen) <= n * h:  # a wrong matrix could give infinitely many roots
+    while frontier and len(lowering) <= n * h:  # a wrong matrix could give infinitely many roots
         nxt: list[tuple[Root, tuple[int, ...]]] = []
         for root, pairings in frontier:
-            for j, c in enumerate(pairings):
-                if not c:
-                    continue
+            moves = [(j, c) for j, c in enumerate(pairings) if c]
+            lowering[root] = tuple((j, c) for j, c in moves if c > 0)
+            for j, c in moves:
                 image = root[:j] + (root[j] - c,) + root[j + 1 :]
-                if image not in seen:
-                    seen.add(image)
+                if image not in lowering:
+                    lowering[image] = ()
                     nxt.append((image, tuple(p - c * x for p, x in zip(pairings, cartan[j]))))
         frontier = nxt
 
-    positive = sorted((v for v in seen if all(x >= 0 for x in v)), key=lambda v: (height(v), v))
-    if len(seen) != n * h or 2 * len(positive) != len(seen):
+    positive = sorted((v for v in lowering if min(v) >= 0), key=lambda v: (height(v), v))
+    # negation reverses this order; taking -positive[k] from the record keeps one tuple per root
+    negative = sorted((v for v in lowering if max(v) <= 0), key=lambda v: (height(v), v), reverse=True)
+    if not len(lowering) == 2 * len(positive) == 2 * len(negative) == n * h:
         raise InvalidTypeError(f"root enumeration failed for {label}")
-    negative = [tuple(-x for x in v) for v in positive]
 
     # The one place that decides root length: a root is long iff r divides
     # every coordinate at a short simple position, and then its coroot has
@@ -253,7 +256,7 @@ def build(label: TypeLabel) -> RootSystem:
         degrees=tuple(1 + sum(c >= j for c in by_height) for j in range(n, 0, -1)),
         # the primes dividing a coefficient of the highest root (each is at most 6)
         bad_primes=frozenset(p for p in (2, 3, 5) if any(c % p == 0 for c in highest)),
-        _root_set=frozenset(roots),
+        _lowering=lowering,
         _dual_heights=dual_heights,
         _bilinear=tuple(
             tuple((i, cartan[i][j] * lengths[j]) for i in range(n) if cartan[i][j]) for j in range(n)

@@ -113,6 +113,18 @@ def test_crossing_coefficients(name):
             assert edge_coefficient(rs, beta, alpha) == middle[row][col] == expected
 
 
+def test_lowering_edges_are_the_simple_reflections(rs):
+    # d_matrix reads this record of the closure; it must hold every edge of
+    # every root, the negative ones too, which only the upper half reads
+    assert set(rs._lowering) == set(rs.roots)
+    for v in rs.roots:
+        pairings = [(j, rs.pairing(v, alpha)) for j, alpha in enumerate(rs.simple_roots)]
+        assert rs._lowering[v] == tuple((j, c) for j, c in pairings if c > 0), v
+        for j, c in rs._lowering[v]:
+            alpha = rs.simple_roots[j]
+            assert tuple(x - c * a for x, a in zip(v, alpha)) == rs.reflect(v, alpha)
+
+
 def test_d_matrix_range(rs):
     d = dimension(rs)
     with pytest.raises(DomainError):

@@ -274,6 +274,10 @@ def test_graded_group_validation():
         GradedAbelianGroup({0: (0, (1,))})
     with pytest.raises(DomainError):
         GradedAbelianGroup({0: (-1, ())})
+    # a bad entry after the first
+    for torsion in [(2, 0), (2, -4)]:
+        with pytest.raises(DomainError, match="below 2"):
+            GradedAbelianGroup({0: (0, torsion)})
     g = GradedAbelianGroup({0: (0, ()), 2: (1, (2, 4))})
     assert g.degrees() == (2,)
 
@@ -319,6 +323,14 @@ def test_from_json_dict_rejects_d_or_h_dual_contradicting_the_type():
     for bad, field in [({"d": 7}, "d"), ({"type": "A1"}, "h_dual"), ({"h_dual": 4, "d": 6}, "h_dual")]:
         with pytest.raises(DomainError, match=repr(field)):
             from_json_dict({**good, **bad})
+    # a degree outside 0 .. 2d - 1 (A2 has d = 4), or one given twice
+    a2 = to_json_dict(minimal_orbit_cohomology(build_from_string("A2")))
+    for n in [-3, -1, 8, 99]:
+        with pytest.raises(DomainError, match=f"degree n = {n} is repeated or outside 0 .. 7"):
+            from_json_dict({**a2, "H": a2["H"] + [{"n": n, "rank": 1, "torsion": []}]})
+    repeated = [{"n": 0, "rank": 1, "torsion": []}, {"n": 0, "rank": 5, "torsion": []}]
+    with pytest.raises(DomainError, match="degree n = 0 is repeated"):
+        from_json_dict({**a2, "H": repeated})
 
 
 def test_json_helpers_exported():
