@@ -58,7 +58,10 @@ def parse_partition(text: str) -> Partition:
         m = re.fullmatch(r"\s*(\d+)\s*(?:\^\s*(\d+))?\s*", chunk)
         if not m:
             raise DomainError(f"cannot parse partition {text!r}")
-        parts.extend([int(m.group(1))] * int(m.group(2) or 1))
+        try:
+            parts.extend([int(m.group(1))] * int(m.group(2) or 1))
+        except ValueError:  # over the interpreter's limit on digits in int(str)
+            raise DomainError("a part or exponent in a partition has too many digits") from None
     return _validate(tuple(parts))
 
 

@@ -20,9 +20,10 @@ group.
 
 Within a level, roots are listed in decreasing lexicographic order of the
 absolute coordinate vector.  On positive levels this is exactly the order
-of the published diagrams (coordinate strings read as words); mirroring it
-through negation on negative levels makes the matrices in complementary
-degrees literal transposes of each other.
+of the published diagrams (coordinate strings read as words).  Negation
+maps level i onto level 2 h_dual - 3 - i and keeps the absolute
+coordinates, so the matrices in complementary degrees are literal
+transposes of each other.
 """
 
 from __future__ import annotations
@@ -50,25 +51,22 @@ def level(rs: RootSystem, root: Root) -> int:
     return top - dh if dh > 0 else top - dh - 1
 
 
-def _level_sort_key(root: Root):
-    # decreasing lex on |coords|; all members of one level share a sign
-    return tuple(-abs(x) for x in root)
-
-
 @lru_cache(maxsize=None)
 def levels(rs: RootSystem) -> tuple[tuple[Root, ...], ...]:
-    """All long roots bucketed by level, each level sorted for output."""
-    top = rs.h_dual - 1
+    """All long roots, the record's own tuples, bucketed by ``level``.
+
+    Each level is in decreasing lexicographic order of the absolute
+    coordinates.  All roots of one level share a sign, so that is
+    decreasing tuple order on a positive level, increasing on a negative
+    one.
+    """
     buckets: dict[int, list[Root]] = {}
-    for root, dh in rs._dual_heights.items():
-        if dh > 0:
-            buckets.setdefault(top - dh, []).append(root)
-    if sorted(buckets) != list(range(top)):
+    for root in rs._dual_heights:
+        buckets.setdefault(level(rs, root), []).append(root)
+    if sorted(buckets) != list(range(dimension(rs))):
         raise DomainError(f"level range broken for {rs.type_label}")
-    positive = [tuple(sorted(buckets[i], key=_level_sort_key)) for i in range(top)]
-    # negation maps level i onto level 2 h_dual - 3 - i and keeps the order
-    negative = [tuple(tuple(-x for x in root) for root in lv) for lv in reversed(positive)]
-    return tuple(positive + negative)
+    zero = (0,) * rs.rank
+    return tuple(tuple(sorted(buckets[i], reverse=buckets[i][0] > zero)) for i in range(len(buckets)))
 
 
 def _root_on_line(rs: RootSystem, v: Root) -> Root | None:

@@ -16,7 +16,7 @@ from collections import Counter, namedtuple
 from . import long_root_poset
 from .errors import DomainError, InvariantFailureError
 from .int_linalg import cokernel, invariant_factors
-from .root_system import RootSystem, TypeLabel, build, cartan_of_subset, parse_type
+from .root_system import RootSystem, TypeLabel, _check_root_budget, build, cartan_of_subset, parse_type
 
 __all__ = [
     "GradedAbelianGroup",
@@ -116,17 +116,20 @@ def type_a_alternative(n: int) -> OrbitCohomology:
 
     The orbit is the rank-one traceless matrices; the projectivized bundle
     route gives the closed form directly: Z in even degrees up to 2n-4 and
-    odd degrees from 2n-1 to 4n-5, Z/n in the middle degree 2n-2.
+    odd degrees from 2n-1 to 4n-5, Z/n in the middle degree 2n-2.  Refuses,
+    before making any entry, an n whose A_{n-1} is over the root budget.
     """
     if n < 2:
         raise DomainError("type A alternative needs n >= 2")
+    label = TypeLabel("A", n - 1)
+    _check_root_budget(label)
     entries: dict[int, tuple[int, tuple[int, ...]]] = {}
     for i in range(0, 2 * n - 3, 2):
         entries[i] = (1, ())
     entries[2 * n - 2] = (0, (n,))
     for i in range(2 * n - 1, 4 * n - 4, 2):
         entries[i] = (1, ())
-    return OrbitCohomology(TypeLabel("A", n - 1), 2 * n - 2, n, GradedAbelianGroup(entries))
+    return OrbitCohomology(label, 2 * n - 2, n, GradedAbelianGroup(entries))
 
 
 def cone_over_curve(g: int, c: int) -> GradedAbelianGroup:

@@ -80,7 +80,11 @@ def parse_type(text: str) -> TypeLabel:
     m = re.fullmatch(r"\s*([A-Za-z])(\d+)\s*", text)
     if not m:
         raise InvalidTypeError(f"cannot parse type label {text!r}")
-    return TypeLabel(m.group(1).upper(), int(m.group(2)))
+    try:
+        rank = int(m.group(2))
+    except ValueError:  # over the interpreter's limit on digits in int(str)
+        raise InvalidTypeError(f"rank of {len(m.group(2))} digits is too long") from None
+    return TypeLabel(m.group(1).upper(), rank)
 
 
 def _bonds(s: str, n: int) -> list[tuple[int, int]]:
@@ -97,18 +101,24 @@ def cartan_matrix(label: TypeLabel) -> list[list[int]]:
     return _cartan_and_lengths(label)[0]
 
 
+def _check_root_budget(label: TypeLabel) -> int:
+    """The Coxeter number h; DomainError when the rank * h roots of the
+    type are more than ROOT_BUDGET."""
+    h = _COXETER_NUMBER[label.series](label.rank)
+    if label.rank * h > ROOT_BUDGET:
+        raise DomainError(f"{label} has {label.rank * h} roots, over the budget of {ROOT_BUDGET}")
+    return h
+
+
 def _cartan_and_lengths(label: TypeLabel) -> tuple[list[list[int]], list[int], int, int]:
     """(cartan, squared length of each simple root, max squared length r,
     Coxeter number h).
 
     Lengths are normalized so the short roots have squared length 1.
-    Refuses, before making the matrix, a type with more than ROOT_BUDGET
-    roots (rank * h in closed form).
+    Refuses, before making the matrix, a type over the root budget.
     """
     s, n = label
-    h = _COXETER_NUMBER[s](n)
-    if n * h > ROOT_BUDGET:
-        raise DomainError(f"{label} has {n * h} roots, over the budget of {ROOT_BUDGET}")
+    h = _check_root_budget(label)
     lengths = _SIMPLE_LENGTHS[s](n)
     c = [[0] * i + [2] + [0] * (n - 1 - i) for i in range(n)]
     for i, j in _bonds(s, n):

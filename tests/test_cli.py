@@ -62,6 +62,8 @@ def test_bad_type_exit_2(capsys):
     assert code == 2 and not out and "error" in err
     code, _, err = run(capsys, "cohomology", "--type", "D3")
     assert code == 2
+    code, out, err = run(capsys, "cohomology", "--type", "A" + "9" * 5000)
+    assert code == 2 and not out and err == "error: rank of 5000 digits is too long\n"
 
 
 def test_domain_error_exit_3(capsys):

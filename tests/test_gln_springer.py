@@ -46,6 +46,11 @@ def test_parse_and_format():
         parse_partition("a")
     with pytest.raises(DomainError):
         parse_partition("0")
+    # int() refuses so many digits with a bare ValueError
+    with pytest.raises(DomainError, match="too many digits"):
+        parse_partition("9" * 5000)
+    with pytest.raises(DomainError, match="too many digits"):
+        parse_partition("1^" + "9" * 5000)
 
 
 def test_conjugate():

@@ -85,6 +85,16 @@ def test_levels_structure(rs):
     assert set(lv[rs.h_dual - 1]) == {tuple(-x for x in v) for v in simple_long}
 
 
+@pytest.mark.parametrize("name", POSET_TYPES + ["A30", "B20", "C20", "D20"])
+def test_levels_hold_the_record_tuples_in_order(name):
+    rs = build_from_string(name)
+    own = {id(root) for root in rs._dual_heights}
+    for i, members in enumerate(levels(rs)):
+        assert all(id(root) in own for root in members), f"{name} level {i}"
+        # reference order: decreasing lexicographic on the absolute coordinates
+        assert members == tuple(sorted(members, key=lambda r: tuple(-abs(x) for x in r))), f"{name} level {i}"
+
+
 def test_edge_coefficients_basic():
     g2 = build_from_string("G2")
     assert edge_coefficient(g2, (1, 3), (1, 0)) == 3

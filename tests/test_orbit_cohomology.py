@@ -179,6 +179,15 @@ def test_type_a_alternative_matches():
         type_a_alternative(1)
 
 
+def test_type_a_alternative_keeps_the_root_budget(time_budget):
+    # A_99 has 9,900 roots; a large n is refused before any entry is made
+    assert type_a_alternative(100).table.torsion(198) == (100,)
+    with time_budget(1), pytest.raises(DomainError, match="over the budget"):
+        type_a_alternative(10**9)
+    with pytest.raises(DomainError, match="over the budget"):
+        type_a_alternative(101)
+
+
 def test_cone_over_curve():
     assert dict(cone_over_curve(0, 1).items()) == {0: (1, ()), 3: (1, ())}
     assert dict(cone_over_curve(1, 2).items()) == {

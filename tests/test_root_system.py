@@ -53,6 +53,12 @@ def test_parse_type():
             parse_type(bad)
 
 
+def test_parse_type_refuses_a_rank_over_the_digit_limit():
+    # int() refuses so many digits with a bare ValueError
+    with pytest.raises(InvalidTypeError, match="5000 digits"):
+        parse_type("A" + "9" * 5000)
+
+
 def test_counts(rs):
     # |roots| = rank * h, split evenly into positives and negatives
     assert len(rs.roots) == rs.rank * rs.h
