@@ -21,13 +21,13 @@ _EXPORTS = {
     ),
     "decomposition": ("decomp_minimal", "decomp_subregular", "simple_singularity"),
     "int_linalg": ("SmithForm", "cokernel", "kernel_rank", "smith", "tensor_f_dimension"),
-    "long_root_poset": ("d_matrix", "edge_coefficient", "level", "levels", "middle_matrix"),
+    "long_root_poset": ("d_matrix", "level", "levels"),
     "orbit_cohomology": (
-        "GradedAbelianGroup", "OrbitCohomology", "bad_torsion_report", "cone_over_curve", "from_json_dict",
-        "middle_via_lattice", "minimal_orbit_cohomology", "rational_half_check", "to_json_dict", "type_a_alternative",
+        "GradedAbelianGroup", "OrbitCohomology", "from_json_dict", "middle_via_lattice", "minimal_orbit_cohomology",
+        "to_json_dict", "type_a_alternative",
     ),
     "root_system": (
-        "RootSystem", "TypeLabel", "build", "build_from_string", "cartan_of_subset", "dual_height", "highest_root",
+        "RootSystem", "TypeLabel", "build", "cartan_of_subset", "dual_height", "highest_root",
         "is_long", "long_simple_subsystem", "parse_type",
     ),
     "weyl_oracle": (

@@ -17,15 +17,6 @@ from .int_linalg import cokernel, is_prime, tensor_f_dimension
 from .orbit_cohomology import middle_via_lattice
 from .root_system import TypeLabel, build, cartan_matrix
 
-__all__ = [
-    "SimpleSingularityData",
-    "simple_singularity",
-    "characters",
-    "character_degree",
-    "decomp_minimal",
-    "decomp_subregular",
-]
-
 # irreducible characters of the symmetry group that survive reduction mod ell
 _CHARACTER_DEGREES = {"1": 1, "eps": 1, "psi": 2}
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate
 
 from .errors import DomainError, InvariantFailureError
 from .int_linalg import is_prime
@@ -21,26 +21,6 @@ Partition = tuple[int, ...]
 # partitions_of refuses an n with more partitions than this (p(45) = 89134
 # is admitted, p(46) = 105558 is not): the callers scan all of them.
 PARTITION_BUDGET = 100_000
-
-__all__ = [
-    "Partition",
-    "parse_partition",
-    "format_partition",
-    "PARTITION_BUDGET",
-    "partition_count",
-    "partitions_of",
-    "conjugate",
-    "dominance_le",
-    "is_ell_regular",
-    "is_ell_restricted",
-    "springer_image",
-    "psi",
-    "row_column_reduce",
-    "adjacent_in_dominance",
-    "minimal_degeneration",
-    "decomp_adjacent",
-    "row_column_invariance_check",
-]
 
 
 def _validate(p: Partition) -> Partition:
@@ -82,13 +62,6 @@ def _partition_numbers():
             total += term if k % 2 else -term
             k += 1
         p.append(total)
-
-
-def partition_count(n: int) -> int:
-    """p(n), the number of partitions of n, in O(n sqrt n) integer steps."""
-    if n < 0:
-        raise DomainError("partitions of a negative integer")
-    return next(islice(_partition_numbers(), n, None))
 
 
 @lru_cache(maxsize=None)
@@ -262,11 +235,3 @@ def decomp_adjacent(lam: Partition, mu: Partition, ell: int) -> int:
         raise DomainError(f"{ell} is not prime")
     _, m = minimal_degeneration(lam, mu)
     return 1 if m % ell == 0 else 0
-
-
-def row_column_invariance_check(lam: Partition, mu: Partition, ell: int) -> bool:
-    """The adjacent-pair multiplicity is unchanged by row/column removal."""
-    if dominance_le(lam, mu):
-        lam, mu = mu, lam
-    reduced = row_column_reduce(lam, mu)
-    return decomp_adjacent(lam, mu, ell) == decomp_adjacent(*reduced, ell)

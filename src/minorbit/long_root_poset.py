@@ -5,16 +5,13 @@ sits at level ht_coroot(highest) - ht_coroot(root), shifted down by one on
 the negative side.  Multiplication by the Chern class of the minimal-orbit
 resolution acts level by level through the matrices ``d_matrix`` returns.
 
-``edge_coefficient`` is the definition of each matrix entry, one pair of
-roots at a time: the reflection linking beta to alpha is read off the
-line of beta - alpha.  ``d_matrix`` assembles the same entries from the
-columns instead: off the two middle levels the linking reflection is
-simple, so a root beta of level i-1 has an edge only to the simple
-reflections s_j(beta) = beta - c alpha_j with c = <beta, alpha_j^vee> > 0.
-``build`` records these lowering edges (j, c) of every root, so a column
-costs one dict lookup per edge and computes no pairing.  Between the two
+An entry of matrix i is c = <beta, gamma^vee> when a reflection s_gamma
+sends beta in level i-1 to alpha in level i (then beta - alpha = c gamma),
+else 0.  Off the two middle levels that reflection is simple, so
+``d_matrix`` fills each column beta from the lowering edges (j, c) that
+``build`` recorded, one dict lookup per edge and no pairing; between the
 middle levels the matrix is the Cartan matrix of the long simple roots
-with the signs dropped.  The tests hold the assembly equal to the
+with the signs dropped.  The tests hold the assembly equal to the pairwise
 definition, and ``weyl_oracle`` certifies the entries against the Weyl
 group.
 
@@ -28,13 +25,10 @@ transposes of each other.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 from .errors import DomainError
 from .root_system import Root, RootSystem, cartan_of_subset
-
-__all__ = ["level", "levels", "edge_coefficient", "d_matrix", "middle_matrix", "dimension"]
 
 
 def dimension(rs: RootSystem) -> int:
@@ -69,53 +63,21 @@ def levels(rs: RootSystem) -> tuple[tuple[Root, ...], ...]:
     return tuple(tuple(sorted(buckets[i], reverse=buckets[i][0] > zero)) for i in range(len(buckets)))
 
 
-def _root_on_line(rs: RootSystem, v: Root) -> Root | None:
-    """The positive root gamma with v in Z gamma, or None (roots are primitive)."""
-    g = math.gcd(*v) if min(v) >= 0 else -math.gcd(*v)
-    gamma = tuple(x // g for x in v)
-    return gamma if rs.is_root(gamma) else None
-
-
-def edge_coefficient(rs: RootSystem, beta: Root, alpha: Root) -> int:
-    """Multiplicity of the covering edge from beta down to alpha.
-
-    beta and alpha must be long with level(alpha) = level(beta) + 1.  The
-    edge is the reflection s_gamma with s_gamma(beta) = alpha, and its
-    coefficient is c = <beta, gamma^vee>.  Then beta - alpha = c gamma, so
-    gamma is the root on the line of beta - alpha and the coefficient is c
-    when c gamma = beta - alpha, else 0.
-
-    This one rule covers every level.  s_gamma(beta)^vee = beta^vee -
-    <gamma, beta^vee> gamma^vee, and a level step lowers the coroot height
-    by 1, except across the middle (simple long roots to their negatives),
-    where it drops by 2.  Off the middle this forces <gamma, beta^vee> = 1
-    and ht(gamma^vee) = 1, so gamma is simple and c is 1 for gamma long, r
-    for gamma short.  Across the middle either gamma = beta, with c = 2,
-    or ht(gamma^vee) = 2 and gamma = beta - alpha is a root, with c = 1.
-    """
-    if level(rs, alpha) != level(rs, beta) + 1:
-        raise DomainError("edge coefficient needs level(alpha) = level(beta) + 1")
-    v = tuple(b - a for b, a in zip(beta, alpha))
-    gamma = _root_on_line(rs, v)
-    if gamma is None:
-        return 0
-    c = rs.pairing(beta, gamma)
-    return c if tuple(c * x for x in gamma) == v else 0
-
-
 @lru_cache(maxsize=None)
 def d_matrix(rs: RootSystem, i: int) -> tuple[tuple[int, ...], ...]:
     """Matrix of the level-raising map from level i-1 to level i.
 
     Rows are indexed by level i, columns by level i-1, both in the level
-    sort order; entry (alpha, beta) is ``edge_coefficient(rs, beta, alpha)``.
-    Each column beta is filled from its simple reflections: for every
-    lowering edge (j, c) that ``build`` recorded for beta, the entry at
-    row beta - c alpha_j is c when that root lies in level i.  Between the
-    two middle levels (long simple roots to their negatives) the matrix is
-    ``middle_matrix``: the entry is 2 on (beta, -beta) and 1 when
-    beta - alpha is a root, i.e. when the two long simple roots are joined
-    in the Dynkin diagram.
+    sort order; entry (alpha, beta) is <beta, gamma^vee> when a reflection
+    s_gamma sends beta to alpha, else 0.  Each column beta is filled from
+    its simple reflections: for every lowering edge (j, c) that ``build``
+    recorded for beta, the entry at row beta - c alpha_j is c when that
+    root lies in level i.  Between the
+    two middle levels (long simple roots to their negatives), i = h_dual - 1,
+    the matrix is the Cartan matrix of the long-simple subsystem with the
+    signs dropped: the entry is 2 on (beta, -beta) and 1 when beta - alpha
+    is a root, i.e. when the two long simple roots are joined in the Dynkin
+    diagram.
     """
     d = dimension(rs)
     if not 1 <= i <= d - 1:
@@ -132,13 +94,3 @@ def d_matrix(rs: RootSystem, i: int) -> tuple[tuple[int, ...], ...]:
             if row is not None:
                 mat[row][col] = c
     return tuple(tuple(row) for row in mat)
-
-
-def middle_matrix(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    """The matrix between the two middle levels.
-
-    Equals the Cartan matrix of the long-simple subsystem with the minus
-    signs dropped, rows and columns both running through the long simple
-    roots in index order.
-    """
-    return d_matrix(rs, rs.h_dual - 1)

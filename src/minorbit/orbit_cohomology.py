@@ -5,31 +5,17 @@ cohomology into cokernels (even degrees) and kernels (odd degrees) of the
 level-raising matrices of the long-root poset.  Matrix d - i is the
 transpose of matrix i, so one Smith form per transposed pair serves four
 degrees.  The rest is bookkeeping: the closed-form alternative in type A,
-the cone over a smooth projective curve, and cross-checks (middle group
-from the lattice, bad-prime locality, the rational half).
+the middle group read from the lattice, and the JSON form.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 
 from . import long_root_poset
 from .errors import DomainError, InvariantFailureError
 from .int_linalg import cokernel, invariant_factors
 from .root_system import RootSystem, TypeLabel, _check_root_budget, build, cartan_of_subset, parse_type
-
-__all__ = [
-    "GradedAbelianGroup",
-    "OrbitCohomology",
-    "minimal_orbit_cohomology",
-    "middle_via_lattice",
-    "type_a_alternative",
-    "cone_over_curve",
-    "bad_torsion_report",
-    "rational_half_check",
-    "to_json_dict",
-    "from_json_dict",
-]
 
 
 class GradedAbelianGroup:
@@ -132,52 +118,6 @@ def type_a_alternative(n: int) -> OrbitCohomology:
     return OrbitCohomology(label, 2 * n - 2, n, GradedAbelianGroup(entries))
 
 
-def cone_over_curve(g: int, c: int) -> GradedAbelianGroup:
-    """Cohomology of the punctured cone over a smooth projective curve.
-
-    g is the genus, c the degree of the contracted line bundle; the four
-    graded pieces are Z, Z^2g, Z^2g + Z/c, Z.
-    """
-    if g < 0:
-        raise DomainError("genus must be nonnegative")
-    if c <= 0:
-        raise DomainError("the contracted bundle degree must be positive")
-    return GradedAbelianGroup(
-        {
-            0: (1, ()),
-            1: (2 * g, ()),
-            2: (2 * g, (c,) if c > 1 else ()),
-            3: (1, ()),
-        }
-    )
-
-
-def bad_torsion_report(oc: OrbitCohomology) -> dict[int, tuple[int, ...]]:
-    """Primes dividing torsion away from the middle degree, with locations.
-
-    Every such prime must be a bad prime of the type (all lie in {2, 3, 5}),
-    so each torsion coefficient is divided by those alone: a cofactor above
-    1 would falsify the computation and raises accordingly.
-    """
-    bad = sorted(build(oc.type_label).bad_primes)
-    found: dict[int, set[int]] = {}
-    for n, (_, torsion) in oc.table.items():
-        if n == oc.d:
-            continue
-        for t in torsion:
-            for p in bad:
-                if t % p == 0:
-                    found.setdefault(p, set()).add(n)
-                while t % p == 0:
-                    t //= p
-            if t > 1:
-                raise InvariantFailureError(
-                    f"torsion at degree {n} of {oc.type_label} has the cofactor {t} "
-                    f"prime to the bad primes {bad}"
-                )
-    return {p: tuple(sorted(ds)) for p, ds in sorted(found.items())}
-
-
 def to_json_dict(oc: OrbitCohomology) -> dict:
     """Schema-stable JSON form: degrees ascending, torsion ascending."""
     return {
@@ -221,19 +161,3 @@ def from_json_dict(obj: dict) -> OrbitCohomology:
             raise DomainError(f"cohomology JSON degree n = {n} is repeated or outside 0 .. {2 * d - 1}")
         entries[n] = (_field(e, "rank", int), tuple(torsion))
     return OrbitCohomology(label, d, h_dual, GradedAbelianGroup(entries))
-
-
-def rational_half_check(rs: RootSystem, oc: OrbitCohomology) -> bool:
-    """Check the free ranks below the middle against the Weyl-group degrees.
-
-    The multiset of half-degrees carrying a free class below degree d must
-    equal {d_i - 2} over the k smallest degrees, k = number of long simple
-    roots.
-    """
-    k = len(rs.long_simple_indices)
-    expected = Counter(d - 2 for d in rs.degrees[:k])
-    got: Counter[int] = Counter()
-    for n, (free, _) in oc.table.items():
-        if n % 2 == 0 and n < oc.d and free:
-            got[n // 2] += free
-    return got == expected

@@ -138,16 +138,11 @@ class RootSystem:
 
     type_label: TypeLabel
     cartan: tuple[tuple[int, ...], ...]
-    r: int
-    simple_lengths: tuple[int, ...]
     roots: tuple[Root, ...]
     positive_roots: tuple[Root, ...]
     simple_roots: tuple[Root, ...]
     long_simple_indices: tuple[int, ...]
-    h: int
     h_dual: int
-    degrees: tuple[int, ...]
-    bad_primes: frozenset[int]
     # every root mapped to its lowering edges, the (j, c) with c = <root, alpha_j^vee> > 0
     _lowering: dict[Root, tuple[tuple[int, int], ...]]
     # the one record of root length: each long root, both signs, mapped to
@@ -192,11 +187,6 @@ class RootSystem:
         if num % den:
             raise DomainError("pairing is not integral; b is not a root")
         return num // den
-
-    def reflect(self, a: Root, b: Root) -> Root:
-        """Image of a under the reflection in the root b."""
-        c = self.pairing(a, b)
-        return tuple(ai - c * bi for ai, bi in zip(a, b))
 
 
 def height(root: Root) -> int:
@@ -243,39 +233,22 @@ def build(label: TypeLabel) -> RootSystem:
         if all(v[i] % r == 0 for i in short):
             dual_heights[v] = sum(c * length for c, length in zip(v, lengths)) // r
             dual_heights[minus_v] = -dual_heights[v]
-    highest = positive[-1]
     roots = tuple(positive + negative)
-
-    # Kostant: the exponents are the conjugate partition of the counts of
-    # positive roots by height, and each degree is an exponent plus 1.
-    by_height = [0] * h
-    for v in positive:
-        by_height[height(v)] += 1
 
     return RootSystem(
         type_label=label,
         cartan=tuple(tuple(row) for row in cartan),
-        r=r,
-        simple_lengths=tuple(lengths),
         roots=roots,
         positive_roots=tuple(positive),
         simple_roots=tuple(simple),
         long_simple_indices=tuple(i for i in range(n) if lengths[i] == r),
-        h=h,
-        h_dual=1 + dual_heights[highest],
-        degrees=tuple(1 + sum(c >= j for c in by_height) for j in range(n, 0, -1)),
-        # the primes dividing a coefficient of the highest root (each is at most 6)
-        bad_primes=frozenset(p for p in (2, 3, 5) if any(c % p == 0 for c in highest)),
+        h_dual=1 + dual_heights[positive[-1]],
         _lowering=lowering,
         _dual_heights=dual_heights,
         _bilinear=tuple(
             tuple((i, cartan[i][j] * lengths[j]) for i in range(n) if cartan[i][j]) for j in range(n)
         ),
     )
-
-
-def build_from_string(text: str) -> RootSystem:
-    return build(parse_type(text))
 
 
 def highest_root(rs: RootSystem) -> Root:

@@ -28,22 +28,11 @@ from operator import add, itemgetter, sub
 
 from . import long_root_poset
 from .errors import DomainError
-from .root_system import RootSystem, _check_indices, dual_height, height, highest_root, is_long
+from .root_system import Root, RootSystem, _check_indices, dual_height, height, highest_root, is_long
 
 # Largest |W^I| * |Phi| an oracle call works on: W(E6) whole is 3,732,480;
 # verify admits A44, B31, C37, D32 and every exceptional type.
 ORACLE_BUDGET = 4_000_000
-
-__all__ = [
-    "WeylElement",
-    "group_order",
-    "coset_reps",
-    "level_length_failure",
-    "reflection_length_failure",
-    "verify_level_length",
-    "verify_reflection_length",
-    "ORACLE_BUDGET",
-]
 
 
 class WeylElement(namedtuple("WeylElement", "perm length")):
@@ -52,8 +41,11 @@ class WeylElement(namedtuple("WeylElement", "perm length")):
     __slots__ = ()
 
 
-def group_order(rs: RootSystem) -> int:
-    return math.prod(rs.degrees)
+def _root_on_line(rs: RootSystem, v: Root) -> Root | None:
+    """The positive root gamma with v in Z gamma, or None (roots are primitive)."""
+    g = math.gcd(*v) if min(v) >= 0 else -math.gcd(*v)
+    gamma = tuple(x // g for x in v)
+    return gamma if rs.is_root(gamma) else None
 
 
 def _root_index(rs: RootSystem) -> dict:
@@ -201,7 +193,7 @@ def level_length_failure(rs: RootSystem) -> str | None:
         mat = long_root_poset.d_matrix(rs, i + 1)
         for col, beta in enumerate(lv[i]):
             for row, alpha in enumerate(lv[i + 1]):
-                gamma = long_root_poset._root_on_line(rs, tuple(b - a for b, a in zip(beta, alpha)))
+                gamma = _root_on_line(rs, tuple(b - a for b, a in zip(beta, alpha)))
                 expected = 0
                 if gamma is not None and _compose(table[index[gamma]], by_root[beta]) == by_root[alpha]:
                     expected = rs.pairing(beta, gamma)

@@ -11,14 +11,12 @@ import time
 
 from golden_data import COHOMOLOGY, D_MATRICES
 from minorbit import (
-    bad_torsion_report,
-    build_from_string,
+    build,
     decomp_adjacent,
     decomp_minimal,
     decomp_subregular,
     middle_via_lattice,
     minimal_orbit_cohomology,
-    rational_half_check,
     springer_image,
     type_a_alternative,
     verify_level_length,
@@ -30,13 +28,14 @@ from minorbit.gln_springer import (
     is_ell_regular,
     partitions_of,
     psi,
-    row_column_invariance_check,
 )
 from minorbit.int_linalg import cokernel, invariant_factors, smith
 from minorbit.long_root_poset import d_matrix, dimension, levels
 from minorbit.root_system import parse_type
+from test_gln_springer import row_column_invariance_check
 from test_int_linalg import det_oracle, mat_mul, minor_gcd_oracle, quotient_order_oracle
-from test_orbit_cohomology import closed_form
+from test_orbit_cohomology import bad_torsion_report, closed_form, rational_half_check
+from test_root_system import bad_primes
 
 EXCEPTIONAL = ["E6", "E7", "E8", "F4", "G2"]
 CLASSICAL = (
@@ -63,13 +62,13 @@ def test_criterion_1_exceptional_golden_tables():
     def check():
         start = time.monotonic()
         for label in EXCEPTIONAL:
-            oc = minimal_orbit_cohomology(build_from_string(label))
+            oc = minimal_orbit_cohomology(build(parse_type(label)))
             assert dict(oc.table.items()) == COHOMOLOGY[label], label
-        e8 = minimal_orbit_cohomology(build_from_string("E8")).table
+        e8 = minimal_orbit_cohomology(build(parse_type("E8"))).table
         assert e8.torsion(48) == (5,) and e8.torsion(68) == (5,)
-        f4 = minimal_orbit_cohomology(build_from_string("F4")).table
+        f4 = minimal_orbit_cohomology(build(parse_type("F4"))).table
         assert f4.torsion(12) == (4,) and f4.torsion(20) == (4,)
-        e6 = minimal_orbit_cohomology(build_from_string("E6")).table
+        e6 = minimal_orbit_cohomology(build(parse_type("E6"))).table
         assert all(e6.torsion(i) == (3,) for i in (16, 22, 28))
         assert all(e6.torsion(i) == (2,) for i in (18, 26))
         assert time.monotonic() - start < 5.0
@@ -81,7 +80,7 @@ def test_criterion_2_classical_golden_tables():
     def check():
         start = time.monotonic()
         for label in CLASSICAL:
-            oc = minimal_orbit_cohomology(build_from_string(label))
+            oc = minimal_orbit_cohomology(build(parse_type(label)))
             assert dict(oc.table.items()) == closed_form(label), label
         assert time.monotonic() - start < 5.0
 
@@ -91,12 +90,12 @@ def test_criterion_2_classical_golden_tables():
 def test_criterion_3_cross_methods():
     def check():
         for label in ALL_TYPES:
-            rs = build_from_string(label)
+            rs = build(parse_type(label))
             oc = minimal_orbit_cohomology(rs)
             assert oc.table.torsion(oc.d) == middle_via_lattice(rs), label
             assert oc.table.free_rank(oc.d) == 0, label
         for n in range(2, 10):
-            direct = minimal_orbit_cohomology(build_from_string(f"A{n - 1}"))
+            direct = minimal_orbit_cohomology(build(parse_type(f"A{n - 1}")))
             assert type_a_alternative(n).table == direct.table, n
 
     report(3, "middle group via lattice and the type-A alternative agree", check)
@@ -105,7 +104,7 @@ def test_criterion_3_cross_methods():
 def test_criterion_4_structural_invariants():
     def check():
         for label in ALL_TYPES:
-            rs = build_from_string(label)
+            rs = build(parse_type(label))
             oc = minimal_orbit_cohomology(rs)
             d = oc.d
             for n in range(0, 2 * d):
@@ -130,9 +129,9 @@ def test_criterion_4_structural_invariants():
 def test_criterion_5_bad_prime_locality():
     def check():
         for label in ALL_TYPES:
-            rs = build_from_string(label)
+            rs = build(parse_type(label))
             report_map = bad_torsion_report(minimal_orbit_cohomology(rs))
-            assert set(report_map) <= rs.bad_primes, label
+            assert set(report_map) <= bad_primes(rs), label
 
     report(5, "off-middle torsion primes are bad primes", check)
 
@@ -141,7 +140,7 @@ def test_criterion_6_oracle_equivalence():
     def check():
         start = time.monotonic()
         for label in ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2", "E6"]:
-            rs = build_from_string(label)
+            rs = build(parse_type(label))
             assert verify_level_length(rs), label
             assert verify_reflection_length(rs), label
         assert time.monotonic() - start < 60.0
@@ -289,7 +288,7 @@ def test_golden_matrices_also_hold():
     # strongest fixed points available; keep them pinned here too
     def check():
         for name, expected in D_MATRICES.items():
-            rs = build_from_string(name)
+            rs = build(parse_type(name))
             for i, mat in expected.items():
                 assert d_matrix(rs, i) == mat, (name, i)
             assert max(expected) <= dimension(rs) - 1

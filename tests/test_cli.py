@@ -8,7 +8,7 @@ from minorbit import decomposition, orbit_cohomology
 from minorbit.cli import main
 from minorbit.errors import InvariantFailureError
 from minorbit.orbit_cohomology import from_json_dict, minimal_orbit_cohomology
-from minorbit.root_system import build_from_string
+from minorbit.root_system import build, parse_type
 
 
 def run(capsys, *argv):
@@ -38,7 +38,7 @@ def test_cohomology_json_round_trip(capsys):
         code, out, _ = run(capsys, "cohomology", "--type", label, "--format", "json")
         assert code == 0
         parsed = from_json_dict(json.loads(out))
-        assert parsed == minimal_orbit_cohomology(build_from_string(label))
+        assert parsed == minimal_orbit_cohomology(build(parse_type(label)))
 
 
 def test_cohomology_e7_span(capsys):

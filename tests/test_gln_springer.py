@@ -8,6 +8,7 @@ from minorbit.cli import main
 from minorbit.errors import DomainError
 from minorbit.gln_springer import (
     PARTITION_BUDGET,
+    _partition_numbers,
     _regular,
     adjacent_in_dominance,
     conjugate,
@@ -18,16 +19,29 @@ from minorbit.gln_springer import (
     is_ell_restricted,
     minimal_degeneration,
     parse_partition,
-    partition_count,
     partitions_of,
     psi,
-    row_column_invariance_check,
     row_column_reduce,
     springer_image,
 )
 from minorbit.int_linalg import is_prime
 
 PRIMES = [2, 3, 5, 7]
+
+
+def partition_count(n: int) -> int:
+    """p(n), the number of partitions of n, in O(n sqrt n) integer steps."""
+    if n < 0:
+        raise DomainError("partitions of a negative integer")
+    return next(itertools.islice(_partition_numbers(), n, None))
+
+
+def row_column_invariance_check(lam, mu, ell: int) -> bool:
+    """The adjacent-pair multiplicity is unchanged by row/column removal."""
+    if dominance_le(lam, mu):
+        lam, mu = mu, lam
+    reduced = row_column_reduce(lam, mu)
+    return decomp_adjacent(lam, mu, ell) == decomp_adjacent(*reduced, ell)
 
 
 partition_strategy = st.integers(1, 9).flatmap(

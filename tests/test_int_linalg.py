@@ -519,13 +519,13 @@ TRAFFIC_TYPES = (
 @pytest.mark.parametrize("label", TRAFFIC_TYPES)
 def test_invariant_factors_on_boundary_matrices(label, monkeypatch):
     from minorbit.long_root_poset import d_matrix, dimension
-    from minorbit.root_system import build_from_string
+    from minorbit.root_system import build, parse_type
 
     def bareiss(matrix):
         pytest.fail(f"a {label} boundary matrix outgrew the Hadamard bound")
 
     monkeypatch.setattr(int_linalg, "_bareiss", bareiss)
-    rs = build_from_string(label)
+    rs = build(parse_type(label))
     for i in range(1, dimension(rs)):
         m = [list(row) for row in d_matrix(rs, i)]
         assert invariant_factors(m) == tuple(d for d in smith(m).diag if d)

@@ -1,17 +1,13 @@
+import math
+
 import pytest
 
 from golden_data import D_MATRICES
 from minorbit.errors import DomainError
 from minorbit.int_linalg import kernel_rank
-from minorbit.long_root_poset import (
-    d_matrix,
-    dimension,
-    edge_coefficient,
-    level,
-    levels,
-    middle_matrix,
-)
-from minorbit.root_system import build_from_string, highest_root, is_long
+from minorbit.long_root_poset import d_matrix, dimension, level, levels
+from minorbit.root_system import build, cartan_of_subset, highest_root, is_long, parse_type
+from test_root_system import reflect
 
 POSET_TYPES = [
     "A1", "A3", "A6", "B2", "B3", "B5", "B8", "C2", "C4", "C8",
@@ -49,7 +45,37 @@ ASSEMBLY_TYPES = (
 
 @pytest.fixture(params=POSET_TYPES)
 def rs(request):
-    return build_from_string(request.param)
+    return build(parse_type(request.param))
+
+
+def edge_coefficient(rs, beta, alpha) -> int:
+    """Multiplicity of the covering edge from beta down to alpha, the
+    definition the tests hold ``d_matrix`` to.
+
+    beta and alpha must be long with level(alpha) = level(beta) + 1.  The
+    edge is the reflection s_gamma with s_gamma(beta) = alpha, and its
+    coefficient is c = <beta, gamma^vee>.  Then beta - alpha = c gamma, so
+    gamma is the root on the line of beta - alpha and the coefficient is c
+    when c gamma = beta - alpha, else 0.
+
+    This one rule covers every level.  s_gamma(beta)^vee = beta^vee -
+    <gamma, beta^vee> gamma^vee, and a level step lowers the coroot height
+    by 1, except across the middle (simple long roots to their negatives),
+    where it drops by 2.  Off the middle this forces <gamma, beta^vee> = 1
+    and ht(gamma^vee) = 1, so gamma is simple and c is 1 for gamma long, r
+    for gamma short.  Across the middle either gamma = beta, with c = 2,
+    or ht(gamma^vee) = 2 and gamma = beta - alpha is a root, with c = 1.
+    """
+    if level(rs, alpha) != level(rs, beta) + 1:
+        raise DomainError("edge coefficient needs level(alpha) = level(beta) + 1")
+    v = tuple(b - a for b, a in zip(beta, alpha))
+    # the positive root gamma with v in Z gamma, if any (roots are primitive)
+    g = math.gcd(*v) if min(v) >= 0 else -math.gcd(*v)
+    gamma = tuple(x // g for x in v)
+    if not rs.is_root(gamma):
+        return 0
+    c = rs.pairing(beta, gamma)
+    return c if tuple(c * x for x in gamma) == v else 0
 
 
 def test_level_endpoints(rs):
@@ -64,7 +90,7 @@ def test_level_endpoints(rs):
 
 
 def test_level_g2():
-    g2 = build_from_string("G2")
+    g2 = build(parse_type("G2"))
     assert level(g2, (1, 3)) == 1
 
 
@@ -87,7 +113,7 @@ def test_levels_structure(rs):
 
 @pytest.mark.parametrize("name", POSET_TYPES + ["A30", "B20", "C20", "D20"])
 def test_levels_hold_the_record_tuples_in_order(name):
-    rs = build_from_string(name)
+    rs = build(parse_type(name))
     own = {id(root) for root in rs._dual_heights}
     for i, members in enumerate(levels(rs)):
         assert all(id(root) in own for root in members), f"{name} level {i}"
@@ -96,13 +122,13 @@ def test_levels_hold_the_record_tuples_in_order(name):
 
 
 def test_edge_coefficients_basic():
-    g2 = build_from_string("G2")
+    g2 = build(parse_type("G2"))
     assert edge_coefficient(g2, (1, 3), (1, 0)) == 3
-    c4 = build_from_string("C4")
+    c4 = build(parse_type("C4"))
     lv = levels(c4)
     for i in range(len(lv) - 1):
         assert edge_coefficient(c4, lv[i][0], lv[i + 1][0]) == 2
-    b2 = build_from_string("B2")
+    b2 = build(parse_type("B2"))
     with pytest.raises(DomainError):
         edge_coefficient(b2, levels(b2)[0][0], levels(b2)[0][0])
 
@@ -110,9 +136,9 @@ def test_edge_coefficients_basic():
 @pytest.mark.parametrize("name", POSET_TYPES + ["A60", "B40", "D40"])
 def test_crossing_coefficients(name):
     # between the middle levels: 2 on (beta, -beta), 1 when beta - alpha is a root
-    rs = build_from_string(name)
+    rs = build(parse_type(name))
     lv = levels(rs)
-    middle = middle_matrix(rs)
+    middle = d_matrix(rs, rs.h_dual - 1)
     for col, beta in enumerate(lv[rs.h_dual - 2]):
         for row, alpha in enumerate(lv[rs.h_dual - 1]):
             expected = 0
@@ -132,7 +158,7 @@ def test_lowering_edges_are_the_simple_reflections(rs):
         assert rs._lowering[v] == tuple((j, c) for j, c in pairings if c > 0), v
         for j, c in rs._lowering[v]:
             alpha = rs.simple_roots[j]
-            assert tuple(x - c * a for x, a in zip(v, alpha)) == rs.reflect(v, alpha)
+            assert tuple(x - c * a for x, a in zip(v, alpha)) == reflect(rs, v, alpha)
 
 
 def test_d_matrix_range(rs):
@@ -146,7 +172,7 @@ def test_d_matrix_range(rs):
 @pytest.mark.parametrize("name", ASSEMBLY_TYPES)
 def test_transpose_symmetry(name):
     # minimal_orbit_cohomology reads degrees above the middle off this
-    rs = build_from_string(name)
+    rs = build(parse_type(name))
     d = dimension(rs)
     for i in range(1, d):
         assert d_matrix(rs, d - i) == tuple(zip(*d_matrix(rs, i))), f"{name} D_{i}"
@@ -161,20 +187,20 @@ def test_injective_below_middle(rs):
 
 def test_golden_matrices_exceptional():
     for name, expected in D_MATRICES.items():
-        rs = build_from_string(name)
+        rs = build(parse_type(name))
         for i, mat in expected.items():
             assert d_matrix(rs, i) == mat, f"{name} D_{i}"
 
 
 def test_middle_matrix():
-    a5 = build_from_string("A5")
-    assert middle_matrix(a5) == tuple(
+    a5 = build(parse_type("A5"))
+    assert d_matrix(a5, a5.h_dual - 1) == tuple(
         tuple(2 if i == j else (1 if abs(i - j) == 1 else 0) for j in range(5)) for i in range(5)
     )
-    g2 = build_from_string("G2")
-    assert middle_matrix(g2) == ((2,),)
-    d5 = build_from_string("D5")
-    assert middle_matrix(d5) == (
+    g2 = build(parse_type("G2"))
+    assert d_matrix(g2, g2.h_dual - 1) == ((2,),)
+    d5 = build(parse_type("D5"))
+    assert d_matrix(d5, d5.h_dual - 1) == (
         (2, 1, 0, 0, 0),
         (1, 2, 1, 0, 0),
         (0, 1, 2, 1, 1),
@@ -184,23 +210,21 @@ def test_middle_matrix():
 
 
 def test_middle_is_unsigned_cartan(rs):
-    from minorbit.root_system import cartan_of_subset
-
     sub = cartan_of_subset(rs, rs.long_simple_indices)
     unsigned = tuple(tuple(abs(x) for x in row) for row in sub)
-    assert middle_matrix(rs) == unsigned
+    assert d_matrix(rs, rs.h_dual - 1) == unsigned
 
 
 def test_a_family():
     for n in range(3, 10):
-        rs = build_from_string(f"A{n - 1}")
+        rs = build(parse_type(f"A{n - 1}"))
         for i in range(1, n - 1):
             assert d_matrix(rs, i) == tuple(tuple(row) for row in n_family(i))
 
 
 def test_b_family():
     for n in range(2, 9):
-        rs = build_from_string(f"B{n}")
+        rs = build(parse_type(f"B{n}"))
         for i in range(1, n - 1):
             expected = m_family((i + 1) // 2) if i % 2 else n_family(i // 2)
             assert d_matrix(rs, i) == tuple(tuple(r) for r in expected), f"B{n} D_{i}"
@@ -212,14 +236,14 @@ def test_b_family():
 
 def test_c_family():
     for n in range(2, 9):
-        rs = build_from_string(f"C{n}")
+        rs = build(parse_type(f"C{n}"))
         for i in range(1, 2 * n):
             assert d_matrix(rs, i) == ((2,),)
 
 
 def test_d_family():
     for n in range(4, 9):
-        rs = build_from_string(f"D{n}")
+        rs = build(parse_type(f"D{n}"))
         for i in range(1, n - 2):
             expected = m_family((i + 1) // 2) if i % 2 else n_family(i // 2)
             assert d_matrix(rs, i) == tuple(tuple(r) for r in expected), f"D{n} D_{i}"
@@ -239,7 +263,7 @@ def test_d_family():
 @pytest.mark.parametrize("name", ASSEMBLY_TYPES)
 def test_assembly_equals_edge_coefficients(name):
     # d_matrix assembles column by column; edge_coefficient is the definition
-    rs = build_from_string(name)
+    rs = build(parse_type(name))
     lv = levels(rs)
     for i in range(1, dimension(rs)):
         pairwise = tuple(tuple(edge_coefficient(rs, beta, alpha) for beta in lv[i - 1]) for alpha in lv[i])

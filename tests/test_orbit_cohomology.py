@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from golden_data import COHOMOLOGY
@@ -7,16 +9,15 @@ from minorbit.int_linalg import cokernel, invariant_factors, kernel_rank
 from minorbit.long_root_poset import d_matrix, levels
 from minorbit.orbit_cohomology import (
     GradedAbelianGroup,
-    bad_torsion_report,
-    cone_over_curve,
+    OrbitCohomology,
     from_json_dict,
     middle_via_lattice,
     minimal_orbit_cohomology,
-    rational_half_check,
     to_json_dict,
     type_a_alternative,
 )
-from minorbit.root_system import build_from_string
+from minorbit.root_system import RootSystem, build, parse_type
+from test_root_system import bad_primes, weyl_degrees
 
 ALL_TYPES = [
     "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8",
@@ -25,6 +26,70 @@ ALL_TYPES = [
     "D4", "D5", "D6", "D7", "D8",
     "E6", "E7", "E8", "F4", "G2",
 ]
+# past the golden tables' rank 8
+WIDE_TYPES = ALL_TYPES + ["A30", "B20", "C20", "D20"]
+
+
+def cone_over_curve(g: int, c: int) -> GradedAbelianGroup:
+    """Cohomology of the punctured cone over a smooth projective curve.
+
+    g is the genus, c the degree of the contracted line bundle; the four
+    graded pieces are Z, Z^2g, Z^2g + Z/c, Z.
+    """
+    if g < 0:
+        raise DomainError("genus must be nonnegative")
+    if c <= 0:
+        raise DomainError("the contracted bundle degree must be positive")
+    return GradedAbelianGroup(
+        {
+            0: (1, ()),
+            1: (2 * g, ()),
+            2: (2 * g, (c,) if c > 1 else ()),
+            3: (1, ()),
+        }
+    )
+
+
+def bad_torsion_report(oc: OrbitCohomology) -> dict[int, tuple[int, ...]]:
+    """Primes dividing torsion away from the middle degree, with locations.
+
+    Every such prime must be a bad prime of the type (all lie in {2, 3, 5}),
+    so each torsion coefficient is divided by those alone: a cofactor above
+    1 would falsify the computation and raises accordingly.
+    """
+    bad = sorted(bad_primes(build(oc.type_label)))
+    found: dict[int, set[int]] = {}
+    for n, (_, torsion) in oc.table.items():
+        if n == oc.d:
+            continue
+        for t in torsion:
+            for p in bad:
+                if t % p == 0:
+                    found.setdefault(p, set()).add(n)
+                while t % p == 0:
+                    t //= p
+            if t > 1:
+                raise InvariantFailureError(
+                    f"torsion at degree {n} of {oc.type_label} has the cofactor {t} "
+                    f"prime to the bad primes {bad}"
+                )
+    return {p: tuple(sorted(ds)) for p, ds in sorted(found.items())}
+
+
+def rational_half_check(rs: RootSystem, oc: OrbitCohomology) -> bool:
+    """Check the free ranks below the middle against the Weyl-group degrees.
+
+    The multiset of half-degrees carrying a free class below degree d must
+    equal {d_i - 2} over the k smallest degrees, k = number of long simple
+    roots.
+    """
+    k = len(rs.long_simple_indices)
+    expected = Counter(d - 2 for d in weyl_degrees(rs)[:k])
+    got: Counter[int] = Counter()
+    for n, (free, _) in oc.table.items():
+        if n % 2 == 0 and n < oc.d and free:
+            got[n // 2] += free
+    return got == expected
 
 
 def closed_form(label: str) -> dict:
@@ -78,19 +143,19 @@ def closed_form(label: str) -> dict:
 
 @pytest.fixture(params=ALL_TYPES)
 def rs(request):
-    return build_from_string(request.param)
+    return build(parse_type(request.param))
 
 
 def test_golden_exceptional():
     for name, expected in COHOMOLOGY.items():
-        oc = minimal_orbit_cohomology(build_from_string(name))
+        oc = minimal_orbit_cohomology(build(parse_type(name)))
         assert dict(oc.table.items()) == expected, name
 
 
 def test_classical_closed_forms():
     for label in ALL_TYPES:
         if label[0] in "ABCD":
-            oc = minimal_orbit_cohomology(build_from_string(label))
+            oc = minimal_orbit_cohomology(build(parse_type(label)))
             assert dict(oc.table.items()) == closed_form(label), label
 
 
@@ -135,15 +200,15 @@ def cohomology_all_matrices(rs):
     return GradedAbelianGroup(entries)
 
 
-@pytest.mark.parametrize("name", ALL_TYPES + ["A30", "B20", "C20", "D20"])
+@pytest.mark.parametrize("name", WIDE_TYPES)
 def test_cohomology_equals_the_all_matrices_loop(name):
-    rs = build_from_string(name)
+    rs = build(parse_type(name))
     assert minimal_orbit_cohomology(rs).table == cohomology_all_matrices(rs)
 
 
 @pytest.mark.parametrize("name", ["E8", "B5"])
 def test_one_smith_form_per_transposed_pair(name, monkeypatch):
-    rs = build_from_string(name)
+    rs = build(parse_type(name))
     factored, requested = [], []
     real_factors, real_d_matrix = orbit_cohomology.invariant_factors, long_root_poset.d_matrix
     monkeypatch.setattr(orbit_cohomology, "invariant_factors", lambda m: factored.append(m) or real_factors(m))
@@ -161,16 +226,16 @@ def test_middle_cross_method(rs):
 
 
 def test_middle_values():
-    assert middle_via_lattice(build_from_string("E8")) == ()
-    assert middle_via_lattice(build_from_string("B6")) == (6,)
-    assert middle_via_lattice(build_from_string("D4")) == (2, 2)
-    assert middle_via_lattice(build_from_string("D5")) == (4,)
-    assert middle_via_lattice(build_from_string("C7")) == (2,)
+    assert middle_via_lattice(build(parse_type("E8"))) == ()
+    assert middle_via_lattice(build(parse_type("B6"))) == (6,)
+    assert middle_via_lattice(build(parse_type("D4"))) == (2, 2)
+    assert middle_via_lattice(build(parse_type("D5"))) == (4,)
+    assert middle_via_lattice(build(parse_type("C7"))) == (2,)
 
 
 def test_type_a_alternative_matches():
     for n in range(2, 10):
-        oc_direct = minimal_orbit_cohomology(build_from_string(f"A{n - 1}"))
+        oc_direct = minimal_orbit_cohomology(build(parse_type(f"A{n - 1}")))
         oc_alt = type_a_alternative(n)
         assert oc_alt.table == oc_direct.table
         assert oc_alt.d == oc_direct.d
@@ -220,30 +285,31 @@ def test_cone_gysin_oracle():
 
 
 def test_cone_matches_minimal_orbit_of_rank_one():
-    oc = minimal_orbit_cohomology(build_from_string("A1"))
+    oc = minimal_orbit_cohomology(build(parse_type("A1")))
     sliced = GradedAbelianGroup({n: entry for n, entry in oc.table.items() if n <= 3})
     assert cone_over_curve(0, 2) == sliced
 
 
+@pytest.mark.parametrize("rs", WIDE_TYPES, indirect=True)
 def test_bad_torsion_report(rs):
     oc = minimal_orbit_cohomology(rs)
     report = bad_torsion_report(oc)
-    assert set(report) <= rs.bad_primes
+    assert set(report) <= bad_primes(rs)
 
 
 def test_bad_torsion_values():
-    e8 = minimal_orbit_cohomology(build_from_string("E8"))
+    e8 = minimal_orbit_cohomology(build(parse_type("E8")))
     report = bad_torsion_report(e8)
     assert set(report) == {2, 3, 5}
     assert report[5] == (48, 68)
-    a6 = minimal_orbit_cohomology(build_from_string("A6"))
+    a6 = minimal_orbit_cohomology(build(parse_type("A6")))
     assert bad_torsion_report(a6) == {}
-    g2 = minimal_orbit_cohomology(build_from_string("G2"))
+    g2 = minimal_orbit_cohomology(build(parse_type("G2")))
     assert bad_torsion_report(g2) == {3: (4, 8)}
 
 
 def test_bad_torsion_flags_violations():
-    oc = minimal_orbit_cohomology(build_from_string("A3"))
+    oc = minimal_orbit_cohomology(build(parse_type("A3")))
     broken = type(oc)(
         oc.type_label, oc.d, oc.h_dual, GradedAbelianGroup({0: (1, ()), 2: (0, (7,))})
     )
@@ -254,12 +320,13 @@ def test_bad_torsion_flags_violations():
 def test_bad_torsion_refuses_a_large_cofactor_at_once(time_budget):
     # factoring this semiprime by trial division would take ~10^9 steps
     semiprime = (10**9 + 7) * (10**9 + 9)
-    obj = to_json_dict(minimal_orbit_cohomology(build_from_string("G2")))
+    obj = to_json_dict(minimal_orbit_cohomology(build(parse_type("G2"))))
     next(e for e in obj["H"] if e["n"] == 4)["torsion"] = [3 * semiprime]
     with time_budget(1), pytest.raises(InvariantFailureError, match=f"degree 4 of G2 .* cofactor {semiprime}"):
         bad_torsion_report(from_json_dict(obj))
 
 
+@pytest.mark.parametrize("rs", WIDE_TYPES, indirect=True)
 def test_rational_half_check(rs):
     assert rational_half_check(rs, minimal_orbit_cohomology(rs))
 
@@ -304,7 +371,7 @@ def test_graded_group_validation():
     ],
 )
 def test_from_json_dict_names_missing_field(field, path):
-    obj = to_json_dict(minimal_orbit_cohomology(build_from_string("B3")))
+    obj = to_json_dict(minimal_orbit_cohomology(build(parse_type("B3"))))
     holder = obj
     for key in path:
         holder = holder[key]
@@ -314,7 +381,7 @@ def test_from_json_dict_names_missing_field(field, path):
 
 
 def test_from_json_dict_names_ill_typed_field():
-    good = to_json_dict(minimal_orbit_cohomology(build_from_string("G2")))
+    good = to_json_dict(minimal_orbit_cohomology(build(parse_type("G2"))))
     for field, bad in [("type", 2), ("d", "6"), ("h_dual", True), ("H", {})]:
         with pytest.raises(DomainError, match=repr(field)):
             from_json_dict({**good, field: bad})
@@ -328,12 +395,12 @@ def test_from_json_dict_names_ill_typed_field():
 
 def test_from_json_dict_rejects_d_or_h_dual_contradicting_the_type():
     # bad input, refused as such: loaded, it would fail bad_torsion_report as a bug
-    good = to_json_dict(minimal_orbit_cohomology(build_from_string("B3")))
+    good = to_json_dict(minimal_orbit_cohomology(build(parse_type("B3"))))
     for bad, field in [({"d": 7}, "d"), ({"type": "A1"}, "h_dual"), ({"h_dual": 4, "d": 6}, "h_dual")]:
         with pytest.raises(DomainError, match=repr(field)):
             from_json_dict({**good, **bad})
     # a degree outside 0 .. 2d - 1 (A2 has d = 4), or one given twice
-    a2 = to_json_dict(minimal_orbit_cohomology(build_from_string("A2")))
+    a2 = to_json_dict(minimal_orbit_cohomology(build(parse_type("A2"))))
     for n in [-3, -1, 8, 99]:
         with pytest.raises(DomainError, match=f"degree n = {n} is repeated or outside 0 .. 7"):
             from_json_dict({**a2, "H": a2["H"] + [{"n": n, "rank": 1, "torsion": []}]})

@@ -13,7 +13,7 @@ import pytest
 import minorbit
 from minorbit.int_linalg import SmithForm, smith
 from minorbit.orbit_cohomology import OrbitCohomology, minimal_orbit_cohomology
-from minorbit.root_system import TypeLabel, build_from_string
+from minorbit.root_system import TypeLabel, build, parse_type
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -108,8 +108,8 @@ def test_record_types_keep_value_semantics():
     assert repr(sf) == f"SmithForm(left={sf.left!r}, diag={sf.diag!r}, right={sf.right!r})"
     assert isinstance(sf, SmithForm) and sf.diag == (2, 4)
 
-    oc = minimal_orbit_cohomology(build_from_string("G2"))
-    again = minimal_orbit_cohomology(build_from_string("G2"))
+    oc = minimal_orbit_cohomology(build(parse_type("G2")))
+    again = minimal_orbit_cohomology(build(parse_type("G2")))
     assert oc == again and hash(oc) == hash(again) and isinstance(oc, OrbitCohomology)
     assert repr(oc).startswith("OrbitCohomology(type_label=TypeLabel(series='G', rank=2), d=6, h_dual=4, table=")
 

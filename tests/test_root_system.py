@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -10,7 +11,6 @@ from minorbit.root_system import (
     TypeLabel,
     _cartan_and_lengths,
     build,
-    build_from_string,
     cartan_matrix,
     cartan_of_subset,
     dual_height,
@@ -42,7 +42,29 @@ ALL_TYPES = [
 
 @pytest.fixture(params=ALL_TYPES)
 def rs(request):
-    return build_from_string(request.param)
+    return build(parse_type(request.param))
+
+
+def coxeter_number(rs) -> int:
+    return _cartan_and_lengths(rs.type_label)[3]
+
+
+def reflect(rs, a, b):
+    """Image of a under the reflection in the root b."""
+    c = rs.pairing(a, b)
+    return tuple(ai - c * bi for ai, bi in zip(a, b))
+
+
+def weyl_degrees(rs) -> tuple[int, ...]:
+    """Kostant: the exponents are the conjugate partition of the counts of
+    positive roots by height, and each degree is an exponent plus 1."""
+    by_height = Counter(map(height, rs.positive_roots)).values()
+    return tuple(1 + sum(c >= j for c in by_height) for j in range(rs.rank, 0, -1))
+
+
+def bad_primes(rs) -> frozenset[int]:
+    """The primes dividing a coefficient of the highest root (each is at most 6)."""
+    return frozenset(p for p in (2, 3, 5) if any(c % p == 0 for c in highest_root(rs)))
 
 
 def test_parse_type():
@@ -61,21 +83,23 @@ def test_parse_type_refuses_a_rank_over_the_digit_limit():
 
 def test_counts(rs):
     # |roots| = rank * h, split evenly into positives and negatives
-    assert len(rs.roots) == rs.rank * rs.h
+    assert len(rs.roots) == rs.rank * coxeter_number(rs)
     assert len(rs.positive_roots) * 2 == len(rs.roots)
     assert len(set(rs.roots)) == len(rs.roots)
 
 
 def test_build_small_examples():
-    a1 = build_from_string("A1")
-    assert len(a1.roots) == 2 and a1.cartan == ((2,),) and a1.r == 1
-    assert a1.h == a1.h_dual == 2
+    a1 = build(parse_type("A1"))
+    _, _, r, h = _cartan_and_lengths(a1.type_label)
+    assert len(a1.roots) == 2 and a1.cartan == ((2,),) and r == 1
+    assert h == a1.h_dual == 2
 
-    g2 = build_from_string("G2")
+    g2 = build(parse_type("G2"))
+    _, _, r, h = _cartan_and_lengths(g2.type_label)
     assert len(g2.roots) == 12 and len(g2.positive_roots) == 6
-    assert g2.r == 3 and g2.h == 6 and g2.h_dual == 4
+    assert r == 3 and h == 6 and g2.h_dual == 4
 
-    b3 = build_from_string("B3")
+    b3 = build(parse_type("B3"))
     assert len(b3.roots) == 18
     assert sum(1 for v in b3.positive_roots if is_long(b3, v)) == 6
 
@@ -97,28 +121,28 @@ def test_positive_root_order(rs):
 def test_highest_root(rs):
     top = highest_root(rs)
     assert is_long(rs, top)
-    assert height(top) == rs.h - 1
+    assert height(top) == coxeter_number(rs) - 1
     assert dual_height(rs, top) == rs.h_dual - 1
     for v in rs.positive_roots:
         assert all(t >= x for t, x in zip(top, v))
 
 
 def test_highest_root_values():
-    assert highest_root(build_from_string("A2")) == (1, 1)
-    assert highest_root(build_from_string("G2")) == (2, 3)
-    assert highest_root(build_from_string("E8")) == (2, 3, 4, 6, 5, 4, 3, 2)
+    assert highest_root(build(parse_type("A2"))) == (1, 1)
+    assert highest_root(build(parse_type("G2"))) == (2, 3)
+    assert highest_root(build(parse_type("E8"))) == (2, 3, 4, 6, 5, 4, 3, 2)
 
 
 def test_dual_coxeter_values():
     expected = {"A5": 6, "B3": 5, "C3": 4, "D5": 8, "E6": 12, "E7": 18, "E8": 30, "F4": 9, "G2": 4}
     for label, h_dual in expected.items():
-        assert build_from_string(label).h_dual == h_dual
+        assert build(parse_type(label)).h_dual == h_dual
 
 
 def test_dual_height_examples():
-    b3 = build_from_string("B3")
+    b3 = build(parse_type("B3"))
     assert dual_height(b3, highest_root(b3)) == 4
-    c3 = build_from_string("C3")
+    c3 = build(parse_type("C3"))
     assert dual_height(c3, highest_root(c3)) == 3
     for rs in (b3, c3):
         for i in rs.long_simple_indices:
@@ -130,9 +154,10 @@ def test_dual_height_examples():
 
 def test_is_long_divisibility(rs):
     # long iff r divides every coordinate at a short simple position
+    r = _cartan_and_lengths(rs.type_label)[2]
     short_positions = [i for i in range(rs.rank) if i not in rs.long_simple_indices]
     for v in rs.roots:
-        divisible = all(v[i] % rs.r == 0 for i in short_positions)
+        divisible = all(v[i] % r == 0 for i in short_positions)
         assert is_long(rs, v) == divisible
     with pytest.raises(DomainError):
         is_long(rs, tuple([5] * rs.rank))
@@ -140,29 +165,31 @@ def test_is_long_divisibility(rs):
 
 def test_is_long_matches_the_bilinear_form(rs):
     # a long root has (v|v) = r, and bilinear gives 2(v|v)
+    r = _cartan_and_lengths(rs.type_label)[2]
     for v in rs.roots:
-        assert is_long(rs, v) == (rs.bilinear(v, v) == 2 * rs.r)
+        assert is_long(rs, v) == (rs.bilinear(v, v) == 2 * r)
 
 
 def test_dual_height_matches_the_bilinear_form(rs):
     # the coroot of v is 2v/(v|v), so its height is sum v_i (alpha_i|alpha_i) / (v|v)
+    lengths = _cartan_and_lengths(rs.type_label)[1]
     for v in rs.roots:
         if is_long(rs, v):
-            numerator = sum(c * length for c, length in zip(v, rs.simple_lengths))
+            numerator = sum(c * length for c, length in zip(v, lengths))
             half_norm = rs.bilinear(v, v) // 2
             assert numerator % half_norm == 0
             assert dual_height(rs, v) == numerator // half_norm
 
 
 def test_is_long_g2():
-    g2 = build_from_string("G2")
+    g2 = build(parse_type("G2"))
     assert is_long(g2, (1, 3))
     assert not is_long(g2, (1, 1))
 
 
 def test_simply_laced_all_long():
     for label in ["A4", "D5", "E6"]:
-        rs = build_from_string(label)
+        rs = build(parse_type(label))
         assert all(is_long(rs, v) for v in rs.roots)
 
 
@@ -176,10 +203,10 @@ def test_dual_height_additive(rs):
 
 
 def test_cartan_of_subset():
-    f4 = build_from_string("F4")
+    f4 = build(parse_type("F4"))
     assert cartan_of_subset(f4, range(4)) == [list(r) for r in f4.cartan]
     assert cartan_of_subset(f4, f4.long_simple_indices) == [[2, -1], [-1, 2]]
-    cn = build_from_string("C5")
+    cn = build(parse_type("C5"))
     assert cartan_of_subset(cn, cn.long_simple_indices) == [[2]]
     for bad in ([9], [-1], [True]):
         with pytest.raises(DomainError, match="is not a simple-root index of F4"):
@@ -206,7 +233,7 @@ def test_long_simple_subsystem():
         "B5": "A4", "C6": "A1", "F4": "A2", "G2": "A1",
     }
     for label, expected in cases.items():
-        assert str(long_simple_subsystem(build_from_string(label))) == expected
+        assert str(long_simple_subsystem(build(parse_type(label)))) == expected
 
 
 def long_simple_by_hand(label: TypeLabel) -> TypeLabel:
@@ -223,7 +250,7 @@ def long_simple_by_hand(label: TypeLabel) -> TypeLabel:
 
 @pytest.mark.parametrize("name", CLOSURE_TYPES + ["E6", "E7", "E8", "F4", "G2"])
 def test_long_simple_subsystem_is_the_long_simple_diagram(name):
-    rs = build_from_string(name)
+    rs = build(parse_type(name))
     assert cartan_matrix(long_simple_subsystem(rs)) == cartan_of_subset(rs, rs.long_simple_indices)
 
 
@@ -266,12 +293,13 @@ def published_degrees(label) -> tuple[int, ...]:
 
 @pytest.mark.parametrize("name", ALL_TYPES + ["A40", "B25", "C40", "D30", "D31"])
 def test_degrees(name):
-    # build reads the degrees off the positive roots (Kostant)
-    rs = build_from_string(name)
-    assert rs.degrees == published_degrees(rs.type_label)
-    assert len(rs.degrees) == rs.rank
-    assert max(rs.degrees) == rs.h
-    assert sum(d - 1 for d in rs.degrees) == len(rs.positive_roots)
+    # the degrees read off build's positive roots (Kostant) are the published ones
+    rs = build(parse_type(name))
+    degrees = weyl_degrees(rs)
+    assert degrees == published_degrees(rs.type_label)
+    assert len(degrees) == rs.rank
+    assert max(degrees) == coxeter_number(rs)
+    assert sum(d - 1 for d in degrees) == len(rs.positive_roots)
 
 
 # the published table of bad primes (Springer-Steinberg)
@@ -284,34 +312,34 @@ BAD_PRIMES = {
 
 def test_bad_primes_match_the_published_table(rs):
     series = rs.type_label.series
-    assert rs.bad_primes == BAD_PRIMES[str(rs.type_label) if series == "E" else series]
+    assert bad_primes(rs) == BAD_PRIMES[str(rs.type_label) if series == "E" else series]
 
 
 def test_bad_primes():
-    assert build_from_string("A7").bad_primes == frozenset()
-    assert build_from_string("B4").bad_primes == frozenset({2})
-    assert build_from_string("E6").bad_primes == frozenset({2, 3})
-    assert build_from_string("E8").bad_primes == frozenset({2, 3, 5})
-    assert build_from_string("G2").bad_primes == frozenset({2, 3})
+    assert bad_primes(build(parse_type("A7"))) == frozenset()
+    assert bad_primes(build(parse_type("B4"))) == frozenset({2})
+    assert bad_primes(build(parse_type("E6"))) == frozenset({2, 3})
+    assert bad_primes(build(parse_type("E8"))) == frozenset({2, 3, 5})
+    assert bad_primes(build(parse_type("G2"))) == frozenset({2, 3})
 
 
 @pytest.mark.parametrize("name", CLOSURE_TYPES)
 def test_closure_counts_large_rank(name):
-    rs = build_from_string(name)
+    rs = build(parse_type(name))
     h = COXETER[rs.type_label.series](rs.rank)
-    assert rs.h == h
+    assert coxeter_number(rs) == h
     assert len(rs.roots) == rs.rank * h
     assert len(set(rs.roots)) == len(rs.roots)
 
 
 def test_equality_and_hash_read_the_label_only():
-    e8 = build_from_string("E8")
+    e8 = build(parse_type("E8"))
     # a copy whose roots are unhashable lists: hashing it must not touch them
     copy = RootSystem(**{**vars(e8), "roots": [list(v) for v in e8.roots], "positive_roots": ()})
     assert copy is not e8
     assert copy == e8 and hash(copy) == hash(e8) == hash(e8.type_label)
-    assert e8 != build_from_string("E7") and e8 != "E8"
-    a60 = build_from_string("A60")
+    assert e8 != build(parse_type("E7")) and e8 != "E8"
+    a60 = build(parse_type("A60"))
     assert hash(a60) == hash(a60.type_label)
 
 

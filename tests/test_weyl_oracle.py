@@ -1,11 +1,12 @@
 import itertools
+import math
 
 import pytest
 
 from minorbit import cli, long_root_poset, weyl_oracle
 from minorbit.errors import DomainError
 from minorbit.long_root_poset import level
-from minorbit.root_system import build_from_string, height, highest_root, is_long
+from minorbit.root_system import build, height, highest_root, is_long, parse_type
 from minorbit.weyl_oracle import (
     ORACLE_BUDGET,
     WeylElement,
@@ -19,12 +20,13 @@ from minorbit.weyl_oracle import (
     _root_index,
     _simple_reflections,
     coset_reps,
-    group_order,
     level_length_failure,
     reflection_length_failure,
     verify_level_length,
     verify_reflection_length,
 )
+from test_long_root_poset import edge_coefficient
+from test_root_system import reflect, weyl_degrees
 
 SMALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2"]
 # every type with |W| <= |W(E6)| = 51840
@@ -44,6 +46,10 @@ UP_TO_E6 = (
 _IDENTITY_TAIL = bytes(range(256))
 
 
+def group_order(rs) -> int:
+    return math.prod(weyl_degrees(rs))
+
+
 def _length_of(perm, npos: int) -> int:
     """Number of positive roots sent to negative ones."""
     return sum(1 for i in range(npos) if perm[i] >= npos)
@@ -54,7 +60,7 @@ def enumerate_group(rs) -> list[WeylElement]:
     nroots = len(rs.roots)
     assert nroots <= 255 and group_order(rs) <= 51840
     index = _root_index(rs)
-    gens = [bytes(index[rs.reflect(v, s)] for v in rs.roots) for s in rs.simple_roots]
+    gens = [bytes(index[reflect(rs, v, s)] for v in rs.roots) for s in rs.simple_roots]
     ident = bytes(range(nroots))
     seen = {ident}
     frontier = [ident]
@@ -108,15 +114,15 @@ def invert(perm: tuple) -> tuple:
 
 
 def test_group_orders():
-    assert group_order(build_from_string("A2")) == 6
-    assert group_order(build_from_string("B3")) == 48
-    assert group_order(build_from_string("F4")) == 1152
-    assert group_order(build_from_string("E6")) == 51840
+    assert group_order(build(parse_type("A2"))) == 6
+    assert group_order(build(parse_type("B3"))) == 48
+    assert group_order(build(parse_type("F4"))) == 1152
+    assert group_order(build(parse_type("E6"))) == 51840
 
 
 @pytest.mark.parametrize("label", SMALL_TYPES)
 def test_enumeration_count_and_lengths(label):
-    rs = build_from_string(label)
+    rs = build(parse_type(label))
     elements = coset_reps(rs, ())
     assert len(elements) == group_order(rs)
     nu = len(rs.positive_roots)
@@ -127,14 +133,14 @@ def test_enumeration_count_and_lengths(label):
 
 def test_guard(time_budget):
     # |W(E7)| * |Phi| = 2903040 * 126 is over the budget, refused before any work
-    e7 = build_from_string("E7")
+    e7 = build(parse_type("E7"))
     with time_budget(1.0), pytest.raises(DomainError, match="over the budget"):
         coset_reps(e7, ())
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "G2"])
 def test_coset_reps_counts(label):
-    rs = build_from_string(label)
+    rs = build(parse_type(label))
     whole = enumerate_group(rs)
     assert set(coset_reps(rs, ())) == set(whole)
     assert len(coset_reps(rs, tuple(range(rs.rank)))) == 1
@@ -147,7 +153,7 @@ def test_coset_reps_counts(label):
 
 @pytest.mark.parametrize("label", UP_TO_E6)
 def test_coset_reps_equal_the_filtered_group(label):
-    rs = build_from_string(label)
+    rs = build(parse_type(label))
     group = enumerate_group(rs)
     assert len(group) == group_order(rs)
     subsets = [(), _orthogonal_simple_indices(rs)]
@@ -162,7 +168,7 @@ def test_coset_reps_equal_the_filtered_group(label):
 
 @pytest.mark.parametrize("label", UP_TO_E6 + ["E7", "E8", "A30", "B20", "C20", "D20"])
 def test_coset_count_closed_form(label):
-    rs = build_from_string(label)
+    rs = build(parse_type(label))
     assert _coset_count(rs, ()) == group_order(rs)
     assert _coset_count(rs, tuple(range(rs.rank))) == 1
     n_long = sum(1 for v in rs.roots if is_long(rs, v))
@@ -174,11 +180,11 @@ def test_reflection_table(label):
     # every s_gamma conjugated from the simple reflections equals the one made
     # from the form, is an involution, negates gamma, and has the length the
     # height formula counts
-    rs = build_from_string(label)
+    rs = build(parse_type(label))
     index = _root_index(rs)
     npos = len(rs.positive_roots)
     for s in rs.simple_roots:
-        assert _reflection_perm(rs, index, s) == tuple(index[rs.reflect(v, s)] for v in rs.roots)
+        assert _reflection_perm(rs, index, s) == tuple(index[reflect(rs, v, s)] for v in rs.roots)
     table = _reflection_table(rs)
     assert len(table) == npos
     identity = tuple(range(len(rs.roots)))
@@ -192,7 +198,7 @@ def test_reflection_table(label):
 def test_coset_reps_build_no_table(time_budget):
     # coset_reps needs the simple reflections only; the table of every s_gamma
     # would be |Phi^+| |Phi| = 49,005,000 entries at A99
-    a99 = build_from_string("A99")
+    a99 = build(parse_type("A99"))
     _simple_reflections.cache_clear()
     before = _reflection_table.cache_info()
     with time_budget(1.0):
@@ -209,24 +215,24 @@ def test_budget_at_its_boundary(time_budget):
     last_c = max(n for n in range(2, 100) if n**2 * 2 * n**2 <= ORACLE_BUDGET)
     assert (last_a, last_c) == (44, 37)
     for label, count in ((f"A{last_a}", last_a * (last_a + 1)), (f"C{last_c}", last_c**2)):
-        rs = build_from_string(label)
+        rs = build(parse_type(label))
         assert _check_verify_budget(rs) == _coset_count(rs, _orthogonal_simple_indices(rs))
         assert max(_coset_count(rs, _orthogonal_simple_indices(rs)), len(rs.positive_roots)) == count
     tables, simple = _reflection_table.cache_info(), _simple_reflections.cache_info()
     for label in (f"A{last_a + 1}", f"C{last_c + 1}"):
-        rs = build_from_string(label)
+        rs = build(parse_type(label))
         for check in (verify_level_length, verify_reflection_length):
             with time_budget(1.0), pytest.raises(DomainError, match="over the budget"):
                 check(rs)
     # refused before any work: no reflection was made
     assert (_reflection_table.cache_info(), _simple_reflections.cache_info()) == (tables, simple)
     # the whole of W(E6) is admitted, so the oracle above can be compared with it
-    e6 = build_from_string("E6")
+    e6 = build(parse_type("E6"))
     _check_budget(e6, group_order(e6), "|W|")
 
 
 def test_g2_coset_reps_lengths():
-    g2 = build_from_string("G2")
+    g2 = build(parse_type("G2"))
     reps = coset_reps(g2, _orthogonal_simple_indices(g2))
     assert len(reps) == 6
     top_idx = g2.roots.index(highest_root(g2))
@@ -239,23 +245,23 @@ def test_g2_coset_reps_lengths():
 
 @pytest.mark.parametrize("label", SMALL_TYPES)
 def test_verify_level_length(label):
-    assert verify_level_length(build_from_string(label))
+    assert verify_level_length(build(parse_type(label)))
 
 
 @pytest.mark.parametrize("label", SMALL_TYPES)
 def test_verify_reflection_length(label):
-    assert verify_reflection_length(build_from_string(label))
+    assert verify_reflection_length(build(parse_type(label)))
 
 
 def test_verify_e6():
-    e6 = build_from_string("E6")
+    e6 = build(parse_type("E6"))
     assert verify_level_length(e6)
     assert verify_reflection_length(e6)
 
 
 @pytest.mark.parametrize("label", ["E7", "E8"])
 def test_verify_e7_e8(label, time_budget):
-    rs = build_from_string(label)
+    rs = build(parse_type(label))
     with time_budget(5.0):
         assert verify_level_length(rs)
         assert verify_reflection_length(rs)
@@ -264,7 +270,7 @@ def test_verify_e7_e8(label, time_budget):
 def test_verify_level_length_a30(time_budget):
     # every entry is read off the stored matrices; the group side is the only
     # per-pair work left
-    a30 = build_from_string("A30")
+    a30 = build(parse_type("A30"))
     with time_budget(1.5):
         assert verify_level_length(a30)
 
@@ -286,11 +292,11 @@ def _patch_entry(monkeypatch, rs, i, row, col, value):
 
 def test_failure_names_the_pair(monkeypatch, capsys):
     # a wrong coefficient on an edge the group has
-    b3 = build_from_string("B3")
+    b3 = build(parse_type("B3"))
     lv = long_root_poset.levels(b3)
     beta, alpha = lv[2][0], lv[3][0]
     true_value = long_root_poset.d_matrix(b3, 3)[0][0]
-    assert true_value == long_root_poset.edge_coefficient(b3, beta, alpha) == 1
+    assert true_value == edge_coefficient(b3, beta, alpha) == 1
     _patch_entry(monkeypatch, b3, 3, 0, 0, 2)
     assert not verify_level_length(b3)
     reason = level_length_failure(b3)
@@ -305,7 +311,7 @@ def test_failure_names_the_pair(monkeypatch, capsys):
 
 def test_failure_names_a_one_sided_edge(monkeypatch):
     # a 0 where the group has an edge, then a nonzero entry where it has none
-    g2 = build_from_string("G2")
+    g2 = build(parse_type("G2"))
     lv = long_root_poset.levels(g2)
     beta, alpha = lv[1][0], lv[2][0]
     assert long_root_poset.d_matrix(g2, 2) == ((3,),)
@@ -313,25 +319,25 @@ def test_failure_names_a_one_sided_edge(monkeypatch):
     assert level_length_failure(g2) == f"({beta}, {alpha}): d_matrix(2) entry 0, expected 3"
 
     monkeypatch.undo()
-    a3 = build_from_string("A3")
+    a3 = build(parse_type("A3"))
     lv = long_root_poset.levels(a3)
     mat = long_root_poset.d_matrix(a3, 2)
     row, col = next((r, c) for r in range(len(mat)) for c in range(len(mat[0])) if not mat[r][c])
     beta, alpha = lv[1][col], lv[2][row]
-    assert long_root_poset.edge_coefficient(a3, beta, alpha) == 0
+    assert edge_coefficient(a3, beta, alpha) == 0
     _patch_entry(monkeypatch, a3, 2, row, col, 1)
     assert level_length_failure(a3) == f"({beta}, {alpha}): d_matrix(2) entry 1, expected 0"
 
 
 def test_failure_names_a_repeated_image(monkeypatch):
-    b3 = build_from_string("B3")
+    b3 = build(parse_type("B3"))
     true_reps = coset_reps(b3, _orthogonal_simple_indices(b3))
     monkeypatch.setattr(weyl_oracle, "coset_reps", lambda rs, indices: true_reps[:-1] + true_reps[:1])
     assert level_length_failure(b3) == f"two representatives send the highest root to {highest_root(b3)}"
 
 
 def test_failure_names_the_root(monkeypatch, capsys):
-    g2 = build_from_string("G2")
+    g2 = build(parse_type("G2"))
     top = highest_root(g2)
     true_level = long_root_poset.level
     monkeypatch.setattr(long_root_poset, "level", lambda rs, v: true_level(rs, v) + (v == top))
@@ -349,7 +355,7 @@ def test_failure_names_the_root(monkeypatch, capsys):
 
 @pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2"])
 def test_longest_element_identities(label):
-    rs = build_from_string(label)
+    rs = build(parse_type(label))
     elements = coset_reps(rs, ())
     nu = len(rs.positive_roots)
     w0 = next(w for w in elements if w.length == nu)
@@ -386,7 +392,7 @@ def test_longest_element_identities(label):
 def test_negative_rep_factors_through_reflection(label):
     # the representative sending the highest root to -a equals s_a times the
     # one sending it to a, with lengths adding up
-    rs = build_from_string(label)
+    rs = build(parse_type(label))
     top_idx = rs.roots.index(highest_root(rs))
     reps = coset_reps(rs, _orthogonal_simple_indices(rs))
     by_image = {rs.roots[w.perm[top_idx]]: w for w in reps}
@@ -404,7 +410,7 @@ def test_negative_rep_factors_through_reflection(label):
 
 
 def test_invert():
-    rs = build_from_string("B2")
+    rs = build(parse_type("B2"))
     for w in coset_reps(rs, ()):
         assert _compose(w.perm, invert(w.perm)) == tuple(range(len(rs.roots)))
 
@@ -414,4 +420,4 @@ def test_coset_reps_refuses_an_index_outside_the_diagram(indices):
     # -1 is not read as the last simple root, nor True as the second: the
     # check comes before the coset count and the budget
     with pytest.raises(DomainError, match=rf"^{indices[-1]!r} is not a simple-root index of A3$"):
-        coset_reps(build_from_string("A3"), indices)
+        coset_reps(build(parse_type("A3")), indices)
