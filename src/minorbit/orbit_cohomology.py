@@ -15,7 +15,7 @@ from collections import namedtuple
 from . import long_root_poset
 from .errors import DomainError, InvariantFailureError
 from .int_linalg import cokernel, invariant_factors
-from .root_system import RootSystem, TypeLabel, _check_root_budget, build, cartan_of_subset, parse_type
+from .root_system import _DUAL_COXETER_NUMBER, RootSystem, TypeLabel, _check_root_budget, cartan_of_subset, parse_type
 
 
 class GradedAbelianGroup:
@@ -146,7 +146,8 @@ def from_json_dict(obj: dict) -> OrbitCohomology:
     field, a ``d`` or ``h_dual`` contradicting the type, or a bad degree ``n``."""
     label = parse_type(_field(obj, "type", str))
     d, h_dual = _field(obj, "d", int), _field(obj, "h_dual", int)
-    expected = build(label).h_dual
+    _check_root_budget(label)
+    expected = _DUAL_COXETER_NUMBER[label.series](label.rank)
     if h_dual != expected:
         raise DomainError(f"cohomology JSON field 'h_dual' is {h_dual}, but {label} has h_dual = {expected}")
     if d != 2 * h_dual - 2:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import lru_cache
+from operator import mul, neg
 
 from .errors import DomainError, InvalidTypeError
 
@@ -39,6 +40,17 @@ _COXETER_NUMBER = {
     "E": lambda n: {6: 12, 7: 18, 8: 30}[n],
     "F": lambda n: 12,
     "G": lambda n: 6,
+}
+
+# Dual Coxeter number h^vee, one more than the coroot height of the highest root.
+_DUAL_COXETER_NUMBER = {
+    "A": lambda n: n + 1,
+    "B": lambda n: 2 * n - 1,
+    "C": lambda n: n + 1,
+    "D": lambda n: 2 * n - 2,
+    "E": lambda n: {6: 12, 7: 18, 8: 30}[n],
+    "F": lambda n: 9,
+    "G": lambda n: 4,
 }
 
 # Squared length of each simple root, short roots = 1.
@@ -148,8 +160,8 @@ class RootSystem:
     # the one record of root length: each long root, both signs, mapped to
     # the (signed) height of its coroot; short roots are absent
     _dual_heights: dict[Root, int]
-    # nonzero entries (i, 2(alpha_i|alpha_j)) of each column j of the
-    # symmetric Gram matrix, which is as sparse as the Dynkin diagram
+    # nonzero entries (i, 2(alpha_i|alpha_j) = <alpha_j, alpha_i^vee> |alpha_i|^2) of each
+    # column j of the symmetric Gram matrix, which is as sparse as the Dynkin diagram
     _bilinear: tuple[tuple[tuple[int, int], ...], ...]
 
     def __init__(self, **fields) -> None:
@@ -198,56 +210,54 @@ def build(label: TypeLabel) -> RootSystem:
     """Construct the full root system of the given irreducible type."""
     n = label.rank
     cartan, lengths, r, h = _cartan_and_lengths(label)
+    h_dual = _DUAL_COXETER_NUMBER[label.series](n)
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    rows = [[(k, x) for k, x in enumerate(row) if x] for row in cartan]
 
-    # Closure of the simple roots under the simple reflections.  Each root
-    # travels with its pairings p[j] = <root, alpha_j^vee>; s_j moves it
-    # only when p[j] != 0, and row j of the Cartan matrix updates p in O(n).
-    # The moves with p[j] > 0 are the root's lowering edges, kept in the record.
-    lowering: dict[Root, tuple[tuple[int, int], ...]] = dict.fromkeys(simple, ())
-    frontier = [(root, tuple(cartan[i])) for i, root in enumerate(simple)]
-    while frontier and len(lowering) <= n * h:  # a wrong matrix could give infinitely many roots
-        nxt: list[tuple[Root, tuple[int, ...]]] = []
-        for root, pairings in frontier:
-            moves = [(j, c) for j, c in enumerate(pairings) if c]
-            lowering[root] = tuple((j, c) for j, c in moves if c > 0)
-            for j, c in moves:
-                image = root[:j] + (root[j] - c,) + root[j + 1 :]
-                if image not in lowering:
-                    lowering[image] = ()
-                    nxt.append((image, tuple(p - c * x for p, x in zip(pairings, cartan[j]))))
-        frontier = nxt
+    # Phi^+ closes the simple roots under the simple reflections that raise a root:
+    # s_j raises v iff p[j] = <v, alpha_j^vee> < 0.  Each root keeps its nonzero p[j],
+    # updated through the nonzero entries, at most 4, of Cartan row j.  No root is
+    # taken past rank * h / 2, as a wrong matrix could give infinitely many.
+    pairings = {v: dict(rows[i]) for i, v in enumerate(simple)}
+    found = list(simple)
+    for v in found:
+        for j, c in pairings[v].items():
+            if c < 0 and 2 * len(found) <= n * h and (image := v[:j] + (v[j] - c,) + v[j + 1 :]) not in pairings:
+                p = pairings[image] = pairings[v].copy()
+                for k, x in rows[j]:
+                    p[k] = p.get(k, 0) - c * x
+                    if not p[k]:
+                        del p[k]
+                found.append(image)
 
-    positive = sorted((v for v in lowering if min(v) >= 0), key=lambda v: (height(v), v))
-    # negation reverses this order; taking -positive[k] from the record keeps one tuple per root
-    negative = sorted((v for v in lowering if max(v) <= 0), key=lambda v: (height(v), v), reverse=True)
-    if not len(lowering) == 2 * len(positive) == 2 * len(negative) == n * h:
-        raise InvalidTypeError(f"root enumeration failed for {label}")
-
-    # The one place that decides root length: a root is long iff r divides
-    # every coordinate at a short simple position, and then its coroot has
-    # height sum(c_i * |alpha_i|^2) / r.
+    # Phi^- = -Phi^+, and the lowering edges of -v are the raising moves of v, negated.
+    # The one place that decides root length: long iff r divides the coordinates at
+    # short simple positions, and then the coroot has height sum(c_i |alpha_i|^2) / r.
+    positive = sorted(found, key=lambda v: (height(v), v))
+    negative = [tuple(map(neg, v)) for v in positive]
     short = [i for i in range(n) if lengths[i] != r]
-    dual_heights: dict[Root, int] = {}
+    lowering, dual_heights = {}, {}
     for v, minus_v in zip(positive, negative):
+        moves = sorted(pairings[v].items())
+        lowering[v] = tuple((j, c) for j, c in moves if c > 0)
+        lowering[minus_v] = tuple((j, -c) for j, c in moves if c < 0)
         if all(v[i] % r == 0 for i in short):
-            dual_heights[v] = sum(c * length for c, length in zip(v, lengths)) // r
+            dual_heights[v] = sum(map(mul, v, lengths)) // r
             dual_heights[minus_v] = -dual_heights[v]
-    roots = tuple(positive + negative)
+    if 2 * len(positive) != n * h or dual_heights.get(positive[-1]) != h_dual - 1:
+        raise InvalidTypeError(f"root enumeration failed for {label}")
 
     return RootSystem(
         type_label=label,
         cartan=tuple(tuple(row) for row in cartan),
-        roots=roots,
+        roots=tuple(positive + negative),
         positive_roots=tuple(positive),
         simple_roots=tuple(simple),
         long_simple_indices=tuple(i for i in range(n) if lengths[i] == r),
-        h_dual=1 + dual_heights[positive[-1]],
+        h_dual=h_dual,
         _lowering=lowering,
         _dual_heights=dual_heights,
-        _bilinear=tuple(
-            tuple((i, cartan[i][j] * lengths[j]) for i in range(n) if cartan[i][j]) for j in range(n)
-        ),
+        _bilinear=tuple(tuple((i, x * lengths[i]) for i, x in row) for row in rows),
     )
 
 

@@ -149,10 +149,20 @@ def test_crossing_coefficients(name):
             assert edge_coefficient(rs, beta, alpha) == middle[row][col] == expected
 
 
-def test_lowering_edges_are_the_simple_reflections(rs):
+@pytest.mark.parametrize("name", POSET_TYPES + ["A30", "B20", "C20", "D20"])
+def test_lowering_edges_are_the_simple_reflections(name):
     # d_matrix reads this record of the closure; it must hold every edge of
     # every root, the negative ones too, which only the upper half reads
+    rs = build(parse_type(name))
     assert set(rs._lowering) == set(rs.roots)
+    # one tuple per root: the negative roots are the positive ones negated, in
+    # the same order, and the record's keys are the objects of rs.roots
+    npos = len(rs.positive_roots)
+    assert len(rs.roots) == 2 * npos
+    assert all(rs.roots[npos + k] == tuple(-x for x in rs.roots[k]) for k in range(npos))
+    own = {id(root) for root in rs.roots}
+    assert {id(root) for root in rs._lowering} == own
+    assert {id(root) for root in rs._dual_heights} <= own
     for v in rs.roots:
         pairings = [(j, rs.pairing(v, alpha)) for j, alpha in enumerate(rs.simple_roots)]
         assert rs._lowering[v] == tuple((j, c) for j, c in pairings if c > 0), v

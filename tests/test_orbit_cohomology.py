@@ -409,6 +409,18 @@ def test_from_json_dict_rejects_d_or_h_dual_contradicting_the_type():
         from_json_dict({**a2, "H": repeated})
 
 
+def test_from_json_dict_builds_no_root_system(time_budget):
+    # h_dual has a closed form per series, so loading a document runs no closure
+    before = build.cache_info()
+    with time_budget(0.1):
+        oc = from_json_dict({"type": "D71", "d": 278, "h_dual": 140, "H": [{"n": 0, "rank": 1, "torsion": []}]})
+    assert oc.h_dual == 140 and oc.table.free_rank(0) == 1
+    after = build.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    with pytest.raises(DomainError, match="A100 has 10100 roots, over the budget"):
+        from_json_dict({"type": "A100", "d": 200, "h_dual": 101, "H": []})
+
+
 def test_json_helpers_exported():
     import minorbit
 

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from minorbit import root_system
 from minorbit.errors import DomainError, InvalidTypeError
 from minorbit.int_linalg import cokernel
 from minorbit.root_system import (
@@ -364,6 +365,25 @@ def test_root_budget_refuses_just_past_the_boundary(series):
 def test_root_budget_admits_its_boundary():
     n = last_admitted_rank("B")
     assert len(build(TypeLabel("B", n)).roots) == n * COXETER["B"](n) <= ROOT_BUDGET
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        # the affine A~2 matrix: infinitely many roots
+        ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], [1, 1, 1], 1),
+        # B3's matrix: finitely many roots, but not the rank * h = 12 of A3
+        _cartan_and_lengths(TypeLabel("B", 3))[:3],
+    ],
+)
+def test_closure_refuses_a_wrong_matrix(wrong, monkeypatch, time_budget):
+    # both are rank 3, so they go under the label A3, whose closed-form h is 4
+    label = TypeLabel("A", 3)
+    monkeypatch.setattr(root_system, "_cartan_and_lengths", lambda _: (*wrong, 4))
+    before = build.cache_info()
+    with time_budget(1), pytest.raises(InvalidTypeError, match="root enumeration failed for A3"):
+        build.__wrapped__(label)
+    assert build.cache_info() == before
 
 
 def test_cartan_matrix_budget_at_its_boundary():
