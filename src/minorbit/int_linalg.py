@@ -8,20 +8,27 @@ columns is written ``[[], [], ...]``; a 0x0 matrix is ``[]``.
 
 Two independent Smith algorithms share only the gcd step and the final
 divisibility chain.  ``invariant_factors`` (so ``cokernel``) runs a
-transform-free elimination: each step clears the pivot's column and row in
-one pass, by extended-gcd pairs where the pivot does not divide.  Once an
-entry exceeds the input's Hadamard bound, a fraction-free Bareiss pass over
-the input (all that ``rank`` and ``kernel_rank`` run) gives the rank r and
-M = |a nonzero r x r minor|, and trailing entries are kept as symmetric
-residues mod M (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987).
-That yields the Smith form of [A | M*I], d_1, ..., d_r, M, ..., M, as each
-d_i divides M; so the chain of gcd(x, M) over the diagonal starts with the
-exact d_1, ..., d_r.
-Sparse inputs (boundary matrices) never grow so far.  ``smith``, which
-keeps U and V, alternates row Hermite passes on A and on its transpose
-instead, every entry reduced modulo a pivot, so the transforms stay bounded.
-Without transforms those passes take about twice as long as the
-elimination on boundary matrices (2.0-2.3 times over the 790 that
+transform-free elimination in three stages.  Unit pivots come first: on
+rows held as dicts of their nonzero entries, each pivot +-1 of least fill
+is one invariant factor 1, and every entry it leaves is a minor of the
+input.  The dense loop takes the leftover block, each step clearing the
+pivot's column and row in one pass, by extended-gcd pairs where the pivot
+does not divide.  Once an entry exceeds the input's Hadamard bound, a
+fraction-free Bareiss pass over the trailing block (``rank`` and
+``kernel_rank`` run only that pass, on the whole input) gives its rank
+and a nonzero maximal minor; with the pivots so far, they make the rank r
+and M = |a nonzero r x r minor| of U*A*V, which has A's Smith form, and
+trailing entries are kept as symmetric residues mod M (Domich, Kannan and
+Trotter, Math. Oper. Res. 12, 1987).  That yields the Smith form of
+[A | M*I], d_1, ..., d_r, M, ..., M, as each d_i divides M; so the chain
+of gcd(x, M) over the diagonal starts with the exact d_1, ..., d_r.
+The boundary matrices (at most 4 nonzeros a column, entries 1, 2 or 3)
+leave blocks of at most 2x2 after the unit pivots at E8, A99, B70, C70
+and D71, and never grow so far.  ``smith``, which keeps U and V,
+alternates row Hermite passes on A and on its transpose instead, every
+entry reduced modulo a pivot, so the transforms stay bounded.  Without
+transforms those passes took about twice as long as the dense
+loop alone on boundary matrices (2.0-2.3 times over the 790 that
 cohomology factors for the tests' ``TRAFFIC_TYPES``; about even on dense
 ones), so each algorithm keeps its own loop.
 """
@@ -31,7 +38,7 @@ from __future__ import annotations
 import bisect
 import math
 from collections import namedtuple
-from itertools import chain
+from itertools import chain, compress
 from operator import mul
 
 from .errors import DomainError
@@ -74,33 +81,118 @@ def _find_pivot(a: Matrix, t: int) -> tuple[int, int] | None:
 
 def _bareiss(matrix: Matrix) -> tuple[int, int]:
     """(r, M): rank of matrix and M = |a nonzero r x r minor|, fraction-free
-    (each entry is a minor of the input, so divisions are exact)."""
+    (each entry is a minor of the input, so divisions are exact).  Each
+    column is dropped once it has been used, so the rows shrink by one per
+    step."""
     rows, r, prev = [list(row) for row in matrix], 0, 1
-    for c in range(len(matrix[0]) if matrix else 0):
-        piv = next((row for row in rows if row[c]), None)
-        if piv is not None:
-            rows.remove(piv)
-            rows = [[(piv[c] * x - row[c] * y) // prev for x, y in zip(row, piv)] for row in rows]
-            r, prev = r + 1, piv[c]
+    while rows and rows[0]:
+        k = next((k for k, row in enumerate(rows) if row[0]), None)
+        if k is None:
+            rows = [row[1:] for row in rows]
+            continue
+        p, *piv = rows.pop(k)
+        rows = [[(p * x - h * y) // prev for x, y in zip(rest, piv)] for h, *rest in rows]
+        r, prev = r + 1, p
     return r, abs(prev)
 
 
-def _eliminate(matrix: Matrix) -> tuple[list[int], int, int]:
-    """Diagonalise a copy of matrix; returns (diagonal, modulus, rank).
+def _unit_pivots(matrix: Matrix) -> tuple[int, Matrix]:
+    """Pivot on entries +-1 while any is left; returns their count and the
+    leftover block, its nonzero rows and columns in input order.
 
-    Move the smallest entry p to (t, t); clear its column, then its row, in one
-    pass each.  A multiple x of p is subtracted away, any other x cleared by the
-    pair [[s, c], [-x/g, p/g]] of determinant 1, with g = s*p + c*x = gcd(p, x)
-    the new pivot; a column pair refills column t, cleared again (|p| shrinks).
+    Rows are dicts of their nonzero entries, and columns sets of row
+    indices.  Each pivot (i, j) has the least fill (|row i| - 1) *
+    (|column j| - 1), the most entries its step can create.  A unit alone
+    in its row or column has fill 0: those of the input, and each one a
+    step leaves, are stacked and taken newest first.  With none stacked, a
+    scan finds the least fill, ties going to the least (i, j).  Row i
+    times the pivot is subtracted from every other row of column j, then
+    row i and column j go: one invariant factor 1.  The pivots are units,
+    so every leftover entry is, up to sign, a minor of the input, below
+    its Hadamard bound.  An input without a unit entry comes back whole.
     """
-    m, n = _shape(matrix)
-    a = [list(row) for row in matrix]
-    # Hadamard bound: the product of the row norms exceeds every minor
-    bound = math.isqrt(math.prod(sum(map(mul, row, row)) or 1 for row in a)) + 1
+    if not any(1 in row or -1 in row for row in matrix):
+        return 0, [list(row) for row in matrix]
+    rows = [dict(compress(enumerate(row), row)) for row in matrix]
+    cols = [set() for _ in matrix[0]]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    # (i, j) of each row and column with one entry, taken if still a unit alone
+    alone = [(*col, j) for j, col in enumerate(cols) if len(col) == 1][::-1]
+    alone += [(i, *row) for i, row in enumerate(rows) if len(row) == 1][::-1]
+    units = 0
+    while True:
+        if alone:
+            i, j = alone.pop()
+            if rows[i].get(j) not in (1, -1) or (len(rows[i]) > 1 and len(cols[j]) > 1):
+                continue  # the entry or a length changed since it was stacked
+        else:
+            fills = (
+                ((len(row) - 1) * (len(cols[j]) - 1), i, j)
+                for i, row in enumerate(rows)
+                for j, x in row.items()
+                if x in (1, -1)
+            )
+            least = min(fills, default=None)
+            if least is None:
+                break
+            _, i, j = least
+        units += 1
+        pivot, rows[i] = rows[i], {}
+        p = pivot.pop(j)
+        for c in pivot:
+            cols[c].discard(i)
+        below = cols[j]
+        below.discard(i)
+        for k in below:
+            row = rows[k]
+            q = row.pop(j) * p
+            for c, y in pivot.items():
+                z = row.get(c, 0) - q * y
+                if z:
+                    row[c] = z
+                    cols[c].add(k)
+                else:
+                    del row[c]
+                    cols[c].discard(k)
+            if len(row) == 1:
+                alone.append((k, *row))
+        below.clear()
+        for c in pivot:
+            if len(cols[c]) == 1:
+                alone.append((*cols[c], c))
+    left = [c for c, members in enumerate(cols) if members]
+    return units, [[row.get(c, 0) for c in left] for row in rows if row]
+
+
+def _eliminate(matrix: Matrix) -> tuple[int, list[int], int, int]:
+    """Diagonalise a copy of matrix; returns (units, diagonal, modulus,
+    rank): the count of unit pivots, then the diagonal, modulus and rank of
+    the leftover block.
+
+    ``_unit_pivots`` goes first.  On the block it leaves, move the smallest
+    entry p to (t, t); clear its column, then its row, in one pass each.  A
+    multiple x of p is subtracted away, any other x cleared by the pair
+    [[s, c], [-x/g, p/g]] of determinant 1, with g = s*p + c*x = gcd(p, x)
+    the new pivot; a column pair refills column t, cleared again (|p|
+    shrinks).  Once an entry outgrows the input's Hadamard bound, Bareiss
+    on the trailing block a[t:] gives its rank and a nonzero maximal minor
+    M_t, and from then on entries are kept modulo M = |p_0 ... p_{t-1}| *
+    M_t, a maximal minor of diag(p_0, ..., p_{t-1}) + a[t:] = U*A*V.
+    """
+    _shape(matrix)
+    units, a = _unit_pivots(matrix)
+    m, n = len(a), len(a[0]) if a else 0
+    # The input's Hadamard bound, the product of its row norms, exceeds every
+    # minor of the input and so of the block; one row never needs it.
+    bound = math.isqrt(math.prod(sum(map(mul, row, row)) or 1 for row in matrix)) + 1 if m > 1 else 0
     modulus = half = rank = t = grown = 0
     while t < min(m, n):
         if grown and not modulus:
-            rank, modulus = _bareiss(matrix)
+            rank, minor = _bareiss([row[t:] for row in a[t:]])
+            rank += t
+            modulus = abs(math.prod(a[k][k] for k in range(t))) * minor
             half = modulus // 2
             a[t:] = [[(x + half) % modulus - half for x in row] for row in a[t:]]
         piv = _find_pivot(a, t)
@@ -141,7 +233,7 @@ def _eliminate(matrix: Matrix) -> tuple[list[int], int, int]:
             else:
                 break
         t += 1
-    return [a[i][i] for i in range(min(m, n))], modulus, rank if modulus else t
+    return units, [a[i][i] for i in range(min(m, n))], modulus, rank if modulus else t
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -270,8 +362,8 @@ def smith(matrix: Matrix) -> SmithForm:
 
 def invariant_factors(matrix: Matrix) -> tuple[int, ...]:
     """Nonzero diagonal of the Smith form, in divisibility order."""
-    d, modulus, r = _eliminate(matrix)
-    return tuple(_divisibility_chain([math.gcd(x, modulus) for x in d])[:r])
+    units, d, modulus, r = _eliminate(matrix)
+    return (1,) * units + tuple(_divisibility_chain([math.gcd(x, modulus) for x in d])[:r])
 
 
 def rank(matrix: Matrix) -> int:

@@ -28,7 +28,7 @@ from operator import add, itemgetter, sub
 
 from . import long_root_poset
 from .errors import DomainError
-from .root_system import Root, RootSystem, _check_indices, dual_height, height, highest_root, is_long
+from .root_system import RootSystem, _check_indices, dual_height, height, highest_root, is_long
 
 # Largest |W^I| * |Phi| an oracle call works on: W(E6) whole is 3,732,480;
 # verify admits A44, B31, C37, D32 and every exceptional type.
@@ -39,13 +39,6 @@ class WeylElement(namedtuple("WeylElement", "perm length")):
     """perm[i] is the index of the image of root i; length is the Coxeter length."""
 
     __slots__ = ()
-
-
-def _root_on_line(rs: RootSystem, v: Root) -> Root | None:
-    """The positive root gamma with v in Z gamma, or None (roots are primitive)."""
-    g = math.gcd(*v) if min(v) >= 0 else -math.gcd(*v)
-    gamma = tuple(x // g for x in v)
-    return gamma if rs.is_root(gamma) else None
 
 
 def _root_index(rs: RootSystem) -> dict:
@@ -164,10 +157,13 @@ def level_length_failure(rs: RootSystem) -> str | None:
     the level.  Then every entry of ``long_root_poset.d_matrix``, the
     matrices the cohomology is computed from, is checked against the
     group: for beta in level i and alpha in level i+1, beta -> alpha is an
-    edge when x_alpha x_beta^-1 is a reflection s_gamma, and since
-    s_gamma(beta) = alpha puts beta - alpha in Z gamma, gamma is read off
-    that line.  The entry must be <beta, gamma^vee> on an edge and 0 off
-    the edges.  A failure means the level combinatorics and the group
+    edge when x_alpha x_beta^-1 is a reflection s_gamma.  Then
+    s_gamma(beta) = alpha gives beta - alpha = <beta, gamma^vee> gamma,
+    with |<beta, gamma^vee>| <= 3 (2 on (beta, -beta) in the middle
+    matrix).  So one table, built per call, maps each c gamma (gamma in
+    Phi^+, 0 < |c| <= 3) to (s_gamma, c): each pair looks up beta - alpha
+    once, and the entry must be that c when s_gamma x_beta = x_alpha, and
+    0 otherwise.  A failure means the level combinatorics and the group
     disagree, i.e. an implementation bug.
     """
     n_long = _check_verify_budget(rs)
@@ -186,17 +182,16 @@ def level_length_failure(rs: RootSystem) -> str | None:
             return f"the representative sending the highest root to {image} has length {w.length}, level {level}"
         by_root[image] = w.perm
 
-    index = _root_index(rs)
-    table = _reflection_table(rs)
+    reflections = list(zip(rs.positive_roots, _reflection_table(rs)))
+    lines = {tuple(map(c.__mul__, gamma)): (s, c) for c in (-3, -2, -1, 1, 2, 3) for gamma, s in reflections}
     lv = long_root_poset.levels(rs)
     for i in range(len(lv) - 1):
         mat = long_root_poset.d_matrix(rs, i + 1)
         for col, beta in enumerate(lv[i]):
             for row, alpha in enumerate(lv[i + 1]):
-                gamma = _root_on_line(rs, tuple(b - a for b, a in zip(beta, alpha)))
-                expected = 0
-                if gamma is not None and _compose(table[index[gamma]], by_root[beta]) == by_root[alpha]:
-                    expected = rs.pairing(beta, gamma)
+                s, expected = lines.get(tuple(map(sub, beta, alpha)), (None, 0))
+                if s is not None and _compose(s, by_root[beta]) != by_root[alpha]:
+                    expected = 0
                 if mat[row][col] != expected:
                     return f"({beta}, {alpha}): d_matrix({i + 1}) entry {mat[row][col]}, expected {expected}"
     return None

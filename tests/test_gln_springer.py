@@ -226,6 +226,19 @@ def test_row_column_reduce_idempotent():
             assert dominance_le(reduced[1], reduced[0])
 
 
+def test_reduction_reads_column_heights_off_the_parts(time_budget):
+    # Conjugating ((10**7,), (10**7 - 1, 1)) to compare columns took 1.6 s;
+    # at 10**12 the conjugates would not fit in memory.
+    n = 10**12
+    with time_budget(1):
+        # columns 1 .. n have height 2 on both sides and go
+        assert row_column_reduce((n + 2, n), (n + 1, n + 1)) == ((2,), (1, 1))
+        assert minimal_degeneration((n,), (n - 1, 1)) == ("simple_A", n)
+        assert minimal_degeneration((n, 2, 1, 1), (n, 1, 1, 1, 1)) == ("minimal_a", 4)
+        assert decomp_adjacent((n,), (n - 1, 1), 2) == 1
+        assert decomp_adjacent((n,), (n - 1, 1), 3) == 0
+
+
 def test_adjacency():
     assert adjacent_in_dominance((3, 1), (2, 2))
     assert adjacent_in_dominance((2, 2), (3, 1))

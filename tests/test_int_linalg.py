@@ -308,6 +308,32 @@ def test_one_pass_step_branches(name, monkeypatch):
     assert kernel_rank(m) == len(m[0]) - len(nonzero)
 
 
+@st.composite
+def unit_heavy_matrices(draw):
+    """Up to 5x5, mostly entries 0 and +-1, with some rows and columns zeroed."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entry = st.sampled_from((0, 0, 1, -1)) | st.integers(-4, 4)
+    m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=2))
+    return [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)] for i, row in enumerate(m)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_heavy_matrices())
+@example([[0, 1, 0], [0, 0, 0], [1, 0, 1]])
+@example([[2, 1, 0, 0], [1, 2, 1, 1], [0, 1, 2, 0], [0, 1, 0, 2]])
+def test_unit_pivots_keep_the_invariant_factors(m):
+    assert list(invariant_factors(m)) == minor_gcd_oracle(m)
+    units, block = int_linalg._unit_pivots(m)
+    bound = math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in m)  # above every minor
+    assert all(abs(x) < bound for row in block for x in row)
+    if units:  # the leftover block has no unit entry and no zero row or column
+        assert not any(abs(x) == 1 for row in block for x in row)
+        assert all(any(row) for row in block) and all(any(col) for col in zip(*block))
+    assert units + rank(block) == rank(m)
+
+
 @pytest.mark.parametrize("entry", [1.5, 2.0, True, False, None, "1", Fraction(1)])
 def test_non_integer_entries_raise(entry):
     # bool is an int subclass, but True and False are flags: they are refused too
@@ -346,6 +372,12 @@ def with_zero_columns(m, columns):
     return [[0 if j in columns else x for j, x in enumerate(row)] for row in m]
 
 
+def dense_without_units(rows, cols, seed):
+    """Entries from +-2 .. +-9: no unit pivot, so elimination starts on the whole input."""
+    rng = random.Random(seed)
+    return [[rng.choice((-1, 1)) * rng.randint(2, 9) for _ in range(cols)] for _ in range(rows)]
+
+
 # Dense [-9, 9] inputs whose elimination outgrows the Hadamard bound, so the
 # transform-free path switches to residues mod a minor.
 MODULAR = {
@@ -357,24 +389,42 @@ MODULAR = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(MODULAR))
+def pivot_three_first(n, seed):
+    """3, then an n x n block that is the identity mod 3 with entries of
+    size 4 to 9: the dense loop's first pivot is the 3, and 3 does not
+    divide the block's minor, so M must take the 3 from the pivots."""
+    rng = random.Random(seed)
+    block = [[rng.choice((4, 7, -5, -8) if i == j else (-9, -6, 6, 9)) for j in range(n)] for i in range(n)]
+    return [[3] + [0] * n] + [[0] + row for row in block]
+
+
+# The unit pivots leave these whole.
+WHOLE = {"no-units": dense_without_units(16, 16, 16), "pivot-three-first": pivot_three_first(14, 3)}
+
+
+@pytest.mark.parametrize("name", sorted(MODULAR.keys() | WHOLE.keys()))
 def test_modular_branch_matches_certified_smith(name, monkeypatch):
-    m = MODULAR[name]
-    minors = []
+    m = {**MODULAR, **WHOLE}[name]
+    calls = []  # (argument, (r, M)) of each Bareiss pass
     bareiss = int_linalg._bareiss
-    monkeypatch.setattr(int_linalg, "_bareiss", lambda a: minors.append(bareiss(a)) or minors[-1])
+    monkeypatch.setattr(int_linalg, "_bareiss", lambda a: calls.append((a, bareiss(a))) or calls[-1][1])
     form = check_form(m, det=bareiss_det)
     nonzero = tuple(d for d in form.diag if d)
-    assert minors == []  # smith keeps exact entries and never reduces
+    assert calls == []  # smith keeps exact entries and never reduces
     assert invariant_factors(m) == nonzero
     assert cokernel(m) == (len(m) - len(nonzero), tuple(d for d in nonzero if d > 1))
     assert kernel_rank(m) == len(m[0]) - len(nonzero)
     assert rank(m) == len(nonzero)
-    assert [r for r, _ in minors] == [len(nonzero)] * 4
+    # invariant_factors and cokernel each reach the modular branch and pass it
+    # their trailing block; kernel_rank and rank pass the whole input
+    assert len(calls) == 4
+    assert [r for _, (r, _) in calls[2:]] == [len(nonzero)] * 2
+    for arg, (r, modulus) in calls:
+        factors = [d for d in smith(arg).diag if d]  # smith never calls _bareiss
+        assert r == len(factors)
+        assert modulus and modulus % math.prod(factors) == 0
     if name == "unimodular":
-        assert [modulus for _, modulus in minors] == [1] * 4
-    for _, modulus in minors:
-        assert modulus % math.prod(nonzero) == 0
+        assert [modulus for _, (_, modulus) in calls] == [1] * 4
 
 
 @pytest.mark.parametrize("name", sorted(MODULAR))

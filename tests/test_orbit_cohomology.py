@@ -234,7 +234,7 @@ def test_middle_values():
 
 
 def test_type_a_alternative_matches():
-    for n in range(2, 10):
+    for n in [*range(2, 10), 31, 61]:
         oc_direct = minimal_orbit_cohomology(build(parse_type(f"A{n - 1}")))
         oc_alt = type_a_alternative(n)
         assert oc_alt.table == oc_direct.table

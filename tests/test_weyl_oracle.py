@@ -329,6 +329,27 @@ def test_failure_names_a_one_sided_edge(monkeypatch):
     assert level_length_failure(a3) == f"({beta}, {alpha}): d_matrix(2) entry 1, expected 0"
 
 
+def test_failure_when_the_group_lacks_the_reflection(monkeypatch):
+    # An edge is read off the line of beta - alpha but decided by the group:
+    # with the identity in place of s_gamma, the first edge along gamma fails.
+    b3 = build(parse_type("B3"))
+    gamma, *_ = b3.positive_roots
+    table = weyl_oracle._reflection_table(b3)
+    monkeypatch.setattr(weyl_oracle, "_reflection_table", lambda rs: (tuple(range(len(rs.roots))),) + table[1:])
+    lv = long_root_poset.levels(b3)
+    i, col, row, c = next(
+        (i, col, row, c)
+        for i in range(len(lv) - 1)
+        for col, beta in enumerate(lv[i])
+        for row, alpha in enumerate(lv[i + 1])
+        for c in (-2, -1, 1, 2)
+        if tuple(b - a for b, a in zip(beta, alpha)) == tuple(c * g for g in gamma)
+    )
+    assert long_root_poset.d_matrix(b3, i + 1)[row][col] == c
+    beta, alpha = lv[i][col], lv[i + 1][row]
+    assert level_length_failure(b3) == f"({beta}, {alpha}): d_matrix({i + 1}) entry {c}, expected 0"
+
+
 def test_failure_names_a_repeated_image(monkeypatch):
     b3 = build(parse_type("B3"))
     true_reps = coset_reps(b3, _orthogonal_simple_indices(b3))
