@@ -22,6 +22,10 @@ Partition = tuple[int, ...]
 # is admitted, p(46) = 105558 is not): the callers scan all of them.
 PARTITION_BUDGET = 100_000
 
+# conjugate, psi and parse_partition refuse to build a partition of more
+# parts than this: a conjugate has p_1 parts, and "1^k" expands to k parts.
+PART_BUDGET = 1_000_000
+
 
 def _validate(p: Partition) -> Partition:
     if any(x <= 0 for x in p):
@@ -39,9 +43,12 @@ def parse_partition(text: str) -> Partition:
         if not m:
             raise DomainError(f"cannot parse partition {text!r}")
         try:
-            parts.extend([int(m.group(1))] * int(m.group(2) or 1))
+            part, count = int(m.group(1)), int(m.group(2) or 1)
         except ValueError:  # over the interpreter's limit on digits in int(str)
             raise DomainError("a part or exponent in a partition has too many digits") from None
+        if len(parts) + count > PART_BUDGET:
+            raise DomainError(f"the partition has more than {PART_BUDGET} parts, over the part budget")
+        parts.extend([part] * count)
     return _validate(tuple(parts))
 
 
@@ -90,7 +97,10 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
 
 
 def _conjugate(p: Partition) -> Partition:
-    """Transpose of the Young diagram: p_i - p_{i+1} parts equal to i."""
+    """Transpose of the Young diagram: p_i - p_{i+1} parts equal to i.
+    Refuses a p_1 over PART_BUDGET, the number of parts it would build."""
+    if p and p[0] > PART_BUDGET:
+        raise DomainError(f"the conjugate would have {p[0]} parts, over the part budget of {PART_BUDGET}")
     q = p + (0,)
     return tuple(i for i in range(len(p), 0, -1) for _ in range(q[i - 1] - q[i]))
 

@@ -6,31 +6,18 @@ entry that is not an ``int`` (bools included) raises DomainError.  Inputs
 are only read, so a tuple of tuples serves as well.  A matrix with zero
 columns is written ``[[], [], ...]``; a 0x0 matrix is ``[]``.
 
-Two independent Smith algorithms share only the gcd step and the final
-divisibility chain.  ``invariant_factors`` (so ``cokernel``) runs a
-transform-free elimination in three stages.  Unit pivots come first: on
-rows held as dicts of their nonzero entries, each pivot +-1 of least fill
-is one invariant factor 1, and every entry it leaves is a minor of the
-input.  The dense loop takes the leftover block, each step clearing the
-pivot's column and row in one pass, by extended-gcd pairs where the pivot
-does not divide.  Once an entry exceeds the input's Hadamard bound, a
-fraction-free Bareiss pass over the trailing block (``rank`` and
-``kernel_rank`` run only that pass, on the whole input) gives its rank
-and a nonzero maximal minor; with the pivots so far, they make the rank r
-and M = |a nonzero r x r minor| of U*A*V, which has A's Smith form, and
-trailing entries are kept as symmetric residues mod M (Domich, Kannan and
-Trotter, Math. Oper. Res. 12, 1987).  That yields the Smith form of
-[A | M*I], d_1, ..., d_r, M, ..., M, as each d_i divides M; so the chain
-of gcd(x, M) over the diagonal starts with the exact d_1, ..., d_r.
-The boundary matrices (at most 4 nonzeros a column, entries 1, 2 or 3)
-leave blocks of at most 2x2 after the unit pivots at E8, A99, B70, C70
-and D71, and never grow so far.  ``smith``, which keeps U and V,
-alternates row Hermite passes on A and on its transpose instead, every
-entry reduced modulo a pivot, so the transforms stay bounded.  Without
-transforms those passes took about twice as long as the dense
-loop alone on boundary matrices (2.0-2.3 times over the 790 that
-cohomology factors for the tests' ``TRAFFIC_TYPES``; about even on dense
-ones), so each algorithm keeps its own loop.
+One loop diagonalises for both Smith entry points: row Hermite passes
+(Kannan and Bachem, SIAM J. Comput. 8, 1979) alternate on the matrix and
+on its transpose until it is diagonal, every entry reduced modulo a
+pivot.  ``smith`` carries U and V along as extra columns, so they stay
+bounded.  ``invariant_factors`` (so ``cokernel``) carries none, and
+pivots on entries +-1 first: on rows held as dicts of their nonzero
+entries, each pivot of least fill is one invariant factor 1, and every
+entry it leaves is a minor of the input.  The boundary matrices leave a
+block of at most 2x2 for the passes at E8, A99, B70, C70 and D71.
+``rank`` (so ``kernel_rank``) is one fraction-free Bareiss pass.  As both
+Smith entry points share the loop, the independent references live in the
+tests: gcds of minors, sympy, and the certification of U * A * V.
 """
 
 from __future__ import annotations
@@ -39,7 +26,6 @@ import bisect
 import math
 from collections import namedtuple
 from itertools import chain, compress
-from operator import mul
 
 from .errors import DomainError
 
@@ -67,35 +53,6 @@ class SmithForm(namedtuple("SmithForm", "left diag right")):
     __slots__ = ()
 
 
-def _find_pivot(a: Matrix, t: int) -> tuple[int, int] | None:
-    """Smallest nonzero |entry| in the trailing block, ties broken row-major."""
-    v, i = 0, 0
-    for k in range(t, len(a)):
-        w = min(filter(None, map(abs, a[k][t:])), default=0)
-        if w and (w < v or not v):
-            v, i = w, k
-            if w == 1:
-                break
-    return (i, t + list(map(abs, a[i][t:])).index(v)) if v else None
-
-
-def _bareiss(matrix: Matrix) -> tuple[int, int]:
-    """(r, M): rank of matrix and M = |a nonzero r x r minor|, fraction-free
-    (each entry is a minor of the input, so divisions are exact).  Each
-    column is dropped once it has been used, so the rows shrink by one per
-    step."""
-    rows, r, prev = [list(row) for row in matrix], 0, 1
-    while rows and rows[0]:
-        k = next((k for k, row in enumerate(rows) if row[0]), None)
-        if k is None:
-            rows = [row[1:] for row in rows]
-            continue
-        p, *piv = rows.pop(k)
-        rows = [[(p * x - h * y) // prev for x, y in zip(rest, piv)] for h, *rest in rows]
-        r, prev = r + 1, p
-    return r, abs(prev)
-
-
 def _unit_pivots(matrix: Matrix) -> tuple[int, Matrix]:
     """Pivot on entries +-1 while any is left; returns their count and the
     leftover block, its nonzero rows and columns in input order.
@@ -108,8 +65,8 @@ def _unit_pivots(matrix: Matrix) -> tuple[int, Matrix]:
     scan finds the least fill, ties going to the least (i, j).  Row i
     times the pivot is subtracted from every other row of column j, then
     row i and column j go: one invariant factor 1.  The pivots are units,
-    so every leftover entry is, up to sign, a minor of the input, below
-    its Hadamard bound.  An input without a unit entry comes back whole.
+    so every leftover entry is, up to sign, a minor of the input.  An
+    input without a unit entry comes back whole.
     """
     if not any(1 in row or -1 in row for row in matrix):
         return 0, [list(row) for row in matrix]
@@ -166,76 +123,6 @@ def _unit_pivots(matrix: Matrix) -> tuple[int, Matrix]:
     return units, [[row.get(c, 0) for c in left] for row in rows if row]
 
 
-def _eliminate(matrix: Matrix) -> tuple[int, list[int], int, int]:
-    """Diagonalise a copy of matrix; returns (units, diagonal, modulus,
-    rank): the count of unit pivots, then the diagonal, modulus and rank of
-    the leftover block.
-
-    ``_unit_pivots`` goes first.  On the block it leaves, move the smallest
-    entry p to (t, t); clear its column, then its row, in one pass each.  A
-    multiple x of p is subtracted away, any other x cleared by the pair
-    [[s, c], [-x/g, p/g]] of determinant 1, with g = s*p + c*x = gcd(p, x)
-    the new pivot; a column pair refills column t, cleared again (|p|
-    shrinks).  Once an entry outgrows the input's Hadamard bound, Bareiss
-    on the trailing block a[t:] gives its rank and a nonzero maximal minor
-    M_t, and from then on entries are kept modulo M = |p_0 ... p_{t-1}| *
-    M_t, a maximal minor of diag(p_0, ..., p_{t-1}) + a[t:] = U*A*V.
-    """
-    _shape(matrix)
-    units, a = _unit_pivots(matrix)
-    m, n = len(a), len(a[0]) if a else 0
-    # The input's Hadamard bound, the product of its row norms, exceeds every
-    # minor of the input and so of the block; one row never needs it.
-    bound = math.isqrt(math.prod(sum(map(mul, row, row)) or 1 for row in matrix)) + 1 if m > 1 else 0
-    modulus = half = rank = t = grown = 0
-    while t < min(m, n):
-        if grown and not modulus:
-            rank, minor = _bareiss([row[t:] for row in a[t:]])
-            rank += t
-            modulus = abs(math.prod(a[k][k] for k in range(t))) * minor
-            half = modulus // 2
-            a[t:] = [[(x + half) % modulus - half for x in row] for row in a[t:]]
-        piv = _find_pivot(a, t)
-        if piv is None:
-            break
-        i, j = piv
-        a[t], a[i] = a[i], a[t]
-        if j != t:
-            for row in a[t:]:  # rows above t are zero in both columns
-                row[t], row[j] = row[j], row[t]
-        at = a[t]
-        while True:
-            for ai in a[t + 1 :]:
-                x, p = ai[t], at[t]
-                if not x:
-                    continue
-                q, r = divmod(x, p)
-                if r:
-                    g, s, c = _xgcd(p, x)
-                    at[t:], ai[t:] = _combine(at[t:], ai[t:], s, c, -x // g, p // g)
-                    if modulus:
-                        at[t:], ai[t:] = ([(y + half) % modulus - half for y in w] for w in (at[t:], ai[t:]))
-                elif modulus:
-                    ai[t:] = [(z - q * y + half) % modulus - half for y, z in zip(at[t:], ai[t:])]
-                else:
-                    ai[t:] = [z - q * y for y, z in zip(at[t:], ai[t:])]
-                    grown = grown or max(ai) > bound or -min(ai) > bound
-            for j in range(t + 1, n):
-                y, p = at[j], at[t]
-                if not y:
-                    continue
-                if y % p:  # a column pair refills column t: clear it again
-                    g, s, c = _xgcd(p, y)
-                    for row in a[t:]:
-                        row[t], row[j] = s * row[t] + c * row[j], (p * row[j] - y * row[t]) // g
-                    break
-                at[j] = 0  # column t is zero off the pivot, so only a[t][j] changes
-            else:
-                break
-        t += 1
-    return units, [a[i][i] for i in range(min(m, n))], modulus, rank if modulus else t
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, c) with g = s*a + c*b = gcd(a, b) >= 0."""
     g = math.gcd(a, b)
@@ -270,16 +157,17 @@ def _divisibility_chain(d: list[int], u: Matrix | None = None, vt: Matrix | None
 
 
 def _hermite(a: Matrix, t: Matrix) -> tuple[Matrix, Matrix]:
-    """Row Hermite form of [a | t], pivots of either sign, for t unimodular;
-    returns it split back into (a, t).
+    """Row Hermite form of [a | t], pivots of either sign, for t unimodular
+    or with empty rows; returns it split back into (a, t).
 
     Rows enter one at a time (Kannan and Bachem, SIAM J. Comput. 8, 1979).
     Each is cleared against the pivot rows, by extended-gcd pairs where the
     pivot does not divide, until its leading entry is a new pivot; then
     every entry above a pivot is reduced to a symmetric residue modulo it.
-    [a | t] has full row rank, so a row whose a-part vanishes (a left-kernel
-    row) gets its pivot in t and is kept reduced too, and no entry grows
-    without bound.  The columns of t enter in reverse order: with t = I, no
+    A row that clears to zero is a left-kernel row and is dropped.  With t
+    unimodular, [a | t] has full row rank, so none does: a row whose a-part
+    vanishes gets its pivot in t and is kept reduced too, and no entry
+    grows without bound.  The columns of t enter in reverse order: with t = I, no
     row so far has an entry in t's columns past i, so a left-kernel row i
     leads with its own diagonal entry and becomes a pivot at once, instead
     of being cleared against every earlier left-kernel row.
@@ -290,7 +178,9 @@ def _hermite(a: Matrix, t: Matrix) -> tuple[Matrix, Matrix]:
     for row in map(list.__add__, a, (r[::-1] for r in t)):
         j, moved = 0, set()  # pivot columns whose rows changed
         while True:
-            j = next(i for i in range(j, len(row)) if row[i])
+            j = next((i for i in range(j, len(row)) if row[i]), None)
+            if j is None:
+                break
             k = bisect.bisect_left(cols, j)
             if k == len(cols) or cols[k] != j:
                 rows.insert(k, row)
@@ -335,25 +225,33 @@ def _subtract(row: list[int], q: int, h: list[int], j: int) -> None:
         row[i] -= q * h[i]
 
 
+def _diagonalise(a: Matrix, sides: list[Matrix]) -> tuple[list[int], Matrix, Matrix]:
+    """Alternate row Hermite passes on a and on its transpose until a is
+    diagonal; sides is [U, V transposed], each carried along by the passes
+    on its side.  Returns the diagonal, U and V transposed.
+
+    At least one pass runs, even on a diagonal input: a Hermite form puts
+    its zero rows last, so a diagonal result has its zeros at the tail.
+    """
+    passes = 0
+    while a and (not passes or any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j)):
+        a, sides[0] = _hermite(a, sides[0])
+        a, sides, passes = [list(col) for col in zip(*a)], sides[::-1], passes + 1
+    u, vt = sides[:: (-1) ** passes]  # a diagonal a reads the same transposed
+    return [a[i][i] for i in range(min(len(a), len(a[0]) if a else 0))], u, vt
+
+
 def smith(matrix: Matrix) -> SmithForm:
     """Smith normal form of an integer matrix.
 
     Returns U, diag, V with U*matrix*V diagonal, |det U| = |det V| = 1,
     diag nonnegative and each entry dividing the next (zeros at the tail).
-    Row Hermite passes on the matrix and on its transpose alternate until it
-    is diagonal, U and V riding along, so the transforms stay bounded and
-    deterministic; the diagonal is canonical regardless.  This shares no
-    elimination step with ``invariant_factors``, so each checks the other.
+    U and V ride along the Hermite passes, so they stay bounded and
+    deterministic; the diagonal is canonical regardless.
     """
     m, n = _shape(matrix)
-    a, sides, passes = [list(row) for row in matrix], [identity(m), identity(n)], 0
-    # At least one pass, even on a diagonal input: a Hermite form puts its
-    # zero rows last, so a diagonal result has its zeros at the tail.
-    while a and (not passes or any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j)):
-        a, sides[0] = _hermite(a, sides[0])
-        a, sides, passes = [list(col) for col in zip(*a)], sides[::-1], passes + 1
-    u, vt = sides[:: (-1) ** passes]  # a diagonal a reads the same transposed
-    d = _divisibility_chain([a[i][i] for i in range(min(m, n))], u, vt)
+    d, u, vt = _diagonalise([list(row) for row in matrix], [identity(m), identity(n)])
+    _divisibility_chain(d, u, vt)
     for t, x in enumerate(d):
         if x < 0:
             d[t], u[t] = -x, [-e for e in u[t]]
@@ -361,15 +259,31 @@ def smith(matrix: Matrix) -> SmithForm:
 
 
 def invariant_factors(matrix: Matrix) -> tuple[int, ...]:
-    """Nonzero diagonal of the Smith form, in divisibility order."""
-    units, d, modulus, r = _eliminate(matrix)
-    return (1,) * units + tuple(_divisibility_chain([math.gcd(x, modulus) for x in d])[:r])
+    """Nonzero diagonal of the Smith form, in divisibility order: a 1 for
+    each unit pivot, then the Hermite passes on the block the pivots leave,
+    without transforms (both sides' rows are empty), so that no zero row
+    survives a pass."""
+    _shape(matrix)
+    units, a = _unit_pivots(matrix)
+    d = _diagonalise(a, [[[]] * len(a), [[]] * len(a[0] if a else ())])[0]
+    return (1,) * units + tuple(_divisibility_chain([abs(x) for x in d]))
 
 
 def rank(matrix: Matrix) -> int:
-    """Rank over the rationals."""
+    """Rank over the rationals, by one fraction-free (Bareiss) pass: each
+    entry is a minor of the input, so divisions are exact.  Each column is
+    dropped once it has been used, so the rows shrink by one per step."""
     _shape(matrix)
-    return _bareiss(matrix)[0]
+    rows, r, prev = [list(row) for row in matrix], 0, 1
+    while rows and rows[0]:
+        k = next((k for k, row in enumerate(rows) if row[0]), None)
+        if k is None:
+            rows = [row[1:] for row in rows]
+            continue
+        p, *piv = rows.pop(k)
+        rows = [[(p * x - h * y) // prev for x, y in zip(rest, piv)] for h, *rest in rows]
+        r, prev = r + 1, p
+    return r
 
 
 def cokernel(matrix: Matrix) -> tuple[int, tuple[int, ...]]:

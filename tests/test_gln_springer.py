@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from minorbit.cli import main
 from minorbit.errors import DomainError
 from minorbit.gln_springer import (
+    PART_BUDGET,
     PARTITION_BUDGET,
     _partition_numbers,
     _regular,
@@ -360,6 +361,22 @@ def test_partition_budget_refuses_just_past_the_boundary(time_budget):
         # the cover rule is local, so the budget does not limit adjacency
         assert adjacent_in_dominance(*big)
         assert minimal_degeneration(*big) == ("simple_A", n)
+
+
+def test_part_budget_at_its_boundary(time_budget):
+    # the refused inputs stay a tuple of one part and a short string
+    with time_budget(3.0):
+        assert conjugate((PART_BUDGET,)) == (1,) * PART_BUDGET
+        assert psi((PART_BUDGET,), 2) == (1,) * PART_BUDGET
+        assert parse_partition(f"1^{PART_BUDGET}") == (1,) * PART_BUDGET
+        for big in ((PART_BUDGET + 1,), (10**12, 1)):
+            with pytest.raises(DomainError, match="part budget"):
+                conjugate(big)
+            with pytest.raises(DomainError, match="part budget"):
+                psi(big, 2)
+        for text in (f"1^{PART_BUDGET + 1}", "2^500000,1^500001", "1^1000000000000"):
+            with pytest.raises(DomainError, match="part budget"):
+                parse_partition(text)
 
 
 def test_springer_gln_cli_refuses_over_budget(capsys):

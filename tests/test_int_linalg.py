@@ -279,11 +279,13 @@ def test_xgcd_bezout(a, b):
     assert s * a + c * b == g == math.gcd(a, b)
 
 
-# Each matrix drives one branch of an elimination step, with its count of
-# extended-gcd pairs.  The column reaches gcd 1 from the pivot 6 through 2,
-# by two row pairs.  The row needs two column pairs, each followed by
-# clearing column t again: a no-op with one row, while with a second row the
-# first pair writes c*7 under the pivot, which a row pair (2, -7) clears.
+# Each matrix drives one branch of a Hermite step, with its count of
+# extended-gcd pairs.  The column reaches the pivot 1 through 2 by two row
+# pairs, each clearing the entering row to zero; the row is that column
+# after one transposition.  With [0, 7, 0] added, the transposed pass takes
+# a pair for the 3 under the pivot 6 and one in the 7s' column, and the
+# divisibility chain a third, for diag(3, 7).  A negative pivot takes the
+# pair (-4, 6); a zero column is dropped without one.
 STEP_CASES = {
     "column": ([[6], [10], [15]], 2),
     "row": ([[6, 10, 15]], 2),
@@ -378,9 +380,9 @@ def dense_without_units(rows, cols, seed):
     return [[rng.choice((-1, 1)) * rng.randint(2, 9) for _ in range(cols)] for _ in range(rows)]
 
 
-# Dense [-9, 9] inputs whose elimination outgrows the Hadamard bound, so the
-# transform-free path switches to residues mod a minor.
-MODULAR = {
+# Dense [-9, 9] inputs, square and not, with repeated rows, zero columns or
+# determinant 1.
+DENSE_INPUTS = {
     **{f"square-{s}": dense(s, s, s) for s in (12, 18, 24, 30)},
     **{f"{r}x{c}": dense(r, c, 100 * r + c) for r, c in ((16, 20), (20, 16), (26, 22), (22, 26))},
     "repeated-rows": dense(10, 18, 7) + dense(10, 18, 7)[:6],
@@ -391,8 +393,8 @@ MODULAR = {
 
 def pivot_three_first(n, seed):
     """3, then an n x n block that is the identity mod 3 with entries of
-    size 4 to 9: the dense loop's first pivot is the 3, and 3 does not
-    divide the block's minor, so M must take the 3 from the pivots."""
+    size 4 to 9: no entry +-1, and a factor 3 beside a block whose
+    determinant is prime to 3."""
     rng = random.Random(seed)
     block = [[rng.choice((4, 7, -5, -8) if i == j else (-9, -6, 6, 9)) for j in range(n)] for i in range(n)]
     return [[3] + [0] * n] + [[0] + row for row in block]
@@ -402,48 +404,36 @@ def pivot_three_first(n, seed):
 WHOLE = {"no-units": dense_without_units(16, 16, 16), "pivot-three-first": pivot_three_first(14, 3)}
 
 
-@pytest.mark.parametrize("name", sorted(MODULAR.keys() | WHOLE.keys()))
-def test_modular_branch_matches_certified_smith(name, monkeypatch):
-    m = {**MODULAR, **WHOLE}[name]
-    calls = []  # (argument, (r, M)) of each Bareiss pass
-    bareiss = int_linalg._bareiss
-    monkeypatch.setattr(int_linalg, "_bareiss", lambda a: calls.append((a, bareiss(a))) or calls[-1][1])
+@pytest.mark.parametrize("name", sorted(DENSE_INPUTS.keys() | WHOLE.keys()))
+def test_dense_inputs_match_certified_smith(name):
+    m = {**DENSE_INPUTS, **WHOLE}[name]
     form = check_form(m, det=bareiss_det)
     nonzero = tuple(d for d in form.diag if d)
-    assert calls == []  # smith keeps exact entries and never reduces
     assert invariant_factors(m) == nonzero
     assert cokernel(m) == (len(m) - len(nonzero), tuple(d for d in nonzero if d > 1))
     assert kernel_rank(m) == len(m[0]) - len(nonzero)
     assert rank(m) == len(nonzero)
-    # invariant_factors and cokernel each reach the modular branch and pass it
-    # their trailing block; kernel_rank and rank pass the whole input
-    assert len(calls) == 4
-    assert [r for _, (r, _) in calls[2:]] == [len(nonzero)] * 2
-    for arg, (r, modulus) in calls:
-        factors = [d for d in smith(arg).diag if d]  # smith never calls _bareiss
-        assert r == len(factors)
-        assert modulus and modulus % math.prod(factors) == 0
-    if name == "unimodular":
-        assert [modulus for _, (_, modulus) in calls] == [1] * 4
 
 
-@pytest.mark.parametrize("name", sorted(MODULAR))
+# On WHOLE the unit pivots do nothing, so invariant_factors and smith run the
+# same Hermite passes there; sympy is the independent check.
+@pytest.mark.parametrize("name", sorted(DENSE_INPUTS.keys() | WHOLE.keys()))
 def test_invariant_factors_match_sympy(name):
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
-    m = MODULAR[name]
+    m = {**DENSE_INPUTS, **WHOLE}[name]
     expected = tuple(int(d) for d in sympy_invariant_factors(sympy.Matrix(m), domain=sympy.ZZ) if d)
     assert invariant_factors(m) == expected
 
 
-@pytest.mark.parametrize("name", sorted(MODULAR))
+@pytest.mark.parametrize("name", sorted(DENSE_INPUTS))
 def test_smith_diagonal_matches_sympy(name):
     sympy = pytest.importorskip("sympy")
     normalforms = pytest.importorskip("sympy.matrices.normalforms")
     if not hasattr(normalforms, "smith_normal_decomp"):
         pytest.skip("this sympy has no smith_normal_decomp")
-    m = MODULAR[name]
+    m = DENSE_INPUTS[name]
     form = normalforms.smith_normal_decomp(sympy.Matrix(m), domain=sympy.ZZ)[0]
     assert smith(m).diag == tuple(abs(int(form[i, i])) for i in range(min(form.shape)))
 
@@ -455,30 +445,30 @@ def hadamard_bits(m):
     return bound.bit_length()
 
 
-@pytest.mark.parametrize("name", sorted(MODULAR))
+@pytest.mark.parametrize("name", sorted(DENSE_INPUTS))
 def test_smith_transforms_stay_below_the_hadamard_bound(name):
-    # Every U and V entry is smaller than the input's Hadamard bound; with
-    # unreduced transforms they grew to tens of thousands of bits.
-    m = MODULAR[name]
+    # On these inputs every U and V entry is smaller than the input's
+    # Hadamard bound; with unreduced transforms they grew to tens of
+    # thousands of bits.  The bound is not a theorem for smith: on unit-free
+    # inputs such as dense_without_units(16, 16, 17) the transforms exceed it.
+    m = DENSE_INPUTS[name]
     form = smith(m)
     bits = max(abs(x).bit_length() for t in (form.left, form.right) for row in t for x in row)
     assert bits <= hadamard_bits(m)
 
 
-@pytest.mark.parametrize("name", sorted(MODULAR))
+@pytest.mark.parametrize("name", sorted(DENSE_INPUTS))
 def test_rank_stops_at_the_bareiss_pass(name, monkeypatch):
-    # Once the Bareiss pass has given r, rank and kernel_rank return it:
-    # no pivot search, gcd step or modular elimination follows.
-    m = MODULAR[name]
+    # rank and kernel_rank are one Bareiss pass: no gcd step or Hermite pass.
+    m = DENSE_INPUTS[name]
+    nonzero = sum(1 for d in smith(m).diag if d)
     calls = []
-    for helper in ("_bareiss", "_find_pivot", "_xgcd"):
+    for helper in ("_hermite", "_xgcd"):
         f = getattr(int_linalg, helper)
         monkeypatch.setattr(int_linalg, helper, lambda *a, f=f, helper=helper: calls.append(helper) or f(*a))
-    nonzero = sum(1 for d in smith(m).diag if d)
     for f, want in ((rank, nonzero), (kernel_rank, len(m[0]) - nonzero)):
-        calls.clear()
         assert f(m) == want
-        assert calls.count("_bareiss") == 1 and calls[-1] == "_bareiss"
+    assert calls == []
 
 
 # Each shape certified, with its nonzero diagonal checked against minor gcds.
@@ -533,7 +523,8 @@ def test_smith_dense_budget(time_budget):
 
 
 def test_dense_growth_budget(time_budget):
-    # Without the modulus, eliminating a dense 60x60 does not finish in a minute.
+    # The Hermite passes reduce every entry modulo a pivot; eliminating a
+    # dense 60x60 without such a reduction does not finish in a minute.
     m = dense(60, 60, 60)
     with time_budget(10):
         factors = invariant_factors(m)
@@ -567,14 +558,10 @@ TRAFFIC_TYPES = (
 
 
 @pytest.mark.parametrize("label", TRAFFIC_TYPES)
-def test_invariant_factors_on_boundary_matrices(label, monkeypatch):
+def test_invariant_factors_on_boundary_matrices(label):
     from minorbit.long_root_poset import d_matrix, dimension
     from minorbit.root_system import build, parse_type
 
-    def bareiss(matrix):
-        pytest.fail(f"a {label} boundary matrix outgrew the Hadamard bound")
-
-    monkeypatch.setattr(int_linalg, "_bareiss", bareiss)
     rs = build(parse_type(label))
     for i in range(1, dimension(rs)):
         m = [list(row) for row in d_matrix(rs, i)]
