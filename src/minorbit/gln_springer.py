@@ -71,7 +71,7 @@ def _partition_numbers():
         p.append(total)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # so that 5.0 and True reach the check
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n in decreasing lexicographic order.
 
@@ -79,6 +79,8 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     partitions.  p is increasing, so the recurrence stops at the first
     m <= n past the budget, and the check is as cheap for a huge n.
     """
+    if type(n) is not int:
+        raise DomainError(f"partitions of a non-integer {n!r}")
     if n < 0:
         raise DomainError("partitions of a negative integer")
     for m, count in zip(range(n + 1), _partition_numbers()):
@@ -147,8 +149,8 @@ def is_ell_restricted(p: Partition, ell: int) -> bool:
 
 def springer_image(n: int, ell: int) -> tuple[Partition, ...]:
     """Orbits hit by simple modules mod ell: the ell-restricted partitions."""
-    if n < 1:
-        raise DomainError("springer_image needs n >= 1")
+    if type(n) is not int or n < 1:
+        raise DomainError(f"springer_image needs an int n >= 1, got {n!r}")
     if not is_prime(ell):
         raise DomainError(f"{ell} is not prime")
     return tuple(p for p in partitions_of(n) if _restricted(p, ell))

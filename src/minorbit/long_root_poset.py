@@ -63,7 +63,7 @@ def levels(rs: RootSystem) -> tuple[tuple[Root, ...], ...]:
     return tuple(tuple(sorted(buckets[i], reverse=buckets[i][0] > zero)) for i in range(len(buckets)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # so that 2.0 and True reach the check, not matrix 2 or 1
 def d_matrix(rs: RootSystem, i: int) -> tuple[tuple[int, ...], ...]:
     """Matrix of the level-raising map from level i-1 to level i.
 
@@ -80,8 +80,8 @@ def d_matrix(rs: RootSystem, i: int) -> tuple[tuple[int, ...], ...]:
     diagram.
     """
     d = dimension(rs)
-    if not 1 <= i <= d - 1:
-        raise DomainError(f"matrix index {i} outside 1..{d - 1}")
+    if type(i) is not int or not 1 <= i <= d - 1:
+        raise DomainError(f"matrix index {i!r} outside 1..{d - 1}")
     if i == rs.h_dual - 1:
         return tuple(tuple(map(abs, row)) for row in cartan_of_subset(rs, rs.long_simple_indices))
     lv = levels(rs)

@@ -150,9 +150,10 @@ class RootSystem:
 
     type_label: TypeLabel
     cartan: tuple[tuple[int, ...], ...]
+    # Phi^+ by (height, coordinates), then each of them negated: alpha_k is
+    # roots[rank - 1 - k], and the highest root is the last positive root
     roots: tuple[Root, ...]
     positive_roots: tuple[Root, ...]
-    simple_roots: tuple[Root, ...]
     long_simple_indices: tuple[int, ...]
     h_dual: int
     # every root mapped to its lowering edges, the (j, c) with c = <root, alpha_j^vee> > 0
@@ -160,9 +161,6 @@ class RootSystem:
     # the one record of root length: each long root, both signs, mapped to
     # the (signed) height of its coroot; short roots are absent
     _dual_heights: dict[Root, int]
-    # nonzero entries (i, 2(alpha_i|alpha_j) = <alpha_j, alpha_i^vee> |alpha_i|^2) of each
-    # column j of the symmetric Gram matrix, which is as sparse as the Dynkin diagram
-    _bilinear: tuple[tuple[tuple[int, int], ...], ...]
 
     def __init__(self, **fields) -> None:
         if fields.keys() != self.__annotations__.keys():
@@ -186,19 +184,6 @@ class RootSystem:
 
     def is_root(self, v: Root) -> bool:
         return v in self._lowering
-
-    def bilinear(self, a: Root, b: Root) -> int:
-        """Twice the invariant scalar product (a|b), as an integer."""
-        columns = self._bilinear
-        return sum(bj * sum(x * a[i] for i, x in columns[j]) for j, bj in enumerate(b) if bj)
-
-    def pairing(self, a: Root, b: Root) -> int:
-        """<a, b^vee> = 2(a|b)/(b|b) for a root b."""
-        num = 2 * self.bilinear(a, b)
-        den = self.bilinear(b, b)
-        if num % den:
-            raise DomainError("pairing is not integral; b is not a root")
-        return num // den
 
 
 def height(root: Root) -> int:
@@ -252,12 +237,10 @@ def build(label: TypeLabel) -> RootSystem:
         cartan=tuple(tuple(row) for row in cartan),
         roots=tuple(positive + negative),
         positive_roots=tuple(positive),
-        simple_roots=tuple(simple),
         long_simple_indices=tuple(i for i in range(n) if lengths[i] == r),
         h_dual=h_dual,
         _lowering=lowering,
         _dual_heights=dual_heights,
-        _bilinear=tuple(tuple((i, x * lengths[i]) for i, x in row) for row in rows),
     )
 
 

@@ -11,7 +11,7 @@ the permutations alone, never through ``levels`` or ``d_matrix``.
 An element is a permutation of the root list, a tuple with perm[i] the
 index of the image of root i; the positive roots come first, so a root
 index i is positive iff i < |Phi^+|.  Only the simple reflections come
-from the form; the others are conjugated from them once per type
+from the Cartan matrix; the others are conjugated from them once per type
 (s_gamma = s_j s_{s_j(gamma)} s_j), and both checks read that table.
 Each call refuses, before any work, an input whose element count times
 |Phi| exceeds ORACLE_BUDGET: |W^I| in ``coset_reps``, the larger of
@@ -45,26 +45,26 @@ def _root_index(rs: RootSystem) -> dict:
     return {root: i for i, root in enumerate(rs.roots)}
 
 
-def _reflection_perm(rs: RootSystem, index: dict, gamma) -> tuple[int, ...]:
-    """The permutation of the roots made by the reflection in gamma.  Only the positive v with
-    2(v|gamma) = sum_k v_k 2(alpha_k|gamma) != 0 are looked up; s_gamma(-v) = -s_gamma(v)."""
+def _simple_reflection(rs: RootSystem, index: dict, k: int) -> tuple[int, ...]:
+    """The permutation of the roots made by s_k, which changes coordinate k alone:
+    s_k(v) = v - c alpha_k with c = <v, alpha_k^vee> = sum_i v_i cartan[i][k].  Only the
+    positive v with c != 0 are looked up; s_k(-v) = -s_k(v)."""
     positive = rs.positive_roots
     npos = len(positive)
     dots = [0] * npos
-    for k, s in enumerate(rs.simple_roots):
-        if t := rs.bilinear(s, gamma):
-            dots = list(map(add, dots, map(t.__mul__, map(itemgetter(k), positive))))
-    norm = rs.bilinear(gamma, gamma)
-    shift = {c: tuple(c * g for g in gamma) for c in (-3, -2, -1, 1, 2, 3)}  # |<v, gamma^vee>| <= 3
+    for i, row in enumerate(rs.cartan):
+        if t := row[k]:
+            dots = list(map(add, dots, map(t.__mul__, map(itemgetter(i), positive))))
     perm = list(range(npos))
     for i in compress(range(npos), dots):
-        perm[i] = index[tuple(map(sub, positive[i], shift[2 * dots[i] // norm]))]
+        v = positive[i]
+        perm[i] = index[v[:k] + (v[k] - dots[i],) + v[k + 1 :]]
     return tuple(perm + [p + npos if p < npos else p - npos for p in perm])
 
 
 @lru_cache(maxsize=16)  # as the table below: every type a session verifies
 def _simple_reflections(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    return tuple(map(partial(_reflection_perm, rs, _root_index(rs)), rs.simple_roots))
+    return tuple(map(partial(_simple_reflection, rs, _root_index(rs)), range(rs.rank)))
 
 
 def _compose(outer: tuple, inner: tuple) -> tuple:
@@ -125,7 +125,7 @@ def coset_reps(rs: RootSystem, indices) -> tuple[WeylElement, ...]:
     _check_indices(rs, indices)
     _check_budget(rs, _coset_count(rs, indices), "|W^I|")
     npos = len(rs.positive_roots)
-    simple = [rs.roots.index(s) for s in rs.simple_roots]  # the first rank roots
+    simple = [rs.rank - 1 - k for k in range(rs.rank)]  # alpha_k is root rank - 1 - k
     blocked = {simple[k] for k in indices}
     gens = _simple_reflections(rs)
     reps = []
@@ -145,8 +145,9 @@ def coset_reps(rs: RootSystem, indices) -> tuple[WeylElement, ...]:
 
 
 def _orthogonal_simple_indices(rs: RootSystem) -> tuple[int, ...]:
+    """The k with <theta, alpha_k^vee> = 0, read off column k of the Cartan matrix."""
     top = highest_root(rs)
-    return tuple(i for i, s in enumerate(rs.simple_roots) if rs.bilinear(top, s) == 0)
+    return tuple(k for k in range(rs.rank) if not sum(t * row[k] for t, row in zip(top, rs.cartan)))
 
 
 def level_length_failure(rs: RootSystem) -> str | None:
@@ -167,7 +168,7 @@ def level_length_failure(rs: RootSystem) -> str | None:
     disagree, i.e. an implementation bug.
     """
     n_long = _check_verify_budget(rs)
-    top_idx = rs.roots.index(highest_root(rs))
+    top_idx = len(rs.positive_roots) - 1  # the highest root
     reps = coset_reps(rs, _orthogonal_simple_indices(rs))
     if len(reps) != n_long:
         return f"W^J has {len(reps)} elements, but there are {n_long} long roots"

@@ -7,7 +7,7 @@ from minorbit.errors import DomainError
 from minorbit.int_linalg import kernel_rank
 from minorbit.long_root_poset import d_matrix, dimension, level, levels
 from minorbit.root_system import build, cartan_of_subset, highest_root, is_long, parse_type
-from test_root_system import reflect
+from test_root_system import pairing, reflect, simple_roots
 
 POSET_TYPES = [
     "A1", "A3", "A6", "B2", "B3", "B5", "B8", "C2", "C4", "C8",
@@ -74,7 +74,7 @@ def edge_coefficient(rs, beta, alpha) -> int:
     gamma = tuple(x // g for x in v)
     if not rs.is_root(gamma):
         return 0
-    c = rs.pairing(beta, gamma)
+    c = pairing(rs, beta, gamma)
     return c if tuple(c * x for x in gamma) == v else 0
 
 
@@ -106,7 +106,7 @@ def test_levels_structure(rs):
         assert len(members) == len(lv[top - i])
         assert {tuple(-x for x in v) for v in members} == set(lv[top - i])
     # the two middle levels are the long simple roots and their negatives
-    simple_long = {rs.simple_roots[i] for i in rs.long_simple_indices}
+    simple_long = {simple_roots(rs)[i] for i in rs.long_simple_indices}
     assert set(lv[rs.h_dual - 2]) == simple_long
     assert set(lv[rs.h_dual - 1]) == {tuple(-x for x in v) for v in simple_long}
 
@@ -163,11 +163,12 @@ def test_lowering_edges_are_the_simple_reflections(name):
     own = {id(root) for root in rs.roots}
     assert {id(root) for root in rs._lowering} == own
     assert {id(root) for root in rs._dual_heights} <= own
+    simple = simple_roots(rs)
     for v in rs.roots:
-        pairings = [(j, rs.pairing(v, alpha)) for j, alpha in enumerate(rs.simple_roots)]
+        pairings = [(j, pairing(rs, v, alpha)) for j, alpha in enumerate(simple)]
         assert rs._lowering[v] == tuple((j, c) for j, c in pairings if c > 0), v
         for j, c in rs._lowering[v]:
-            alpha = rs.simple_roots[j]
+            alpha = simple[j]
             assert tuple(x - c * a for x, a in zip(v, alpha)) == reflect(rs, v, alpha)
 
 
@@ -177,6 +178,14 @@ def test_d_matrix_range(rs):
         d_matrix(rs, 0)
     with pytest.raises(DomainError):
         d_matrix(rs, d)
+    # 2.0 and True equal 2 and 1: refused on a cold cache, and again once matrices 1 and 2 are cached
+    d_matrix.cache_clear()
+    for _ in ("cold", "warm"):
+        for bad in (2.0, True, "2", None):
+            with pytest.raises(DomainError, match=rf"^matrix index {bad!r} outside 1\.\.{d - 1}$"):
+                d_matrix(rs, bad)
+        for i in range(1, min(d, 3)):
+            d_matrix(rs, i)
 
 
 @pytest.mark.parametrize("name", ASSEMBLY_TYPES)

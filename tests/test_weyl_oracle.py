@@ -1,12 +1,13 @@
 import itertools
 import math
+from operator import add, itemgetter, sub
 
 import pytest
 
 from minorbit import cli, long_root_poset, weyl_oracle
 from minorbit.errors import DomainError
 from minorbit.long_root_poset import level
-from minorbit.root_system import build, height, highest_root, is_long, parse_type
+from minorbit.root_system import RootSystem, build, height, highest_root, is_long, parse_type
 from minorbit.weyl_oracle import (
     ORACLE_BUDGET,
     WeylElement,
@@ -15,7 +16,6 @@ from minorbit.weyl_oracle import (
     _compose,
     _coset_count,
     _orthogonal_simple_indices,
-    _reflection_perm,
     _reflection_table,
     _root_index,
     _simple_reflections,
@@ -26,7 +26,7 @@ from minorbit.weyl_oracle import (
     verify_reflection_length,
 )
 from test_long_root_poset import edge_coefficient
-from test_root_system import reflect, weyl_degrees
+from test_root_system import bilinear, coxeter_number, reflect, simple_roots, weyl_degrees
 
 SMALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2"]
 # every type with |W| <= |W(E6)| = 51840
@@ -60,7 +60,7 @@ def enumerate_group(rs) -> list[WeylElement]:
     nroots = len(rs.roots)
     assert nroots <= 255 and group_order(rs) <= 51840
     index = _root_index(rs)
-    gens = [bytes(index[reflect(rs, v, s)] for v in rs.roots) for s in rs.simple_roots]
+    gens = [bytes(index[reflect(rs, v, s)] for v in rs.roots) for s in simple_roots(rs)]
     ident = bytes(range(nroots))
     seen = {ident}
     frontier = [ident]
@@ -82,7 +82,7 @@ def filtered_coset_reps(rs, group, indices) -> set[WeylElement]:
     """The elements keeping every simple root of I positive."""
     npos = len(rs.positive_roots)
     index = _root_index(rs)
-    positions = [index[rs.simple_roots[i]] for i in indices]
+    positions = [index[simple_roots(rs)[i]] for i in indices]
     return {w for w in group if all(w.perm[p] < npos for p in positions)}
 
 
@@ -96,14 +96,32 @@ def formula_lengths(rs) -> list[int]:
     columns = list(zip(*positive))  # column k: coordinate k of every positive root
     lengths = []
     for b, hb in zip(positive, heights):
-        norm = rs.bilinear(b, b)
+        norm = bilinear(rs, b, b)
         # 2(g|b) = sum_k g_k 2(alpha_k|b), so <g, b^vee> = 2 dot / norm
         dots = [0] * len(positive)
-        for column, t in zip(columns, (rs.bilinear(s, b) for s in rs.simple_roots)):
+        for column, t in zip(columns, (bilinear(rs, s, b) for s in simple_roots(rs))):
             if t:
                 dots = [d + t * x for d, x in zip(dots, column)]
         lengths.append(sum(h * norm < 2 * hb * d for h, d in zip(heights, dots)))
     return lengths
+
+
+def reflection_perm(rs, index, gamma) -> tuple[int, ...]:
+    """The reference permutation of the roots made by the reflection in gamma, from the
+    Gram form and not the Cartan matrix the oracle reads.  Only the positive v with
+    2(v|gamma) = sum_k v_k 2(alpha_k|gamma) != 0 are looked up; s_gamma(-v) = -s_gamma(v)."""
+    positive = rs.positive_roots
+    npos = len(positive)
+    dots = [0] * npos
+    for k, s in enumerate(simple_roots(rs)):
+        if t := bilinear(rs, s, gamma):
+            dots = list(map(add, dots, map(t.__mul__, map(itemgetter(k), positive))))
+    norm = bilinear(rs, gamma, gamma)
+    shift = {c: tuple(c * g for g in gamma) for c in (-3, -2, -1, 1, 2, 3)}  # |<v, gamma^vee>| <= 3
+    perm = list(range(npos))
+    for i in itertools.compress(range(npos), dots):
+        perm[i] = index[tuple(map(sub, positive[i], shift[2 * dots[i] // norm]))]
+    return tuple(perm + [p + npos if p < npos else p - npos for p in perm])
 
 
 def invert(perm: tuple) -> tuple:
@@ -177,22 +195,73 @@ def test_coset_count_closed_form(label):
 
 @pytest.mark.parametrize("label", UP_TO_E6 + ["E7", "E8", "A30", "B20", "C20", "D20"])
 def test_reflection_table(label):
-    # every s_gamma conjugated from the simple reflections equals the one made
-    # from the form, is an involution, negates gamma, and has the length the
-    # height formula counts
+    # the simple reflections made from the Cartan matrix, and every s_gamma
+    # conjugated from them, equal the ones made from the Gram form; each is an
+    # involution, negates gamma, and has the length the height formula counts
     rs = build(parse_type(label))
     index = _root_index(rs)
     npos = len(rs.positive_roots)
-    for s in rs.simple_roots:
-        assert _reflection_perm(rs, index, s) == tuple(index[reflect(rs, v, s)] for v in rs.roots)
+    for s, alpha in zip(_simple_reflections(rs), simple_roots(rs)):
+        assert s == reflection_perm(rs, index, alpha) == tuple(index[reflect(rs, v, alpha)] for v in rs.roots)
     table = _reflection_table(rs)
     assert len(table) == npos
     identity = tuple(range(len(rs.roots)))
     for k, (gamma, s, length) in enumerate(zip(rs.positive_roots, table, formula_lengths(rs))):
-        assert s == _reflection_perm(rs, index, gamma), gamma
+        assert s == reflection_perm(rs, index, gamma), gamma
         assert _compose(s, s) == identity
         assert s[k] == k + npos
         assert _length_of(s, npos) == length, gamma
+
+
+@pytest.mark.parametrize(
+    "label", sorted(set(SMALL_TYPES + UP_TO_E6)) + ["E7", "E8", "A30", "B20", "C20", "D20", "A99", "B70", "C70", "D71"]
+)
+def test_the_positions_the_oracle_reads(label):
+    # coset_reps takes alpha_k at root rank - 1 - k and level_length_failure the
+    # highest root at |Phi^+| - 1, where build's sort by (height, coordinates) puts them
+    rs = build(parse_type(label))
+    npos = len(rs.positive_roots)
+    for k, alpha in enumerate(simple_roots(rs)):
+        assert rs.roots[rs.rank - 1 - k] == alpha, k
+    top = rs.positive_roots[-1]
+    assert rs.roots[npos - 1] is top
+    assert height(top) == coxeter_number(rs) - 1
+    assert all(t >= x for v in rs.positive_roots for t, x in zip(top, v))
+    if npos * len(rs.roots) <= 1_000_000:  # the table at A99 would hold 49,005,000 entries
+        assert _reflection_table(rs)[: rs.rank] == _simple_reflections(rs)[::-1]
+
+
+class Poisoned:
+    """Raises on any read, so that a record the oracle must not touch can be swapped in."""
+
+    def _refuse(self, *args):
+        raise AssertionError("the oracle read the edge record")
+
+    __getattr__ = __getitem__ = __contains__ = __iter__ = __len__ = __bool__ = __hash__ = _refuse
+
+
+def clear_oracle_caches():
+    # both caches are keyed on the type label, which a copy of the record shares
+    _simple_reflections.cache_clear()
+    _reflection_table.cache_clear()
+
+
+@pytest.mark.parametrize("label", ["A4", "B3", "C4", "D5", "F4", "G2"])
+def test_the_oracle_does_not_read_the_edge_record(label):
+    # the reflections and W^J come from the Cartan matrix and the root list alone;
+    # the Cartan matrices of B, C, F4 and G2 are not symmetric, so reading a row
+    # for a column would change the reflections there
+    rs = build(parse_type(label))
+    blind = RootSystem(**{**vars(rs), "_lowering": Poisoned(), "_dual_heights": Poisoned()})
+    clear_oracle_caches()
+    try:
+        indices = _orthogonal_simple_indices(blind)
+        seen = (_simple_reflections(blind), _reflection_table(blind), indices, coset_reps(blind, indices))
+        clear_oracle_caches()
+        indices = _orthogonal_simple_indices(rs)
+        assert seen == (_simple_reflections(rs), _reflection_table(rs), indices, coset_reps(rs, indices))
+    finally:
+        clear_oracle_caches()
 
 
 def test_coset_reps_build_no_table(time_budget):
@@ -391,7 +460,7 @@ def test_longest_element_identities(label):
     indices = _orthogonal_simple_indices(rs)
     index = _root_index(rs)
     ident = tuple(range(len(rs.roots)))
-    gens = [_reflection_perm(rs, index, rs.simple_roots[i]) for i in indices]
+    gens = [reflection_perm(rs, index, simple_roots(rs)[i]) for i in indices]
     sub = {ident}
     frontier = [ident]
     while frontier:
@@ -404,7 +473,7 @@ def test_longest_element_identities(label):
                     nxt.append(ws)
         frontier = nxt
     w_sub = max(sub, key=lambda p: lengths[p])
-    s_top = _reflection_perm(rs, index, highest_root(rs))
+    s_top = reflection_perm(rs, index, highest_root(rs))
     assert _compose(w0.perm, w_sub) == s_top
     assert _compose(w_sub, w0.perm) == s_top
 
@@ -423,7 +492,7 @@ def test_negative_rep_factors_through_reflection(label):
             continue
         x_pos = by_image[root]
         x_neg = by_image[tuple(-c for c in root)]
-        s = _reflection_perm(rs, index, root)
+        s = reflection_perm(rs, index, root)
         assert _compose(s, x_pos.perm) == x_neg.perm
         npos = len(rs.positive_roots)
         s_len = sum(1 for i in range(npos) if s[i] >= npos)
