@@ -28,8 +28,8 @@ PART_BUDGET = 1_000_000
 
 
 def _validate(p: Partition) -> Partition:
-    if any(x <= 0 for x in p):
-        raise DomainError(f"partition parts must be positive: {p}")
+    if not {int}.issuperset(map(type, p)) or any(x <= 0 for x in p):
+        raise DomainError(f"partition parts must be positive integers: {p}")
     if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
         raise DomainError(f"partition parts must be weakly decreasing: {p}")
     return p
@@ -133,8 +133,8 @@ def _restricted(p: Partition, ell: int) -> bool:
 def is_ell_regular(p: Partition, ell: int) -> bool:
     """No part repeated ell times or more: no ell consecutive parts equal."""
     _validate(p)
-    if ell < 2:
-        raise DomainError("ell must be at least 2")
+    if type(ell) is not int or ell < 2:
+        raise DomainError(f"ell must be at least 2 and an int, got {ell!r}")
     return _regular(p, ell)
 
 
@@ -142,8 +142,8 @@ def is_ell_restricted(p: Partition, ell: int) -> bool:
     """Conjugate is ell-regular: every step down p_i - p_{i+1} (a 0 read
     after the last part) is below ell, by the rule in ``conjugate``."""
     _validate(p)
-    if ell < 2:
-        raise DomainError("ell must be at least 2")
+    if type(ell) is not int or ell < 2:
+        raise DomainError(f"ell must be at least 2 and an int, got {ell!r}")
     return _restricted(p, ell)
 
 

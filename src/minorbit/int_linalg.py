@@ -13,8 +13,10 @@ pivot.  ``smith`` carries U and V along as extra columns, so they stay
 bounded.  ``invariant_factors`` (so ``cokernel``) carries none, and
 pivots on entries +-1 first: on rows held as dicts of their nonzero
 entries, each pivot of least fill is one invariant factor 1, and every
-entry it leaves is a minor of the input.  The boundary matrices leave a
-block of at most 2x2 for the passes at E8, A99, B70, C70 and D71.
+entry it leaves is a minor of the input.  Its core, ``_invariant_factors``,
+takes rows in that sparse form: the cohomology passes it the cached
+columns of each boundary matrix unchecked, which leave a block of at most
+2x2 for the passes at E8, A99, B70, C70 and D71.
 ``rank`` (so ``kernel_rank``) is one fraction-free Bareiss pass.  As both
 Smith entry points share the loop, the independent references live in the
 tests: gcds of minors, sympy, and the certification of U * A * V.
@@ -53,25 +55,23 @@ class SmithForm(namedtuple("SmithForm", "left diag right")):
     __slots__ = ()
 
 
-def _unit_pivots(matrix: Matrix) -> tuple[int, Matrix]:
+def _unit_pivots(rows, width: int) -> tuple[int, Matrix]:
     """Pivot on entries +-1 while any is left; returns their count and the
     leftover block, its nonzero rows and columns in input order.
 
-    Rows are dicts of their nonzero entries, and columns sets of row
-    indices.  Each pivot (i, j) has the least fill (|row i| - 1) *
-    (|column j| - 1), the most entries its step can create.  A unit alone
-    in its row or column has fill 0: those of the input, and each one a
-    step leaves, are stacked and taken newest first.  With none stacked, a
-    scan finds the least fill, ties going to the least (i, j).  Row i
-    times the pivot is subtracted from every other row of column j, then
-    row i and column j go: one invariant factor 1.  The pivots are units,
-    so every leftover entry is, up to sign, a minor of the input.  An
-    input without a unit entry comes back whole.
+    Each input row, a dict of its nonzero entries or their (column, entry)
+    pairs, is copied into a dict; columns are sets of row indices.  Each
+    pivot (i, j) has the least fill (|row i| - 1) * (|column j| - 1), the
+    most entries its step can create.  A unit alone in its row or column
+    has fill 0: those of the input, and each one a step leaves, are stacked
+    and taken newest first.  With none stacked, a scan finds the least
+    fill, ties going to the least (i, j).  Row i times the pivot is
+    subtracted from every other row of column j, then row i and column j
+    go: one invariant factor 1.  The pivots are units, so every leftover
+    entry is, up to sign, a minor of the input.
     """
-    if not any(1 in row or -1 in row for row in matrix):
-        return 0, [list(row) for row in matrix]
-    rows = [dict(compress(enumerate(row), row)) for row in matrix]
-    cols = [set() for _ in matrix[0]]
+    rows = [dict(row) for row in rows]
+    cols = [set() for _ in range(width)]
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
@@ -259,12 +259,15 @@ def smith(matrix: Matrix) -> SmithForm:
 
 
 def invariant_factors(matrix: Matrix) -> tuple[int, ...]:
-    """Nonzero diagonal of the Smith form, in divisibility order: a 1 for
-    each unit pivot, then the Hermite passes on the block the pivots leave,
-    without transforms (both sides' rows are empty), so that no zero row
-    survives a pass."""
-    _shape(matrix)
-    units, a = _unit_pivots(matrix)
+    """Nonzero diagonal of the Smith form, in divisibility order."""
+    return _invariant_factors((compress(enumerate(row), row) for row in matrix), _shape(matrix)[1])
+
+
+def _invariant_factors(rows, width: int) -> tuple[int, ...]:
+    """``invariant_factors`` of sparse rows, unchecked: a 1 for each unit
+    pivot, then Hermite passes on the block left, without transforms (both
+    sides' rows are empty), so that no zero row survives a pass."""
+    units, a = _unit_pivots(rows, width)
     d = _diagonalise(a, [[[]] * len(a), [[]] * len(a[0] if a else ())])[0]
     return (1,) * units + tuple(_divisibility_chain([abs(x) for x in d]))
 
@@ -307,8 +310,10 @@ MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
 def is_prime(p: int) -> bool:
     """Deterministic primality test for p < MILLER_RABIN_BOUND (~3.3e24).
 
-    Larger p raise DomainError instead of risking a wrong answer.
+    Larger p and a p that is not an int raise DomainError, bools included.
     """
+    if type(p) is not int:
+        raise DomainError(f"primality of a non-integer {p!r}")
     if p < 2:
         return False
     if p >= MILLER_RABIN_BOUND:

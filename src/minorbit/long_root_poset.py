@@ -3,17 +3,13 @@
 The long roots of an irreducible system form a graded poset: a long root
 sits at level ht_coroot(highest) - ht_coroot(root), shifted down by one on
 the negative side.  Multiplication by the Chern class of the minimal-orbit
-resolution acts level by level through the matrices ``d_matrix`` returns.
+resolution acts level by level through the boundary matrices.
 
-An entry of matrix i is c = <beta, gamma^vee> when a reflection s_gamma
-sends beta in level i-1 to alpha in level i (then beta - alpha = c gamma),
-else 0.  Off the two middle levels that reflection is simple, so
-``d_matrix`` fills each column beta from the lowering edges (j, c) that
-``build`` recorded, one dict lookup per edge and no pairing; between the
-middle levels the matrix is the Cartan matrix of the long simple roots
-with the signs dropped.  The tests hold the assembly equal to the pairwise
-definition, and ``weyl_oracle`` certifies the entries against the Weyl
-group.
+Each boundary matrix has one form, the columns ``_columns`` caches,
+filled from the lowering edges that ``build`` recorded.  The cohomology
+reads them as the rows of the transpose and ``weyl_oracle`` certifies
+them entry by entry; ``d_matrix`` is a dense view for printing and the
+tests, which hold it equal to the pairwise definition.
 
 Within a level, roots are listed in decreasing lexicographic order of the
 absolute coordinate vector.  On positive levels this is exactly the order
@@ -63,34 +59,37 @@ def levels(rs: RootSystem) -> tuple[tuple[Root, ...], ...]:
     return tuple(tuple(sorted(buckets[i], reverse=buckets[i][0] > zero)) for i in range(len(buckets)))
 
 
-@lru_cache(maxsize=None, typed=True)  # so that 2.0 and True reach the check, not matrix 2 or 1
-def d_matrix(rs: RootSystem, i: int) -> tuple[tuple[int, ...], ...]:
-    """Matrix of the level-raising map from level i-1 to level i.
+@lru_cache(maxsize=None)
+def _columns(rs: RootSystem, i: int) -> tuple[dict[int, int], ...]:
+    """Matrix i of the level-raising map from level i-1 to level i: for
+    each root beta of level i-1, in level order, a dict {row: entry} of its
+    nonzero entries, row being a position in level i.  Callers only read it.
 
-    Rows are indexed by level i, columns by level i-1, both in the level
-    sort order; entry (alpha, beta) is <beta, gamma^vee> when a reflection
-    s_gamma sends beta to alpha, else 0.  Each column beta is filled from
-    its simple reflections: for every lowering edge (j, c) that ``build``
-    recorded for beta, the entry at row beta - c alpha_j is c when that
-    root lies in level i.  Between the
-    two middle levels (long simple roots to their negatives), i = h_dual - 1,
-    the matrix is the Cartan matrix of the long-simple subsystem with the
-    signs dropped: the entry is 2 on (beta, -beta) and 1 when beta - alpha
-    is a root, i.e. when the two long simple roots are joined in the Dynkin
-    diagram.
+    Entry (alpha, beta) is <beta, gamma^vee> when a reflection s_gamma sends
+    beta to alpha, else 0.  Column beta is filled from its lowering edges
+    (j, c) in ``build``'s record: c at row beta - c alpha_j when that root
+    lies in level i, one dict lookup per edge and no pairing.  Between the
+    two middle levels, i = h_dual - 1, the matrix is the Cartan matrix of
+    the long simple roots with the signs dropped: 2 on (beta, -beta) and 1
+    when beta - alpha is a root, i.e. when the two are joined in the diagram.
     """
+    if i == rs.h_dual - 1:
+        cartan = cartan_of_subset(rs, rs.long_simple_indices)
+        return tuple({row: abs(x) for row, x in enumerate(col) if x} for col in zip(*cartan))
+    lv = levels(rs)
+    row_of = {alpha: row for row, alpha in enumerate(lv[i])}
+    columns = []
+    for beta in lv[i - 1]:
+        edges = ((row_of.get(beta[:j] + (beta[j] - c,) + beta[j + 1 :]), c) for j, c in rs._lowering[beta])
+        columns.append({row: c for row, c in edges if row is not None})
+    return tuple(columns)
+
+
+def d_matrix(rs: RootSystem, i: int) -> tuple[tuple[int, ...], ...]:
+    """Matrix i (see ``_columns``) as dense rows: rows indexed by level i,
+    columns by level i-1, in level order.  Built afresh on each call."""
     d = dimension(rs)
     if type(i) is not int or not 1 <= i <= d - 1:
         raise DomainError(f"matrix index {i!r} outside 1..{d - 1}")
-    if i == rs.h_dual - 1:
-        return tuple(tuple(map(abs, row)) for row in cartan_of_subset(rs, rs.long_simple_indices))
-    lv = levels(rs)
-    sources, targets = lv[i - 1], lv[i]
-    row_of = {alpha: row for row, alpha in enumerate(targets)}
-    mat = [[0] * len(sources) for _ in targets]
-    for col, beta in enumerate(sources):
-        for j, c in rs._lowering[beta]:
-            row = row_of.get(beta[:j] + (beta[j] - c,) + beta[j + 1 :])
-            if row is not None:
-                mat[row][col] = c
-    return tuple(tuple(row) for row in mat)
+    columns = _columns(rs, i)
+    return tuple(tuple([column.get(row, 0) for column in columns]) for row in range(len(levels(rs)[i])))

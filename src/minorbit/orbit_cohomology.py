@@ -14,7 +14,7 @@ from collections import namedtuple
 
 from . import long_root_poset
 from .errors import DomainError, InvariantFailureError
-from .int_linalg import cokernel, invariant_factors
+from .int_linalg import _invariant_factors, cokernel
 from .root_system import _DUAL_COXETER_NUMBER, RootSystem, TypeLabel, _check_root_budget, cartan_of_subset, parse_type
 
 
@@ -70,7 +70,8 @@ def minimal_orbit_cohomology(rs: RootSystem) -> OrbitCohomology:
     Matrix i (level i-1 to level i) gives the cokernel in degree 2i and the
     kernel rank in degree 2i-1; its transpose, matrix d-i, gives degrees
     2(d-i) and 2(d-i)-1 with rows and columns swapped.  One Smith form per
-    transposed pair serves all four; only matrices i <= h_dual-1 are built."""
+    transposed pair serves all four: the cached columns of matrix i, as the
+    rows of its transpose, for i <= h_dual-1."""
     lv = long_root_poset.levels(rs)
     d = long_root_poset.dimension(rs)
     # the map into level 0 and the map out of the last level are zero
@@ -79,10 +80,9 @@ def minimal_orbit_cohomology(rs: RootSystem) -> OrbitCohomology:
         2 * d - 1: (len(lv[d - 1]), ()),
     }
     for i in range(1, rs.h_dual):
-        matrix = long_root_poset.d_matrix(rs, i)
-        factors = invariant_factors(matrix)
+        factors = _invariant_factors(long_root_poset._columns(rs, i), len(lv[i]))
         torsion = tuple(x for x in factors if x > 1)
-        rows, cols = len(matrix) - len(factors), len(matrix[0]) - len(factors)
+        rows, cols = len(lv[i]) - len(factors), len(lv[i - 1]) - len(factors)
         entries[2 * i], entries[2 * i - 1] = (rows, torsion), (cols, ())
         entries[2 * (d - i)], entries[2 * (d - i) - 1] = (cols, torsion), (rows, ())
     return OrbitCohomology(rs.type_label, d, rs.h_dual, GradedAbelianGroup(entries))

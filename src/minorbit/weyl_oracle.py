@@ -6,7 +6,7 @@ root (J: the simple roots orthogonal to it).  This module checks that
 dictionary without building W: ``coset_reps`` generates W^I for any
 simple-root subset I by left multiplication (Deodhar's lemma; Bjorner and
 Brenti, Combinatorics of Coxeter Groups, 2.4-2.5), deciding every step on
-the permutations alone, never through ``levels`` or ``d_matrix``.
+the permutations alone, never through ``levels`` or the boundary matrices.
 
 An element is a permutation of the root list, a tuple with perm[i] the
 index of the image of root i; the positive roots come first, so a root
@@ -155,8 +155,8 @@ def level_length_failure(rs: RootSystem) -> str | None:
 
     The representatives modulo the stabilizer of the highest root must
     biject onto the long roots via w -> w(highest), with length equal to
-    the level.  Then every entry of ``long_root_poset.d_matrix``, the
-    matrices the cohomology is computed from, is checked against the
+    the level.  Then every entry of the boundary matrices, the cached
+    columns the cohomology is computed from, is checked against the
     group: for beta in level i and alpha in level i+1, beta -> alpha is an
     edge when x_alpha x_beta^-1 is a reflection s_gamma.  Then
     s_gamma(beta) = alpha gives beta - alpha = <beta, gamma^vee> gamma,
@@ -187,14 +187,13 @@ def level_length_failure(rs: RootSystem) -> str | None:
     lines = {tuple(map(c.__mul__, gamma)): (s, c) for c in (-3, -2, -1, 1, 2, 3) for gamma, s in reflections}
     lv = long_root_poset.levels(rs)
     for i in range(len(lv) - 1):
-        mat = long_root_poset.d_matrix(rs, i + 1)
-        for col, beta in enumerate(lv[i]):
+        for beta, column in zip(lv[i], long_root_poset._columns(rs, i + 1)):
             for row, alpha in enumerate(lv[i + 1]):
                 s, expected = lines.get(tuple(map(sub, beta, alpha)), (None, 0))
                 if s is not None and _compose(s, by_root[beta]) != by_root[alpha]:
                     expected = 0
-                if mat[row][col] != expected:
-                    return f"({beta}, {alpha}): d_matrix({i + 1}) entry {mat[row][col]}, expected {expected}"
+                if (entry := column.get(row, 0)) != expected:
+                    return f"({beta}, {alpha}): d_matrix({i + 1}) entry {entry}, expected {expected}"
     return None
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -164,6 +165,24 @@ def test_ell_rules_refuse_ell_below_2_and_non_partitions(check):
     for bad in [(1, 2), (3, 0), (2, -1), (1, 1, 2)]:
         with pytest.raises(DomainError, match="partition parts"):
             check(bad, 2)
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (conjugate, ((2.0, 1),), "partition parts must be positive integers"),
+        (conjugate, ((True,),), "partition parts must be positive integers"),
+        (dominance_le, ((2.0, 1), (2, 1)), "partition parts must be positive integers"),
+        (is_ell_regular, ((2, 1), 2.0), "ell must be at least 2 and an int, got 2.0"),
+        (psi, ((2, 1), 2.0), "ell must be at least 2 and an int, got 2.0"),
+        (is_ell_restricted, ((2, 1), 2.0), "ell must be at least 2 and an int, got 2.0"),
+        (is_ell_restricted, ((2, 1), "3"), "ell must be at least 2 and an int, got '3'"),
+    ],
+)
+def test_non_int_parts_and_ell_are_refused(call, args, message):
+    # each once raised a bare TypeError or answered as if 2.0 were 2
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+        call(*args)
 
 
 def test_gap_and_run_rules_at_n45(time_budget):

@@ -9,6 +9,7 @@ quotient groups are enumerated coset by coset.
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minorbit import int_linalg
+from minorbit.decomposition import characters
 from minorbit.errors import DomainError
+from minorbit.gln_springer import springer_image
 from minorbit.int_linalg import (
     MILLER_RABIN_BOUND,
     cokernel,
@@ -236,6 +239,20 @@ def test_is_prime_large():
         is_prime(10**30)
 
 
+@pytest.mark.parametrize("ell", [2.0, 3.0, True, False, "2", None, Fraction(2)])
+def test_primality_refuses_a_non_int(ell):
+    # 2.0 == 2 and True == 1 were once answered as those, so springer_image(3, 2.0) gave partitions
+    calls = (
+        lambda: is_prime(ell),
+        lambda: springer_image(3, ell),
+        lambda: tensor_f_dimension((2,), 1, ell),
+        lambda: characters("S3", ell),
+    )
+    for call in calls:
+        with pytest.raises(DomainError, match=f"^primality of a non-integer {re.escape(repr(ell))}$"):
+            call()
+
+
 def test_quotient_orders_500_random():
     rng = random.Random(20250811)
     checked = 0
@@ -327,7 +344,8 @@ def unit_heavy_matrices(draw):
 @example([[2, 1, 0, 0], [1, 2, 1, 1], [0, 1, 2, 0], [0, 1, 0, 2]])
 def test_unit_pivots_keep_the_invariant_factors(m):
     assert list(invariant_factors(m)) == minor_gcd_oracle(m)
-    units, block = int_linalg._unit_pivots(m)
+    rows = [itertools.compress(enumerate(row), row) for row in m]  # the nonzero entries, as invariant_factors passes them
+    units, block = int_linalg._unit_pivots(rows, len(m[0]) if m else 0)
     bound = math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in m)  # above every minor
     assert all(abs(x) < bound for row in block for x in row)
     if units:  # the leftover block has no unit entry and no zero row or column

@@ -5,7 +5,7 @@ import pytest
 from golden_data import D_MATRICES
 from minorbit.errors import DomainError
 from minorbit.int_linalg import kernel_rank
-from minorbit.long_root_poset import d_matrix, dimension, level, levels
+from minorbit.long_root_poset import _columns, d_matrix, dimension, level, levels
 from minorbit.root_system import build, cartan_of_subset, highest_root, is_long, parse_type
 from test_root_system import pairing, reflect, simple_roots
 
@@ -179,7 +179,7 @@ def test_d_matrix_range(rs):
     with pytest.raises(DomainError):
         d_matrix(rs, d)
     # 2.0 and True equal 2 and 1: refused on a cold cache, and again once matrices 1 and 2 are cached
-    d_matrix.cache_clear()
+    _columns.cache_clear()
     for _ in ("cold", "warm"):
         for bad in (2.0, True, "2", None):
             with pytest.raises(DomainError, match=rf"^matrix index {bad!r} outside 1\.\.{d - 1}$"):

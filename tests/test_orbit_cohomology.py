@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from golden_data import COHOMOLOGY
-from minorbit import long_root_poset, orbit_cohomology
+from minorbit import int_linalg, long_root_poset, orbit_cohomology
 from minorbit.errors import DomainError, InvariantFailureError
 from minorbit.int_linalg import cokernel, invariant_factors, kernel_rank
 from minorbit.long_root_poset import d_matrix, levels
@@ -17,6 +17,7 @@ from minorbit.orbit_cohomology import (
     type_a_alternative,
 )
 from minorbit.root_system import RootSystem, build, parse_type
+from minorbit.weyl_oracle import level_length_failure
 from test_root_system import bad_primes, weyl_degrees
 
 ALL_TYPES = [
@@ -200,19 +201,59 @@ def cohomology_all_matrices(rs):
     return GradedAbelianGroup(entries)
 
 
-@pytest.mark.parametrize("name", WIDE_TYPES)
+# the types of the session-warm benchmark's hot set
+HOT_SET = (
+    ["G2", "F4", "E6", "E7", "E8"]
+    + [f"A{n}" for n in range(3, 13)]
+    + [f"B{n}" for n in range(3, 9)]
+    + [f"C{n}" for n in range(3, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+)
+
+
+@pytest.mark.parametrize("name", list(dict.fromkeys(WIDE_TYPES + HOT_SET)))
 def test_cohomology_equals_the_all_matrices_loop(name):
+    # the cached sparse columns against the public dense route, invariant_factors(d_matrix(rs, i))
     rs = build(parse_type(name))
     assert minimal_orbit_cohomology(rs).table == cohomology_all_matrices(rs)
+
+
+@pytest.mark.parametrize("name", ["G2", "B5", "D5", "E8"])
+def test_cohomology_and_the_oracle_leave_the_cached_columns_alone(name):
+    rs = build(parse_type(name))
+    d = 2 * rs.h_dual - 2
+    before = [d_matrix(rs, i) for i in range(1, d)]
+    first = minimal_orbit_cohomology(rs)
+    for _ in range(2):
+        assert minimal_orbit_cohomology(rs) == first
+        assert level_length_failure(rs) is None
+    assert [d_matrix(rs, i) for i in range(1, d)] == before
+
+
+@pytest.mark.parametrize("name", ["B5", "E8"])
+def test_cohomology_and_the_oracle_never_go_dense(name, monkeypatch):
+    rs = build(parse_type(name))
+    expected = minimal_orbit_cohomology(rs)
+    long_root_poset._columns.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("a dense boundary matrix was built or checked")
+
+    monkeypatch.setattr(long_root_poset, "d_matrix", refuse)
+    monkeypatch.setattr(int_linalg, "_shape", refuse)
+    assert minimal_orbit_cohomology(rs) == expected
+    assert level_length_failure(rs) is None
 
 
 @pytest.mark.parametrize("name", ["E8", "B5"])
 def test_one_smith_form_per_transposed_pair(name, monkeypatch):
     rs = build(parse_type(name))
     factored, requested = [], []
-    real_factors, real_d_matrix = orbit_cohomology.invariant_factors, long_root_poset.d_matrix
-    monkeypatch.setattr(orbit_cohomology, "invariant_factors", lambda m: factored.append(m) or real_factors(m))
-    monkeypatch.setattr(long_root_poset, "d_matrix", lambda r, i: requested.append(i) or real_d_matrix(r, i))
+    real_factors, real_columns = orbit_cohomology._invariant_factors, long_root_poset._columns
+    monkeypatch.setattr(
+        orbit_cohomology, "_invariant_factors", lambda rows, width: factored.append(width) or real_factors(rows, width)
+    )
+    monkeypatch.setattr(long_root_poset, "_columns", lambda r, i: requested.append(i) or real_columns(r, i))
     minimal_orbit_cohomology(rs)
     assert len(factored) == rs.h_dual - 1
     # nothing above the middle matrix, i = h_dual - 1, is asked for

@@ -345,18 +345,20 @@ def test_verify_level_length_a30(time_budget):
 
 
 def _patch_entry(monkeypatch, rs, i, row, col, value):
-    """Make long_root_poset.d_matrix(rs, i) report value at (row, col)."""
-    true_d_matrix = long_root_poset.d_matrix
+    """Make the columns of matrix i of rs, which the oracle reads, hold value at (row, col)."""
+    true_columns = long_root_poset._columns
 
     def patched(rs_, j):
-        mat = true_d_matrix(rs_, j)
+        columns = true_columns(rs_, j)
         if (rs_, j) != (rs, i):
-            return mat
-        rows = [list(r) for r in mat]
-        rows[row][col] = value
-        return tuple(tuple(r) for r in rows)
+            return columns
+        columns = [dict(column) for column in columns]
+        columns[col][row] = value
+        if not value:
+            del columns[col][row]
+        return tuple(columns)
 
-    monkeypatch.setattr(long_root_poset, "d_matrix", patched)
+    monkeypatch.setattr(long_root_poset, "_columns", patched)
 
 
 def test_failure_names_the_pair(monkeypatch, capsys):
