@@ -52,7 +52,10 @@ def simple_singularity(label: TypeLabel) -> SimpleSingularityData:
         raise DomainError(f"{label}: the homogeneous diagram {exc}") from None
     free, torsion = cokernel(cartan)
     if free:
-        raise InvariantFailureError(f"{label}: the Cartan matrix of its homogeneous diagram {hat} is singular")
+        raise InvariantFailureError(
+            f"{label}: the Cartan matrix of its homogeneous diagram {hat}"
+            f" ({len(cartan)}x{len(cartan[0])}) is singular"
+        )
     return SimpleSingularityData(label, hat, sym, torsion)
 
 

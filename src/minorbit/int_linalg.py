@@ -6,20 +6,21 @@ entry that is not an ``int`` (bools included) raises DomainError.  Inputs
 are only read, so a tuple of tuples serves as well.  A matrix with zero
 columns is written ``[[], [], ...]``; a 0x0 matrix is ``[]``.
 
-One loop diagonalises for both Smith entry points: row Hermite passes
-(Kannan and Bachem, SIAM J. Comput. 8, 1979) alternate on the matrix and
-on its transpose until it is diagonal, every entry reduced modulo a
-pivot.  ``smith`` carries U and V along as extra columns, so they stay
-bounded.  ``invariant_factors`` (so ``cokernel``) carries none, and
-pivots on entries +-1 first: on rows held as dicts of their nonzero
-entries, each pivot of least fill is one invariant factor 1, and every
-entry it leaves is a minor of the input.  Its core, ``_invariant_factors``,
-takes rows in that sparse form: the cohomology passes it the cached
-columns of each boundary matrix unchecked, which leave a block of at most
-2x2 for the passes at E8, A99, B70, C70 and D71.
+Both Smith entry points diagonalise by row Hermite passes (Kannan and
+Bachem, SIAM J. Comput. 8, 1979), every entry reduced modulo a pivot.
+``smith`` alternates them on the matrix and on its transpose until it is
+diagonal, and carries U and V along as extra columns, so they stay
+bounded.  ``invariant_factors`` (so ``cokernel``) carries no transform,
+and alternates single passes with pivots on entries +-1: on rows held as
+dicts of their nonzero entries, each unit pivot of least fill is one
+invariant factor 1.  Its core, ``_invariant_factors``, takes rows in
+that sparse form: the cohomology passes it the cached columns of each
+boundary matrix unchecked, which leave diagonal blocks but for one 2x2
+in types D and E.
 ``rank`` (so ``kernel_rank``) is one fraction-free Bareiss pass.  As both
-Smith entry points share the loop, the independent references live in the
-tests: gcds of minors, sympy, and the certification of U * A * V.
+Smith entry points share the Hermite pass, the independent references
+live in the tests: gcds of minors, sympy, and the certification of
+U * A * V.
 """
 
 from __future__ import annotations
@@ -162,25 +163,28 @@ def _hermite(a: Matrix, t: Matrix) -> tuple[Matrix, Matrix]:
 
     Rows enter one at a time (Kannan and Bachem, SIAM J. Comput. 8, 1979).
     Each is cleared against the pivot rows, by extended-gcd pairs where the
-    pivot does not divide, until its leading entry is a new pivot; then
-    every entry above a pivot is reduced to a symmetric residue modulo it.
+    pivot does not divide, until its leading entry is a new pivot.  Each
+    row that changed (the new one, or one of a pair) is then reduced against
+    every row below it, and every other row against the changed rows only;
+    one sweep after the last row makes every entry above a pivot a
+    symmetric residue modulo it.
+
     A row that clears to zero is a left-kernel row and is dropped.  With t
     unimodular, [a | t] has full row rank, so none does: a row whose a-part
     vanishes gets its pivot in t and is kept reduced too, and no entry
-    grows without bound.  The columns of t enter in reverse order: with t = I, no
-    row so far has an entry in t's columns past i, so a left-kernel row i
-    leads with its own diagonal entry and becomes a pivot at once, instead
-    of being cleared against every earlier left-kernel row.
+    grows without bound.  The columns of t enter in reverse order: with
+    t = I, no row so far has an entry in t's columns past i, so a
+    left-kernel row i leads with its own diagonal entry and becomes a pivot
+    at once, instead of being cleared against every earlier left-kernel row.
     """
     w = len(a[0])
     rows: Matrix = []  # the Hermite form so far, by pivot column
     cols: list[int] = []
     for row in map(list.__add__, a, (r[::-1] for r in t)):
-        j, moved = 0, set()  # pivot columns whose rows changed
-        while True:
-            j = next((i for i in range(j, len(row)) if row[i]), None)
-            if j is None:
-                break
+        moved = set()  # pivot columns whose rows changed
+        for j in range(len(row)):  # each step leaves row[j] zero
+            if not row[j]:
+                continue
             k = bisect.bisect_left(cols, j)
             if k == len(cols) or cols[k] != j:
                 rows.insert(k, row)
@@ -195,28 +199,29 @@ def _hermite(a: Matrix, t: Matrix) -> tuple[Matrix, Matrix]:
                 moved.add(j)
             else:
                 _subtract(row, q, h, j)
-        # A changed row is reduced against every row below it; any other row
-        # only against the changed rows, until that reduction changes it.
-        # Reducing every pair instead costs a quotient per pair and insertion,
-        # which dominates once t adds hundreds of left-kernel rows (a 5x500 input).
-        hot = [k for k, j in enumerate(cols) if j in moved]
-        for i in range(len(rows) - 2, -1, -1):
-            row, start = rows[i], i + 1
-            if cols[i] not in moved:
-                below = hot[bisect.bisect_right(hot, i) :]
-                start = next((k + 1 for k in below if _reduce(row, rows[k], cols[k])), len(rows))
-            for k in range(start, len(rows)):
-                _reduce(row, rows[k], cols[k])
+        # A changed row clears the rows that enter next: left unreduced, a
+        # dense 144x144 pass reaches 3819 bits instead of 810.  Reducing all
+        # rows in full costs a quotient per pair and insertion, which
+        # dominates once t adds hundreds of left-kernel rows (a 5x500 input).
+        hot = sorted(bisect.bisect_left(cols, j) for j in moved)
+        for k in reversed(hot):
+            for i in range(k + 1, len(rows)):
+                _reduce((rows[k],), rows[i], cols[i])
+        for k in hot:
+            _reduce(rows[:k], rows[k], cols[k])
+    for k in range(1, len(rows)):
+        _reduce(rows[:k], rows[k], cols[k])
     return [row[:w] for row in rows], [row[w:][::-1] for row in rows]
 
 
-def _reduce(row: list[int], h: list[int], j: int) -> int:
-    """Make row[j] a symmetric residue modulo the pivot h[j], by row -= q * h
-    with h zero before column j; returns q."""
-    q = (2 * row[j] + h[j]) // (2 * h[j])
-    if q:
-        _subtract(row, q, h, j)
-    return q
+def _reduce(targets: Matrix, h: list[int], j: int) -> None:
+    """Make the entry of each target row at column j a symmetric residue
+    modulo the pivot h[j], by row -= q * h with h zero before column j."""
+    p = 2 * h[j]
+    for row in targets:
+        q = (2 * row[j] + h[j]) // p
+        if q:
+            _subtract(row, q, h, j)
 
 
 def _subtract(row: list[int], q: int, h: list[int], j: int) -> None:
@@ -225,20 +230,9 @@ def _subtract(row: list[int], q: int, h: list[int], j: int) -> None:
         row[i] -= q * h[i]
 
 
-def _diagonalise(a: Matrix, sides: list[Matrix]) -> tuple[list[int], Matrix, Matrix]:
-    """Alternate row Hermite passes on a and on its transpose until a is
-    diagonal; sides is [U, V transposed], each carried along by the passes
-    on its side.  Returns the diagonal, U and V transposed.
-
-    At least one pass runs, even on a diagonal input: a Hermite form puts
-    its zero rows last, so a diagonal result has its zeros at the tail.
-    """
-    passes = 0
-    while a and (not passes or any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j)):
-        a, sides[0] = _hermite(a, sides[0])
-        a, sides, passes = [list(col) for col in zip(*a)], sides[::-1], passes + 1
-    u, vt = sides[:: (-1) ** passes]  # a diagonal a reads the same transposed
-    return [a[i][i] for i in range(min(len(a), len(a[0]) if a else 0))], u, vt
+def _diagonal(a: Matrix) -> bool:
+    """Whether every entry of a off its diagonal is zero."""
+    return not any(any(row[:i]) or any(row[i + 1 :]) for i, row in enumerate(a))
 
 
 def smith(matrix: Matrix) -> SmithForm:
@@ -250,8 +244,16 @@ def smith(matrix: Matrix) -> SmithForm:
     deterministic; the diagonal is canonical regardless.
     """
     m, n = _shape(matrix)
-    d, u, vt = _diagonalise([list(row) for row in matrix], [identity(m), identity(n)])
-    _divisibility_chain(d, u, vt)
+    a, sides, passes = [list(row) for row in matrix], [identity(m), identity(n)], 0
+    # Row Hermite passes alternate on a and on its transpose until a is
+    # diagonal, each carrying its side's transform, U or V transposed.  At
+    # least one runs, even on a diagonal input: a Hermite form puts its zero
+    # rows last, so a diagonal result has its zeros at the tail.
+    while a and (not passes or not _diagonal(a)):
+        a, sides[0] = _hermite(a, sides[0])
+        a, sides, passes = [list(col) for col in zip(*a)], sides[::-1], passes + 1
+    u, vt = sides[:: (-1) ** passes]  # a diagonal a reads the same transposed
+    d = _divisibility_chain([a[i][i] for i in range(min(m, n))], u, vt)
     for t, x in enumerate(d):
         if x < 0:
             d[t], u[t] = -x, [-e for e in u[t]]
@@ -265,11 +267,17 @@ def invariant_factors(matrix: Matrix) -> tuple[int, ...]:
 
 def _invariant_factors(rows, width: int) -> tuple[int, ...]:
     """``invariant_factors`` of sparse rows, unchecked: a 1 for each unit
-    pivot, then Hermite passes on the block left, without transforms (both
-    sides' rows are empty), so that no zero row survives a pass."""
+    pivot, and the divisibility chain of the block left once it is diagonal
+    (with no zero row or column, it is then square).  Between rounds of
+    unit pivots runs one Hermite pass without a transform (its rows are
+    empty, so no zero row survives), which leaves each pivot +-1 alone in
+    its column: the next round takes it with no fill."""
     units, a = _unit_pivots(rows, width)
-    d = _diagonalise(a, [[[]] * len(a), [[]] * len(a[0] if a else ())])[0]
-    return (1,) * units + tuple(_divisibility_chain([abs(x) for x in d]))
+    while not _diagonal(a):
+        h = _hermite(a, [[]] * len(a))[0]
+        more, a = _unit_pivots((compress(enumerate(col), col) for col in zip(*h)), len(h))
+        units += more
+    return (1,) * units + tuple(_divisibility_chain([abs(row[i]) for i, row in enumerate(a)]))
 
 
 def rank(matrix: Matrix) -> int:

@@ -91,9 +91,13 @@ def minimal_orbit_cohomology(rs: RootSystem) -> OrbitCohomology:
 def middle_via_lattice(rs: RootSystem) -> tuple[int, ...]:
     """Invariant factors of the coweight/coroot quotient of the long-simple
     subsystem; an independent route to the torsion in degree d."""
-    free, torsion = cokernel(cartan_of_subset(rs, rs.long_simple_indices))
+    cartan = cartan_of_subset(rs, rs.long_simple_indices)
+    free, torsion = cokernel(cartan)
     if free:
-        raise InvariantFailureError(f"{rs.type_label}: the Cartan matrix of its long-simple subsystem is singular")
+        raise InvariantFailureError(
+            f"{rs.type_label}: the Cartan matrix of its long-simple subsystem"
+            f" ({len(cartan)}x{len(cartan[0])}) is singular"
+        )
     return torsion
 
 

@@ -247,4 +247,5 @@ def test_invariant_failure_exit_4(capsys, monkeypatch):
 def test_singular_cartan_names_the_type(module, argv, message, capsys, monkeypatch):
     monkeypatch.setattr(module, "cokernel", lambda matrix: (1, ()))
     code, out, err = run(capsys, *argv)
-    assert code == 4 and not out and err == f"invariant failure: {message} is singular\n"
+    shape = {"B3": "5x5", "F4": "2x2"}[argv[-1]]  # A5's Cartan matrix, and F4's long simple roots
+    assert code == 4 and not out and err == f"invariant failure: {message} ({shape}) is singular\n"

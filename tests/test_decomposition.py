@@ -7,7 +7,8 @@ from minorbit.decomposition import (
     decomp_subregular,
     simple_singularity,
 )
-from minorbit.errors import DomainError
+from minorbit import decomposition
+from minorbit.errors import DomainError, InvariantFailureError
 from minorbit.int_linalg import tensor_f_dimension
 from minorbit.root_system import parse_type
 
@@ -26,6 +27,14 @@ def test_simple_singularity_homogeneous():
         data = simple_singularity(parse_type(label))
         assert data.gamma_hat == data.gamma
         assert data.symmetry_group == "trivial"
+
+
+def test_singular_homogeneous_cartan_names_type_and_shape(monkeypatch):
+    monkeypatch.setattr(decomposition, "cartan_matrix", lambda label: [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
+    message = "G2: the Cartan matrix of its homogeneous diagram D4 (3x3) is singular"
+    with pytest.raises(InvariantFailureError) as caught:
+        simple_singularity(parse_type("G2"))
+    assert str(caught.value) == message
 
 
 def test_simple_singularity_table():

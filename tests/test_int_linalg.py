@@ -489,6 +489,47 @@ def test_rank_stops_at_the_bareiss_pass(name, monkeypatch):
     assert calls == []
 
 
+def with_smith_diagonal(rows, cols, d, seed):
+    """W1 * diag(d) * W2 for two dense unimodular walks: a dense rows x cols
+    input whose Smith diagonal is d."""
+    middle = [[d[i] if i == j else 0 for j in range(cols)] for i in range(rows)]
+    return mat_mul(mat_mul(dense_unimodular(rows, seed), middle), dense_unimodular(cols, seed + 1))
+
+
+# Dense inputs with non-cyclic cokernels, as (rows, columns, Smith diagonal),
+# trailing zeros where the input is rank-deficient: the invariant factors
+# need more than one round of unit pivots and a Hermite pass.
+KNOWN_DIAGONALS = {
+    "square-2-6-12": (10, 10, (1,) * 7 + (2, 6, 12)),
+    "square-3-3-9": (3, 3, (3, 3, 9)),
+    "wide-3-3-9": (6, 9, (1, 1, 1, 3, 3, 9)),
+    "tall-2-6-12": (12, 8, (1,) * 5 + (2, 6, 12)),
+    "rank-deficient": (9, 9, (1,) * 4 + (2, 4, 0, 0, 0)),
+    "rank-deficient-tall": (10, 7, (1, 1, 6, 6, 0, 0, 0)),
+    "rank-deficient-wide": (7, 11, (1, 3, 3, 9, 0, 0, 0)),
+}
+
+
+def hermite_passes(monkeypatch):
+    """A list that gets the shape of each block a Hermite pass runs on."""
+    passes, hermite = [], int_linalg._hermite
+    monkeypatch.setattr(int_linalg, "_hermite", lambda a, t: passes.append((len(a), len(a[0]))) or hermite(a, t))
+    return passes
+
+
+@pytest.mark.parametrize("name", sorted(KNOWN_DIAGONALS))
+def test_known_non_cyclic_cokernels(name, monkeypatch):
+    rows, cols, d = KNOWN_DIAGONALS[name]
+    m = with_smith_diagonal(rows, cols, d, seed=rows * cols)
+    nonzero = tuple(x for x in d if x)
+    assert smith(m).diag == d
+    passes = hermite_passes(monkeypatch)
+    assert invariant_factors(m) == nonzero
+    assert len(passes) >= 2
+    assert cokernel(m) == (rows - len(nonzero), tuple(x for x in nonzero if x > 1))
+    assert kernel_rank(m) == cols - len(nonzero)
+
+
 # Each shape certified, with its nonzero diagonal checked against minor gcds.
 DEGENERATE = {
     "0x0": [],
@@ -518,6 +559,60 @@ def test_smith_degenerate_shapes(name):
     assert list(nonzero) == minor_gcd_oracle(m)
     assert invariant_factors(m) == nonzero
     assert rank(m) == len(nonzero) and kernel_rank(m) == cols - len(nonzero)
+
+
+def test_a_diagonal_block_takes_no_hermite_pass(monkeypatch):
+    from minorbit.long_root_poset import _columns, levels
+    from minorbit.root_system import build, parse_type
+
+    passes = hermite_passes(monkeypatch)
+    assert invariant_factors([[2, 0], [0, 3]]) == (1, 6)
+    rs = build(parse_type("C8"))
+    lv = levels(rs)
+    for i in range(1, rs.h_dual):  # the unit pivots leave the block [2] or none
+        factors = int_linalg._invariant_factors(_columns(rs, i), len(lv[i]))
+        assert set(factors) <= {1, 2} and factors.count(2) <= 1
+    assert passes == []
+
+
+def test_one_hermite_pass_that_leaves_one_non_unit_pivot(monkeypatch):
+    # The pass reduces the column of each pivot +-1 to that pivot alone, so
+    # the unit pivots on its transpose leave the 1x1 block of the one other
+    # pivot, and no second pass runs.
+    m = dense(24, 24, 24)
+    units, block = int_linalg._unit_pivots([itertools.compress(enumerate(row), row) for row in m], 24)
+    form = int_linalg._hermite(block, [[]] * len(block))[0]
+    assert sum(abs(next(x for x in row if x)) != 1 for row in form) == 1
+    passes = hermite_passes(monkeypatch)
+    factors = invariant_factors(m)
+    assert passes == [(len(block), len(block))]
+    assert factors[:-1] == (1,) * 23 and factors[-1] == abs(bareiss_det(m))
+
+
+def test_hermite_pass_keeps_entries_near_their_final_size(monkeypatch):
+    # A changed row clears the rows that enter next.  Reduced against every
+    # row below it, no entry of the pass grows past about twice the bits of
+    # the final form; left unreduced, entries reach about four times.
+    m = dense(60, 60, 60)
+    units, block = int_linalg._unit_pivots([itertools.compress(enumerate(row), row) for row in m], 60)
+    peak, subtract = [0], int_linalg._subtract
+
+    def watched(row, q, h, j):
+        peak[0] = max(peak[0], max(map(abs, row)).bit_length(), max(map(abs, h)).bit_length())
+        subtract(row, q, h, j)
+
+    monkeypatch.setattr(int_linalg, "_subtract", watched)
+    form = int_linalg._hermite(block, [[]] * len(block))[0]
+    assert peak[0] <= 2.5 * max(abs(x).bit_length() for row in form for x in row)
+
+
+@pytest.mark.parametrize("name", sorted(name for name, m in DEGENERATE.items() if m))
+def test_smith_runs_a_hermite_pass_on_any_nonempty_input(name, monkeypatch):
+    # A Hermite pass puts zero rows last, so even a diagonal input takes one
+    # for its zeros to reach the tail.
+    passes = hermite_passes(monkeypatch)
+    smith(DEGENERATE[name])
+    assert passes
 
 
 @pytest.mark.parametrize("m", [[[1, 2.0, 3]], [[1], [2], [None]], [[True]], [[0, 0], [0, Fraction(0)]]])

@@ -274,6 +274,14 @@ def test_middle_values():
     assert middle_via_lattice(build(parse_type("C7"))) == (2,)
 
 
+def test_singular_long_simple_cartan_names_type_and_shape(monkeypatch):
+    monkeypatch.setattr(orbit_cohomology, "cartan_of_subset", lambda rs, indices: [[2, -4, 0], [-1, 2, 0]])
+    message = "B3: the Cartan matrix of its long-simple subsystem (2x3) is singular"
+    with pytest.raises(InvariantFailureError) as caught:
+        middle_via_lattice(build(parse_type("B3")))
+    assert str(caught.value) == message
+
+
 def test_type_a_alternative_matches():
     for n in [*range(2, 10), 31, 61]:
         oc_direct = minimal_orbit_cohomology(build(parse_type(f"A{n - 1}")))
