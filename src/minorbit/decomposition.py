@@ -15,7 +15,7 @@ from collections import namedtuple
 from .errors import DomainError, InvariantFailureError
 from .int_linalg import cokernel, is_prime, tensor_f_dimension
 from .orbit_cohomology import middle_via_lattice
-from .root_system import TypeLabel, build, cartan_matrix
+from .root_system import TypeLabel, _check_root_budget, build, cartan_matrix
 
 # irreducible characters of the symmetry group that survive reduction mod ell
 _CHARACTER_DEGREES = {"1": 1, "eps": 1, "psi": 2}
@@ -45,6 +45,7 @@ def _gamma_hat(label: TypeLabel) -> tuple[TypeLabel, str]:
 def simple_singularity(label: TypeLabel) -> SimpleSingularityData:
     """Attach the homogeneous diagram, its symmetry group, and the
     invariant factors of its weight lattice modulo root lattice."""
+    _check_root_budget(label)
     hat, sym = _gamma_hat(label)
     try:
         cartan = cartan_matrix(hat)

@@ -11,12 +11,12 @@ reads them as the rows of the transpose and ``weyl_oracle`` certifies
 them entry by entry; ``d_matrix`` is a dense view for printing and the
 tests, which hold it equal to the pairwise definition.
 
-Within a level, roots are listed in decreasing lexicographic order of the
-absolute coordinate vector.  On positive levels this is exactly the order
-of the published diagrams (coordinate strings read as words).  Negation
-maps level i onto level 2 h_dual - 3 - i and keeps the absolute
-coordinates, so the matrices in complementary degrees are literal
-transposes of each other.
+Within a level, roots are listed in the record's order, which ``build``
+makes decreasing lexicographic order of the absolute coordinate vector.
+On positive levels this is exactly the order of the published diagrams
+(coordinate strings read as words).  Negation maps level i onto level
+2 h_dual - 3 - i and keeps the absolute coordinates, so the matrices in
+complementary degrees are literal transposes of each other.
 """
 
 from __future__ import annotations
@@ -45,18 +45,17 @@ def level(rs: RootSystem, root: Root) -> int:
 def levels(rs: RootSystem) -> tuple[tuple[Root, ...], ...]:
     """All long roots, the record's own tuples, bucketed by ``level``.
 
-    Each level is in decreasing lexicographic order of the absolute
-    coordinates.  All roots of one level share a sign, so that is
-    decreasing tuple order on a positive level, increasing on a negative
-    one.
+    Each level keeps the record's order: decreasing lexicographic order
+    of the absolute coordinates.  All roots of one level share a sign, so
+    that is decreasing tuple order on a positive level, increasing on a
+    negative one.
     """
     buckets: dict[int, list[Root]] = {}
     for root in rs._dual_heights:
         buckets.setdefault(level(rs, root), []).append(root)
-    if sorted(buckets) != list(range(dimension(rs))):
+    if buckets.keys() != set(range(dimension(rs))):
         raise DomainError(f"level range broken for {rs.type_label}")
-    zero = (0,) * rs.rank
-    return tuple(tuple(sorted(buckets[i], reverse=buckets[i][0] > zero)) for i in range(len(buckets)))
+    return tuple(tuple(buckets[i]) for i in range(len(buckets)))
 
 
 @lru_cache(maxsize=None)

@@ -25,13 +25,15 @@ class GradedAbelianGroup:
         clean: dict[int, tuple[int, tuple[int, ...]]] = {}
         for n, (free, torsion) in entries.items():
             torsion = tuple(torsion)
-            if any(t < 2 for t in torsion):
-                raise DomainError(f"torsion {torsion} has an entry below 2")
-            for a, b in zip(torsion, torsion[1:]):
+            if type(free) is not int or free < 0:
+                raise DomainError(f"free rank {free!r} is not an int >= 0")
+            for a, b in zip((1,) + torsion, torsion):  # one pass: type, size, then a | b
+                if type(b) is not int:
+                    raise DomainError(f"torsion {torsion} has an entry {b!r} that is not an int")
+                if b < 2:
+                    raise DomainError(f"torsion {torsion} has an entry below 2")
                 if b % a:
                     raise DomainError(f"torsion {torsion} is not a divisibility chain")
-            if free < 0:
-                raise DomainError("negative free rank")
             if free or torsion:
                 clean[n] = (free, torsion)
         self._entries = dict(sorted(clean.items()))
@@ -109,8 +111,8 @@ def type_a_alternative(n: int) -> OrbitCohomology:
     odd degrees from 2n-1 to 4n-5, Z/n in the middle degree 2n-2.  Refuses,
     before making any entry, an n whose A_{n-1} is over the root budget.
     """
-    if n < 2:
-        raise DomainError("type A alternative needs n >= 2")
+    if type(n) is not int or n < 2:
+        raise DomainError(f"type A alternative needs an int n >= 2, got n = {n!r}")
     label = TypeLabel("A", n - 1)
     _check_root_budget(label)
     entries: dict[int, tuple[int, tuple[int, ...]]] = {}

@@ -7,7 +7,8 @@ length of each simple root (short = 1).  A bond's Cartan entry
 from the long root to the short one, else -1.  The numbering follows the
 usual conventions (E's branch node is vertex 4, the short roots of B/F
 sit at the high end, G2 has the long root first), so the coordinate
-strings n_1...n_rank match the standard published diagrams.
+strings n_1...n_rank match the standard published diagrams; ``build``,
+the one place that orders roots, lists each level as they print it.
 """
 
 from __future__ import annotations
@@ -89,6 +90,8 @@ class TypeLabel(namedtuple("TypeLabel", "series rank")):
 
 def parse_type(text: str) -> TypeLabel:
     """Parse labels like "A5", "e8", "G2" (letter case-insensitive)."""
+    if type(text) is not str:
+        raise InvalidTypeError(f"a type label to parse is a str, got {text!r}")
     m = re.fullmatch(r"\s*([A-Za-z])(\d+)\s*", text)
     if not m:
         raise InvalidTypeError(f"cannot parse type label {text!r}")
@@ -114,8 +117,11 @@ def cartan_matrix(label: TypeLabel) -> list[list[int]]:
 
 
 def _check_root_budget(label: TypeLabel) -> int:
-    """The Coxeter number h; DomainError when the rank * h roots of the
-    type are more than ROOT_BUDGET."""
+    """The Coxeter number h; InvalidTypeError for anything but a TypeLabel (every
+    label path passes through here first), DomainError when the rank * h roots
+    of the type are more than ROOT_BUDGET."""
+    if type(label) is not TypeLabel:
+        raise InvalidTypeError(f"expected a TypeLabel (see parse_type), got {label!r}")
     h = _COXETER_NUMBER[label.series](label.rank)
     if label.rank * h > ROOT_BUDGET:
         raise DomainError(f"{label} has {label.rank * h} roots, over the budget of {ROOT_BUDGET}")
@@ -129,8 +135,8 @@ def _cartan_and_lengths(label: TypeLabel) -> tuple[list[list[int]], list[int], i
     Lengths are normalized so the short roots have squared length 1.
     Refuses, before making the matrix, a type over the root budget.
     """
-    s, n = label
     h = _check_root_budget(label)
+    s, n = label
     lengths = _SIMPLE_LENGTHS[s](n)
     c = [[0] * i + [2] + [0] * (n - 1 - i) for i in range(n)]
     for i, j in _bonds(s, n):
@@ -150,8 +156,8 @@ class RootSystem:
 
     type_label: TypeLabel
     cartan: tuple[tuple[int, ...], ...]
-    # Phi^+ by (height, coordinates), then each of them negated: alpha_k is
-    # roots[rank - 1 - k], and the highest root is the last positive root
+    # Phi^+ by height, then by decreasing coordinates, then each of them negated; every
+    # reader takes this order as it is: alpha_k is roots[k], the highest root is last in Phi^+
     roots: tuple[Root, ...]
     positive_roots: tuple[Root, ...]
     long_simple_indices: tuple[int, ...]
@@ -190,11 +196,11 @@ def height(root: Root) -> int:
     return sum(root)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # so that a tuple equal to a TypeLabel reaches the check
 def build(label: TypeLabel) -> RootSystem:
     """Construct the full root system of the given irreducible type."""
-    n = label.rank
     cartan, lengths, r, h = _cartan_and_lengths(label)
+    n = label.rank
     h_dual = _DUAL_COXETER_NUMBER[label.series](n)
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     rows = [[(k, x) for k, x in enumerate(row) if x] for row in cartan]
@@ -218,7 +224,7 @@ def build(label: TypeLabel) -> RootSystem:
     # Phi^- = -Phi^+, and the lowering edges of -v are the raising moves of v, negated.
     # The one place that decides root length: long iff r divides the coordinates at
     # short simple positions, and then the coroot has height sum(c_i |alpha_i|^2) / r.
-    positive = sorted(found, key=lambda v: (height(v), v))
+    positive = sorted(found, key=lambda v: (-height(v), v), reverse=True)  # by height, then decreasing v
     negative = [tuple(map(neg, v)) for v in positive]
     short = [i for i in range(n) if lengths[i] != r]
     lowering, dual_heights = {}, {}
@@ -268,6 +274,8 @@ def _check_indices(rs: RootSystem, indices) -> None:
     for i in indices:
         if type(i) is not int or not 0 <= i < rs.rank:
             raise DomainError(f"{i!r} is not a simple-root index of {rs.type_label}")
+    if len(set(indices)) < len(indices):
+        raise DomainError(f"the simple-root indices {tuple(indices)} of {rs.type_label} repeat an index")
 
 
 def cartan_of_subset(rs: RootSystem, indices: tuple[int, ...] | list[int]) -> list[list[int]]:

@@ -77,7 +77,7 @@ def _compose(outer: tuple, inner: tuple) -> tuple:
 def _reflection_table(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     """s_gamma for each positive root gamma, in ``rs.positive_roots`` order: the simple roots
     come first, and a later gamma has a lower s_j(gamma), so s_gamma = s_j s_{s_j(gamma)} s_j."""
-    table = list(_simple_reflections(rs)[::-1])  # alpha_n, ..., alpha_1
+    table = list(_simple_reflections(rs))
     for k in range(rs.rank, len(rs.positive_roots)):
         s = next(s for s in table[: rs.rank] if s[k] < k)
         table.append(_compose(s, _compose(table[s[k]], s)))
@@ -125,8 +125,7 @@ def coset_reps(rs: RootSystem, indices) -> tuple[WeylElement, ...]:
     _check_indices(rs, indices)
     _check_budget(rs, _coset_count(rs, indices), "|W^I|")
     npos = len(rs.positive_roots)
-    simple = [rs.rank - 1 - k for k in range(rs.rank)]  # alpha_k is root rank - 1 - k
-    blocked = {simple[k] for k in indices}
+    blocked = set(indices)  # alpha_k is root k
     gens = _simple_reflections(rs)
     reps = []
     frontier = [tuple(range(len(rs.roots)))]
@@ -135,7 +134,7 @@ def coset_reps(rs: RootSystem, indices) -> tuple[WeylElement, ...]:
         reps.extend(WeylElement(w, length) for w in frontier)
         longer = {}  # every s_j w found is one longer than w, so only these can repeat
         for w in frontier:
-            for j, s in zip(simple, gens):
+            for j, s in enumerate(gens):
                 pre = w.index(j)  # w^-1(alpha_j)
                 if pre < npos and pre not in blocked:
                     longer[_compose(s, w)] = None

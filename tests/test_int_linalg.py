@@ -212,6 +212,10 @@ def test_tensor_f_dimension():
         tensor_f_dimension((2,), 0, 4)
     with pytest.raises(DomainError):
         tensor_f_dimension((2,), 0, 1)
+    # a negative free rank used to cancel torsion: ((2,), -1, 2) gave 0
+    for free in [-1, 1.0, True, None]:
+        with pytest.raises(DomainError, match="free rank"):
+            tensor_f_dimension((2,), free, 2)
 
 
 def test_is_prime_matches_trial_division():

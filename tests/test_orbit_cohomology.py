@@ -1,4 +1,6 @@
+import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -289,8 +291,10 @@ def test_type_a_alternative_matches():
         assert oc_alt.table == oc_direct.table
         assert oc_alt.d == oc_direct.d
     assert type_a_alternative(5).table.torsion(8) == (5,)
-    with pytest.raises(DomainError):
-        type_a_alternative(1)
+    # a non-int n is named: 2.0 used to reach TypeLabel as the rank 1.0, and True to pass as n = 1
+    for n in [1, 2.0, 5.0, True, False, "5", None]:
+        with pytest.raises(DomainError, match=rf"^type A alternative needs an int n >= 2, got n = {re.escape(repr(n))}$"):
+            type_a_alternative(n)
 
 
 def test_type_a_alternative_keeps_the_root_budget(time_budget):
@@ -403,6 +407,13 @@ def test_graded_group_validation():
     for torsion in [(2, 0), (2, -4)]:
         with pytest.raises(DomainError, match="below 2"):
             GradedAbelianGroup({0: (0, torsion)})
+    # non-int entries, bools too: True would be a free rank of 1
+    for free in [1.5, 1.0, True, False, "1", None]:
+        with pytest.raises(DomainError, match="free rank"):
+            GradedAbelianGroup({0: (free, ())})
+    for torsion in [(2.0,), (2, 4.0), (True,), (2, "4"), (Fraction(4),)]:
+        with pytest.raises(DomainError, match="not an int"):
+            GradedAbelianGroup({0: (1, torsion)})
     g = GradedAbelianGroup({0: (0, ()), 2: (1, (2, 4))})
     assert g.degrees() == (2,)
 

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
 from minorbit import root_system
+from minorbit.decomposition import decomp_minimal, decomp_subregular, simple_singularity
 from minorbit.errors import DomainError, InvalidTypeError
 from minorbit.int_linalg import cokernel
 from minorbit.root_system import (
@@ -144,7 +149,8 @@ def test_cartan_shape(rs):
 
 
 def test_positive_root_order(rs):
-    keys = [(height(v), v) for v in rs.positive_roots]
+    # by height, then by decreasing coordinates
+    keys = [(height(v), tuple(-x for x in v)) for v in rs.positive_roots]
     assert keys == sorted(keys)
 
 
@@ -241,6 +247,10 @@ def test_cartan_of_subset():
     for bad in ([9], [-1], [True]):
         with pytest.raises(DomainError, match="is not a simple-root index of F4"):
             cartan_of_subset(f4, bad)
+    # [[2, 2], [2, 2]] would be no Cartan matrix
+    for bad in ([0, 0], (1, 2, 1)):
+        with pytest.raises(DomainError, match=r"of F4 repeat an index$"):
+            cartan_of_subset(f4, bad)
 
 
 def test_type_label_rank_must_be_an_int():
@@ -248,6 +258,54 @@ def test_type_label_rank_must_be_an_int():
     for series, rank in [("A", True), ("A", False), ("E", 6.0), ("B", "3"), ("G", None)]:
         with pytest.raises(InvalidTypeError, match="rank must be an int"):
             TypeLabel(series, rank)
+
+
+def test_parse_type_refuses_a_non_str():
+    # re.fullmatch would raise a bare TypeError
+    for bad in [5, None, b"A3", ["A3"], TypeLabel("A", 3)]:
+        with pytest.raises(InvalidTypeError, match="a type label to parse is a str"):
+            parse_type(bad)
+
+
+# every public function taking a type label, called with a label that is not a TypeLabel
+LABEL_CALLS = [
+    "build(label)",
+    "cartan_matrix(label)",
+    "simple_singularity(label)",
+    "decomp_minimal(label, 2)",
+    "decomp_subregular(label, 2)",
+]
+NOT_LABELS = ["A3", ("A", 3), ("B", 3), 3, None]
+
+
+@pytest.mark.parametrize("call", LABEL_CALLS)
+def test_label_entry_points_refuse_anything_but_a_type_label_when_warm(call):
+    # A3 and B3 are in build's cache, and ("A", 3) == TypeLabel("A", 3)
+    build(TypeLabel("A", 3))
+    build(TypeLabel("B", 3))
+    for label in NOT_LABELS:
+        with pytest.raises(InvalidTypeError, match="expected a TypeLabel"):
+            eval(call, globals(), {"label": label})
+
+
+def test_label_entry_points_refuse_anything_but_a_type_label_when_cold():
+    # a fresh interpreter, so that nothing is in build's cache
+    code = (
+        "from minorbit.decomposition import decomp_minimal, decomp_subregular, simple_singularity\n"
+        "from minorbit.errors import InvalidTypeError\n"
+        "from minorbit.root_system import build, cartan_matrix\n"
+        "for call in %r:\n"
+        "    for label in %r:\n"
+        "        try:\n"
+        "            eval(call)\n"
+        "        except InvalidTypeError as exc:\n"
+        "            assert str(exc).startswith('expected a TypeLabel'), (call, label, exc)\n"
+        "        else:\n"
+        "            raise AssertionError((call, label))\n"
+        "assert build.cache_info().currsize == 0\n"
+    ) % (LABEL_CALLS, NOT_LABELS)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_type_label_series_must_be_a_letter():

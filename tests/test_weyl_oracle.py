@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from operator import add, itemgetter, sub
 
 import pytest
@@ -217,18 +218,18 @@ def test_reflection_table(label):
     "label", sorted(set(SMALL_TYPES + UP_TO_E6)) + ["E7", "E8", "A30", "B20", "C20", "D20", "A99", "B70", "C70", "D71"]
 )
 def test_the_positions_the_oracle_reads(label):
-    # coset_reps takes alpha_k at root rank - 1 - k and level_length_failure the
-    # highest root at |Phi^+| - 1, where build's sort by (height, coordinates) puts them
+    # coset_reps takes alpha_k at root k and level_length_failure the highest root at
+    # |Phi^+| - 1, where build's sort by height, then by decreasing coordinates, puts them
     rs = build(parse_type(label))
     npos = len(rs.positive_roots)
     for k, alpha in enumerate(simple_roots(rs)):
-        assert rs.roots[rs.rank - 1 - k] == alpha, k
+        assert rs.roots[k] == alpha, k
     top = rs.positive_roots[-1]
     assert rs.roots[npos - 1] is top
     assert height(top) == coxeter_number(rs) - 1
     assert all(t >= x for v in rs.positive_roots for t, x in zip(top, v))
     if npos * len(rs.roots) <= 1_000_000:  # the table at A99 would hold 49,005,000 entries
-        assert _reflection_table(rs)[: rs.rank] == _simple_reflections(rs)[::-1]
+        assert _reflection_table(rs)[: rs.rank] == _simple_reflections(rs)
 
 
 class Poisoned:
@@ -512,4 +513,10 @@ def test_coset_reps_refuses_an_index_outside_the_diagram(indices):
     # -1 is not read as the last simple root, nor True as the second: the
     # check comes before the coset count and the budget
     with pytest.raises(DomainError, match=rf"^{indices[-1]!r} is not a simple-root index of A3$"):
+        coset_reps(build(parse_type("A3")), indices)
+
+
+@pytest.mark.parametrize("indices", [[0, 0], [2, 1, 2], (0, 1, 2, 0)])
+def test_coset_reps_refuses_a_repeated_index(indices):
+    with pytest.raises(DomainError, match=rf"^the simple-root indices {re.escape(str(tuple(indices)))} of A3 repeat an index$"):
         coset_reps(build(parse_type("A3")), indices)
