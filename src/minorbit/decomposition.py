@@ -13,8 +13,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import DomainError, InvariantFailureError
-from .int_linalg import cokernel, is_prime, tensor_f_dimension
-from .orbit_cohomology import middle_via_lattice
+from .int_linalg import is_prime, tensor_f_dimension
+from .orbit_cohomology import _lattice_quotient, middle_via_lattice
 from .root_system import TypeLabel, _check_root_budget, build, cartan_matrix
 
 # irreducible characters of the symmetry group that survive reduction mod ell
@@ -51,13 +51,8 @@ def simple_singularity(label: TypeLabel) -> SimpleSingularityData:
         cartan = cartan_matrix(hat)
     except DomainError as exc:
         raise DomainError(f"{label}: the homogeneous diagram {exc}") from None
-    free, torsion = cokernel(cartan)
-    if free:
-        raise InvariantFailureError(
-            f"{label}: the Cartan matrix of its homogeneous diagram {hat}"
-            f" ({len(cartan)}x{len(cartan[0])}) is singular"
-        )
-    return SimpleSingularityData(label, hat, sym, torsion)
+    quotient = _lattice_quotient(label, f"its homogeneous diagram {hat}", cartan)
+    return SimpleSingularityData(label, hat, sym, quotient)
 
 
 def characters(symmetry_group: str, ell: int) -> tuple[str, ...]:

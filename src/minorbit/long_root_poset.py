@@ -11,9 +11,9 @@ reads them as the rows of the transpose and ``weyl_oracle`` certifies
 them entry by entry; ``d_matrix`` is a dense view for printing and the
 tests, which hold it equal to the pairwise definition.
 
-Within a level, roots are listed in the record's order, which ``build``
-makes decreasing lexicographic order of the absolute coordinate vector.
-On positive levels this is exactly the order of the published diagrams
+``build`` records each long root's level and the roots of each level, in
+decreasing lexicographic order of the absolute coordinate vector.  On
+positive levels this is exactly the order of the published diagrams
 (coordinate strings read as words).  Negation maps level i onto level
 2 h_dual - 3 - i and keeps the absolute coordinates, so the matrices in
 complementary degrees are literal transposes of each other.
@@ -34,28 +34,17 @@ def dimension(rs: RootSystem) -> int:
 
 def level(rs: RootSystem, root: Root) -> int:
     """Grading of a long root, from 0 (highest root) to 2 h_dual - 3."""
-    dh = rs._dual_heights.get(root)
-    if dh is None:
+    lv = rs._level.get(root)
+    if lv is None:
         raise DomainError(f"level is defined on long roots only, got {root}")
-    top = rs.h_dual - 1
-    return top - dh if dh > 0 else top - dh - 1
+    return lv
 
 
-@lru_cache(maxsize=None)
 def levels(rs: RootSystem) -> tuple[tuple[Root, ...], ...]:
-    """All long roots, the record's own tuples, bucketed by ``level``.
-
-    Each level keeps the record's order: decreasing lexicographic order
-    of the absolute coordinates.  All roots of one level share a sign, so
-    that is decreasing tuple order on a positive level, increasing on a
-    negative one.
-    """
-    buckets: dict[int, list[Root]] = {}
-    for root in rs._dual_heights:
-        buckets.setdefault(level(rs, root), []).append(root)
-    if buckets.keys() != set(range(dimension(rs))):
-        raise DomainError(f"level range broken for {rs.type_label}")
-    return tuple(tuple(buckets[i]) for i in range(len(buckets)))
+    """All long roots by level, as ``build`` recorded them: decreasing tuple
+    order on a positive level, increasing on a negative one, as all roots of
+    one level share a sign."""
+    return rs._levels
 
 
 @lru_cache(maxsize=None)

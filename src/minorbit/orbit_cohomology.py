@@ -90,17 +90,22 @@ def minimal_orbit_cohomology(rs: RootSystem) -> OrbitCohomology:
     return OrbitCohomology(rs.type_label, d, rs.h_dual, GradedAbelianGroup(entries))
 
 
+def _lattice_quotient(label: TypeLabel, diagram: str, cartan: list[list[int]]) -> tuple[int, ...]:
+    """Invariant factors of Z^n modulo the columns of a Cartan matrix, which is
+    nonsingular; InvariantFailureError names the type, the diagram and the shape."""
+    free, torsion = cokernel(cartan)
+    if free:
+        raise InvariantFailureError(
+            f"{label}: the Cartan matrix of {diagram} ({len(cartan)}x{len(cartan[0])}) is singular"
+        )
+    return torsion
+
+
 def middle_via_lattice(rs: RootSystem) -> tuple[int, ...]:
     """Invariant factors of the coweight/coroot quotient of the long-simple
     subsystem; an independent route to the torsion in degree d."""
     cartan = cartan_of_subset(rs, rs.long_simple_indices)
-    free, torsion = cokernel(cartan)
-    if free:
-        raise InvariantFailureError(
-            f"{rs.type_label}: the Cartan matrix of its long-simple subsystem"
-            f" ({len(cartan)}x{len(cartan[0])}) is singular"
-        )
-    return torsion
+    return _lattice_quotient(rs.type_label, "its long-simple subsystem", cartan)
 
 
 def type_a_alternative(n: int) -> OrbitCohomology:

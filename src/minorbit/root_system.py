@@ -8,13 +8,13 @@ from the long root to the short one, else -1.  The numbering follows the
 usual conventions (E's branch node is vertex 4, the short roots of B/F
 sit at the high end, G2 has the long root first), so the coordinate
 strings n_1...n_rank match the standard published diagrams; ``build``,
-the one place that orders roots, lists each level as they print it.
+the one place that orders and grades roots, lists each level as they print it.
 """
 
 from __future__ import annotations
 
 import re
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from functools import lru_cache
 from operator import mul, neg
 
@@ -164,9 +164,10 @@ class RootSystem:
     h_dual: int
     # every root mapped to its lowering edges, the (j, c) with c = <root, alpha_j^vee> > 0
     _lowering: dict[Root, tuple[tuple[int, int], ...]]
-    # the one record of root length: each long root, both signs, mapped to
-    # the (signed) height of its coroot; short roots are absent
-    _dual_heights: dict[Root, int]
+    # the one record of root length and of the grading: each long root, both signs,
+    # mapped to its level (short roots are absent), and the long roots of each level
+    _level: dict[Root, int]
+    _levels: tuple[tuple[Root, ...], ...]
 
     def __init__(self, **fields) -> None:
         if fields.keys() != self.__annotations__.keys():
@@ -222,20 +223,23 @@ def build(label: TypeLabel) -> RootSystem:
                 found.append(image)
 
     # Phi^- = -Phi^+, and the lowering edges of -v are the raising moves of v, negated.
-    # The one place that decides root length: long iff r divides the coordinates at
-    # short simple positions, and then the coroot has height sum(c_i |alpha_i|^2) / r.
+    # The one place that decides root length and grades the long roots: v is long iff r
+    # divides the coordinates at short simple positions, and then its coroot has height
+    # t = sum(c_i |alpha_i|^2) / r; v sits at level h_dual - 1 - t and -v at h_dual - 2 + t.
     positive = sorted(found, key=lambda v: (-height(v), v), reverse=True)  # by height, then decreasing v
     negative = [tuple(map(neg, v)) for v in positive]
     short = [i for i in range(n) if lengths[i] != r]
-    lowering, dual_heights = {}, {}
+    lowering, level, by_level = {}, {}, defaultdict(list)
     for v, minus_v in zip(positive, negative):
         moves = sorted(pairings[v].items())
         lowering[v] = tuple((j, c) for j, c in moves if c > 0)
         lowering[minus_v] = tuple((j, -c) for j, c in moves if c < 0)
         if all(v[i] % r == 0 for i in short):
-            dual_heights[v] = sum(map(mul, v, lengths)) // r
-            dual_heights[minus_v] = -dual_heights[v]
-    if 2 * len(positive) != n * h or dual_heights.get(positive[-1]) != h_dual - 1:
+            t = sum(map(mul, v, lengths)) // r
+            level[v], level[minus_v] = h_dual - 1 - t, h_dual - 2 + t
+            by_level[level[v]].append(v)
+            by_level[level[minus_v]].append(minus_v)
+    if 2 * len(positive) != n * h or by_level.keys() != set(range(2 * h_dual - 2)) or by_level[0] != [positive[-1]]:
         raise InvalidTypeError(f"root enumeration failed for {label}")
 
     return RootSystem(
@@ -246,7 +250,8 @@ def build(label: TypeLabel) -> RootSystem:
         long_simple_indices=tuple(i for i in range(n) if lengths[i] == r),
         h_dual=h_dual,
         _lowering=lowering,
-        _dual_heights=dual_heights,
+        _level=level,
+        _levels=tuple(tuple(by_level[i]) for i in range(len(by_level))),
     )
 
 
@@ -259,15 +264,15 @@ def is_long(rs: RootSystem, root: Root) -> bool:
     """True iff the root has maximal squared length (decided once, in build)."""
     if not rs.is_root(root):
         raise DomainError(f"{root} is not a root of {rs.type_label}")
-    return root in rs._dual_heights
+    return root in rs._level
 
 
 def dual_height(rs: RootSystem, root: Root) -> int:
-    """Height of the coroot of a long root, negative for a negative root."""
-    dh = rs._dual_heights.get(root)
-    if dh is None:
+    """Height of the coroot of a long root, negative for a negative root: build's level rule inverted."""
+    lv = rs._level.get(root)
+    if lv is None:
         raise DomainError(f"dual height is defined on long roots only, got {root}")
-    return dh
+    return rs.h_dual - 1 - lv if lv < rs.h_dual - 1 else rs.h_dual - 2 - lv
 
 
 def _check_indices(rs: RootSystem, indices) -> None:

@@ -27,7 +27,7 @@ from itertools import compress
 from operator import add, itemgetter, sub
 
 from . import long_root_poset
-from .errors import DomainError
+from .errors import DomainError, InvariantFailureError
 from .root_system import RootSystem, _check_indices, dual_height, height, highest_root, is_long
 
 # Largest |W^I| * |Phi| an oracle call works on: W(E6) whole is 3,732,480;
@@ -98,7 +98,7 @@ def _check_verify_budget(rs: RootSystem) -> int:
     budget (W^J for the levels, Phi^+ for the reflections), so that both
     refuse the same types before any work; returns the long-root count,
     which is |W^J|."""
-    n_long = len(rs._dual_heights)
+    n_long = len(rs._level)
     _check_budget(rs, max(n_long, len(rs.positive_roots)), "max(|W^J|, |Phi^+|)")
     return n_long
 
@@ -123,7 +123,8 @@ def coset_reps(rs: RootSystem, indices) -> tuple[WeylElement, ...]:
     Every element of W^I is reached this way from the identity.
     """
     _check_indices(rs, indices)
-    _check_budget(rs, _coset_count(rs, indices), "|W^I|")
+    count = _coset_count(rs, indices)
+    _check_budget(rs, count, "|W^I|")
     npos = len(rs.positive_roots)
     blocked = set(indices)  # alpha_k is root k
     gens = _simple_reflections(rs)
@@ -132,6 +133,8 @@ def coset_reps(rs: RootSystem, indices) -> tuple[WeylElement, ...]:
     length = 0
     while frontier:
         reps.extend(WeylElement(w, length) for w in frontier)
+        if len(reps) > count:  # a record that breaks the rule above would walk on without end
+            raise InvariantFailureError(f"{rs.type_label}: the walk passed |W^I| = {count} at length {length}")
         longer = {}  # every s_j w found is one longer than w, so only these can repeat
         for w in frontier:
             for j, s in enumerate(gens):

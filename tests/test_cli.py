@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from minorbit import decomposition, orbit_cohomology
+from minorbit import orbit_cohomology
 from minorbit.cli import main
 from minorbit.errors import InvariantFailureError
 from minorbit.orbit_cohomology import from_json_dict, minimal_orbit_cohomology
@@ -240,7 +240,8 @@ def test_invariant_failure_exit_4(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "module, argv, message",
     [
-        (decomposition, ("decomp", "simple", "--type", "B3"), "B3: the Cartan matrix of its homogeneous diagram A5"),
+        # both raises go through orbit_cohomology's one lattice quotient
+        (orbit_cohomology, ("decomp", "simple", "--type", "B3"), "B3: the Cartan matrix of its homogeneous diagram A5"),
         (orbit_cohomology, ("fundgroup", "--type", "F4"), "F4: the Cartan matrix of its long-simple subsystem"),
     ],
 )

@@ -114,7 +114,7 @@ def test_levels_structure(rs):
 @pytest.mark.parametrize("name", POSET_TYPES + ["A30", "B20", "C20", "D20"])
 def test_levels_hold_the_record_tuples_in_order(name):
     rs = build(parse_type(name))
-    own = {id(root) for root in rs._dual_heights}
+    own = {id(root) for root in rs._level}
     for i, members in enumerate(levels(rs)):
         assert all(id(root) in own for root in members), f"{name} level {i}"
         # reference order: decreasing lexicographic on the absolute coordinates
@@ -162,7 +162,7 @@ def test_lowering_edges_are_the_simple_reflections(name):
     assert all(rs.roots[npos + k] == tuple(-x for x in rs.roots[k]) for k in range(npos))
     own = {id(root) for root in rs.roots}
     assert {id(root) for root in rs._lowering} == own
-    assert {id(root) for root in rs._dual_heights} <= own
+    assert {id(root) for root in rs._level} <= own
     simple = simple_roots(rs)
     for v in rs.roots:
         pairings = [(j, pairing(rs, v, alpha)) for j, alpha in enumerate(simple)]

@@ -12,6 +12,7 @@ from minorbit import root_system
 from minorbit.decomposition import decomp_minimal, decomp_subregular, simple_singularity
 from minorbit.errors import DomainError, InvalidTypeError
 from minorbit.int_linalg import cokernel
+from minorbit.long_root_poset import level
 from minorbit.root_system import (
     ROOT_BUDGET,
     RootSystem,
@@ -207,14 +208,22 @@ def test_is_long_matches_the_bilinear_form(rs):
 
 
 def test_dual_height_matches_the_bilinear_form(rs):
-    # the coroot of v is 2v/(v|v), so its height is sum v_i (alpha_i|alpha_i) / (v|v)
+    # the coroot of v is 2v/(v|v), so its height is sum v_i (alpha_i|alpha_i) / (v|v);
+    # a long root sits at level ht_coroot(theta) - ht_coroot(v), one lower if v < 0
     lengths = _cartan_and_lengths(rs.type_label)[1]
+
+    def coroot_height(v):
+        numerator = sum(c * length for c, length in zip(v, lengths))
+        half_norm = bilinear(rs, v, v) // 2
+        assert numerator % half_norm == 0
+        return numerator // half_norm
+
+    top = coroot_height(highest_root(rs))
     for v in rs.roots:
         if is_long(rs, v):
-            numerator = sum(c * length for c, length in zip(v, lengths))
-            half_norm = bilinear(rs, v, v) // 2
-            assert numerator % half_norm == 0
-            assert dual_height(rs, v) == numerator // half_norm
+            t = coroot_height(v)
+            assert dual_height(rs, v) == t
+            assert level(rs, v) == (top - t if t > 0 else top - t - 1)
 
 
 def test_is_long_g2():

@@ -6,7 +6,7 @@ from operator import add, itemgetter, sub
 import pytest
 
 from minorbit import cli, long_root_poset, weyl_oracle
-from minorbit.errors import DomainError
+from minorbit.errors import DomainError, InvariantFailureError
 from minorbit.long_root_poset import level
 from minorbit.root_system import RootSystem, build, height, highest_root, is_long, parse_type
 from minorbit.weyl_oracle import (
@@ -253,7 +253,7 @@ def test_the_oracle_does_not_read_the_edge_record(label):
     # the Cartan matrices of B, C, F4 and G2 are not symmetric, so reading a row
     # for a column would change the reflections there
     rs = build(parse_type(label))
-    blind = RootSystem(**{**vars(rs), "_lowering": Poisoned(), "_dual_heights": Poisoned()})
+    blind = RootSystem(**{**vars(rs), "_lowering": Poisoned(), "_level": Poisoned(), "_levels": Poisoned()})
     clear_oracle_caches()
     try:
         indices = _orthogonal_simple_indices(blind)
@@ -261,6 +261,25 @@ def test_the_oracle_does_not_read_the_edge_record(label):
         clear_oracle_caches()
         indices = _orthogonal_simple_indices(rs)
         assert seen == (_simple_reflections(rs), _reflection_table(rs), indices, coset_reps(rs, indices))
+    finally:
+        clear_oracle_caches()
+
+
+@pytest.mark.parametrize("label", ["A4", "D5", "E6"])
+def test_coset_reps_stop_past_the_coset_count(label, time_budget):
+    # with alpha_1 listed last in Phi^+, root k is no longer alpha_k, so the walk
+    # blocks the wrong roots; it must fail once it passes |W^I|, not run on
+    rs = build(parse_type(label))
+    positive = rs.positive_roots[1:] + rs.positive_roots[:1]
+    negative = tuple(tuple(-x for x in v) for v in positive)
+    moved = RootSystem(**{**vars(rs), "roots": positive + negative, "positive_roots": positive})
+    clear_oracle_caches()
+    try:
+        indices = _orthogonal_simple_indices(moved)
+        count = _coset_count(moved, indices)
+        message = rf"^{label}: the walk passed \|W\^I\| = {count} at length \d+$"
+        with time_budget(2.0), pytest.raises(InvariantFailureError, match=message):
+            coset_reps(moved, indices)
     finally:
         clear_oracle_caches()
 
