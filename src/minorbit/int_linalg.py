@@ -14,7 +14,7 @@ bounded.  ``invariant_factors`` (so ``cokernel``) carries no transform,
 and alternates single passes with pivots on entries +-1: on rows held as
 dicts of their nonzero entries, each unit pivot of least fill is one
 invariant factor 1.  Its core, ``_invariant_factors``, takes rows in
-that sparse form: the cohomology passes it the cached columns of each
+that sparse form: the cohomology passes it the recorded columns of each
 boundary matrix unchecked, which leave diagonal blocks but for one 2x2
 in types D and E.
 ``rank`` (so ``kernel_rank``) is one fraction-free Bareiss pass.  As both

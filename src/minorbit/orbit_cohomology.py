@@ -72,7 +72,7 @@ def minimal_orbit_cohomology(rs: RootSystem) -> OrbitCohomology:
     Matrix i (level i-1 to level i) gives the cokernel in degree 2i and the
     kernel rank in degree 2i-1; its transpose, matrix d-i, gives degrees
     2(d-i) and 2(d-i)-1 with rows and columns swapped.  One Smith form per
-    transposed pair serves all four: the cached columns of matrix i, as the
+    transposed pair serves all four: the recorded columns of matrix i, as the
     rows of its transpose, for i <= h_dual-1."""
     lv = long_root_poset.levels(rs)
     d = long_root_poset.dimension(rs)
@@ -82,7 +82,7 @@ def minimal_orbit_cohomology(rs: RootSystem) -> OrbitCohomology:
         2 * d - 1: (len(lv[d - 1]), ()),
     }
     for i in range(1, rs.h_dual):
-        factors = _invariant_factors(long_root_poset._columns(rs, i), len(lv[i]))
+        factors = _invariant_factors(rs._columns[i], len(lv[i]))
         torsion = tuple(x for x in factors if x > 1)
         rows, cols = len(lv[i]) - len(factors), len(lv[i - 1]) - len(factors)
         entries[2 * i], entries[2 * i - 1] = (rows, torsion), (cols, ())

@@ -7,8 +7,8 @@ length of each simple root (short = 1).  A bond's Cartan entry
 from the long root to the short one, else -1.  The numbering follows the
 usual conventions (E's branch node is vertex 4, the short roots of B/F
 sit at the high end, G2 has the long root first), so the coordinate
-strings n_1...n_rank match the standard published diagrams; ``build``,
-the one place that orders and grades roots, lists each level as they print it.
+strings n_1...n_rank match the standard published diagrams; ``build``, the
+one place that orders, measures and grades roots, lists each level as they print it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict, namedtuple
 from functools import lru_cache
-from operator import mul, neg
+from operator import neg
 
 from .errors import DomainError, InvalidTypeError
 
@@ -123,8 +123,9 @@ def _check_root_budget(label: TypeLabel) -> int:
     if type(label) is not TypeLabel:
         raise InvalidTypeError(f"expected a TypeLabel (see parse_type), got {label!r}")
     h = _COXETER_NUMBER[label.series](label.rank)
-    if label.rank * h > ROOT_BUDGET:
-        raise DomainError(f"{label} has {label.rank * h} roots, over the budget of {ROOT_BUDGET}")
+    if (roots := label.rank * h) > ROOT_BUDGET:
+        count = roots if roots < 10**100 else "over 10^100"  # str() refuses an int past 4,300 digits
+        raise DomainError(f"{label} has {count} roots, over the budget of {ROOT_BUDGET}")
     return h
 
 
@@ -162,12 +163,11 @@ class RootSystem:
     positive_roots: tuple[Root, ...]
     long_simple_indices: tuple[int, ...]
     h_dual: int
-    # every root mapped to its lowering edges, the (j, c) with c = <root, alpha_j^vee> > 0
-    _lowering: dict[Root, tuple[tuple[int, int], ...]]
-    # the one record of root length and of the grading: each long root, both signs,
-    # mapped to its level (short roots are absent), and the long roots of each level
-    _level: dict[Root, int]
-    _levels: tuple[tuple[Root, ...], ...]
+    # the one record of the roots, their length and grading: each root's level, None when short
+    _level: dict[Root, int | None]
+    _levels: tuple[tuple[Root, ...], ...]  # the long roots of each level
+    # matrix i, level i-1 to level i: per root of level i-1, its nonzero {place in level i: entry}
+    _columns: tuple[tuple[dict[int, int], ...], ...]
 
     def __init__(self, **fields) -> None:
         if fields.keys() != self.__annotations__.keys():
@@ -190,7 +190,7 @@ class RootSystem:
         return self.type_label.rank
 
     def is_root(self, v: Root) -> bool:
-        return v in self._lowering
+        return v in self._level
 
 
 def height(root: Root) -> int:
@@ -206,52 +206,77 @@ def build(label: TypeLabel) -> RootSystem:
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     rows = [[(k, x) for k, x in enumerate(row) if x] for row in cartan]
 
-    # Phi^+ closes the simple roots under the simple reflections that raise a root:
-    # s_j raises v iff p[j] = <v, alpha_j^vee> < 0.  Each root keeps its nonzero p[j],
-    # updated through the nonzero entries, at most 4, of Cartan row j.  No root is
-    # taken past rank * h / 2, as a wrong matrix could give infinitely many.
-    pairings = {v: dict(rows[i]) for i, v in enumerate(simple)}
-    found = list(simple)
-    for v in found:
-        for j, c in pairings[v].items():
-            if c < 0 and 2 * len(found) <= n * h and (image := v[:j] + (v[j] - c,) + v[j + 1 :]) not in pairings:
-                p = pairings[image] = pairings[v].copy()
-                for k, x in rows[j]:
-                    p[k] = p.get(k, 0) - c * x
-                    if not p[k]:
-                        del p[k]
-                found.append(image)
+    # Phi^+ closes the simple roots under the simple reflections that raise a root: s_j raises
+    # w to v = w - c alpha_j iff c = p[j] = <w, alpha_j^vee> < 0.  Each root, by discovery
+    # number, keeps its nonzero p[j], updated through Cartan row j.  A reflection keeps the
+    # length, so a long root carries sigma = sum v_i |alpha_i|^2 = r ht(v^vee), a short one None.
+    # The raises between long roots are kept as lowering edges (w, -c, v).  No root is taken
+    # past rank * h / 2, as a wrong matrix could give infinitely many.
+    failed = f"root enumeration failed for {label}"
+    pairings, sigma = [dict(row) for row in rows], [x if x == r else None for x in lengths]
+    found, edges, number = list(simple), [], {v: i for i, v in enumerate(simple)}
+    for w, root in enumerate(found):
+        for j, c in pairings[w].items():
+            if c < 0:
+                v = number.setdefault(image := root[:j] + (root[j] - c,) + root[j + 1 :], len(found))
+                if v == len(found) and 2 * v <= n * h:
+                    p = pairings[w].copy()
+                    for k, x in rows[j]:
+                        p[k] = p.get(k, 0) - c * x
+                        if not p[k]:
+                            del p[k]
+                    found.append(image)
+                    pairings.append(p)
+                    sigma.append(None if sigma[w] is None else sigma[w] - c * lengths[j])
+                if sigma[w] is not None:
+                    edges.append((w, -c, v))
+    if 2 * len(found) != n * h:
+        raise InvalidTypeError(f"{failed}: the closure stopped at {2 * len(found)} roots, not rank * h = {n * h}")
+    del pairings, number  # only the closure reads them: freed before the record is made
 
-    # Phi^- = -Phi^+, and the lowering edges of -v are the raising moves of v, negated.
-    # The one place that decides root length and grades the long roots: v is long iff r
-    # divides the coordinates at short simple positions, and then its coroot has height
-    # t = sum(c_i |alpha_i|^2) / r; v sits at level h_dual - 1 - t and -v at h_dual - 2 + t.
-    positive = sorted(found, key=lambda v: (-height(v), v), reverse=True)  # by height, then decreasing v
+    # Phi^- = -Phi^+.  A positive long root whose coroot has height t sits at level
+    # h_dual - 1 - t, its negative at h_dual - 2 + t, in the same place within its level.
+    order = sorted(range(len(found)), key=lambda k: (-height(found[k]), found[k]), reverse=True)
+    positive = [found[k] for k in order]  # by height, then decreasing v
     negative = [tuple(map(neg, v)) for v in positive]
-    short = [i for i in range(n) if lengths[i] != r]
-    lowering, level, by_level = {}, {}, defaultdict(list)
-    for v, minus_v in zip(positive, negative):
-        moves = sorted(pairings[v].items())
-        lowering[v] = tuple((j, c) for j, c in moves if c > 0)
-        lowering[minus_v] = tuple((j, -c) for j, c in moves if c < 0)
-        if all(v[i] % r == 0 for i in short):
-            t = sum(map(mul, v, lengths)) // r
-            level[v], level[minus_v] = h_dual - 1 - t, h_dual - 2 + t
-            by_level[level[v]].append(v)
-            by_level[level[minus_v]].append(minus_v)
-    if 2 * len(positive) != n * h or by_level.keys() != set(range(2 * h_dual - 2)) or by_level[0] != [positive[-1]]:
-        raise InvalidTypeError(f"root enumeration failed for {label}")
+    d = 2 * h_dual - 2
+    level, by_level, place = {}, defaultdict(list), [(None, None)] * len(found)
+    for k, v, minus_v in zip(order, positive, negative):
+        if sigma[k] is None:
+            level[v] = level[minus_v] = None
+            continue
+        up = h_dual - 1 - sigma[k] // r
+        place[k], level[v], level[minus_v] = (up, len(by_level[up])), up, d - 1 - up
+        by_level[up].append(v)
+        by_level[d - 1 - up].append(minus_v)
+    if by_level.keys() != set(range(d)):
+        raise InvalidTypeError(f"{failed}: the long roots do not fill levels 0..{d - 1}")
+    if by_level[0] != [positive[-1]]:
+        raise InvalidTypeError(f"{failed}: level 0 is not the highest root alone")
+
+    # An edge (w, c, v) lowers v in level i-1 to w in level i, and -w to -v: entry c at (w, v)
+    # in matrix i and at (-v, -w) in matrix d-i.  Between the two middle levels the matrix is
+    # the long simple roots' Cartan matrix, symmetric as they have one length, unsigned.
+    levels = tuple(tuple(by_level[i]) for i in range(d))
+    long_simple = tuple(i for i in range(n) if lengths[i] == r)
+    columns = [()] + [[{} for _ in members] for members in levels[:-1]]
+    for w, c, v in edges:
+        (i, row), (up, col) = place[w], place[v]
+        if up != i - 1:
+            raise InvalidTypeError(f"{failed}: a raise between long roots does not step one level")
+        columns[i][col][row] = columns[d - i][row][col] = c
+    columns[h_dual - 1] = [{place[k][1]: abs(x) for k, x in rows[j] if sigma[k] is not None} for j in long_simple]
 
     return RootSystem(
         type_label=label,
         cartan=tuple(tuple(row) for row in cartan),
         roots=tuple(positive + negative),
         positive_roots=tuple(positive),
-        long_simple_indices=tuple(i for i in range(n) if lengths[i] == r),
+        long_simple_indices=long_simple,
         h_dual=h_dual,
-        _lowering=lowering,
         _level=level,
-        _levels=tuple(tuple(by_level[i]) for i in range(len(by_level))),
+        _levels=levels,
+        _columns=tuple(map(tuple, columns)),
     )
 
 
@@ -264,7 +289,7 @@ def is_long(rs: RootSystem, root: Root) -> bool:
     """True iff the root has maximal squared length (decided once, in build)."""
     if not rs.is_root(root):
         raise DomainError(f"{root} is not a root of {rs.type_label}")
-    return root in rs._level
+    return rs._level[root] is not None
 
 
 def dual_height(rs: RootSystem, root: Root) -> int:

@@ -98,7 +98,7 @@ def _check_verify_budget(rs: RootSystem) -> int:
     budget (W^J for the levels, Phi^+ for the reflections), so that both
     refuse the same types before any work; returns the long-root count,
     which is |W^J|."""
-    n_long = len(rs._level)
+    n_long = sum(map(len, rs._levels))
     _check_budget(rs, max(n_long, len(rs.positive_roots)), "max(|W^J|, |Phi^+|)")
     return n_long
 
@@ -157,7 +157,7 @@ def level_length_failure(rs: RootSystem) -> str | None:
 
     The representatives modulo the stabilizer of the highest root must
     biject onto the long roots via w -> w(highest), with length equal to
-    the level.  Then every entry of the boundary matrices, the cached
+    the level.  Then every entry of the boundary matrices, the recorded
     columns the cohomology is computed from, is checked against the
     group: for beta in level i and alpha in level i+1, beta -> alpha is an
     edge when x_alpha x_beta^-1 is a reflection s_gamma.  Then
@@ -189,7 +189,7 @@ def level_length_failure(rs: RootSystem) -> str | None:
     lines = {tuple(map(c.__mul__, gamma)): (s, c) for c in (-3, -2, -1, 1, 2, 3) for gamma, s in reflections}
     lv = long_root_poset.levels(rs)
     for i in range(len(lv) - 1):
-        for beta, column in zip(lv[i], long_root_poset._columns(rs, i + 1)):
+        for beta, column in zip(lv[i], rs._columns[i + 1]):
             for row, alpha in enumerate(lv[i + 1]):
                 s, expected = lines.get(tuple(map(sub, beta, alpha)), (None, 0))
                 if s is not None and _compose(s, by_root[beta]) != by_root[alpha]:

@@ -141,6 +141,18 @@ def test_decomp_refusal_names_the_requested_type(capsys):
         assert err == "error: B51: the homogeneous diagram A101 has 10302 roots, over the budget of 10000\n"
 
 
+@pytest.mark.parametrize("digits", [2200, 4300])
+def test_a_rank_of_thousands_of_digits_exits_3(digits, capsys, time_budget):
+    # rank * h then has more digits than str() of an int may print, so the count is not printed
+    label = "A" + "9" * digits
+    commands = [["cohomology"], ["dmatrices"], ["fundgroup"], ["verify"], ["decomp", "simple"]]
+    for argv in commands + [["decomp", "minimal", "--ell", "2"]]:
+        with time_budget(1.0):
+            code, out, err = run(capsys, *argv, "--type", label)
+        assert (code, out) == (3, ""), argv
+        assert err == f"error: {label} has over 10^100 roots, over the budget of 10000\n", argv
+
+
 def test_verify_over_the_oracle_budget_exits_3(capsys, time_budget):
     # the W^J of A45 times its roots is 2070 * 2070, refused before any oracle work
     with time_budget(1.0):

@@ -566,7 +566,7 @@ def test_smith_degenerate_shapes(name):
 
 
 def test_a_diagonal_block_takes_no_hermite_pass(monkeypatch):
-    from minorbit.long_root_poset import _columns, levels
+    from minorbit.long_root_poset import levels
     from minorbit.root_system import build, parse_type
 
     passes = hermite_passes(monkeypatch)
@@ -574,7 +574,7 @@ def test_a_diagonal_block_takes_no_hermite_pass(monkeypatch):
     rs = build(parse_type("C8"))
     lv = levels(rs)
     for i in range(1, rs.h_dual):  # the unit pivots leave the block [2] or none
-        factors = int_linalg._invariant_factors(_columns(rs, i), len(lv[i]))
+        factors = int_linalg._invariant_factors(rs._columns[i], len(lv[i]))
         assert set(factors) <= {1, 2} and factors.count(2) <= 1
     assert passes == []
 

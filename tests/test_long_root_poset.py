@@ -5,9 +5,9 @@ import pytest
 from golden_data import D_MATRICES
 from minorbit.errors import DomainError
 from minorbit.int_linalg import kernel_rank
-from minorbit.long_root_poset import _columns, d_matrix, dimension, level, levels
-from minorbit.root_system import build, cartan_of_subset, highest_root, is_long, parse_type
-from test_root_system import pairing, reflect, simple_roots
+from minorbit.long_root_poset import d_matrix, dimension, level, levels
+from minorbit.root_system import RootSystem, build, cartan_of_subset, highest_root, is_long, parse_type
+from test_root_system import Poisoned, pairing, reflect, simple_roots
 
 POSET_TYPES = [
     "A1", "A3", "A6", "B2", "B3", "B5", "B8", "C2", "C4", "C8",
@@ -151,41 +151,41 @@ def test_crossing_coefficients(name):
 
 @pytest.mark.parametrize("name", POSET_TYPES + ["A30", "B20", "C20", "D20"])
 def test_lowering_edges_are_the_simple_reflections(name):
-    # d_matrix reads this record of the closure; it must hold every edge of
-    # every root, the negative ones too, which only the upper half reads
+    # the matrices build recorded from its closure: off the middle, every
+    # nonzero entry c at (alpha, beta) is a simple reflection, alpha = s_j(beta)
+    # with c = <beta, alpha_j^vee>, the negative half too
     rs = build(parse_type(name))
-    assert set(rs._lowering) == set(rs.roots)
-    # one tuple per root: the negative roots are the positive ones negated, in
-    # the same order, and the record's keys are the objects of rs.roots
+    # is_root holds on exactly rs.roots: the keys of the record are its objects
+    assert {id(root) for root in rs._level} == {id(root) for root in rs.roots}
+    assert len(rs._level) == len(rs.roots) == len(set(rs.roots))
+    assert not rs.is_root((0,) * rs.rank) and not rs.is_root(tuple(x + 1 for x in highest_root(rs)))
     npos = len(rs.positive_roots)
-    assert len(rs.roots) == 2 * npos
     assert all(rs.roots[npos + k] == tuple(-x for x in rs.roots[k]) for k in range(npos))
-    own = {id(root) for root in rs.roots}
-    assert {id(root) for root in rs._lowering} == own
-    assert {id(root) for root in rs._level} <= own
+    lv, d = levels(rs), dimension(rs)
+    assert len(rs._columns) == d and rs._columns[0] == ()
     simple = simple_roots(rs)
-    for v in rs.roots:
-        pairings = [(j, pairing(rs, v, alpha)) for j, alpha in enumerate(simple)]
-        assert rs._lowering[v] == tuple((j, c) for j, c in pairings if c > 0), v
-        for j, c in rs._lowering[v]:
-            alpha = simple[j]
-            assert tuple(x - c * a for x, a in zip(v, alpha)) == reflect(rs, v, alpha)
+    for i in range(1, d):
+        columns = rs._columns[i]
+        assert len(columns) == len(lv[i - 1]), f"{name} D_{i}"
+        assert all(0 <= row < len(lv[i]) for column in columns for row in column), f"{name} D_{i}"
+        if i == rs.h_dual - 1:
+            continue
+        for beta, column in zip(lv[i - 1], columns):
+            edges = [(j, pairing(rs, beta, alpha)) for j, alpha in enumerate(simple)]
+            expected = {lv[i].index(reflect(rs, beta, simple[j])): c for j, c in edges if c > 0}
+            assert column == expected, f"{name} D_{i} {beta}"
 
 
 def test_d_matrix_range(rs):
+    # an index outside 1..d-1 is refused before the record is read: True and 2.0
+    # equal 1 and 2, and True would index matrix 1
     d = dimension(rs)
-    with pytest.raises(DomainError):
-        d_matrix(rs, 0)
-    with pytest.raises(DomainError):
-        d_matrix(rs, d)
-    # 2.0 and True equal 2 and 1: refused on a cold cache, and again once matrices 1 and 2 are cached
-    _columns.cache_clear()
-    for _ in ("cold", "warm"):
-        for bad in (2.0, True, "2", None):
+    blind = RootSystem(**{**vars(rs), "_columns": Poisoned()})
+    for record in (blind, rs):
+        for bad in (0, d, -1, 2.0, True, "2", None):
             with pytest.raises(DomainError, match=rf"^matrix index {bad!r} outside 1\.\.{d - 1}$"):
-                d_matrix(rs, bad)
-        for i in range(1, min(d, 3)):
-            d_matrix(rs, i)
+                d_matrix(record, bad)
+    assert d_matrix(rs, 1) == tuple(zip(*d_matrix(rs, d - 1)))
 
 
 @pytest.mark.parametrize("name", ASSEMBLY_TYPES)

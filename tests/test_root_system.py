@@ -91,6 +91,15 @@ def reflect(rs, a, b):
     return tuple(ai - c * bi for ai, bi in zip(a, b))
 
 
+class Poisoned:
+    """Raises on any read, so that a field of the record a caller must not touch can be swapped in."""
+
+    def _refuse(self, *args):
+        raise AssertionError("a poisoned field of the record was read")
+
+    __getattr__ = __getitem__ = __contains__ = __iter__ = __len__ = __bool__ = __hash__ = _refuse
+
+
 def weyl_degrees(rs) -> tuple[int, ...]:
     """Kostant: the exponents are the conjugate partition of the counts of
     positive roots by height, and each degree is an exponent plus 1."""
@@ -190,7 +199,8 @@ def test_dual_height_examples():
 
 
 def test_is_long_divisibility(rs):
-    # long iff r divides every coordinate at a short simple position
+    # the rule build once used, kept as a reference for the length it now carries
+    # through the closure: long iff r divides every coordinate at a short simple position
     r = _cartan_and_lengths(rs.type_label)[2]
     short_positions = [i for i in range(rs.rank) if i not in rs.long_simple_indices]
     for v in rs.roots:
@@ -473,12 +483,14 @@ def test_root_budget_admits_its_boundary():
     ],
 )
 def test_closure_refuses_a_wrong_matrix(wrong, monkeypatch, time_budget):
-    # both are rank 3, so they go under the label A3, whose closed-form h is 4
+    # both are rank 3, so they go under the label A3, whose closed-form h is 4:
+    # the closure stops once it has taken a 7th positive root
     label = TypeLabel("A", 3)
     monkeypatch.setattr(root_system, "_cartan_and_lengths", lambda _: (*wrong, 4))
     before = build.cache_info()
-    with time_budget(1), pytest.raises(InvalidTypeError, match="root enumeration failed for A3"):
+    with time_budget(1), pytest.raises(InvalidTypeError, match="root enumeration failed for A3") as info:
         build.__wrapped__(label)
+    assert str(info.value) == "root enumeration failed for A3: the closure stopped at 14 roots, not rank * h = 12"
     assert build.cache_info() == before
 
 
@@ -496,6 +508,27 @@ def chain_cartan(n: int) -> list[list[int]]:
     for i in range(n - 1):
         c[i][i + 1] = c[i + 1][i] = -1
     return c
+
+
+@pytest.mark.parametrize(
+    "cartan, lengths, r, h_dual, fact",
+    [
+        # A1 x A1 x A1: three positive roots
+        ([[2, 0, 0], [0, 2, 0], [0, 0, 2]], [1, 1, 1], 1, 4, "the closure stopped at 6 roots, not rank * h = 12"),
+        # A3 with h_dual 2 in place of 4
+        (chain_cartan(3), [1, 1, 1], 1, 2, "the long roots do not fill levels 0..1"),
+        # A3's matrix with simple lengths and h_dual that do not fit it: the grading
+        # fills the levels, but not as a root system does
+        (chain_cartan(3), [1, 1, 2], 2, 2, "level 0 is not the highest root alone"),
+        (chain_cartan(3), [1, 1, 2], 1, 5, "a raise between long roots does not step one level"),
+    ],
+)
+def test_closure_names_the_fact_that_broke(cartan, lengths, r, h_dual, fact, monkeypatch):
+    monkeypatch.setattr(root_system, "_cartan_and_lengths", lambda _: (cartan, lengths, r, 4))
+    monkeypatch.setitem(root_system._DUAL_COXETER_NUMBER, "A", lambda n: h_dual)
+    with pytest.raises(InvalidTypeError) as info:
+        build.__wrapped__(TypeLabel("A", 3))
+    assert str(info.value) == f"root enumeration failed for A3: {fact}"
 
 
 def cartan_by_hand(label: TypeLabel) -> tuple[list[list[int]], list[int], int]:

@@ -27,7 +27,7 @@ from minorbit.weyl_oracle import (
     verify_reflection_length,
 )
 from test_long_root_poset import edge_coefficient
-from test_root_system import bilinear, coxeter_number, reflect, simple_roots, weyl_degrees
+from test_root_system import Poisoned, bilinear, coxeter_number, reflect, simple_roots, weyl_degrees
 
 SMALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2"]
 # every type with |W| <= |W(E6)| = 51840
@@ -232,15 +232,6 @@ def test_the_positions_the_oracle_reads(label):
         assert _reflection_table(rs)[: rs.rank] == _simple_reflections(rs)
 
 
-class Poisoned:
-    """Raises on any read, so that a record the oracle must not touch can be swapped in."""
-
-    def _refuse(self, *args):
-        raise AssertionError("the oracle read the edge record")
-
-    __getattr__ = __getitem__ = __contains__ = __iter__ = __len__ = __bool__ = __hash__ = _refuse
-
-
 def clear_oracle_caches():
     # both caches are keyed on the type label, which a copy of the record shares
     _simple_reflections.cache_clear()
@@ -253,7 +244,7 @@ def test_the_oracle_does_not_read_the_edge_record(label):
     # the Cartan matrices of B, C, F4 and G2 are not symmetric, so reading a row
     # for a column would change the reflections there
     rs = build(parse_type(label))
-    blind = RootSystem(**{**vars(rs), "_lowering": Poisoned(), "_level": Poisoned(), "_levels": Poisoned()})
+    blind = RootSystem(**{**vars(rs), "_level": Poisoned(), "_levels": Poisoned(), "_columns": Poisoned()})
     clear_oracle_caches()
     try:
         indices = _orthogonal_simple_indices(blind)
@@ -364,21 +355,14 @@ def test_verify_level_length_a30(time_budget):
         assert verify_level_length(a30)
 
 
-def _patch_entry(monkeypatch, rs, i, row, col, value):
-    """Make the columns of matrix i of rs, which the oracle reads, hold value at (row, col)."""
-    true_columns = long_root_poset._columns
-
-    def patched(rs_, j):
-        columns = true_columns(rs_, j)
-        if (rs_, j) != (rs, i):
-            return columns
-        columns = [dict(column) for column in columns]
-        columns[col][row] = value
-        if not value:
-            del columns[col][row]
-        return tuple(columns)
-
-    monkeypatch.setattr(long_root_poset, "_columns", patched)
+def _patch_entry(rs, i, row, col, value):
+    """A copy of the record rs whose matrix i, which the oracle reads, holds value at (row, col)."""
+    columns = [dict(column) for column in rs._columns[i]]
+    columns[col][row] = value
+    if not value:
+        del columns[col][row]
+    matrices = rs._columns[:i] + (tuple(columns),) + rs._columns[i + 1 :]
+    return RootSystem(**{**vars(rs), "_columns": matrices})
 
 
 def test_failure_names_the_pair(monkeypatch, capsys):
@@ -388,36 +372,37 @@ def test_failure_names_the_pair(monkeypatch, capsys):
     beta, alpha = lv[2][0], lv[3][0]
     true_value = long_root_poset.d_matrix(b3, 3)[0][0]
     assert true_value == edge_coefficient(b3, beta, alpha) == 1
-    _patch_entry(monkeypatch, b3, 3, 0, 0, 2)
-    assert not verify_level_length(b3)
-    reason = level_length_failure(b3)
+    wrong = _patch_entry(b3, 3, 0, 0, 2)
+    assert not verify_level_length(wrong)
+    reason = level_length_failure(wrong)
     assert reason == f"({beta}, {alpha}): d_matrix(3) entry 2, expected 1"
-    assert verify_reflection_length(b3)
+    assert verify_reflection_length(wrong)
+    assert level_length_failure(b3) is None
 
+    monkeypatch.setattr(cli, "build", lambda label: wrong)
     assert cli.main(["verify", "--type", "B3"]) == 4
     captured = capsys.readouterr()
     assert captured.out == "level-length: FAILED\nreflection-length: ok\n"
     assert captured.err == f"level-length: {reason}\n"
 
 
-def test_failure_names_a_one_sided_edge(monkeypatch):
+def test_failure_names_a_one_sided_edge():
     # a 0 where the group has an edge, then a nonzero entry where it has none
     g2 = build(parse_type("G2"))
     lv = long_root_poset.levels(g2)
     beta, alpha = lv[1][0], lv[2][0]
     assert long_root_poset.d_matrix(g2, 2) == ((3,),)
-    _patch_entry(monkeypatch, g2, 2, 0, 0, 0)
-    assert level_length_failure(g2) == f"({beta}, {alpha}): d_matrix(2) entry 0, expected 3"
+    reason = level_length_failure(_patch_entry(g2, 2, 0, 0, 0))
+    assert reason == f"({beta}, {alpha}): d_matrix(2) entry 0, expected 3"
 
-    monkeypatch.undo()
     a3 = build(parse_type("A3"))
     lv = long_root_poset.levels(a3)
     mat = long_root_poset.d_matrix(a3, 2)
     row, col = next((r, c) for r in range(len(mat)) for c in range(len(mat[0])) if not mat[r][c])
     beta, alpha = lv[1][col], lv[2][row]
     assert edge_coefficient(a3, beta, alpha) == 0
-    _patch_entry(monkeypatch, a3, 2, row, col, 1)
-    assert level_length_failure(a3) == f"({beta}, {alpha}): d_matrix(2) entry 1, expected 0"
+    reason = level_length_failure(_patch_entry(a3, 2, row, col, 1))
+    assert reason == f"({beta}, {alpha}): d_matrix(2) entry 1, expected 0"
 
 
 def test_failure_when_the_group_lacks_the_reflection(monkeypatch):
