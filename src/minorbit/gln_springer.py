@@ -1,10 +1,11 @@
 """Partition combinatorics behind the nilpotent orbits of GL_n.
 
-Partitions are plain weakly-decreasing tuples of positive integers.  The
-module covers the dominance order, the ell-regular/ell-restricted split,
-the map sending a simple module label to its orbit (conjugation), the
-row-and-column removal rule for degeneration pairs, and the resulting
-multiplicity for adjacent orbit pairs.
+Partitions are weakly-decreasing tuples of positive integers, and nothing
+else is taken for one.  The module covers the dominance order, the
+ell-regular/ell-restricted split, the map sending a simple module label to
+its orbit (conjugation), the row-and-column removal rule for degeneration
+pairs, and the multiplicity for adjacent orbit pairs, which the two rows
+of the one box moved between them decide.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import re
 from functools import lru_cache
 from itertools import accumulate
 
-from .errors import DomainError, InvariantFailureError
+from .errors import DomainError
 from .int_linalg import is_prime
 
 Partition = tuple[int, ...]
@@ -28,6 +29,8 @@ PART_BUDGET = 1_000_000
 
 
 def _validate(p: Partition) -> Partition:
+    if type(p) is not tuple:
+        raise DomainError(f"a partition is a tuple of parts, got a {type(p).__name__}")
     if not {int}.issuperset(map(type, p)) or any(x <= 0 for x in p):
         raise DomainError(f"partition parts must be positive integers: {p}")
     if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
@@ -166,28 +169,25 @@ def psi(mu: Partition, ell: int) -> Partition:
 def row_column_reduce(lam: Partition, mu: Partition) -> tuple[Partition, Partition]:
     """Erase common leading rows and columns of a degeneration pair.
 
-    Rows with lam_i = mu_i are removed from the top, columns with equal
-    heights from the left, repeating until neither applies.  Idempotent;
-    the singularity of the orbit closure pair is unchanged.
+    Rows with lam_i = mu_i are removed from the top, then columns with
+    equal heights from the left.  Neither rule then applies again: the
+    first rows differ (mu_1 < lam_1), the s columns removed leave boxes on
+    both sides, so both first rows stay longer than s and still differ,
+    and column s + 1 would have gone had its heights been equal.
+    Idempotent; the singularity of the orbit closure pair is unchanged.
     """
-    if sum(lam) != sum(mu):
+    if sum(_validate(lam)) != sum(_validate(mu)):
         raise DomainError("pair must partition the same integer")
     if lam == mu:
         raise DomainError("pair must be a strict degeneration")
     if not dominance_le(mu, lam):
         raise DomainError("reduction expects mu <= lam in dominance")
-    while True:
-        r = 0
-        while r < min(len(lam), len(mu)) and lam[r] == mu[r]:
-            r += 1
-        if r:
-            lam, mu = lam[r:], mu[r:]
-        s = _common_columns(lam, mu)
-        if s:
-            lam = tuple(x - s for x in lam if x > s)
-            mu = tuple(x - s for x in mu if x > s)
-        if not r and not s:
-            return lam, mu
+    r = 0
+    while lam[r] == mu[r]:  # of one sum and unequal, they differ before either ends
+        r += 1
+    lam, mu = lam[r:], mu[r:]
+    s = _common_columns(lam, mu)
+    return tuple(x - s for x in lam if x > s), tuple(x - s for x in mu if x > s)
 
 
 def _common_columns(lam: Partition, mu: Partition) -> int:
@@ -209,52 +209,49 @@ def _common_columns(lam: Partition, mu: Partition) -> int:
     return s
 
 
-def adjacent_in_dominance(lam: Partition, mu: Partition) -> bool:
-    """True iff the two partitions are comparable with nothing in between.
+def _moved_box(lam: Partition, mu: Partition) -> tuple[Partition, int, int] | None:
+    """(upper, i, j) when one partition covers the other, else None.
 
     Brylawski's rule (Discrete Math. 6, 1973): the upper partition covers
     the lower iff they differ in exactly two rows i < j, by one box each,
-    and either j = i + 1 or the upper one has lam_i = lam_j + 2.  O(n),
-    so unlike partitions_of it needs no budget.
+    and either j = i + 1 or upper_i = upper_j + 2 (upper padded with zeros
+    to the longer length).  O(n), so unlike partitions_of it needs no budget.
     """
-    _validate(lam)
-    _validate(mu)
-    if sum(lam) != sum(mu):
+    if sum(_validate(lam)) != sum(_validate(mu)):
         raise DomainError("adjacency compares partitions of the same integer")
     k = max(len(lam), len(mu))
     lam, mu = lam + (0,) * (k - len(lam)), mu + (0,) * (k - len(mu))
     rows = [r for r in range(k) if lam[r] != mu[r]]
     if len(rows) != 2:
-        return False
+        return None
     i, j = rows
     if lam[i] < mu[i]:
         lam, mu = mu, lam
-    return lam[i] - mu[i] == 1 and (j == i + 1 or lam[i] == lam[j] + 2)
+    return (lam, i, j) if lam[i] - mu[i] == 1 and (j == i + 1 or lam[i] == lam[j] + 2) else None
+
+
+def adjacent_in_dominance(lam: Partition, mu: Partition) -> bool:
+    """True iff the two partitions are comparable with nothing in between."""
+    return _moved_box(lam, mu) is not None
 
 
 def minimal_degeneration(lam: Partition, mu: Partition) -> tuple[str, int]:
-    """Classify an adjacent pair after reduction.
+    """Classify an adjacent pair by what row and column removal leaves.
 
     Every adjacent pair reduces to one of two extremes on m boxes:
     ((m), (m-1,1)), the type A_{m-1} surface singularity ("simple_A"), or
     ((2,1^{m-2}), (1^m)), the minimal orbit closure in gl_m ("minimal_a").
-    At m = 2 the two coincide; the tie goes to "simple_A".
+    The rows i < j of the moved box decide: the rows above i go, and so do
+    the first upper_j columns.  That leaves (upper_i - upper_j) when
+    j = i + 1, else the rows between i and j all equal upper_j + 1 and
+    leave (2, 1^(j-i-1)).  At m = 2 the tie goes to "simple_A".
     """
-    if not adjacent_in_dominance(lam, mu):
+    if (found := _moved_box(lam, mu)) is None:
         raise DomainError(f"({lam}, {mu}) is not an adjacent pair")
-    if dominance_le(lam, mu):
-        lam, mu = mu, lam
-    lam1, mu1 = row_column_reduce(lam, mu)
-    m = sum(lam1)
-    if lam1 == (m,) and mu1 == (m - 1, 1):
-        return "simple_A", m
-    # m parts of a partition of m are all 1, and m - 1 parts after a 2 too
-    if lam1[:1] == (2,) and len(lam1) == m - 1 and len(mu1) == m:
-        return "minimal_a", m
-    raise InvariantFailureError(
-        f"adjacent pair ({lam}, {mu}) reduced to ({lam1}, {mu1}), matching "
-        f"neither extreme; the minimal-degeneration classification fails here"
-    )
+    upper, i, j = found
+    if j == i + 1:
+        return "simple_A", upper[i] - upper[j]
+    return "minimal_a", j - i + 1
 
 
 def decomp_adjacent(lam: Partition, mu: Partition, ell: int) -> int:

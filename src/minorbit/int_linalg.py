@@ -350,6 +350,8 @@ def tensor_f_dimension(torsion: tuple[int, ...] | list[int], free_rank: int, ell
     """dim over F_ell of F_ell tensor (Z^free_rank + sum Z/t)."""
     if type(free_rank) is not int or free_rank < 0:
         raise DomainError(f"free rank {free_rank!r} is not an int >= 0")
+    if type(torsion) not in (tuple, list) or not {int}.issuperset(map(type, torsion)):
+        raise DomainError(f"torsion must be a tuple or list of ints: {torsion!r}")
     if not is_prime(ell):
         raise DomainError(f"{ell} is not prime")
     return free_rank + sum(1 for t in torsion if t % ell == 0)

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from minorbit import orbit_cohomology
 from minorbit.cli import main
@@ -262,3 +266,69 @@ def test_singular_cartan_names_the_type(module, argv, message, capsys, monkeypat
     code, out, err = run(capsys, *argv)
     shape = {"B3": "5x5", "F4": "2x2"}[argv[-1]]  # A5's Cartan matrix, and F4's long simple roots
     assert code == 4 and not out and err == f"invariant failure: {message} ({shape}) is singular\n"
+
+
+def _spaced(text):
+    return st.tuples(st.sampled_from(["", " ", "  ", "\t"]), st.sampled_from(["", " "])).map(
+        lambda pad: pad[0] + text + pad[1]
+    )
+
+
+# Ranks from 0 to past the 4,300 digits int() reads; admitted ranks above 20
+# only at the edges of the root budget, so the examples stay cheap to build.
+RANKS = st.one_of(
+    st.integers(0, 20).map(str),
+    st.sampled_from(["70", "71", "99", "100"]),
+    st.integers(1, 4301).map(lambda k: "9" * k),
+    st.integers(1, 4301).map(lambda k: "1" + "0" * (k - 1)),
+)
+SERIES = st.one_of(st.sampled_from("ABCDabcd"), st.sampled_from("EFGefgHQ"))
+LABELS = st.one_of(
+    st.tuples(SERIES, RANKS).flatmap(lambda lr: _spaced(lr[0] + lr[1])),
+    st.sampled_from(["E6", "e7", "E8", "f4", "G2"]).flatmap(_spaced),
+)
+ELLS = st.one_of(
+    st.sampled_from([2, 3, 5, 7, 11, 13]),
+    st.integers(-5, 30),
+    st.sampled_from([10**9 + 7, 2**61 - 1, 2**89 - 1, 10**40]),
+    st.integers(-(10**40), 10**40),
+).map(str)
+# admitted n above 32 cost up to a second a call (the CI runs n = 45)
+NS = st.one_of(st.integers(-3, 32), st.integers(46, 10**23)).map(str)
+FORMAT = st.sampled_from([[], ["--format", "json"]])
+ARGVS = st.one_of(
+    st.builds(
+        lambda mode, label, ell, fmt: ["decomp", mode, "--type", label, "--ell", ell, *fmt],
+        st.sampled_from(["minimal", "subregular", "simple"]),
+        LABELS,
+        ELLS,
+        FORMAT,
+    ),
+    st.builds(lambda label, fmt: ["decomp", "simple", "--type", label, *fmt], LABELS, FORMAT),
+    st.builds(lambda n, ell, fmt: ["springer-gln", "--n", n, "--ell", ell, *fmt], NS, ELLS, FORMAT),
+)
+
+
+def _run_quietly(argv):
+    """(exit code, stdout, stderr) of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# time_budget holds no state between examples, so one fixture serves them all
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ARGVS)
+@example(["decomp", "subregular", "--type", "B3", "--ell", "0"])  # once a ZeroDivisionError traceback
+def test_decomp_and_springer_gln_answer_or_refuse(time_budget, argv):
+    with time_budget(2.0):
+        code, out, err = _run_quietly(argv)
+    assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
+    assert bool(out) == (code == 0), argv
+    with time_budget(2.0):
+        assert _run_quietly(argv)[:2] == (code, out), argv

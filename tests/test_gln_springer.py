@@ -167,6 +167,32 @@ def test_ell_rules_refuse_ell_below_2_and_non_partitions(check):
             check(bad, 2)
 
 
+def _two_ways(call, partner):
+    return [lambda bad: call(bad, partner), lambda bad: call(partner, bad)]
+
+
+PARTITION_TAKERS = {
+    "adjacent_in_dominance": _two_ways(adjacent_in_dominance, (1, 1, 1)),
+    "conjugate": [conjugate],
+    "decomp_adjacent": _two_ways(lambda a, b: decomp_adjacent(a, b, 2), (1, 1, 1)),
+    "dominance_le": _two_ways(dominance_le, (1, 1, 1)),
+    "is_ell_regular": [lambda bad: is_ell_regular(bad, 2)],
+    "is_ell_restricted": [lambda bad: is_ell_restricted(bad, 2)],
+    "minimal_degeneration": _two_ways(minimal_degeneration, (1, 1, 1)),
+    "psi": [lambda bad: psi(bad, 2)],
+    "row_column_reduce": [lambda bad: row_column_reduce(bad, (1, 1, 1)), lambda bad: row_column_reduce((3,), bad)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARTITION_TAKERS))
+@pytest.mark.parametrize("bad", [[2, 1], "21", None], ids=["list", "str", "None"])
+def test_partition_takers_refuse_anything_but_a_tuple(name, bad):
+    # a list once raised a bare TypeError in some and was answered by others
+    for call in PARTITION_TAKERS[name]:
+        with pytest.raises(DomainError, match=f"^a partition is a tuple of parts, got a {type(bad).__name__}$"):
+            call(bad)
+
+
 @pytest.mark.parametrize(
     "call, args, message",
     [
@@ -236,7 +262,7 @@ def test_row_column_reduce():
 
 
 def test_row_column_reduce_idempotent():
-    for n in range(2, 9):
+    for n in range(2, 11):
         for lam, mu in itertools.combinations(partitions_of(n), 2):
             if not dominance_le(mu, lam):
                 continue
@@ -320,13 +346,42 @@ def test_minimal_degeneration_extremes():
         minimal_degeneration((4,), (2, 2))
 
 
+def classify_by_reduction(lam, mu):
+    """The reference: reduce the pair by row and column removal and read
+    which extreme is left, ("simple_A", m) or ("minimal_a", m), else None."""
+    if dominance_le(lam, mu):
+        lam, mu = mu, lam
+    upper, lower = row_column_reduce(lam, mu)
+    m = sum(upper)
+    if (upper, lower) == ((m,), (m - 1, 1)):
+        return "simple_A", m
+    if (upper, lower) == ((2,) + (1,) * (m - 2), (1,) * m):
+        return "minimal_a", m
+    return None
+
+
+def adjacent_pairs(n):
+    """Every adjacent pair of partitions of n, in both orders: by the cover
+    rule each lower cover moves one box of the upper partition down."""
+    for lam in partitions_of(n):
+        padded = lam + (0,)
+        for i, j in itertools.combinations(range(len(padded)), 2):
+            moved = list(padded)
+            moved[i] -= 1
+            moved[j] += 1
+            mu = tuple(x for x in moved if x)
+            if moved == sorted(moved, reverse=True) and adjacent_in_dominance(lam, mu):
+                yield lam, mu
+                yield mu, lam
+
+
 def test_minimal_degeneration_never_fails_below_13():
-    for n in range(2, 13):
-        for lam, mu in itertools.combinations(partitions_of(n), 2):
-            if adjacent_in_dominance(lam, mu):
-                kind, m = minimal_degeneration(lam, mu)
-                assert kind in ("simple_A", "minimal_a")
-                assert 2 <= m <= n
+    # the moved box's rows give the same extreme as the reduction, up to n = 14;
+    # a scan over all pairs of partitions finds the same 810 adjacent pairs
+    pairs = [pair for n in range(2, 15) for pair in adjacent_pairs(n)]
+    assert len(pairs) == 2 * 810
+    for lam, mu in pairs:
+        assert minimal_degeneration(lam, mu) == classify_by_reduction(lam, mu) is not None, (lam, mu)
 
 
 def test_decomp_adjacent_values():

@@ -216,6 +216,10 @@ def test_tensor_f_dimension():
     for free in [-1, 1.0, True, None]:
         with pytest.raises(DomainError, match="free rank"):
             tensor_f_dimension((2,), free, 2)
+    # "ab" and None once raised a bare TypeError, and (2.0,) counted as Z/2
+    for torsion in ["ab", None, 5, (2.0,), (True,), (2, None)]:
+        with pytest.raises(DomainError, match="torsion must be a tuple or list of ints"):
+            tensor_f_dimension(torsion, 0, 2)
 
 
 def test_is_prime_matches_trial_division():
