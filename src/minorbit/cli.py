@@ -84,10 +84,8 @@ def cmd_dmatrices(args) -> dict:
     return {
         "type": str(rs.type_label),
         "d": d,
-        "levels": [[list(root) for root in level] for level in long_root_poset.levels(rs)],
-        "matrices": [
-            {"i": i, "entries": [list(row) for row in long_root_poset.d_matrix(rs, i)]} for i in range(1, d)
-        ],
+        "levels": long_root_poset.levels(rs),
+        "matrices": [{"i": i, "entries": long_root_poset.d_matrix(rs, i)} for i in range(1, d)],
     }
 
 
@@ -159,8 +157,8 @@ def cmd_springer_gln(args) -> dict:
     return {
         "n": args.n,
         "ell": args.ell,
-        "image": [list(p) for p in image],
-        "map": [{"regular": list(mu), "orbit": list(_conjugate(mu))} for mu in regular],
+        "image": image,
+        "map": [{"regular": mu, "orbit": _conjugate(mu)} for mu in regular],
     }
 
 

@@ -93,8 +93,9 @@ def decomp_subregular(label: TypeLabel, ell: int) -> dict[str, int]:
     data = simple_singularity(label)
     s, n = label.series, label.rank
     out = dict.fromkeys(characters(data.symmetry_group, ell), 0)
+    dim = tensor_f_dimension(data.quotient, 0, ell)
     if data.symmetry_group == "trivial":
-        out["1"] = tensor_f_dimension(data.quotient, 0, ell)
+        out["1"] = dim
     elif s == "B" and ell == 2:
         out["1"] = 1
     elif s == "B" and n % ell == 0:
@@ -106,7 +107,7 @@ def decomp_subregular(label: TypeLabel, ell: int) -> dict[str, int]:
     elif s == "G" and ell == 2:
         out["psi"] = 1
     weighted = sum(character_degree(name) * mult for name, mult in out.items())
-    if weighted != tensor_f_dimension(data.quotient, 0, ell):
+    if weighted != dim:
         raise InvariantFailureError(
             f"degree-weighted multiplicities for {label} at ell={ell} do not "
             f"sum to the quotient dimension"

@@ -1,0 +1,141 @@
+"""The full tier: the tier-1 checks over every input the budgets admit.
+
+The golden tables stop at rank 8, so at ranks 9-99 the answers are held
+by these checks alone: the Weyl oracle on all 144 types its budget
+admits, the record checks on all 310 types the root budget admits, the
+dense route at the top rank of each classical series, the CLI in a fresh
+process at the top of each budget, and the Smith layer on dense matrices
+larger than any the pipeline makes.  Where a tier-1 test states a check
+on a sample, this module calls that test's body, or a helper both share,
+so each check is written once.
+
+The file is not named ``test_*.py``, so a plain ``pytest`` run does not
+collect it and tier-1 stays fast.  Naming it runs it, because pytest
+collects every file given on its command line:
+
+    PYTHONPATH=src python -m pytest -q tests/full_checks.py
+
+It takes 1.5-2 minutes on a 2-vCPU VM.
+"""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import test_gln_springer
+import test_int_linalg
+import test_long_root_poset
+import test_orbit_cohomology
+import test_root_system
+import test_weyl_oracle
+from minorbit import weyl_oracle
+from minorbit.int_linalg import invariant_factors
+from minorbit.root_system import build, parse_type
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+EXCEPTIONAL = ["E6", "E7", "E8", "F4", "G2"]
+
+
+def admitted(last_rank) -> list[str]:
+    """Every classical type up to last_rank(series), then the exceptional ones."""
+    first = test_root_system.FIRST_RANK
+    return [f"{s}{n}" for s in "ABCD" for n in range(first[s], last_rank(s) + 1)] + EXCEPTIONAL
+
+
+ORACLE_TYPES = admitted(test_weyl_oracle.last_verified_rank)
+RECORD_TYPES = admitted(test_root_system.last_admitted_rank)
+TOP_TYPES = [f"{s}{test_root_system.last_admitted_rank(s)}" for s in "ABCD"]
+
+
+@pytest.fixture(autouse=True)
+def clear_caches():
+    # a reflection table at the top of the oracle budget is about 30 MB
+    yield
+    for cache in (build, weyl_oracle._simple_reflections, weyl_oracle._reflection_table):
+        cache.cache_clear()
+
+
+def test_the_admitted_types():
+    assert len(ORACLE_TYPES) == 144
+    assert len(RECORD_TYPES) == 310
+    assert TOP_TYPES == ["A99", "B70", "C70", "D71"]
+
+
+@pytest.mark.parametrize("label", ORACLE_TYPES)
+def test_the_oracle_on_every_admitted_type(label):
+    test_weyl_oracle.test_verify_level_length(label)
+    test_weyl_oracle.test_verify_reflection_length(label)
+
+
+@pytest.mark.parametrize("name", RECORD_TYPES)
+def test_the_record_on_every_admitted_type(name):
+    rs = build(parse_type(name))
+    test_root_system.test_positive_root_order(rs)
+    test_root_system.test_highest_root(rs)
+    test_weyl_oracle.test_the_positions_the_oracle_reads(name)
+    test_long_root_poset.check_record_shape(rs)
+    test_long_root_poset.test_levels_hold_the_record_tuples_in_order(name)
+    test_long_root_poset.test_transpose_symmetry(name)
+
+
+@pytest.mark.parametrize("name", TOP_TYPES)
+def test_the_dense_route_at_the_top_ranks(name):
+    test_int_linalg.test_invariant_factors_on_boundary_matrices(name)
+    test_orbit_cohomology.test_cohomology_equals_the_all_matrices_loop(name)
+
+
+def test_type_a_alternative_at_a99():
+    test_orbit_cohomology.check_type_a_alternative(100)
+
+
+def test_minimal_degenerations_up_to_20():
+    test_gln_springer.check_minimal_degenerations(20, 5550)
+
+
+def cli(argv, timeout):
+    """The CLI in a fresh process, killed after timeout seconds."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    command = [sys.executable, "-m", "minorbit.cli", *argv]
+    return subprocess.run(command, env=env, capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("label", [f"{s}{test_weyl_oracle.last_verified_rank(s)}" for s in "ABCD"] + ["E8"])
+def test_verify_at_the_top_of_the_oracle_budget(label):
+    done = cli(["verify", "--type", label], timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "level-length: ok\nreflection-length: ok\n", "")
+
+
+# dmatrices prints 13-20 MB of JSON at the top ranks, too near the 2 s budget of the tier-1 CLI fuzz
+TOP_CALLS = [
+    pytest.param([*argv, name], 30, id=f"{argv[0]}-{name}")
+    for argv in (["cohomology", "--type"], ["dmatrices", "--format", "json", "--type"])
+    for name in TOP_TYPES
+] + [pytest.param(["springer-gln", "--n", "45", "--ell", "2"], 10, id="springer-gln-45")]
+
+
+@pytest.mark.parametrize("argv, timeout", TOP_CALLS)
+def test_the_cli_at_the_top_of_each_budget(argv, timeout):
+    done = cli(argv, timeout)
+    assert (done.returncode, done.stderr) == (0, ""), argv
+    assert done.stdout
+
+
+def test_a_dense_60x60_has_the_sympy_determinant():
+    # test_smith_dense_budget holds smith to invariant_factors on this matrix
+    sympy = pytest.importorskip("sympy")
+    m = test_int_linalg.dense(60, 60, 60)
+    assert math.prod(invariant_factors(m)) == abs(sympy.Matrix(m).det(method="bareiss"))
+
+
+def test_invariant_factors_of_dense_matrices_larger_than_any_boundary_matrix(time_budget):
+    shapes = [(100, 100), (150, 150), (120, 80)]
+    matrices = {shape: test_int_linalg.dense(*shape, shape[0] * shape[1]) for shape in shapes}
+    with time_budget(10):
+        factors = {shape: invariant_factors(m) for shape, m in matrices.items()}
+    assert all(len(f) == min(shape) for shape, f in factors.items())
+    sympy = pytest.importorskip("sympy")
+    assert math.prod(factors[100, 100]) == abs(sympy.Matrix(matrices[100, 100]).det(method="bareiss"))

@@ -117,6 +117,7 @@ def test_levels_hold_the_record_tuples_in_order(name):
     own = {id(root) for root in rs._level}
     for i, members in enumerate(levels(rs)):
         assert all(id(root) in own for root in members), f"{name} level {i}"
+        assert all(level(rs, root) == i for root in members), f"{name} level {i}"
         # reference order: decreasing lexicographic on the absolute coordinates
         assert members == tuple(sorted(members, key=lambda r: tuple(-abs(x) for x in r))), f"{name} level {i}"
 
@@ -149,12 +150,8 @@ def test_crossing_coefficients(name):
             assert edge_coefficient(rs, beta, alpha) == middle[row][col] == expected
 
 
-@pytest.mark.parametrize("name", POSET_TYPES + ["A30", "B20", "C20", "D20"])
-def test_lowering_edges_are_the_simple_reflections(name):
-    # the matrices build recorded from its closure: off the middle, every
-    # nonzero entry c at (alpha, beta) is a simple reflection, alpha = s_j(beta)
-    # with c = <beta, alpha_j^vee>, the negative half too
-    rs = build(parse_type(name))
+def check_record_shape(rs):
+    """The record's keys, its negative roots and the shape of its boundary matrices."""
     # is_root holds on exactly rs.roots: the keys of the record are its objects
     assert {id(root) for root in rs._level} == {id(root) for root in rs.roots}
     assert len(rs._level) == len(rs.roots) == len(set(rs.roots))
@@ -163,14 +160,24 @@ def test_lowering_edges_are_the_simple_reflections(name):
     assert all(rs.roots[npos + k] == tuple(-x for x in rs.roots[k]) for k in range(npos))
     lv, d = levels(rs), dimension(rs)
     assert len(rs._columns) == d and rs._columns[0] == ()
-    simple = simple_roots(rs)
     for i in range(1, d):
         columns = rs._columns[i]
-        assert len(columns) == len(lv[i - 1]), f"{name} D_{i}"
-        assert all(0 <= row < len(lv[i]) for column in columns for row in column), f"{name} D_{i}"
+        assert len(columns) == len(lv[i - 1]), f"{rs.type_label} D_{i}"
+        assert all(0 <= row < len(lv[i]) for column in columns for row in column), f"{rs.type_label} D_{i}"
+
+
+@pytest.mark.parametrize("name", POSET_TYPES + ["A30", "B20", "C20", "D20"])
+def test_lowering_edges_are_the_simple_reflections(name):
+    # the matrices build recorded from its closure: off the middle, every
+    # nonzero entry c at (alpha, beta) is a simple reflection, alpha = s_j(beta)
+    # with c = <beta, alpha_j^vee>, the negative half too
+    rs = build(parse_type(name))
+    check_record_shape(rs)
+    lv, simple = levels(rs), simple_roots(rs)
+    for i in range(1, dimension(rs)):
         if i == rs.h_dual - 1:
             continue
-        for beta, column in zip(lv[i - 1], columns):
+        for beta, column in zip(lv[i - 1], rs._columns[i]):
             edges = [(j, pairing(rs, beta, alpha)) for j, alpha in enumerate(simple)]
             expected = {lv[i].index(reflect(rs, beta, simple[j])): c for j, c in edges if c > 0}
             assert column == expected, f"{name} D_{i} {beta}"

@@ -8,7 +8,7 @@ import pytest
 from minorbit import cli, long_root_poset, weyl_oracle
 from minorbit.errors import DomainError, InvariantFailureError
 from minorbit.long_root_poset import level
-from minorbit.root_system import RootSystem, build, height, highest_root, is_long, parse_type
+from minorbit.root_system import RootSystem, TypeLabel, build, height, highest_root, is_long, parse_type
 from minorbit.weyl_oracle import (
     ORACLE_BUDGET,
     WeylElement,
@@ -27,7 +27,7 @@ from minorbit.weyl_oracle import (
     verify_reflection_length,
 )
 from test_long_root_poset import edge_coefficient
-from test_root_system import Poisoned, bilinear, coxeter_number, reflect, simple_roots, weyl_degrees
+from test_root_system import FIRST_RANK, Poisoned, bilinear, coxeter_number, reflect, simple_roots, weyl_degrees
 
 SMALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2"]
 # every type with |W| <= |W(E6)| = 51840
@@ -288,19 +288,36 @@ def test_coset_reps_build_no_table(time_budget):
     assert _reflection_table.cache_info() == before
 
 
+# max(|W^J|, |Phi^+|) * |Phi| in closed form: |W^J| counts the long roots, n(n+1)
+# in A_n, 2n(n-1) in B_n and D_n, and 2n in C_n; |Phi^+| is half of |Phi|
+VERIFY_COST = {
+    "A": lambda n: (n * (n + 1)) ** 2,
+    "B": lambda n: max(2 * n * (n - 1), n**2) * 2 * n**2,
+    "C": lambda n: max(2 * n, n**2) * 2 * n**2,
+    "D": lambda n: (2 * n * (n - 1)) ** 2,
+}
+
+
+def last_verified_rank(series: str) -> int:
+    """Largest rank whose closed-form verify cost fits the oracle budget."""
+    n = FIRST_RANK[series]
+    while VERIFY_COST[series](n + 1) <= ORACLE_BUDGET:
+        n += 1
+    return n
+
+
 def test_budget_at_its_boundary(time_budget):
-    # verify walks max(|W^J|, |Phi^+|) elements times |Phi| roots.  A_n:
-    # |W^J| = |Phi| = n(n+1); C_n: |W^J| = 2n < |Phi^+| = n^2, |Phi| = 2n^2.
-    last_a = max(n for n in range(1, 100) if (n * (n + 1)) ** 2 <= ORACLE_BUDGET)
-    last_c = max(n for n in range(2, 100) if n**2 * 2 * n**2 <= ORACLE_BUDGET)
-    assert (last_a, last_c) == (44, 37)
-    for label, count in ((f"A{last_a}", last_a * (last_a + 1)), (f"C{last_c}", last_c**2)):
-        rs = build(parse_type(label))
-        assert _check_verify_budget(rs) == _coset_count(rs, _orthogonal_simple_indices(rs))
-        assert max(_coset_count(rs, _orthogonal_simple_indices(rs)), len(rs.positive_roots)) == count
+    # verify walks max(|W^J|, |Phi^+|) elements times |Phi| roots
+    tops = {series: last_verified_rank(series) for series in VERIFY_COST}
+    assert tops == {"A": 44, "B": 31, "C": 37, "D": 32}
+    for series, n in tops.items():
+        rs = build(TypeLabel(series, n))
+        n_long = _coset_count(rs, _orthogonal_simple_indices(rs))
+        assert _check_verify_budget(rs) == n_long
+        assert max(n_long, len(rs.positive_roots)) * len(rs.roots) == VERIFY_COST[series](n)
     tables, simple = _reflection_table.cache_info(), _simple_reflections.cache_info()
-    for label in (f"A{last_a + 1}", f"C{last_c + 1}"):
-        rs = build(parse_type(label))
+    for series, n in tops.items():
+        rs = build(TypeLabel(series, n + 1))
         for check in (verify_level_length, verify_reflection_length):
             with time_budget(1.0), pytest.raises(DomainError, match="over the budget"):
                 check(rs)
@@ -323,14 +340,15 @@ def test_g2_coset_reps_lengths():
     assert by_image[(1, 0)].length == 2
 
 
+# the full tier runs these two on every type the budget admits; a failure names its reason
 @pytest.mark.parametrize("label", SMALL_TYPES)
 def test_verify_level_length(label):
-    assert verify_level_length(build(parse_type(label)))
+    assert level_length_failure(build(parse_type(label))) is None
 
 
 @pytest.mark.parametrize("label", SMALL_TYPES)
 def test_verify_reflection_length(label):
-    assert verify_reflection_length(build(parse_type(label)))
+    assert reflection_length_failure(build(parse_type(label))) is None
 
 
 def test_verify_e6():
