@@ -301,6 +301,9 @@ def dual_height(rs: RootSystem, root: Root) -> int:
 
 
 def _check_indices(rs: RootSystem, indices) -> None:
+    if type(indices) not in (tuple, list, range):  # an iterator would be spent by the checks, a dict read by its keys
+        name = type(indices).__name__
+        raise DomainError(f"simple-root indices of {rs.type_label} are a tuple, list or range, got {name}")
     for i in indices:
         if type(i) is not int or not 0 <= i < rs.rank:
             raise DomainError(f"{i!r} is not a simple-root index of {rs.type_label}")

@@ -3,16 +3,24 @@
 The level grading on long roots is the length function on W^J, the
 minimal representatives of W modulo the stabilizer W_J of the highest
 root (J: the simple roots orthogonal to it).  This module checks that
-dictionary without building W: ``coset_reps`` generates W^I for any
+dictionary without building W: ``_walk`` generates W^I for any
 simple-root subset I by left multiplication (Deodhar's lemma; Bjorner and
-Brenti, Combinatorics of Coxeter Groups, 2.4-2.5), deciding every step on
-the permutations alone, never through ``levels`` or the boundary matrices.
+Brenti, Combinatorics of Coxeter Groups, 2.4-2.5), one length at a time,
+holding two layers at once and deciding every step on the permutations
+alone, never through ``levels`` or the boundary matrices.  ``coset_reps``
+collects the walk into a tuple.
 
 An element is a permutation of the root list, a tuple with perm[i] the
 index of the image of root i; the positive roots come first, so a root
 index i is positive iff i < |Phi^+|.  Only the simple reflections come
-from the Cartan matrix; the others are conjugated from them once per type
-(s_gamma = s_j s_{s_j(gamma)} s_j), and both checks read that table.
+from the Cartan matrix; the others are conjugated from them
+(s_gamma = s_j s_{s_j(gamma)} s_j).  Kept per type, for the 16 most
+recent types, and made from the Cartan matrix and the root list alone:
+the simple reflections, the table of every s_gamma, which both checks
+read, and ``_coset_table``, which keeps of each element of W^J its image
+of the highest root, its length and its images of the simple roots.
+Each call compares these with the record afresh, so a warm cache decides
+no verdict; the level check builds its table of root lines per call.
 Each call refuses, before any work, an input whose element count times
 |Phi| exceeds ORACLE_BUDGET: |W^I| in ``coset_reps``, the larger of
 |W^J| and |Phi^+| in the checks.
@@ -23,7 +31,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import lru_cache, partial
-from itertools import compress
+from itertools import compress, repeat
 from operator import add, itemgetter, sub
 
 from . import long_root_poset
@@ -48,7 +56,8 @@ def _root_index(rs: RootSystem) -> dict:
 def _simple_reflection(rs: RootSystem, index: dict, k: int) -> tuple[int, ...]:
     """The permutation of the roots made by s_k, which changes coordinate k alone:
     s_k(v) = v - c alpha_k with c = <v, alpha_k^vee> = sum_i v_i cartan[i][k].  Only the
-    positive v with c != 0 are looked up; s_k(-v) = -s_k(v)."""
+    positive v with c != 0 are looked up; s_k(-v) = -s_k(v).  Its entries are the int
+    objects of ``index``, so every permutation composed from it shares them too."""
     positive = rs.positive_roots
     npos = len(positive)
     dots = [0] * npos
@@ -59,7 +68,7 @@ def _simple_reflection(rs: RootSystem, index: dict, k: int) -> tuple[int, ...]:
     for i in compress(range(npos), dots):
         v = positive[i]
         perm[i] = index[v[:k] + (v[k] - dots[i],) + v[k + 1 :]]
-    return tuple(perm + [p + npos if p < npos else p - npos for p in perm])
+    return _compose(tuple(index.values()), perm + [p + npos if p < npos else p - npos for p in perm])
 
 
 @lru_cache(maxsize=16)  # as the table below: every type a session verifies
@@ -112,15 +121,19 @@ def _coset_count(rs: RootSystem, indices) -> int:
     return math.prod(h + 1 for h in heights) // math.prod(heights)
 
 
-def coset_reps(rs: RootSystem, indices) -> tuple[WeylElement, ...]:
-    """Minimal-length representatives of W / W_I for a simple-root subset I,
-    in order of length; ``coset_reps(rs, ())`` is all of W.
+def _walk(rs: RootSystem, indices):
+    """W^I for a simple-root subset I, one length at a time from the identity:
+    each layer is a list of (w, w's images of the simple roots), and only it
+    and the next are held.  The images determine w; A1 keeps a second one,
+    the image of -alpha_1, so ``_compose`` returns a tuple on them.
 
     W^I is the set of w sending every alpha_k, k in I, to a positive root.
     From w in W^I, s_j w is longer exactly when w^-1(alpha_j) > 0, and
     then s_j w lies in W^I unless w^-1(alpha_j) is some alpha_k, k in I,
     because s_j makes only alpha_j negative among the positive roots.
-    Every element of W^I is reached this way from the identity.
+    Every element of W^I is reached this way from the identity.  Each w
+    travels with w^-1, so w^-1(alpha_j) is one lookup, and a new s_j w is
+    told apart by its images of the simple roots.
     """
     _check_indices(rs, indices)
     count = _coset_count(rs, indices)
@@ -128,28 +141,43 @@ def coset_reps(rs: RootSystem, indices) -> tuple[WeylElement, ...]:
     npos = len(rs.positive_roots)
     blocked = set(indices)  # alpha_k is root k
     gens = _simple_reflections(rs)
-    reps = []
-    frontier = [tuple(range(len(rs.roots)))]
-    length = 0
-    while frontier:
-        reps.extend(WeylElement(w, length) for w in frontier)
-        if len(reps) > count:  # a record that breaks the rule above would walk on without end
+    identity = tuple(range(len(rs.roots)))
+    layer, seen, length = [(identity, identity[: max(rs.rank, 2)], identity)], 0, 0  # (w, images, w^-1)
+    while layer:
+        seen += len(layer)
+        if seen > count:  # a record that breaks the rule above would walk on without end
             raise InvariantFailureError(f"{rs.type_label}: the walk passed |W^I| = {count} at length {length}")
+        yield [(w, images) for w, images, _ in layer]
         longer = {}  # every s_j w found is one longer than w, so only these can repeat
-        for w in frontier:
+        for w, images, inverse in layer:
             for j, s in enumerate(gens):
-                pre = w.index(j)  # w^-1(alpha_j)
+                pre = inverse[j]  # w^-1(alpha_j)
                 if pre < npos and pre not in blocked:
-                    longer[_compose(s, w)] = None
-        frontier = list(longer)
+                    longer.setdefault(_compose(s, images), (s, w, inverse))
+        layer = [(_compose(s, w), images, _compose(inverse, s)) for images, (s, w, inverse) in longer.items()]
         length += 1
-    return tuple(reps)
+
+
+def coset_reps(rs: RootSystem, indices) -> tuple[WeylElement, ...]:
+    """Minimal-length representatives of W / W_I for a simple-root subset I,
+    in order of length; ``coset_reps(rs, ())`` is all of W (see ``_walk``)."""
+    return tuple(WeylElement(w, length) for length, layer in enumerate(_walk(rs, indices)) for w, _ in layer)
 
 
 def _orthogonal_simple_indices(rs: RootSystem) -> tuple[int, ...]:
     """The k with <theta, alpha_k^vee> = 0, read off column k of the Cartan matrix."""
     top = highest_root(rs)
     return tuple(k for k in range(rs.rank) if not sum(t * row[k] for t, row in zip(top, rs.cartan)))
+
+
+@lru_cache(maxsize=16)  # as the reflection table: every type a session verifies
+def _coset_table(rs: RootSystem) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """For each x in W^J, J the simple roots orthogonal to the highest root, in
+    walk order: (index of x(highest root), length of x, x's images of the simple
+    roots, as ``_walk`` gives them)."""
+    top = len(rs.positive_roots) - 1
+    layers = enumerate(_walk(rs, _orthogonal_simple_indices(rs)))
+    return tuple((w[top], length, images) for length, layer in layers for w, images in layer)
 
 
 def level_length_failure(rs: RootSystem) -> str | None:
@@ -166,27 +194,31 @@ def level_length_failure(rs: RootSystem) -> str | None:
     matrix).  So one table, built per call, maps each c gamma (gamma in
     Phi^+, 0 < |c| <= 3) to (s_gamma, c): each pair looks up beta - alpha
     once, and the entry must be that c when s_gamma x_beta = x_alpha, and
-    0 otherwise.  A failure means the level combinatorics and the group
-    disagree, i.e. an implementation bug.
+    0 otherwise, decided on the images of the simple roots that
+    ``_coset_table`` keeps per type.  A failure means the level
+    combinatorics and the group disagree, i.e. an implementation bug.
     """
     n_long = _check_verify_budget(rs)
-    top_idx = len(rs.positive_roots) - 1  # the highest root
-    reps = coset_reps(rs, _orthogonal_simple_indices(rs))
-    if len(reps) != n_long:
-        return f"W^J has {len(reps)} elements, but there are {n_long} long roots"
+    table = _coset_table(rs)
+    if len(table) != n_long:
+        return f"W^J has {len(table)} elements, but there are {n_long} long roots"
 
     by_root = {}
-    for w in reps:
-        image = rs.roots[w.perm[top_idx]]
+    for top, length, images in table:
+        image = rs.roots[top]
         if image in by_root:
             return f"two representatives send the highest root to {image}"
         level = long_root_poset.level(rs, image)
-        if w.length != level:
-            return f"the representative sending the highest root to {image} has length {w.length}, level {level}"
-        by_root[image] = w.perm
+        if length != level:
+            return f"the representative sending the highest root to {image} has length {length}, level {level}"
+        by_root[image] = images
 
-    reflections = list(zip(rs.positive_roots, _reflection_table(rs)))
-    lines = {tuple(map(c.__mul__, gamma)): (s, c) for c in (-3, -2, -1, 1, 2, 3) for gamma, s in reflections}
+    positive, reflections = rs.positive_roots, _reflection_table(rs)
+    roots_on_line = {1: positive, -1: rs.roots[len(positive) :]}  # shared, not copied: 1 MB at C37
+    lines = {}
+    for c in (-3, -2, -1, 1, 2, 3):
+        keys = roots_on_line.get(c) or [tuple(map(c.__mul__, v)) for v in positive]
+        lines.update(zip(keys, zip(reflections, repeat(c))))
     lv = long_root_poset.levels(rs)
     for i in range(len(lv) - 1):
         for beta, column in zip(lv[i], rs._columns[i + 1]):

@@ -55,7 +55,7 @@ TOP_TYPES = [f"{s}{test_root_system.last_admitted_rank(s)}" for s in "ABCD"]
 def clear_caches():
     # a reflection table at the top of the oracle budget is about 30 MB
     yield
-    for cache in (build, weyl_oracle._simple_reflections, weyl_oracle._reflection_table):
+    for cache in (build, weyl_oracle._simple_reflections, weyl_oracle._reflection_table, weyl_oracle._coset_table):
         cache.cache_clear()
 
 
@@ -67,8 +67,10 @@ def test_the_admitted_types():
 
 @pytest.mark.parametrize("label", ORACLE_TYPES)
 def test_the_oracle_on_every_admitted_type(label):
+    # cold, then warm on the caches the first call filled: the same verdict
     test_weyl_oracle.test_verify_level_length(label)
     test_weyl_oracle.test_verify_reflection_length(label)
+    assert test_weyl_oracle.reasons(build(parse_type(label))) == (None, None)
 
 
 @pytest.mark.parametrize("name", RECORD_TYPES)
@@ -107,6 +109,30 @@ def cli(argv, timeout):
 def test_verify_at_the_top_of_the_oracle_budget(label):
     done = cli(["verify", "--type", label], timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "level-length: ok\nreflection-length: ok\n", "")
+
+
+# The child reads its own peak from /proc/self/status: VmHWM starts afresh at exec,
+# where ru_maxrss would carry over the peak of the process that started it.
+PEAK_OF_VERIFY = """
+import sys
+from minorbit import cli
+code = cli.main(["verify", "--type", sys.argv[1]])
+status = dict(line.split(":", 1) for line in open("/proc/self/status"))
+print(code, int(status["VmHWM"].split()[0]) // 1024, file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="VmHWM is read from Linux's /proc")
+@pytest.mark.parametrize("label", [f"{s}{test_weyl_oracle.last_verified_rank(s)}" for s in "ABCD"])
+def test_cold_verify_at_the_top_of_the_budget_peaks_under_50_mb(label):
+    # W^J is walked two layers at a time, so no call holds |W^J| |Phi| slots (31 MB at A44) at once
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", PEAK_OF_VERIFY, label], env=env, capture_output=True, text=True, timeout=60
+    )
+    code, peak_mb = map(int, done.stderr.split())
+    assert (code, done.stdout) == (0, "level-length: ok\nreflection-length: ok\n")
+    assert peak_mb < 50, f"{label}: cold verify peaked at {peak_mb} MB"
 
 
 # dmatrices prints 13-20 MB of JSON at the top ranks, too near the 2 s budget of the tier-1 CLI fuzz

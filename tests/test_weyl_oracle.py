@@ -1,6 +1,8 @@
 import itertools
 import math
+import random
 import re
+import tracemalloc
 from operator import add, itemgetter, sub
 
 import pytest
@@ -8,7 +10,16 @@ import pytest
 from minorbit import cli, long_root_poset, weyl_oracle
 from minorbit.errors import DomainError, InvariantFailureError
 from minorbit.long_root_poset import level
-from minorbit.root_system import RootSystem, TypeLabel, build, height, highest_root, is_long, parse_type
+from minorbit.root_system import (
+    RootSystem,
+    TypeLabel,
+    build,
+    cartan_of_subset,
+    height,
+    highest_root,
+    is_long,
+    parse_type,
+)
 from minorbit.weyl_oracle import (
     ORACLE_BUDGET,
     WeylElement,
@@ -16,10 +27,12 @@ from minorbit.weyl_oracle import (
     _check_verify_budget,
     _compose,
     _coset_count,
+    _coset_table,
     _orthogonal_simple_indices,
     _reflection_table,
     _root_index,
     _simple_reflections,
+    _walk,
     coset_reps,
     level_length_failure,
     reflection_length_failure,
@@ -233,9 +246,10 @@ def test_the_positions_the_oracle_reads(label):
 
 
 def clear_oracle_caches():
-    # both caches are keyed on the type label, which a copy of the record shares
+    # the caches are keyed on the type label, which a copy of the record shares
     _simple_reflections.cache_clear()
     _reflection_table.cache_clear()
+    _coset_table.cache_clear()
 
 
 @pytest.mark.parametrize("label", ["A4", "B3", "C4", "D5", "F4", "G2"])
@@ -249,9 +263,11 @@ def test_the_oracle_does_not_read_the_edge_record(label):
     try:
         indices = _orthogonal_simple_indices(blind)
         seen = (_simple_reflections(blind), _reflection_table(blind), indices, coset_reps(blind, indices))
+        table = _coset_table(blind)
         clear_oracle_caches()
         indices = _orthogonal_simple_indices(rs)
         assert seen == (_simple_reflections(rs), _reflection_table(rs), indices, coset_reps(rs, indices))
+        assert table == _coset_table(rs)
     finally:
         clear_oracle_caches()
 
@@ -259,7 +275,8 @@ def test_the_oracle_does_not_read_the_edge_record(label):
 @pytest.mark.parametrize("label", ["A4", "D5", "E6"])
 def test_coset_reps_stop_past_the_coset_count(label, time_budget):
     # with alpha_1 listed last in Phi^+, root k is no longer alpha_k, so the walk
-    # blocks the wrong roots; it must fail once it passes |W^I|, not run on
+    # blocks the wrong roots; it must fail once it passes |W^I|, not run on, both
+    # in coset_reps and in the level check, which walks W^J for its table
     rs = build(parse_type(label))
     positive = rs.positive_roots[1:] + rs.positive_roots[:1]
     negative = tuple(tuple(-x for x in v) for v in positive)
@@ -271,6 +288,8 @@ def test_coset_reps_stop_past_the_coset_count(label, time_budget):
         message = rf"^{label}: the walk passed \|W\^I\| = {count} at length \d+$"
         with time_budget(2.0), pytest.raises(InvariantFailureError, match=message):
             coset_reps(moved, indices)
+        with time_budget(2.0), pytest.raises(InvariantFailureError, match=message):
+            level_length_failure(moved)
     finally:
         clear_oracle_caches()
 
@@ -286,6 +305,38 @@ def test_coset_reps_build_no_table(time_budget):
     assert len(reps) == 100 == _coset_count(a99, tuple(range(1, 99)))
     assert [w.length for w in reps] == list(range(100))
     assert _reflection_table.cache_info() == before
+
+
+@pytest.mark.parametrize("label", UP_TO_E6)
+def test_the_coset_table_reads_the_walk(label):
+    # the walk yields W^J one length at a time, and the table keeps of each element
+    # its image of the highest root, its length and its images of the simple roots
+    rs = build(parse_type(label))
+    indices = _orthogonal_simple_indices(rs)
+    reps = coset_reps(rs, indices)
+    layers = list(_walk(rs, indices))
+    assert [len(layer) for layer in layers] == [sum(w.length == k for w in reps) for k in range(len(layers))]
+    assert all(images == w[: max(rs.rank, 2)] for layer in layers for w, images in layer)
+    top = len(rs.positive_roots) - 1
+    assert _coset_table(rs) == tuple((w.perm[top], w.length, w.perm[: max(rs.rank, 2)]) for w in reps)
+    assert len({images for _, _, images in _coset_table(rs)}) == len(reps)
+
+
+@pytest.mark.parametrize("label", ["A30", "B20", "D20"])
+def test_the_table_walks_two_layers_at_a_time(label):
+    # W^J as permutations would be |W^J| |Phi| tuple slots of 8 bytes; the walk
+    # holds two layers of (w, w^-1) and the table a few ints per element
+    rs = build(parse_type(label))
+    _simple_reflections(rs)
+    _coset_table.cache_clear()
+    tracemalloc.start()
+    try:
+        _coset_table(rs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        _coset_table.cache_clear()
+    assert peak < _coset_count(rs, _orthogonal_simple_indices(rs)) * len(rs.roots) * 8 / 4
 
 
 # max(|W^J|, |Phi^+|) * |Phi| in closed form: |W^J| counts the long roots, n(n+1)
@@ -315,14 +366,15 @@ def test_budget_at_its_boundary(time_budget):
         n_long = _coset_count(rs, _orthogonal_simple_indices(rs))
         assert _check_verify_budget(rs) == n_long
         assert max(n_long, len(rs.positive_roots)) * len(rs.roots) == VERIFY_COST[series](n)
-    tables, simple = _reflection_table.cache_info(), _simple_reflections.cache_info()
+    caches = (_reflection_table, _simple_reflections, _coset_table)
+    before = [cache.cache_info() for cache in caches]
     for series, n in tops.items():
         rs = build(TypeLabel(series, n + 1))
         for check in (verify_level_length, verify_reflection_length):
             with time_budget(1.0), pytest.raises(DomainError, match="over the budget"):
                 check(rs)
-    # refused before any work: no reflection was made
-    assert (_reflection_table.cache_info(), _simple_reflections.cache_info()) == (tables, simple)
+    # refused before any work: no reflection was made and W^J was not walked
+    assert [cache.cache_info() for cache in caches] == before
     # the whole of W(E6) is admitted, so the oracle above can be compared with it
     e6 = build(parse_type("E6"))
     _check_budget(e6, group_order(e6), "|W|")
@@ -445,10 +497,16 @@ def test_failure_when_the_group_lacks_the_reflection(monkeypatch):
 
 
 def test_failure_names_a_repeated_image(monkeypatch):
+    # the walk's last element replaced by its first, the identity, which the table then holds twice
     b3 = build(parse_type("B3"))
-    true_reps = coset_reps(b3, _orthogonal_simple_indices(b3))
-    monkeypatch.setattr(weyl_oracle, "coset_reps", lambda rs, indices: true_reps[:-1] + true_reps[:1])
-    assert level_length_failure(b3) == f"two representatives send the highest root to {highest_root(b3)}"
+    layers = list(_walk(b3, _orthogonal_simple_indices(b3)))
+    layers[-1][-1] = layers[0][0]
+    monkeypatch.setattr(weyl_oracle, "_walk", lambda rs, indices: iter(layers))
+    clear_oracle_caches()
+    try:
+        assert level_length_failure(b3) == f"two representatives send the highest root to {highest_root(b3)}"
+    finally:
+        clear_oracle_caches()
 
 
 def test_failure_names_the_root(monkeypatch, capsys):
@@ -466,6 +524,95 @@ def test_failure_names_the_root(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == "level-length: FAILED\nreflection-length: FAILED\n"
     assert captured.err.splitlines()[1] == f"reflection-length: the reflection in {top} has length 5, expected 7"
+
+
+def bad_records():
+    """A copy of the B3, G2 and A3 records each, with one boundary-matrix entry changed."""
+    b3, g2, a3 = (build(parse_type(name)) for name in ("B3", "G2", "A3"))
+    mat = long_root_poset.d_matrix(a3, 2)
+    row, col = next((r, c) for r in range(len(mat)) for c in range(len(mat[0])) if not mat[r][c])
+    return [_patch_entry(b3, 3, 0, 0, 2), _patch_entry(g2, 2, 0, 0, 0), _patch_entry(a3, 2, row, col, 1)]
+
+
+def reasons(rs):
+    return level_length_failure(rs), reflection_length_failure(rs)
+
+
+def test_warm_state_hides_no_bad_record(monkeypatch):
+    # the caches hold what the Cartan matrix and the root list give, which a patched
+    # record or a patched level shares with the clean one; every call still compares
+    # them with the record, so a clean verify first changes no verdict and no reason
+    records = bad_records()
+    g2 = build(parse_type("G2"))
+    top = highest_root(g2)
+    true_level, true_dual_height = long_root_poset.level, weyl_oracle.dual_height
+
+    def shifted(patch):
+        patch.setattr(long_root_poset, "level", lambda rs, v: true_level(rs, v) + (v == top))
+        patch.setattr(weyl_oracle, "dual_height", lambda rs, v: true_dual_height(rs, v) + (v == top))
+
+    clear_oracle_caches()
+    try:
+        cold = [reasons(rs) for rs in records]
+        with monkeypatch.context() as patch:
+            shifted(patch)
+            cold_shifted = reasons(g2)
+        clear_oracle_caches()
+        for name in ("B3", "G2", "A3"):
+            assert reasons(build(parse_type(name))) == (None, None)
+        assert [reasons(rs) for rs in records] == cold
+        assert all(level for level, _ in cold)
+        with monkeypatch.context() as patch:
+            shifted(patch)
+            assert reasons(g2) == cold_shifted
+        assert all(cold_shifted)
+    finally:
+        clear_oracle_caches()
+
+
+def failure_by_permutations(rs):
+    """The level check on whole permutations, the reference for the table's images:
+    W^J from coset_reps, and an edge decided by composing s_gamma with x_beta on all of Phi."""
+    n_long = sum(map(len, rs._levels))
+    reps = coset_reps(rs, _orthogonal_simple_indices(rs))
+    if len(reps) != n_long:
+        return f"W^J has {len(reps)} elements, but there are {n_long} long roots"
+    by_root = {}
+    for w in reps:
+        image = rs.roots[w.perm[len(rs.positive_roots) - 1]]
+        if image in by_root:
+            return f"two representatives send the highest root to {image}"
+        if w.length != (grade := level(rs, image)):
+            return f"the representative sending the highest root to {image} has length {w.length}, level {grade}"
+        by_root[image] = w.perm
+    reflections = list(zip(rs.positive_roots, _reflection_table(rs)))
+    lines = {tuple(c * g for g in gamma): (s, c) for c in (-3, -2, -1, 1, 2, 3) for gamma, s in reflections}
+    lv = long_root_poset.levels(rs)
+    for i in range(len(lv) - 1):
+        for beta, column in zip(lv[i], rs._columns[i + 1]):
+            for row, alpha in enumerate(lv[i + 1]):
+                s, expected = lines.get(tuple(map(sub, beta, alpha)), (None, 0))
+                if s is not None and _compose(s, by_root[beta]) != by_root[alpha]:
+                    expected = 0
+                if (entry := column.get(row, 0)) != expected:
+                    return f"({beta}, {alpha}): d_matrix({i + 1}) entry {entry}, expected {expected}"
+    return None
+
+
+@pytest.mark.parametrize("label", SMALL_TYPES + ["D5", "E6"])
+def test_failure_equals_the_permutation_route(label):
+    # on the record and on 40 copies with one entry changed, the images of the simple
+    # roots give the verdict and the reason that whole permutations give
+    rs = build(parse_type(label))
+    rng = random.Random(label)
+    records = [rs]
+    for _ in range(40):
+        i = rng.randrange(1, len(rs._columns))
+        col, row = rng.randrange(len(rs._levels[i - 1])), rng.randrange(len(rs._levels[i]))
+        records.append(_patch_entry(rs, i, row, col, rng.choice([0, -1, 1, 2, 3])))
+    found = [level_length_failure(record) for record in records]
+    assert found == [failure_by_permutations(record) for record in records]
+    assert found[0] is None and any(found)
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2"])
@@ -536,6 +683,19 @@ def test_coset_reps_refuses_an_index_outside_the_diagram(indices):
     # check comes before the coset count and the budget
     with pytest.raises(DomainError, match=rf"^{indices[-1]!r} is not a simple-root index of A3$"):
         coset_reps(build(parse_type("A3")), indices)
+
+
+@pytest.mark.parametrize("indices", [iter([0, 1]), None, 1, {0: 0}, "01", {0, 1}, (i for i in [0])])
+def test_coset_reps_refuses_indices_that_are_no_sequence(indices):
+    # an iterator would be spent by the checks before the walk, an int or None is not
+    # iterable, and a dict would be read by its keys: none of them reaches the walk
+    name = type(indices).__name__
+    message = rf"^simple-root indices of A3 are a tuple, list or range, got {name}$"
+    a3 = build(parse_type("A3"))
+    with pytest.raises(DomainError, match=message):
+        coset_reps(a3, indices)
+    with pytest.raises(DomainError, match=message):
+        cartan_of_subset(a3, indices)
 
 
 @pytest.mark.parametrize("indices", [[0, 0], [2, 1, 2], (0, 1, 2, 0)])
