@@ -2,9 +2,10 @@
 
 Everything here works on plain ``list[list[int]]`` matrices with Python's
 arbitrary-precision integers, so no intermediate result can overflow.  An
-entry that is not an ``int`` (bools included) raises DomainError.  Inputs
-are only read, so a tuple of tuples serves as well.  A matrix with zero
-columns is written ``[[], [], ...]``; a 0x0 matrix is ``[]``.
+entry that is not an ``int`` (bools included) raises DomainError, as does
+a matrix or a row that is not a list or tuple.  Inputs are only read, so a
+tuple of tuples serves as well.  A matrix with zero columns is written
+``[[], [], ...]``; a 0x0 matrix is ``[]``.
 
 Both Smith entry points diagonalise by row Hermite passes (Kannan and
 Bachem, SIAM J. Comput. 8, 1979), every entry reduced modulo a pivot.
@@ -36,7 +37,10 @@ Matrix = list[list[int]]
 
 
 def _shape(matrix: Matrix) -> tuple[int, int]:
-    """(rows, columns); DomainError for a ragged matrix or a non-int entry."""
+    """(rows, columns); DomainError for anything but a list or tuple of rows,
+    each a list or tuple, for a ragged matrix or for a non-int entry."""
+    if type(matrix) not in (list, tuple) or not {list, tuple}.issuperset(map(type, matrix)):
+        raise DomainError("a matrix is a list or tuple of rows, each a list or tuple")
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     if not {n}.issuperset(map(len, matrix)):
@@ -262,7 +266,8 @@ def smith(matrix: Matrix) -> SmithForm:
 
 def invariant_factors(matrix: Matrix) -> tuple[int, ...]:
     """Nonzero diagonal of the Smith form, in divisibility order."""
-    return _invariant_factors((compress(enumerate(row), row) for row in matrix), _shape(matrix)[1])
+    width = _shape(matrix)[1]  # before the rows are iterated
+    return _invariant_factors((compress(enumerate(row), row) for row in matrix), width)
 
 
 def _invariant_factors(rows, width: int) -> tuple[int, ...]:
@@ -304,8 +309,9 @@ def cokernel(matrix: Matrix) -> tuple[int, tuple[int, ...]]:
 
 
 def kernel_rank(matrix: Matrix) -> int:
-    """Dimension of the rational kernel (columns minus rank)."""
-    return len(matrix[0]) - rank(matrix) if matrix else 0
+    """Dimension of the rational kernel (columns minus rank); ``rank`` checks the shape first."""
+    r = rank(matrix)
+    return len(matrix[0]) - r if matrix else 0
 
 
 # Miller-Rabin with the first 13 primes as bases decides every p below

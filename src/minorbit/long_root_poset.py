@@ -6,22 +6,22 @@ the negative side.  Multiplication by the Chern class of the minimal-orbit
 resolution acts level by level through the boundary matrices: entry
 (alpha, beta) of matrix i, from level i-1 to level i, is <beta, gamma^vee>
 when a reflection s_gamma sends beta to alpha, else 0.  ``build`` records
-the grading and the nonzero entries of each column of every matrix from
-its closure.  The cohomology reads those columns as the rows of the
-transpose and ``weyl_oracle`` certifies them entry by entry; ``d_matrix``
-is a dense view for printing and the tests, which hold it equal to the
-pairwise definition.
+the grading and, from its closure, the nonzero entries of each column of
+matrices 1 .. h_dual - 1.  The cohomology reads those columns as the rows
+of the transpose and ``weyl_oracle`` certifies them entry by entry;
+``d_matrix`` is a dense view for printing and the tests, which hold it
+equal to the pairwise definition.
 
 Each level is in decreasing lexicographic order of the absolute coordinate
 vector: on positive levels, the order of the published diagrams.  Negation
 maps level i onto level 2 h_dual - 3 - i and keeps the absolute coordinates,
-so the matrices in complementary degrees are literal transposes of each other.
+so matrix d - i is the literal transpose of matrix i, and is not recorded.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError
-from .root_system import Root, RootSystem
+from .root_system import Root, RootSystem, _long_level
 
 
 def dimension(rs: RootSystem) -> int:
@@ -31,10 +31,7 @@ def dimension(rs: RootSystem) -> int:
 
 def level(rs: RootSystem, root: Root) -> int:
     """Grading of a long root, from 0 (highest root) to 2 h_dual - 3."""
-    lv = rs._level.get(root)
-    if lv is None:
-        raise DomainError(f"level is defined on long roots only, got {root}")
-    return lv
+    return _long_level(rs, root, "level")
 
 
 def levels(rs: RootSystem) -> tuple[tuple[Root, ...], ...]:
@@ -45,10 +42,12 @@ def levels(rs: RootSystem) -> tuple[tuple[Root, ...], ...]:
 
 
 def d_matrix(rs: RootSystem, i: int) -> tuple[tuple[int, ...], ...]:
-    """Matrix i as dense rows: rows indexed by level i, columns by level i-1,
-    in level order.  Built afresh on each call from ``build``'s columns."""
+    """Matrix i as dense rows: rows indexed by level i, columns by level i-1, in level
+    order.  Built afresh on each call from ``build``'s columns, transposed above h_dual - 1."""
     d = dimension(rs)
     if type(i) is not int or not 1 <= i <= d - 1:
         raise DomainError(f"matrix index {i!r} outside 1..{d - 1}")
-    columns = rs._columns[i]
-    return tuple(tuple([column.get(row, 0) for column in columns]) for row in range(len(levels(rs)[i])))
+    j = min(i, d - i)  # of matrices i and d - i, transposes of each other, build records the lower
+    columns = rs._columns[j]
+    rows = tuple(tuple([column.get(row, 0) for column in columns]) for row in range(len(levels(rs)[j])))
+    return rows if j == i else tuple(zip(*rows))

@@ -19,21 +19,30 @@ from .root_system import _DUAL_COXETER_NUMBER, RootSystem, TypeLabel, _check_roo
 
 
 class GradedAbelianGroup:
-    """Map degree -> (free rank, torsion invariant factors); absent = 0."""
+    """Map degree -> (free rank, torsion invariant factors); absent = 0.
+    The one check of a group, from code or JSON: DomainError unless each
+    degree and free rank is an int >= 0 and each torsion a divisibility
+    chain of ints >= 2, in a dict of pairs, each pair and torsion a tuple or list."""
 
     def __init__(self, entries: dict[int, tuple[int, tuple[int, ...]]]):
+        if type(entries) is not dict:
+            raise DomainError(f"a graded group is a dict of degree: (free rank, torsion), got {type(entries).__name__}")
         clean: dict[int, tuple[int, tuple[int, ...]]] = {}
-        for n, (free, torsion) in entries.items():
-            torsion = tuple(torsion)
+        for n, entry in entries.items():
+            if type(n) is not int or n < 0:
+                raise DomainError(f"degree {n!r} is not an int >= 0")
+            if type(entry) not in (tuple, list) or len(entry) != 2 or type(entry[1]) not in (tuple, list):
+                raise DomainError(f"degree {n}: {entry!r} is not a (free rank, torsion) pair, torsion a tuple or list")
+            free, torsion = entry[0], tuple(entry[1])
             if type(free) is not int or free < 0:
-                raise DomainError(f"free rank {free!r} is not an int >= 0")
+                raise DomainError(f"degree {n}: free rank {free!r} is not an int >= 0")
             for a, b in zip((1,) + torsion, torsion):  # one pass: type, size, then a | b
                 if type(b) is not int:
-                    raise DomainError(f"torsion {torsion} has an entry {b!r} that is not an int")
+                    raise DomainError(f"degree {n}: 'torsion' {torsion} has an entry {b!r} that is not an int")
                 if b < 2:
-                    raise DomainError(f"torsion {torsion} has an entry below 2")
+                    raise DomainError(f"degree {n}: 'torsion' {torsion} has an entry below 2")
                 if b % a:
-                    raise DomainError(f"torsion {torsion} is not a divisibility chain")
+                    raise DomainError(f"degree {n}: 'torsion' {torsion} is not a divisibility chain")
             if free or torsion:
                 clean[n] = (free, torsion)
         self._entries = dict(sorted(clean.items()))
@@ -154,7 +163,8 @@ def _field(obj, key: str, kind: type):
 
 def from_json_dict(obj: dict) -> OrbitCohomology:
     """Inverse of ``to_json_dict``; DomainError names a missing or ill-typed
-    field, a ``d`` or ``h_dual`` contradicting the type, or a bad degree ``n``."""
+    field, a ``d`` or ``h_dual`` contradicting the type, or a bad degree ``n``.
+    A negative rank or a bad torsion entry is refused by ``GradedAbelianGroup``."""
     label = parse_type(_field(obj, "type", str))
     d, h_dual = _field(obj, "d", int), _field(obj, "h_dual", int)
     _check_root_budget(label)
@@ -165,11 +175,8 @@ def from_json_dict(obj: dict) -> OrbitCohomology:
         raise DomainError(f"cohomology JSON field 'd' is {d}, but {label} has d = 2 h_dual - 2 = {2 * h_dual - 2}")
     entries = {}
     for e in _field(obj, "H", list):
-        torsion = _field(e, "torsion", list)
-        if not all(isinstance(t, int) and not isinstance(t, bool) for t in torsion):
-            raise DomainError(f"cohomology JSON field 'torsion' must hold integers, got {torsion!r}")
         n = _field(e, "n", int)
         if n in entries or not 0 <= n < 2 * d:
             raise DomainError(f"cohomology JSON degree n = {n} is repeated or outside 0 .. {2 * d - 1}")
-        entries[n] = (_field(e, "rank", int), tuple(torsion))
+        entries[n] = (_field(e, "rank", int), _field(e, "torsion", list))
     return OrbitCohomology(label, d, h_dual, GradedAbelianGroup(entries))

@@ -166,7 +166,7 @@ class RootSystem:
     # the one record of the roots, their length and grading: each root's level, None when short
     _level: dict[Root, int | None]
     _levels: tuple[tuple[Root, ...], ...]  # the long roots of each level
-    # matrix i, level i-1 to level i: per root of level i-1, its nonzero {place in level i: entry}
+    # matrix i < h_dual, level i-1 to level i: per root of level i-1, its nonzero {place in level i: entry}
     _columns: tuple[tuple[dict[int, int], ...], ...]
 
     def __init__(self, **fields) -> None:
@@ -190,7 +190,11 @@ class RootSystem:
         return self.type_label.rank
 
     def is_root(self, v: Root) -> bool:
-        return v in self._level
+        """False for anything but a hashable tuple: a list is never a root."""
+        try:
+            return type(v) is tuple and v in self._level
+        except TypeError:  # a tuple holding an unhashable entry
+            return False
 
 
 def height(root: Root) -> int:
@@ -254,18 +258,18 @@ def build(label: TypeLabel) -> RootSystem:
     if by_level[0] != [positive[-1]]:
         raise InvalidTypeError(f"{failed}: level 0 is not the highest root alone")
 
-    # An edge (w, c, v) lowers v in level i-1 to w in level i, and -w to -v: entry c at (w, v)
-    # in matrix i and at (-v, -w) in matrix d-i.  Between the two middle levels the matrix is
-    # the long simple roots' Cartan matrix, symmetric as they have one length, unsigned.
+    # An edge (w, c, v) lowers v in level i-1 to w in level i: entry c at (w, v) in matrix i.
+    # Between the two middle levels the matrix is the long simple roots' Cartan matrix, symmetric
+    # as they have one length, unsigned.  Matrix d-i, of the negated edges, is left to d_matrix.
     levels = tuple(tuple(by_level[i]) for i in range(d))
     long_simple = tuple(i for i in range(n) if lengths[i] == r)
-    columns = [()] + [[{} for _ in members] for members in levels[:-1]]
+    columns = [()] + [[{} for _ in members] for members in levels[: h_dual - 2]]
     for w, c, v in edges:
         (i, row), (up, col) = place[w], place[v]
         if up != i - 1:
             raise InvalidTypeError(f"{failed}: a raise between long roots does not step one level")
-        columns[i][col][row] = columns[d - i][row][col] = c
-    columns[h_dual - 1] = [{place[k][1]: abs(x) for k, x in rows[j] if sigma[k] is not None} for j in long_simple]
+        columns[i][col][row] = c
+    columns.append([{place[k][1]: abs(x) for k, x in rows[j] if sigma[k] is not None} for j in long_simple])
 
     return RootSystem(
         type_label=label,
@@ -292,11 +296,16 @@ def is_long(rs: RootSystem, root: Root) -> bool:
     return rs._level[root] is not None
 
 
+def _long_level(rs: RootSystem, root: Root, what: str) -> int:
+    """The level build gave a long root; DomainError naming what for anything else."""
+    if not rs.is_root(root) or (lv := rs._level[root]) is None:
+        raise DomainError(f"{what} is defined on long roots only, got {root}")
+    return lv
+
+
 def dual_height(rs: RootSystem, root: Root) -> int:
     """Height of the coroot of a long root, negative for a negative root: build's level rule inverted."""
-    lv = rs._level.get(root)
-    if lv is None:
-        raise DomainError(f"dual height is defined on long roots only, got {root}")
+    lv = _long_level(rs, root, "dual height")
     return rs.h_dual - 1 - lv if lv < rs.h_dual - 1 else rs.h_dual - 2 - lv
 
 

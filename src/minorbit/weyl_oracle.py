@@ -185,10 +185,10 @@ def level_length_failure(rs: RootSystem) -> str | None:
 
     The representatives modulo the stabilizer of the highest root must
     biject onto the long roots via w -> w(highest), with length equal to
-    the level.  Then every entry of the boundary matrices, the recorded
-    columns the cohomology is computed from, is checked against the
-    group: for beta in level i and alpha in level i+1, beta -> alpha is an
-    edge when x_alpha x_beta^-1 is a reflection s_gamma.  Then
+    the level.  Then every entry of the recorded matrices 1 .. h_dual - 1,
+    the columns the cohomology is computed from, is checked against the
+    group: for beta in level i < h_dual - 1 and alpha in level i+1, beta ->
+    alpha is an edge when x_alpha x_beta^-1 is a reflection s_gamma.  Then
     s_gamma(beta) = alpha gives beta - alpha = <beta, gamma^vee> gamma,
     with |<beta, gamma^vee>| <= 3 (2 on (beta, -beta) in the middle
     matrix).  So one table, built per call, maps each c gamma (gamma in
@@ -220,7 +220,7 @@ def level_length_failure(rs: RootSystem) -> str | None:
         keys = roots_on_line.get(c) or [tuple(map(c.__mul__, v)) for v in positive]
         lines.update(zip(keys, zip(reflections, repeat(c))))
     lv = long_root_poset.levels(rs)
-    for i in range(len(lv) - 1):
+    for i in range(rs.h_dual - 1):
         for beta, column in zip(lv[i], rs._columns[i + 1]):
             for row, alpha in enumerate(lv[i + 1]):
                 s, expected = lines.get(tuple(map(sub, beta, alpha)), (None, 0))

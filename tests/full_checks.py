@@ -3,7 +3,8 @@
 The golden tables stop at rank 8, so at ranks 9-99 the answers are held
 by these checks alone: the Weyl oracle on all 144 types its budget
 admits, the record checks on all 310 types the root budget admits, the
-dense route at the top rank of each classical series, the CLI in a fresh
+simple-reflection rule on every boundary matrix and the dense route at
+the top rank of each classical series, the CLI in a fresh
 process at the top of each budget, and the Smith layer on dense matrices
 larger than any the pipeline makes.  Where a tier-1 test states a check
 on a sample, this module calls that test's body, or a helper both share,
@@ -82,6 +83,13 @@ def test_the_record_on_every_admitted_type(name):
     test_long_root_poset.check_record_shape(rs)
     test_long_root_poset.test_levels_hold_the_record_tuples_in_order(name)
     test_long_root_poset.test_transpose_symmetry(name)
+
+
+@pytest.mark.parametrize("name", TOP_TYPES)
+def test_the_simple_reflection_rule_at_the_top_ranks(name):
+    # above the oracle's budget, the one check of the transposed upper half
+    # against a definition that shares no code with build
+    test_long_root_poset.test_lowering_edges_are_the_simple_reflections(name)
 
 
 @pytest.mark.parametrize("name", TOP_TYPES)

@@ -377,6 +377,28 @@ def test_ragged_matrix_raises():
             f([[1, 2], [3]])
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [5, [1, 2], [[1, 2], 3], [[1], "2"], {0: [1]}, [{0: 1}], None],
+    ids=["int", "flat-list", "int-row", "str-row", "dict", "dict-row", "None"],
+)
+def test_a_matrix_is_a_list_or_tuple_of_rows(matrix):
+    # _shape runs before any row is read: no TypeError from len() or matrix[0]
+    for f in (smith, invariant_factors, rank, cokernel, kernel_rank):
+        with pytest.raises(DomainError, match="^a matrix is a list or tuple of rows"):
+            f(matrix)
+
+
+def test_kernel_rank_checks_the_shape_once(monkeypatch):
+    # one pass over the entries, in rank: kernel_rank reads the width after it
+    calls = []
+    real_shape = int_linalg._shape
+    monkeypatch.setattr(int_linalg, "_shape", lambda m: calls.append(m) or real_shape(m))
+    assert kernel_rank([[1, 2, 3], [2, 4, 6]]) == 2
+    assert kernel_rank(()) == 0 and kernel_rank([[], []]) == 0
+    assert len(calls) == 3
+
+
 def dense(rows, cols, seed):
     rng = random.Random(seed)
     return [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]

@@ -158,9 +158,9 @@ def check_record_shape(rs):
     assert not rs.is_root((0,) * rs.rank) and not rs.is_root(tuple(x + 1 for x in highest_root(rs)))
     npos = len(rs.positive_roots)
     assert all(rs.roots[npos + k] == tuple(-x for x in rs.roots[k]) for k in range(npos))
-    lv, d = levels(rs), dimension(rs)
-    assert len(rs._columns) == d and rs._columns[0] == ()
-    for i in range(1, d):
+    lv = levels(rs)
+    assert len(rs._columns) == rs.h_dual and rs._columns[0] == ()
+    for i in range(1, rs.h_dual):
         columns = rs._columns[i]
         assert len(columns) == len(lv[i - 1]), f"{rs.type_label} D_{i}"
         assert all(0 <= row < len(lv[i]) for column in columns for row in column), f"{rs.type_label} D_{i}"
@@ -168,16 +168,19 @@ def check_record_shape(rs):
 
 @pytest.mark.parametrize("name", POSET_TYPES + ["A30", "B20", "C20", "D20"])
 def test_lowering_edges_are_the_simple_reflections(name):
-    # the matrices build recorded from its closure: off the middle, every
-    # nonzero entry c at (alpha, beta) is a simple reflection, alpha = s_j(beta)
-    # with c = <beta, alpha_j^vee>, the negative half too
+    # the matrices build recorded from its closure, and the transposes d_matrix
+    # gives above the middle: off the middle, every nonzero entry c at
+    # (alpha, beta) is a simple reflection, alpha = s_j(beta) with
+    # c = <beta, alpha_j^vee>, the negative half too
     rs = build(parse_type(name))
     check_record_shape(rs)
     lv, simple = levels(rs), simple_roots(rs)
     for i in range(1, dimension(rs)):
         if i == rs.h_dual - 1:
             continue
-        for beta, column in zip(lv[i - 1], rs._columns[i]):
+        matrix = d_matrix(rs, i)
+        for col, beta in enumerate(lv[i - 1]):
+            column = {row: entries[col] for row, entries in enumerate(matrix) if entries[col]}
             edges = [(j, pairing(rs, beta, alpha)) for j, alpha in enumerate(simple)]
             expected = {lv[i].index(reflect(rs, beta, simple[j])): c for j, c in edges if c > 0}
             assert column == expected, f"{name} D_{i} {beta}"

@@ -20,7 +20,7 @@ from minorbit.orbit_cohomology import (
 )
 from minorbit.root_system import RootSystem, build, parse_type
 from minorbit.weyl_oracle import level_length_failure
-from test_root_system import Poisoned, bad_primes, weyl_degrees
+from test_root_system import bad_primes, weyl_degrees
 
 ALL_TYPES = [
     "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8",
@@ -248,19 +248,18 @@ def test_cohomology_and_the_oracle_never_go_dense(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["E8", "B5"])
 def test_one_smith_form_per_transposed_pair(name, monkeypatch):
-    # nothing above the middle matrix, i = h_dual - 1, is read: in a copy of the
-    # record those matrices raise on any read
+    # the record holds the matrices up to the middle one, i = h_dual - 1, alone,
+    # and each is factored once, as the rows of its transpose: width |level i|
     rs = build(parse_type(name))
     expected = minimal_orbit_cohomology(rs)
-    upper = len(rs._columns) - rs.h_dual
-    lower_half = RootSystem(**{**vars(rs), "_columns": rs._columns[: rs.h_dual] + (Poisoned(),) * upper})
     factored = []
     real_factors = orbit_cohomology._invariant_factors
     monkeypatch.setattr(
         orbit_cohomology, "_invariant_factors", lambda rows, width: factored.append(width) or real_factors(rows, width)
     )
-    assert minimal_orbit_cohomology(lower_half) == expected
-    assert len(factored) == rs.h_dual - 1
+    assert minimal_orbit_cohomology(rs) == expected
+    assert len(rs._columns) == rs.h_dual
+    assert factored == [len(members) for members in rs._levels[1 : rs.h_dual]]
 
 
 def test_middle_cross_method(rs):
@@ -422,6 +421,37 @@ def test_graded_group_validation():
             GradedAbelianGroup({0: (1, torsion)})
     g = GradedAbelianGroup({0: (0, ()), 2: (1, (2, 4))})
     assert g.degrees() == (2,)
+
+
+@pytest.mark.parametrize(
+    "entries, reason",
+    [
+        ([(0, (1, ()))], "is a dict"),
+        ({-1: (1, ())}, "^degree -1 is not an int >= 0$"),
+        ({True: (1, ())}, "^degree True is not"),
+        ({0.5: (1, ())}, "^degree 0.5 is not"),
+        ({0: (1, ()), "2": (1, ())}, "^degree '2' is not"),
+        ({0: 1}, "^degree 0: 1 is not a \\(free rank, torsion\\) pair"),
+        ({0: (1,)}, "is not a \\(free rank, torsion\\) pair"),
+        ({0: (1, (), ())}, "is not a \\(free rank, torsion\\) pair"),
+        ({0: (1, 2)}, "is not a \\(free rank, torsion\\) pair"),
+        ({0: (1, "23")}, "is not a \\(free rank, torsion\\) pair"),
+    ],
+    ids=["list", "negative", "bool", "float", "str-next-to-int", "int-entry", "one", "three", "int-torsion", "str-torsion"],
+)
+def test_graded_group_refuses_a_malformed_map(entries, reason):
+    # each is refused as such: no TypeError or AttributeError, no group made
+    with pytest.raises(DomainError, match=reason):
+        GradedAbelianGroup(entries)
+
+
+@pytest.mark.parametrize("bad", [True, "2", 2.0])
+def test_from_json_dict_leaves_the_torsion_check_to_the_group(bad):
+    # one home for the torsion check: the group's, reached through the JSON form
+    good = to_json_dict(minimal_orbit_cohomology(build(parse_type("G2"))))
+    entries = [dict(e, torsion=e["torsion"] + [bad]) if e["torsion"] else e for e in good["H"]]
+    with pytest.raises(DomainError, match=f"'torsion' .* has an entry {re.escape(repr(bad))} that is not an int$"):
+        from_json_dict({**good, "H": entries})
 
 
 @pytest.mark.parametrize(

@@ -210,6 +210,22 @@ def test_is_long_divisibility(rs):
         is_long(rs, tuple([5] * rs.rank))
 
 
+@pytest.mark.parametrize("kind", [list, set, lambda v: dict(enumerate(v))], ids=["list", "set", "dict"])
+def test_a_root_is_a_hashable_tuple(kind):
+    # the highest root given as a list, set or dict, alone or inside a tuple, is no
+    # root: each lookup refuses it with its DomainError, never with a TypeError
+    b3 = build(parse_type("B3"))
+    top = highest_root(b3)
+    for v in (kind(top), (kind(top),) + top[1:]):
+        assert b3.is_root(v) is False
+        with pytest.raises(DomainError, match="is not a root of B3$"):
+            is_long(b3, v)
+        with pytest.raises(DomainError, match="^dual height is defined on long roots only"):
+            dual_height(b3, v)
+        with pytest.raises(DomainError, match="^level is defined on long roots only"):
+            level(b3, v)
+
+
 def test_is_long_matches_the_bilinear_form(rs):
     # a long root has (v|v) = r, and bilinear gives 2(v|v)
     r = _cartan_and_lengths(rs.type_label)[2]

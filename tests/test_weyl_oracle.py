@@ -588,7 +588,7 @@ def failure_by_permutations(rs):
     reflections = list(zip(rs.positive_roots, _reflection_table(rs)))
     lines = {tuple(c * g for g in gamma): (s, c) for c in (-3, -2, -1, 1, 2, 3) for gamma, s in reflections}
     lv = long_root_poset.levels(rs)
-    for i in range(len(lv) - 1):
+    for i in range(rs.h_dual - 1):
         for beta, column in zip(lv[i], rs._columns[i + 1]):
             for row, alpha in enumerate(lv[i + 1]):
                 s, expected = lines.get(tuple(map(sub, beta, alpha)), (None, 0))
@@ -607,7 +607,7 @@ def test_failure_equals_the_permutation_route(label):
     rng = random.Random(label)
     records = [rs]
     for _ in range(40):
-        i = rng.randrange(1, len(rs._columns))
+        i = rng.randrange(1, rs.h_dual)
         col, row = rng.randrange(len(rs._levels[i - 1])), rng.randrange(len(rs._levels[i]))
         records.append(_patch_entry(rs, i, row, col, rng.choice([0, -1, 1, 2, 3])))
     found = [level_length_failure(record) for record in records]
