@@ -11,10 +11,9 @@ of the one box moved between them decide.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from itertools import accumulate
 
-from .errors import DomainError
+from .errors import DomainError, checked_cache
 from .int_linalg import is_prime
 
 Partition = tuple[int, ...]
@@ -74,7 +73,12 @@ def _partition_numbers():
         p.append(total)
 
 
-@lru_cache(maxsize=None, typed=True)  # so that 5.0 and True reach the check
+def _check_int(n) -> None:
+    if type(n) is not int:
+        raise DomainError(f"partitions of a non-integer {n!r}")
+
+
+@checked_cache(_check_int)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n in decreasing lexicographic order.
 
@@ -82,8 +86,7 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     partitions.  p is increasing, so the recurrence stops at the first
     m <= n past the budget, and the check is as cheap for a huge n.
     """
-    if type(n) is not int:
-        raise DomainError(f"partitions of a non-integer {n!r}")
+    _check_int(n)
     if n < 0:
         raise DomainError("partitions of a negative integer")
     for m, count in zip(range(n + 1), _partition_numbers()):

@@ -21,11 +21,12 @@ so matrix d - i is the literal transpose of matrix i, and is not recorded.
 from __future__ import annotations
 
 from .errors import DomainError
-from .root_system import Root, RootSystem, _long_level
+from .root_system import Root, RootSystem, _check_record, _long_level
 
 
 def dimension(rs: RootSystem) -> int:
     """Complex dimension of the minimal nilpotent orbit, 2 h_dual - 2."""
+    _check_record(rs)
     return 2 * rs.h_dual - 2
 
 
@@ -38,6 +39,7 @@ def levels(rs: RootSystem) -> tuple[tuple[Root, ...], ...]:
     """All long roots by level, as ``build`` recorded them: decreasing tuple
     order on a positive level, increasing on a negative one, as all roots of
     one level share a sign."""
+    _check_record(rs)
     return rs._levels
 
 

@@ -15,7 +15,9 @@ from collections import namedtuple
 from . import long_root_poset
 from .errors import DomainError, InvariantFailureError
 from .int_linalg import _invariant_factors, cokernel
-from .root_system import _DUAL_COXETER_NUMBER, RootSystem, TypeLabel, _check_root_budget, cartan_of_subset, parse_type
+from .root_system import (
+    _DUAL_COXETER_NUMBER, RootSystem, TypeLabel, _check_record, _check_root_budget, cartan_of_subset, parse_type,
+)
 
 
 class GradedAbelianGroup:
@@ -113,6 +115,7 @@ def _lattice_quotient(label: TypeLabel, diagram: str, cartan: list[list[int]]) -
 def middle_via_lattice(rs: RootSystem) -> tuple[int, ...]:
     """Invariant factors of the coweight/coroot quotient of the long-simple
     subsystem; an independent route to the torsion in degree d."""
+    _check_record(rs)
     cartan = cartan_of_subset(rs, rs.long_simple_indices)
     return _lattice_quotient(rs.type_label, "its long-simple subsystem", cartan)
 

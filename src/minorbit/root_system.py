@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict, namedtuple
-from functools import lru_cache
 from operator import neg
 
-from .errors import DomainError, InvalidTypeError
+from .errors import DomainError, InvalidTypeError, checked_cache
 
 Root = tuple[int, ...]
 
@@ -201,7 +200,7 @@ def height(root: Root) -> int:
     return sum(root)
 
 
-@lru_cache(maxsize=None, typed=True)  # so that a tuple equal to a TypeLabel reaches the check
+@checked_cache(_check_root_budget)
 def build(label: TypeLabel) -> RootSystem:
     """Construct the full root system of the given irreducible type."""
     cartan, lengths, r, h = _cartan_and_lengths(label)
@@ -284,13 +283,21 @@ def build(label: TypeLabel) -> RootSystem:
     )
 
 
+def _check_record(rs) -> None:
+    """DomainError for anything but a RootSystem, before any field of it is read."""
+    if type(rs) is not RootSystem:
+        raise DomainError(f"expected a RootSystem (see build), got {type(rs).__name__}")
+
+
 def highest_root(rs: RootSystem) -> Root:
     """The unique maximal root; its coordinates dominate every positive root."""
+    _check_record(rs)
     return rs.positive_roots[-1]
 
 
 def is_long(rs: RootSystem, root: Root) -> bool:
     """True iff the root has maximal squared length (decided once, in build)."""
+    _check_record(rs)
     if not rs.is_root(root):
         raise DomainError(f"{root} is not a root of {rs.type_label}")
     return rs._level[root] is not None
@@ -298,6 +305,7 @@ def is_long(rs: RootSystem, root: Root) -> bool:
 
 def _long_level(rs: RootSystem, root: Root, what: str) -> int:
     """The level build gave a long root; DomainError naming what for anything else."""
+    _check_record(rs)
     if not rs.is_root(root) or (lv := rs._level[root]) is None:
         raise DomainError(f"{what} is defined on long roots only, got {root}")
     return lv
@@ -310,6 +318,7 @@ def dual_height(rs: RootSystem, root: Root) -> int:
 
 
 def _check_indices(rs: RootSystem, indices) -> None:
+    _check_record(rs)
     if type(indices) not in (tuple, list, range):  # an iterator would be spent by the checks, a dict read by its keys
         name = type(indices).__name__
         raise DomainError(f"simple-root indices of {rs.type_label} are a tuple, list or range, got {name}")
@@ -329,5 +338,6 @@ def cartan_of_subset(rs: RootSystem, indices: tuple[int, ...] | list[int]) -> li
 def long_simple_subsystem(rs: RootSystem) -> TypeLabel:
     """Type of the root subsystem generated by the long simple roots: the type
     itself when all are long, else A_k (in B, C, F, G they form a chain)."""
+    _check_record(rs)
     k = len(rs.long_simple_indices)
     return rs.type_label if k == rs.rank else TypeLabel("A", k)

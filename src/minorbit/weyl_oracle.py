@@ -14,39 +14,82 @@ An element is a permutation of the root list, a tuple with perm[i] the
 index of the image of root i; the positive roots come first, so a root
 index i is positive iff i < |Phi^+|.  Only the simple reflections come
 from the Cartan matrix; the others are conjugated from them
-(s_gamma = s_j s_{s_j(gamma)} s_j).  Kept per type, for the 16 most
-recent types, and made from the Cartan matrix and the root list alone:
-the simple reflections, the table of every s_gamma, which both checks
-read, and ``_coset_table``, which keeps of each element of W^J its image
-of the highest root, its length and its images of the simple roots.
-Each call compares these with the record afresh, so a warm cache decides
-no verdict; the level check builds its table of root lines per call.
-Each call refuses, before any work, an input whose element count times
-|Phi| exceeds ORACLE_BUDGET: |W^I| in ``coset_reps``, the larger of
-|W^J| and |Phi^+| in the checks.
+(s_gamma = s_j s_{s_j(gamma)} s_j).  Kept per type, and made from the
+Cartan matrix and the root list alone: the simple reflections; the table
+of every s_gamma; the line table, which maps each c gamma (0 < |c| <= 3)
+to (s_gamma, c); the length of every s_gamma; and ``_coset_table``, which
+keeps of each element of W^J its image of the highest root, its length and
+its images of the simple roots.  The tables of the least recently used
+types are dropped once all of them would hold more than TABLE_BUDGET tuple
+slots.  Each call reads the record afresh and compares it with these
+tables: the level of each image of the highest root, every entry of the
+recorded matrices, the height of each reflected root.  So a warm cache
+decides no verdict.  Each call refuses, before any work or any table, an
+input whose element count times |Phi| exceeds ORACLE_BUDGET: |W^I| in
+``coset_reps``, the larger of |W^J| and |Phi^+| in the checks.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache, partial
+from functools import partial, wraps
 from itertools import compress, repeat
 from operator import add, itemgetter, sub
 
 from . import long_root_poset
 from .errors import DomainError, InvariantFailureError
-from .root_system import RootSystem, _check_indices, dual_height, height, highest_root, is_long
+from .root_system import RootSystem, _check_indices, _check_record, dual_height, height, highest_root, is_long
 
 # Largest |W^I| * |Phi| an oracle call works on: W(E6) whole is 3,732,480;
 # verify admits A44, B31, C37, D32 and every exceptional type.
 ORACLE_BUDGET = 4_000_000
+
+# Most tuple slots the per-type tables hold in all.  The reflections of a type verify
+# admits hold |Phi^+| |Phi| <= ORACLE_BUDGET slots, and its other tables add under 10%
+# at the top of the budget (C37: 3,971,691 slots in all).  A quarter more fits any one
+# type's tables whole, and A44's beside B31's, but no two types near C37.
+TABLE_BUDGET = ORACLE_BUDGET + ORACLE_BUDGET // 4
 
 
 class WeylElement(namedtuple("WeylElement", "perm length")):
     """perm[i] is the index of the image of root i; length is the Coxeter length."""
 
     __slots__ = ()
+
+
+class _Tables(dict):
+    """One type's tables by maker name, and the tuple slots they hold."""
+
+    slots = 0
+
+
+_tables: dict = {}  # type label -> its _Tables, least recently used first
+
+
+def _per_type(weigh):
+    """Keep make(rs) among the tables of rs's type.  weigh(rs) is the tuple slots
+    the table holds, in closed form, so that before it is made the least recently
+    used other types are dropped, all their tables at once, until it fits under
+    TABLE_BUDGET.  The key is the type label, which a copy of the record shares."""
+
+    def decorate(make):
+        name = make.__name__
+
+        @wraps(make)
+        def table(rs: RootSystem):
+            _tables[rs.type_label] = tables = _tables.pop(rs.type_label, _Tables())  # now the most recent
+            if name not in tables:
+                slots = weigh(rs)
+                while len(_tables) > 1 and sum(t.slots for t in _tables.values()) + slots > TABLE_BUDGET:
+                    del _tables[next(iter(_tables))]
+                tables[name] = make(rs)
+                tables.slots += slots
+            return tables[name]
+
+        return table
+
+    return decorate
 
 
 def _root_index(rs: RootSystem) -> dict:
@@ -71,7 +114,7 @@ def _simple_reflection(rs: RootSystem, index: dict, k: int) -> tuple[int, ...]:
     return _compose(tuple(index.values()), perm + [p + npos if p < npos else p - npos for p in perm])
 
 
-@lru_cache(maxsize=16)  # as the table below: every type a session verifies
+@_per_type(lambda rs: rs.rank * len(rs.roots))
 def _simple_reflections(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     return tuple(map(partial(_simple_reflection, rs, _root_index(rs)), range(rs.rank)))
 
@@ -82,7 +125,7 @@ def _compose(outer: tuple, inner: tuple) -> tuple:
     return itemgetter(*inner)(outer)
 
 
-@lru_cache(maxsize=16)  # holds every type a session verifies in turn
+@_per_type(lambda rs: (len(rs.positive_roots) - rs.rank) * len(rs.roots))  # the first rank rows are shared
 def _reflection_table(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     """s_gamma for each positive root gamma, in ``rs.positive_roots`` order: the simple roots
     come first, and a later gamma has a lower s_j(gamma), so s_gamma = s_j s_{s_j(gamma)} s_j."""
@@ -91,6 +134,27 @@ def _reflection_table(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
         s = next(s for s in table[: rs.rank] if s[k] < k)
         table.append(_compose(s, _compose(table[s[k]], s)))
     return tuple(table)
+
+
+@_per_type(lambda rs: len(rs.positive_roots) * (4 * rs.rank + 12))  # per gamma: 4 keys of rank slots, 6 pairs
+def _line_table(rs: RootSystem) -> dict:
+    """Each c gamma, gamma in Phi^+ and 0 < |c| <= 3, mapped to (s_gamma, c).  The c = 1
+    and c = -1 keys are the root list's own tuples, shared, not copied: 1 MB at C37."""
+    positive, reflections = rs.positive_roots, _reflection_table(rs)
+    roots_on_line = {1: positive, -1: rs.roots[len(positive) :]}
+    lines = {}
+    for c in (-3, -2, -1, 1, 2, 3):
+        keys = roots_on_line.get(c) or [tuple(map(c.__mul__, v)) for v in positive]
+        lines.update(zip(keys, zip(reflections, repeat(c))))
+    return lines
+
+
+@_per_type(lambda rs: len(rs.positive_roots))
+def _reflection_lengths(rs: RootSystem) -> tuple[int, ...]:
+    """l(s_gamma) for each positive root gamma, in ``rs.positive_roots`` order, counted on
+    the group element: the positive roots it negates."""
+    npos = len(rs.positive_roots)
+    return tuple(sum(map(npos.__le__, perm[:npos])) for perm in _reflection_table(rs))
 
 
 def _check_budget(rs: RootSystem, elements: int, what: str) -> None:
@@ -106,7 +170,8 @@ def _check_verify_budget(rs: RootSystem) -> int:
     """Refuse a type on which either verify check would walk more than the
     budget (W^J for the levels, Phi^+ for the reflections), so that both
     refuse the same types before any work; returns the long-root count,
-    which is |W^J|."""
+    which is |W^J|.  Anything but a RootSystem is refused first, so it reaches no table."""
+    _check_record(rs)
     n_long = sum(map(len, rs._levels))
     _check_budget(rs, max(n_long, len(rs.positive_roots)), "max(|W^J|, |Phi^+|)")
     return n_long
@@ -170,7 +235,7 @@ def _orthogonal_simple_indices(rs: RootSystem) -> tuple[int, ...]:
     return tuple(k for k in range(rs.rank) if not sum(t * row[k] for t, row in zip(top, rs.cartan)))
 
 
-@lru_cache(maxsize=16)  # as the reflection table: every type a session verifies
+@_per_type(lambda rs: _coset_count(rs, _orthogonal_simple_indices(rs)) * (3 + max(rs.rank, 2)))
 def _coset_table(rs: RootSystem) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """For each x in W^J, J the simple roots orthogonal to the highest root, in
     walk order: (index of x(highest root), length of x, x's images of the simple
@@ -191,11 +256,11 @@ def level_length_failure(rs: RootSystem) -> str | None:
     alpha is an edge when x_alpha x_beta^-1 is a reflection s_gamma.  Then
     s_gamma(beta) = alpha gives beta - alpha = <beta, gamma^vee> gamma,
     with |<beta, gamma^vee>| <= 3 (2 on (beta, -beta) in the middle
-    matrix).  So one table, built per call, maps each c gamma (gamma in
-    Phi^+, 0 < |c| <= 3) to (s_gamma, c): each pair looks up beta - alpha
-    once, and the entry must be that c when s_gamma x_beta = x_alpha, and
-    0 otherwise, decided on the images of the simple roots that
-    ``_coset_table`` keeps per type.  A failure means the level
+    matrix).  So each pair looks up beta - alpha once in the line table,
+    which maps each c gamma (gamma in Phi^+, 0 < |c| <= 3) to (s_gamma, c),
+    and the entry must be that c when s_gamma x_beta = x_alpha, and 0
+    otherwise, decided on the images of the simple roots that
+    ``_coset_table`` keeps.  A failure means the level
     combinatorics and the group disagree, i.e. an implementation bug.
     """
     n_long = _check_verify_budget(rs)
@@ -213,12 +278,7 @@ def level_length_failure(rs: RootSystem) -> str | None:
             return f"the representative sending the highest root to {image} has length {length}, level {level}"
         by_root[image] = images
 
-    positive, reflections = rs.positive_roots, _reflection_table(rs)
-    roots_on_line = {1: positive, -1: rs.roots[len(positive) :]}  # shared, not copied: 1 MB at C37
-    lines = {}
-    for c in (-3, -2, -1, 1, 2, 3):
-        keys = roots_on_line.get(c) or [tuple(map(c.__mul__, v)) for v in positive]
-        lines.update(zip(keys, zip(reflections, repeat(c))))
+    lines = _line_table(rs)
     lv = long_root_poset.levels(rs)
     for i in range(rs.h_dual - 1):
         for beta, column in zip(lv[i], rs._columns[i + 1]):
@@ -241,12 +301,11 @@ def reflection_length_failure(rs: RootSystem) -> str | None:
 
     l(s_b) = 2 ht_coroot(b) - 1 for long b and 2 ht(b) - 1 for short b.
     l(s_b) is counted on the group element, s_b from the reflection table
-    (conjugated from the simple reflections): the positive roots it negates.
+    (conjugated from the simple reflections): the positive roots it negates,
+    kept per type; the heights are read off the record on every call.
     """
     _check_verify_budget(rs)
-    npos = len(rs.positive_roots)
-    for b, perm in zip(rs.positive_roots, _reflection_table(rs)):
-        length = sum(map(npos.__le__, perm[:npos]))
+    for b, length in zip(rs.positive_roots, _reflection_lengths(rs)):
         expected = 2 * (dual_height(rs, b) if is_long(rs, b) else height(b)) - 1
         if length != expected:
             return f"the reflection in {b} has length {length}, expected {expected}"

@@ -1,4 +1,5 @@
 import math
+from itertools import compress
 
 import pytest
 
@@ -7,7 +8,7 @@ from minorbit.errors import DomainError
 from minorbit.int_linalg import kernel_rank
 from minorbit.long_root_poset import d_matrix, dimension, level, levels
 from minorbit.root_system import RootSystem, build, cartan_of_subset, highest_root, is_long, parse_type
-from test_root_system import Poisoned, pairing, reflect, simple_roots
+from test_root_system import Poisoned, bilinear, gram_columns, pairing, simple_roots
 
 POSET_TYPES = [
     "A1", "A3", "A6", "B2", "B3", "B5", "B8", "C2", "C4", "C8",
@@ -171,18 +172,26 @@ def test_lowering_edges_are_the_simple_reflections(name):
     # the matrices build recorded from its closure, and the transposes d_matrix
     # gives above the middle: off the middle, every nonzero entry c at
     # (alpha, beta) is a simple reflection, alpha = s_j(beta) with
-    # c = <beta, alpha_j^vee>, the negative half too
+    # c = <beta, alpha_j^vee> = 2(beta|alpha_j) / (alpha_j|alpha_j) from the Gram
+    # form, the negative half too.  Each level is indexed once and each matrix's
+    # nonzero entries read once, so the full tier runs this on every admitted type.
     rs = build(parse_type(name))
     check_record_shape(rs)
-    lv, simple = levels(rs), simple_roots(rs)
+    lv = levels(rs)
+    norms = [bilinear(rs, alpha, alpha) for alpha in simple_roots(rs)]
     for i in range(1, dimension(rs)):
         if i == rs.h_dual - 1:
             continue
-        matrix = d_matrix(rs, i)
-        for col, beta in enumerate(lv[i - 1]):
-            column = {row: entries[col] for row, entries in enumerate(matrix) if entries[col]}
-            edges = [(j, pairing(rs, beta, alpha)) for j, alpha in enumerate(simple)]
-            expected = {lv[i].index(reflect(rs, beta, simple[j])): c for j, c in edges if c > 0}
+        place = {alpha: row for row, alpha in enumerate(lv[i])}
+        columns = [{} for _ in lv[i - 1]]
+        for row, entries in enumerate(d_matrix(rs, i)):
+            for col in compress(range(len(entries)), entries):
+                columns[col][row] = entries[col]
+        for beta, column in zip(lv[i - 1], columns):
+            expected = {}
+            for j, (gram, norm) in enumerate(zip(gram_columns(rs.type_label), norms)):
+                if (c := 2 * sum(x * beta[k] for k, x in gram) // norm) > 0:
+                    expected[place[beta[:j] + (beta[j] - c,) + beta[j + 1 :]]] = c
             assert column == expected, f"{name} D_{i} {beta}"
 
 

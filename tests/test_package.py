@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import minorbit
+from minorbit import weyl_oracle
+from minorbit.errors import DomainError
 from minorbit.int_linalg import SmithForm, smith
 from minorbit.orbit_cohomology import OrbitCohomology, minimal_orbit_cohomology
 from minorbit.root_system import TypeLabel, build, parse_type
@@ -118,3 +120,35 @@ def test_record_types_keep_value_semantics():
             setattr(record, field, 0)
         with pytest.raises(AttributeError):
             record.extra = 0
+
+
+# every public function taking a RootSystem, with the arguments that follow it
+RECORD_CALLS = [
+    ("root_system", "highest_root", ()),
+    ("root_system", "is_long", ((1, 0, 0),)),
+    ("root_system", "dual_height", ((1, 1, 1),)),
+    ("root_system", "cartan_of_subset", ((),)),
+    ("root_system", "long_simple_subsystem", ()),
+    ("long_root_poset", "dimension", ()),
+    ("long_root_poset", "level", ((1, 1, 1),)),
+    ("long_root_poset", "levels", ()),
+    ("long_root_poset", "d_matrix", (1,)),
+    ("orbit_cohomology", "minimal_orbit_cohomology", ()),
+    ("orbit_cohomology", "middle_via_lattice", ()),
+    ("weyl_oracle", "coset_reps", ((),)),
+    ("weyl_oracle", "level_length_failure", ()),
+    ("weyl_oracle", "reflection_length_failure", ()),
+    ("weyl_oracle", "verify_level_length", ()),
+    ("weyl_oracle", "verify_reflection_length", ()),
+]
+
+
+@pytest.mark.parametrize("module, name, args", RECORD_CALLS, ids=[name for _, name, _ in RECORD_CALLS])
+def test_record_entry_points_refuse_anything_but_a_root_system(module, name, args):
+    # one check, before any field is read: the oracle's per-type tables see no foreign key
+    function = getattr(importlib.import_module(f"minorbit.{module}"), name)
+    held = list(weyl_oracle._tables.items())
+    for bad in (["A", 3], TypeLabel("A", 3), "A3", None):
+        with pytest.raises(DomainError, match=rf"^expected a RootSystem \(see build\), got {type(bad).__name__}$"):
+            function(bad, *args)
+    assert list(weyl_oracle._tables.items()) == held

@@ -310,7 +310,8 @@ LABEL_CALLS = [
     "decomp_minimal(label, 2)",
     "decomp_subregular(label, 2)",
 ]
-NOT_LABELS = ["A3", ("A", 3), ("B", 3), 3, None]
+# a list is unhashable: it is refused before build's cache would hash it
+NOT_LABELS = ["A3", ("A", 3), ("B", 3), ["A", 3], 3, None]
 
 
 @pytest.mark.parametrize("call", LABEL_CALLS)

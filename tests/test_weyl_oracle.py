@@ -1,9 +1,11 @@
+import importlib.util
 import itertools
 import math
 import random
 import re
 import tracemalloc
 from operator import add, itemgetter, sub
+from pathlib import Path
 
 import pytest
 
@@ -28,10 +30,13 @@ from minorbit.weyl_oracle import (
     _compose,
     _coset_count,
     _coset_table,
+    _line_table,
     _orthogonal_simple_indices,
+    _reflection_lengths,
     _reflection_table,
     _root_index,
     _simple_reflections,
+    _tables,
     _walk,
     coset_reps,
     level_length_failure,
@@ -245,29 +250,98 @@ def test_the_positions_the_oracle_reads(label):
         assert _reflection_table(rs)[: rs.rank] == _simple_reflections(rs)
 
 
+TABLES = (_simple_reflections, _reflection_table, _line_table, _reflection_lengths, _coset_table)
+
+
 def clear_oracle_caches():
-    # the caches are keyed on the type label, which a copy of the record shares
-    _simple_reflections.cache_clear()
-    _reflection_table.cache_clear()
-    _coset_table.cache_clear()
+    # the tables are keyed on the type label, which a copy of the record shares
+    _tables.clear()
+
+
+def held_tables() -> list:
+    """Each type the oracle keeps tables for, least recently used first, with its tables' names and slots."""
+    return [(label, sorted(tables), tables.slots) for label, tables in _tables.items()]
+
+
+def added_slots(obj, known: set) -> int:
+    """Tuple slots in obj and in what it holds, each object counted once and none whose id is in known."""
+    if type(obj) not in (tuple, dict) or id(obj) in known:
+        return 0
+    known.add(id(obj))
+    held = [*obj.keys(), *obj.values()] if type(obj) is dict else obj
+    return (len(obj) if type(obj) is tuple else 0) + sum(added_slots(x, known) for x in held)
+
+
+@pytest.mark.parametrize("label", ["A1", "A3", "B3", "C4", "D5", "F4", "G2"])
+def test_each_table_weighs_the_tuple_slots_it_adds(label):
+    # a table is weighed in closed form before it is made: the slots of the tuples it
+    # adds, shared roots and reflections aside, and at most its own top-level entries less
+    rs = build(parse_type(label))
+    known = {id(root) for root in rs.roots}
+    clear_oracle_caches()
+    try:
+        for make in TABLES:  # in this order each call makes one table
+            before = sum(slots for *_, slots in held_tables())
+            table = make(rs)
+            weight = sum(slots for *_, slots in held_tables()) - before
+            assert weight <= added_slots(table, known) <= weight + len(table), make.__name__
+    finally:
+        clear_oracle_caches()
+
+
+def test_tables_drop_the_least_recently_used_types(monkeypatch):
+    # under a budget of three types' tables a fourth type drops, before its tables are
+    # made, the types used longest ago, each whole; the type in use is never dropped,
+    # even alone over the budget, and no verdict changes
+    records = {name: build(parse_type(name)) for name in ("G2", "A3", "B3", "C3")}
+    clear_oracle_caches()
+    try:
+        for name in ("G2", "A3", "B3"):
+            assert reasons(records[name]) == (None, None)
+        held = held_tables()
+        assert [str(label) for label, *_ in held] == ["G2", "A3", "B3"]
+        monkeypatch.setattr(weyl_oracle, "TABLE_BUDGET", sum(slots for *_, slots in held))
+        assert reasons(records["G2"]) == (None, None)  # now the most recent
+        assert reasons(records["C3"]) == (None, None)
+        assert [str(label) for label, *_ in held_tables()] == ["G2", "C3"]
+        monkeypatch.setattr(weyl_oracle, "TABLE_BUDGET", 1)
+        assert reasons(records["B3"]) == (None, None)
+        assert held_tables() == [held[2]] and held[2][1] == sorted(make.__name__ for make in TABLES)
+    finally:
+        clear_oracle_caches()
+
+
+def test_the_session_verify_types_drop_no_table():
+    # the benchmark's session-warm workload verifies these types in one process: all of
+    # them stay, so a warm verify there makes no table
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    clear_oracle_caches()
+    try:
+        for name in workloads.VERIFY_TYPES:
+            assert reasons(build(parse_type(name))) == (None, None)
+        assert [str(label) for label, *_ in held_tables()] == workloads.VERIFY_TYPES
+    finally:
+        clear_oracle_caches()
 
 
 @pytest.mark.parametrize("label", ["A4", "B3", "C4", "D5", "F4", "G2"])
 def test_the_oracle_does_not_read_the_edge_record(label):
-    # the reflections and W^J come from the Cartan matrix and the root list alone;
-    # the Cartan matrices of B, C, F4 and G2 are not symmetric, so reading a row
-    # for a column would change the reflections there
+    # every table the oracle keeps per type comes from the Cartan matrix and the root
+    # list alone; the Cartan matrices of B, C, F4 and G2 are not symmetric, so reading
+    # a row for a column would change the reflections there
     rs = build(parse_type(label))
     blind = RootSystem(**{**vars(rs), "_level": Poisoned(), "_levels": Poisoned(), "_columns": Poisoned()})
     clear_oracle_caches()
     try:
         indices = _orthogonal_simple_indices(blind)
-        seen = (_simple_reflections(blind), _reflection_table(blind), indices, coset_reps(blind, indices))
-        table = _coset_table(blind)
+        seen = [make(blind) for make in TABLES] + [indices, coset_reps(blind, indices)]
+        assert [name for _, name, _ in held_tables()] == [sorted(make.__name__ for make in TABLES)]
         clear_oracle_caches()
         indices = _orthogonal_simple_indices(rs)
-        assert seen == (_simple_reflections(rs), _reflection_table(rs), indices, coset_reps(rs, indices))
-        assert table == _coset_table(rs)
+        assert seen == [make(rs) for make in TABLES] + [indices, coset_reps(rs, indices)]
     finally:
         clear_oracle_caches()
 
@@ -298,13 +372,15 @@ def test_coset_reps_build_no_table(time_budget):
     # coset_reps needs the simple reflections only; the table of every s_gamma
     # would be |Phi^+| |Phi| = 49,005,000 entries at A99
     a99 = build(parse_type("A99"))
-    _simple_reflections.cache_clear()
-    before = _reflection_table.cache_info()
-    with time_budget(1.0):
-        reps = coset_reps(a99, tuple(range(1, 99)))
-    assert len(reps) == 100 == _coset_count(a99, tuple(range(1, 99)))
-    assert [w.length for w in reps] == list(range(100))
-    assert _reflection_table.cache_info() == before
+    clear_oracle_caches()
+    try:
+        with time_budget(1.0):
+            reps = coset_reps(a99, tuple(range(1, 99)))
+        assert len(reps) == 100 == _coset_count(a99, tuple(range(1, 99)))
+        assert [w.length for w in reps] == list(range(100))
+        assert held_tables() == [(a99.type_label, ["_simple_reflections"], 99 * len(a99.roots))]
+    finally:
+        clear_oracle_caches()
 
 
 @pytest.mark.parametrize("label", UP_TO_E6)
@@ -327,15 +403,15 @@ def test_the_table_walks_two_layers_at_a_time(label):
     # W^J as permutations would be |W^J| |Phi| tuple slots of 8 bytes; the walk
     # holds two layers of (w, w^-1) and the table a few ints per element
     rs = build(parse_type(label))
+    clear_oracle_caches()
     _simple_reflections(rs)
-    _coset_table.cache_clear()
     tracemalloc.start()
     try:
         _coset_table(rs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-        _coset_table.cache_clear()
+        clear_oracle_caches()
     assert peak < _coset_count(rs, _orthogonal_simple_indices(rs)) * len(rs.roots) * 8 / 4
 
 
@@ -366,15 +442,14 @@ def test_budget_at_its_boundary(time_budget):
         n_long = _coset_count(rs, _orthogonal_simple_indices(rs))
         assert _check_verify_budget(rs) == n_long
         assert max(n_long, len(rs.positive_roots)) * len(rs.roots) == VERIFY_COST[series](n)
-    caches = (_reflection_table, _simple_reflections, _coset_table)
-    before = [cache.cache_info() for cache in caches]
+    before = held_tables()
     for series, n in tops.items():
         rs = build(TypeLabel(series, n + 1))
         for check in (verify_level_length, verify_reflection_length):
             with time_budget(1.0), pytest.raises(DomainError, match="over the budget"):
                 check(rs)
-    # refused before any work: no reflection was made and W^J was not walked
-    assert [cache.cache_info() for cache in caches] == before
+    # refused before any work: no table was made or touched, W^J was not walked
+    assert held_tables() == before
     # the whole of W(E6) is admitted, so the oracle above can be compared with it
     e6 = build(parse_type("E6"))
     _check_budget(e6, group_order(e6), "|W|")
@@ -478,10 +553,12 @@ def test_failure_names_a_one_sided_edge():
 def test_failure_when_the_group_lacks_the_reflection(monkeypatch):
     # An edge is read off the line of beta - alpha but decided by the group:
     # with the identity in place of s_gamma, the first edge along gamma fails.
+    # The line table is kept per type, so it is made afresh from the patched reflections.
     b3 = build(parse_type("B3"))
     gamma, *_ = b3.positive_roots
     table = weyl_oracle._reflection_table(b3)
     monkeypatch.setattr(weyl_oracle, "_reflection_table", lambda rs: (tuple(range(len(rs.roots))),) + table[1:])
+    clear_oracle_caches()
     lv = long_root_poset.levels(b3)
     i, col, row, c = next(
         (i, col, row, c)
@@ -493,7 +570,10 @@ def test_failure_when_the_group_lacks_the_reflection(monkeypatch):
     )
     assert long_root_poset.d_matrix(b3, i + 1)[row][col] == c
     beta, alpha = lv[i][col], lv[i + 1][row]
-    assert level_length_failure(b3) == f"({beta}, {alpha}): d_matrix({i + 1}) entry {c}, expected 0"
+    try:
+        assert level_length_failure(b3) == f"({beta}, {alpha}): d_matrix({i + 1}) entry {c}, expected 0"
+    finally:
+        clear_oracle_caches()
 
 
 def test_failure_names_a_repeated_image(monkeypatch):
