@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from itertools import accumulate
 
-from .errors import DomainError, checked_cache
+from .errors import DomainError, weighed_cache
 from .int_linalg import is_prime
 
 Partition = tuple[int, ...]
@@ -78,20 +78,23 @@ def _check_int(n) -> None:
         raise DomainError(f"partitions of a non-integer {n!r}")
 
 
-@checked_cache(_check_int)
-def partitions_of(n: int) -> tuple[Partition, ...]:
-    """All partitions of n in decreasing lexicographic order.
-
-    Refuses, before enumerating, an n with more than PARTITION_BUDGET
-    partitions.  p is increasing, so the recurrence stops at the first
-    m <= n past the budget, and the check is as cheap for a huge n.
-    """
-    _check_int(n)
+def _weigh_partitions(n: int) -> int:
+    """The parts of all partitions of n, a part j occurring sum_{i >= 1} p(n - ij) times.  Refuses an n < 0,
+    or with more than PARTITION_BUDGET partitions: p increases, so a huge n stops at the first m past it."""
     if n < 0:
         raise DomainError("partitions of a negative integer")
+    p = []
     for m, count in zip(range(n + 1), _partition_numbers()):
         if count > PARTITION_BUDGET:
             raise DomainError(f"p({n}) exceeds the partition budget of {PARTITION_BUDGET} (p({m}) = {count})")
+        p.append(count)
+    return sum(p[n - i * j] for j in range(1, n + 1) for i in range(1, n // j + 1))
+
+
+@weighed_cache(_check_int, _weigh_partitions)
+def partitions_of(n: int) -> tuple[Partition, ...]:
+    """All partitions of n in decreasing lexicographic order; refuses, before
+    enumerating, an n with more than PARTITION_BUDGET partitions."""
 
     def gen(rest: int, cap: int):
         if rest == 0:

@@ -17,7 +17,7 @@ import re
 from collections import defaultdict, namedtuple
 from operator import neg
 
-from .errors import DomainError, InvalidTypeError, checked_cache
+from .errors import DomainError, InvalidTypeError, weighed_cache
 
 Root = tuple[int, ...]
 
@@ -82,6 +82,10 @@ class TypeLabel(namedtuple("TypeLabel", "series rank")):
         if not _RANK_CONSTRAINTS[series](rank):
             raise InvalidTypeError(f"rank {rank} invalid for series {series}")
         return super().__new__(cls, series, rank)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace calls it too: both go through __new__'s checks
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"{self.series}{self.rank}"
@@ -150,8 +154,7 @@ class RootSystem:
 
     ``build`` is the only constructor and is deterministic, so the type
     label determines everything else: equality and hashing read the label
-    alone, which keeps cache lookups keyed on a RootSystem cheap at any
-    rank.
+    alone, and the oracle keys its cached tables on it.
     """
 
     type_label: TypeLabel
@@ -189,18 +192,16 @@ class RootSystem:
         return self.type_label.rank
 
     def is_root(self, v: Root) -> bool:
-        """False for anything but a hashable tuple: a list is never a root."""
-        try:
-            return type(v) is tuple and v in self._level
-        except TypeError:  # a tuple holding an unhashable entry
-            return False
+        """False for anything but a tuple of ints: (1.0, 0, 0) and (True, False, False)
+        equal a root of A3 but are none, and a list is never a root."""
+        return type(v) is tuple and {int}.issuperset(map(type, v)) and v in self._level
 
 
 def height(root: Root) -> int:
     return sum(root)
 
 
-@checked_cache(_check_root_budget)
+@weighed_cache(_check_root_budget, lambda label: label.rank**2 * _check_root_budget(label))  # root coordinates
 def build(label: TypeLabel) -> RootSystem:
     """Construct the full root system of the given irreducible type."""
     cartan, lengths, r, h = _cartan_and_lengths(label)

@@ -14,82 +14,38 @@ An element is a permutation of the root list, a tuple with perm[i] the
 index of the image of root i; the positive roots come first, so a root
 index i is positive iff i < |Phi^+|.  Only the simple reflections come
 from the Cartan matrix; the others are conjugated from them
-(s_gamma = s_j s_{s_j(gamma)} s_j).  Kept per type, and made from the
-Cartan matrix and the root list alone: the simple reflections; the table
-of every s_gamma; the line table, which maps each c gamma (0 < |c| <= 3)
-to (s_gamma, c); the length of every s_gamma; and ``_coset_table``, which
-keeps of each element of W^J its image of the highest root, its length and
-its images of the simple roots.  The tables of the least recently used
-types are dropped once all of them would hold more than TABLE_BUDGET tuple
-slots.  Each call reads the record afresh and compares it with these
-tables: the level of each image of the highest root, every entry of the
-recorded matrices, the height of each reflected root.  So a warm cache
-decides no verdict.  Each call refuses, before any work or any table, an
-input whose element count times |Phi| exceeds ORACLE_BUDGET: |W^I| in
-``coset_reps``, the larger of |W^J| and |Phi^+| in the checks.
+(s_gamma = s_j s_{s_j(gamma)} s_j).  The simple reflections and
+``_verify_table`` are kept per type in the package's one store
+(``errors.weighed_cache``), made from the Cartan matrix and the root list
+alone.  Each call reads the record afresh and compares it with them: the
+level of each image of the highest root, every entry of the recorded
+matrices, the height of each reflected root.  So a warm cache decides no
+verdict.  Each call refuses, before any work or any table, an input whose
+element count times |Phi| exceeds ORACLE_BUDGET: |W^I| in ``coset_reps``,
+the larger of |W^J| and |Phi^+| in the checks.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import partial, wraps
+from functools import partial
 from itertools import compress, repeat
-from operator import add, itemgetter, sub
+from operator import add, attrgetter, itemgetter, sub
 
 from . import long_root_poset
-from .errors import DomainError, InvariantFailureError
+from .errors import DomainError, InvariantFailureError, weighed_cache
 from .root_system import RootSystem, _check_indices, _check_record, dual_height, height, highest_root, is_long
 
 # Largest |W^I| * |Phi| an oracle call works on: W(E6) whole is 3,732,480;
 # verify admits A44, B31, C37, D32 and every exceptional type.
 ORACLE_BUDGET = 4_000_000
 
-# Most tuple slots the per-type tables hold in all.  The reflections of a type verify
-# admits hold |Phi^+| |Phi| <= ORACLE_BUDGET slots, and its other tables add under 10%
-# at the top of the budget (C37: 3,971,691 slots in all).  A quarter more fits any one
-# type's tables whole, and A44's beside B31's, but no two types near C37.
-TABLE_BUDGET = ORACLE_BUDGET + ORACLE_BUDGET // 4
-
 
 class WeylElement(namedtuple("WeylElement", "perm length")):
     """perm[i] is the index of the image of root i; length is the Coxeter length."""
 
     __slots__ = ()
-
-
-class _Tables(dict):
-    """One type's tables by maker name, and the tuple slots they hold."""
-
-    slots = 0
-
-
-_tables: dict = {}  # type label -> its _Tables, least recently used first
-
-
-def _per_type(weigh):
-    """Keep make(rs) among the tables of rs's type.  weigh(rs) is the tuple slots
-    the table holds, in closed form, so that before it is made the least recently
-    used other types are dropped, all their tables at once, until it fits under
-    TABLE_BUDGET.  The key is the type label, which a copy of the record shares."""
-
-    def decorate(make):
-        name = make.__name__
-
-        @wraps(make)
-        def table(rs: RootSystem):
-            _tables[rs.type_label] = tables = _tables.pop(rs.type_label, _Tables())  # now the most recent
-            if name not in tables:
-                slots = weigh(rs)
-                while len(_tables) > 1 and sum(t.slots for t in _tables.values()) + slots > TABLE_BUDGET:
-                    del _tables[next(iter(_tables))]
-                tables[name] = make(rs)
-                tables.slots += slots
-            return tables[name]
-
-        return table
-
-    return decorate
 
 
 def _root_index(rs: RootSystem) -> dict:
@@ -114,7 +70,7 @@ def _simple_reflection(rs: RootSystem, index: dict, k: int) -> tuple[int, ...]:
     return _compose(tuple(index.values()), perm + [p + npos if p < npos else p - npos for p in perm])
 
 
-@_per_type(lambda rs: rs.rank * len(rs.roots))
+@weighed_cache(_check_record, lambda rs: rs.rank * len(rs.roots), attrgetter("type_label"))
 def _simple_reflections(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     return tuple(map(partial(_simple_reflection, rs, _root_index(rs)), range(rs.rank)))
 
@@ -125,7 +81,6 @@ def _compose(outer: tuple, inner: tuple) -> tuple:
     return itemgetter(*inner)(outer)
 
 
-@_per_type(lambda rs: (len(rs.positive_roots) - rs.rank) * len(rs.roots))  # the first rank rows are shared
 def _reflection_table(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     """s_gamma for each positive root gamma, in ``rs.positive_roots`` order: the simple roots
     come first, and a later gamma has a lower s_j(gamma), so s_gamma = s_j s_{s_j(gamma)} s_j."""
@@ -136,27 +91,6 @@ def _reflection_table(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-@_per_type(lambda rs: len(rs.positive_roots) * (4 * rs.rank + 12))  # per gamma: 4 keys of rank slots, 6 pairs
-def _line_table(rs: RootSystem) -> dict:
-    """Each c gamma, gamma in Phi^+ and 0 < |c| <= 3, mapped to (s_gamma, c).  The c = 1
-    and c = -1 keys are the root list's own tuples, shared, not copied: 1 MB at C37."""
-    positive, reflections = rs.positive_roots, _reflection_table(rs)
-    roots_on_line = {1: positive, -1: rs.roots[len(positive) :]}
-    lines = {}
-    for c in (-3, -2, -1, 1, 2, 3):
-        keys = roots_on_line.get(c) or [tuple(map(c.__mul__, v)) for v in positive]
-        lines.update(zip(keys, zip(reflections, repeat(c))))
-    return lines
-
-
-@_per_type(lambda rs: len(rs.positive_roots))
-def _reflection_lengths(rs: RootSystem) -> tuple[int, ...]:
-    """l(s_gamma) for each positive root gamma, in ``rs.positive_roots`` order, counted on
-    the group element: the positive roots it negates."""
-    npos = len(rs.positive_roots)
-    return tuple(sum(map(npos.__le__, perm[:npos])) for perm in _reflection_table(rs))
-
-
 def _check_budget(rs: RootSystem, elements: int, what: str) -> None:
     cost = elements * len(rs.roots)
     if cost > ORACLE_BUDGET:
@@ -164,17 +98,6 @@ def _check_budget(rs: RootSystem, elements: int, what: str) -> None:
             f"{rs.type_label}: {what} = {elements} times |Phi| = {len(rs.roots)} is {cost}, "
             f"over the budget of {ORACLE_BUDGET}"
         )
-
-
-def _check_verify_budget(rs: RootSystem) -> int:
-    """Refuse a type on which either verify check would walk more than the
-    budget (W^J for the levels, Phi^+ for the reflections), so that both
-    refuse the same types before any work; returns the long-root count,
-    which is |W^J|.  Anything but a RootSystem is refused first, so it reaches no table."""
-    _check_record(rs)
-    n_long = sum(map(len, rs._levels))
-    _check_budget(rs, max(n_long, len(rs.positive_roots)), "max(|W^J|, |Phi^+|)")
-    return n_long
 
 
 def _coset_count(rs: RootSystem, indices) -> int:
@@ -235,7 +158,17 @@ def _orthogonal_simple_indices(rs: RootSystem) -> tuple[int, ...]:
     return tuple(k for k in range(rs.rank) if not sum(t * row[k] for t, row in zip(top, rs.cartan)))
 
 
-@_per_type(lambda rs: _coset_count(rs, _orthogonal_simple_indices(rs)) * (3 + max(rs.rank, 2)))
+def _weigh_verify_table(rs: RootSystem) -> int:
+    """The tuple slots of ``_verify_table``, in closed form.  Refuses first a type on which
+    either verify check would walk more than the budget (W^J for the levels, Phi^+ for the
+    reflections), so that both refuse the same types before any work."""
+    count, npos = _coset_count(rs, _orthogonal_simple_indices(rs)), len(rs.positive_roots)
+    _check_budget(rs, max(count, npos), "max(|W^J|, |Phi^+|)")
+    # per x in W^J: its slot, a triple and the images; the reflections but the simple ones (an
+    # entry of their own); per gamma: 4 keys of rank slots and 6 pairs of lines, and a length
+    return count * (4 + max(rs.rank, 2)) + (npos - rs.rank) * len(rs.roots) + npos * (4 * rs.rank + 13)
+
+
 def _coset_table(rs: RootSystem) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """For each x in W^J, J the simple roots orthogonal to the highest root, in
     walk order: (index of x(highest root), length of x, x's images of the simple
@@ -243,6 +176,22 @@ def _coset_table(rs: RootSystem) -> tuple[tuple[int, int, tuple[int, ...]], ...]
     top = len(rs.positive_roots) - 1
     layers = enumerate(_walk(rs, _orthogonal_simple_indices(rs)))
     return tuple((w[top], length, images) for length, layer in layers for w, images in layer)
+
+
+@weighed_cache(_check_record, _weigh_verify_table, attrgetter("type_label"))
+def _verify_table(rs: RootSystem) -> tuple[tuple, dict, tuple[int, ...]]:
+    """What verify holds a record to: ``_coset_table``; the line table, which maps each
+    c gamma, gamma in Phi^+ and 0 < |c| <= 3, to (s_gamma, c); and l(s_gamma) for each
+    gamma in Phi^+, counted on the group element: the positive roots it negates.  W^J is
+    walked first, so its two layers are gone before the reflections are conjugated.  The
+    c = 1 and c = -1 keys are the root list's own tuples, shared, not copied: 1 MB at C37."""
+    cosets, reflections, npos = _coset_table(rs), _reflection_table(rs), len(rs.positive_roots)
+    roots_on_line = {1: rs.positive_roots, -1: rs.roots[npos:]}
+    lines = {}
+    for c in (-3, -2, -1, 1, 2, 3):
+        keys = roots_on_line.get(c) or [tuple(map(c.__mul__, v)) for v in rs.positive_roots]
+        lines.update(zip(keys, zip(reflections, repeat(c))))
+    return cosets, lines, tuple(sum(map(npos.__le__, perm[:npos])) for perm in reflections)
 
 
 def level_length_failure(rs: RootSystem) -> str | None:
@@ -260,16 +209,16 @@ def level_length_failure(rs: RootSystem) -> str | None:
     which maps each c gamma (gamma in Phi^+, 0 < |c| <= 3) to (s_gamma, c),
     and the entry must be that c when s_gamma x_beta = x_alpha, and 0
     otherwise, decided on the images of the simple roots that
-    ``_coset_table`` keeps.  A failure means the level
+    ``_verify_table`` keeps.  A failure means the level
     combinatorics and the group disagree, i.e. an implementation bug.
     """
-    n_long = _check_verify_budget(rs)
-    table = _coset_table(rs)
-    if len(table) != n_long:
-        return f"W^J has {len(table)} elements, but there are {n_long} long roots"
+    cosets, lines, _ = _verify_table(rs)
+    lv = long_root_poset.levels(rs)
+    if len(cosets) != (n_long := sum(map(len, lv))):
+        return f"W^J has {len(cosets)} elements, but there are {n_long} long roots"
 
     by_root = {}
-    for top, length, images in table:
+    for top, length, images in cosets:
         image = rs.roots[top]
         if image in by_root:
             return f"two representatives send the highest root to {image}"
@@ -278,8 +227,6 @@ def level_length_failure(rs: RootSystem) -> str | None:
             return f"the representative sending the highest root to {image} has length {length}, level {level}"
         by_root[image] = images
 
-    lines = _line_table(rs)
-    lv = long_root_poset.levels(rs)
     for i in range(rs.h_dual - 1):
         for beta, column in zip(lv[i], rs._columns[i + 1]):
             for row, alpha in enumerate(lv[i + 1]):
@@ -300,12 +247,12 @@ def reflection_length_failure(rs: RootSystem) -> str | None:
     """Why a reflection length breaks the height rule, or None.
 
     l(s_b) = 2 ht_coroot(b) - 1 for long b and 2 ht(b) - 1 for short b.
-    l(s_b) is counted on the group element, s_b from the reflection table
-    (conjugated from the simple reflections): the positive roots it negates,
-    kept per type; the heights are read off the record on every call.
+    l(s_b) is counted on the group element, s_b conjugated from the simple
+    reflections: the positive roots it negates, kept in ``_verify_table``; the
+    heights are read off the record on every call.
     """
-    _check_verify_budget(rs)
-    for b, length in zip(rs.positive_roots, _reflection_lengths(rs)):
+    _, _, lengths = _verify_table(rs)  # anything but a record is refused before a field is read
+    for b, length in zip(rs.positive_roots, lengths):
         expected = 2 * (dual_height(rs, b) if is_long(rs, b) else height(b)) - 1
         if length != expected:
             return f"the reflection in {b} has length {length}, expected {expected}"

@@ -5,7 +5,8 @@ by these checks alone: the Weyl oracle on all 144 types its budget
 admits, the record checks and the simple-reflection rule on every
 boundary matrix of all 310 types the root budget admits, the dense route
 at the top rank of each classical series, the CLI in a fresh process at
-the top of each budget, and the Smith layer on dense matrices larger
+the top of each budget, sessions of large inputs under a stated peak
+resident memory, and the Smith layer on dense matrices larger
 than any the pipeline makes.  Where a tier-1 test states a check on a
 sample, this module calls that test's body, or a helper both share, so
 each check is written once.
@@ -33,7 +34,7 @@ import test_long_root_poset
 import test_orbit_cohomology
 import test_root_system
 import test_weyl_oracle
-from minorbit import weyl_oracle
+from minorbit import errors
 from minorbit.int_linalg import invariant_factors
 from minorbit.root_system import build, parse_type
 
@@ -50,14 +51,14 @@ def admitted(last_rank) -> list[str]:
 ORACLE_TYPES = admitted(test_weyl_oracle.last_verified_rank)
 RECORD_TYPES = admitted(test_root_system.last_admitted_rank)
 TOP_TYPES = [f"{s}{test_root_system.last_admitted_rank(s)}" for s in "ABCD"]
+TOP_VERIFIED = [f"{s}{test_weyl_oracle.last_verified_rank(s)}" for s in "ABCD"]
 
 
 @pytest.fixture(autouse=True)
-def clear_caches():
-    # a reflection table at the top of the oracle budget is about 30 MB
+def clear_store():
+    # the oracle's tables at the top of its budget are about 30 MB
     yield
-    build.cache_clear()
-    weyl_oracle._tables.clear()
+    errors.cache_clear()
 
 
 def test_the_admitted_types():
@@ -69,12 +70,13 @@ def test_the_admitted_types():
 @pytest.mark.parametrize("label", ORACLE_TYPES)
 def test_the_oracle_on_every_admitted_type(label):
     # cold, then warm on the tables the first call made: the same verdict; and the
-    # tables of any one type fit whole under the table budget
+    # record and tables of any one type fit whole under the store's budget
     test_weyl_oracle.test_verify_level_length(label)
     test_weyl_oracle.test_verify_reflection_length(label)
     assert test_weyl_oracle.reasons(build(parse_type(label))) == (None, None)
-    [(_, names, slots)] = test_weyl_oracle.held_tables()
-    assert len(names) == len(test_weyl_oracle.TABLES) and slots <= weyl_oracle.TABLE_BUDGET
+    held = [(name, str(key)) for name, key, _ in test_weyl_oracle.held()]
+    assert sorted(held) == [("_simple_reflections", label), ("_verify_table", label), ("build", label)]
+    assert errors._store.slots <= errors.CACHE_BUDGET
 
 
 @pytest.mark.parametrize("name", RECORD_TYPES)
@@ -111,7 +113,7 @@ def cli(argv, timeout):
     return subprocess.run(command, env=env, capture_output=True, text=True, timeout=timeout)
 
 
-@pytest.mark.parametrize("label", [f"{s}{test_weyl_oracle.last_verified_rank(s)}" for s in "ABCD"] + ["E8"])
+@pytest.mark.parametrize("label", TOP_VERIFIED + ["E8"])
 def test_verify_at_the_top_of_the_oracle_budget(label):
     done = cli(["verify", "--type", label], timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "level-length: ok\nreflection-length: ok\n", "")
@@ -119,51 +121,72 @@ def test_verify_at_the_top_of_the_oracle_budget(label):
 
 # The child reads its own peak from /proc/self/status: VmHWM starts afresh at exec,
 # where ru_maxrss would carry over the peak of the process that started it.
-PEAK_OF_VERIFY = """
+PEAK = """
 import sys
-from minorbit import cli
-code = cli.main(["verify", "--type", sys.argv[1]])
+{body}
 status = dict(line.split(":", 1) for line in open("/proc/self/status"))
-print(code, int(status["VmHWM"].split()[0]) // 1024, file=sys.stderr)
+print(int(status["VmHWM"].split()[0]) // 1024, file=sys.stderr)
 """
+VERIFY = """
+from minorbit import cli
+print(*[cli.main(["verify", "--type", label]) for label in sys.argv[1:]], file=sys.stderr)
+"""
+needs_proc = pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="VmHWM is read from Linux's /proc")
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="VmHWM is read from Linux's /proc")
-@pytest.mark.parametrize("label", [f"{s}{test_weyl_oracle.last_verified_rank(s)}" for s in "ABCD"])
+def peak_of(body: str, *argv: str) -> tuple[str, list[int]]:
+    """Run body in a fresh interpreter, with argv as sys.argv[1:]; its stdout, and the ints
+    it printed on stderr, the last its peak resident memory (VmHWM) in MB."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    command = [sys.executable, "-c", PEAK.format(body=body), *argv]
+    done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+    return done.stdout, list(map(int, done.stderr.split()))
+
+
+@needs_proc
+@pytest.mark.parametrize("label", TOP_VERIFIED)
 def test_cold_verify_at_the_top_of_the_budget_peaks_under_50_mb(label):
     # W^J is walked two layers at a time, so no call holds |W^J| |Phi| slots (31 MB at A44) at once
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run(
-        [sys.executable, "-c", PEAK_OF_VERIFY, label], env=env, capture_output=True, text=True, timeout=60
-    )
-    code, peak_mb = map(int, done.stderr.split())
-    assert (code, done.stdout) == (0, "level-length: ok\nreflection-length: ok\n")
+    out, (code, peak_mb) = peak_of(VERIFY, label)
+    assert (code, out) == (0, "level-length: ok\nreflection-length: ok\n")
     assert peak_mb < 50, f"{label}: cold verify peaked at {peak_mb} MB"
 
 
-# verify at the top of each series in turn: before a table would pass TABLE_BUDGET the
-# oracle drops the tables of the types used longest ago, so the session holds about one
-# top type's tables at a time (51-54 MB on a 2-vCPU VM with Python 3.11, where a cache of
-# 16 types held all four at 96 MB)
-PEAK_OF_VERIFY_SESSION = """
-import sys
-from minorbit import cli
-codes = [cli.main(["verify", "--type", label]) for label in sys.argv[1:]]
-status = dict(line.split(":", 1) for line in open("/proc/self/status"))
-print(*codes, int(status["VmHWM"].split()[0]) // 1024, file=sys.stderr)
-"""
-
-
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="VmHWM is read from Linux's /proc")
+# The sessions below hold the package's one store under CACHE_BUDGET tuple slots, dropping
+# the entries used longest ago.  On a 2-vCPU VM with Python 3.11: verify at the top of each
+# series in turn keeps about one top type's tables at a time, 52-54 MB (96 MB with 16 types
+# kept whole); the cohomology of A1-A99 peaks at 93 MB (288 MB with every record kept) and
+# springer_image(n, 2) for n = 1..45 at 73 MB (90 MB with every partition list kept).
+@needs_proc
 def test_a_verify_session_at_the_top_of_the_budget_peaks_under_70_mb():
-    labels = [f"{s}{test_weyl_oracle.last_verified_rank(s)}" for s in "ABCD"]
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run(
-        [sys.executable, "-c", PEAK_OF_VERIFY_SESSION, *labels], env=env, capture_output=True, text=True, timeout=60
+    out, (*codes, peak_mb) = peak_of(VERIFY, *TOP_VERIFIED)
+    assert (codes, out) == ([0] * 4, "level-length: ok\nreflection-length: ok\n" * 4)
+    assert peak_mb < 70, f"verify on {', '.join(TOP_VERIFIED)} peaked at {peak_mb} MB"
+
+
+@needs_proc
+def test_the_cohomology_of_a1_to_a99_peaks_under_120_mb():
+    body = (
+        "from minorbit.orbit_cohomology import minimal_orbit_cohomology\n"
+        "from minorbit.root_system import TypeLabel, build\n"
+        "print(sum(minimal_orbit_cohomology(build(TypeLabel('A', n))).d for n in range(1, 100)))"
     )
-    *codes, peak_mb = map(int, done.stderr.split())
-    assert (codes, done.stdout) == ([0] * 4, "level-length: ok\nreflection-length: ok\n" * 4)
-    assert peak_mb < 70, f"verify on {', '.join(labels)} peaked at {peak_mb} MB"
+    out, [peak_mb] = peak_of(body)
+    assert out == f"{sum(2 * n for n in range(1, 100))}\n"  # d = 2 h_dual - 2 = 2n
+    assert peak_mb < 120, f"the cohomology of A1-A99 peaked at {peak_mb} MB"
+
+
+@needs_proc
+def test_springer_images_up_to_45_peak_under_85_mb():
+    body = "from minorbit.gln_springer import springer_image\nprint([len(springer_image(n, 2)) for n in range(1, 46)])"
+    out, [peak_mb] = peak_of(body)
+    # the 2-restricted partitions of n are as many as the partitions of n into distinct parts
+    distinct = [1] + [0] * 45
+    for part in range(1, 46):
+        for n in range(45, part - 1, -1):
+            distinct[n] += distinct[n - part]
+    assert out == f"{distinct[1:]}\n"
+    assert peak_mb < 85, f"springer_image(n, 2) for n = 1..45 peaked at {peak_mb} MB"
 
 
 # dmatrices prints 13-20 MB of JSON at the top ranks, too near the 2 s budget of the tier-1 CLI fuzz

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minorbit.cli import main
+from minorbit import errors
 from minorbit.errors import DomainError
 from minorbit.gln_springer import (
     PART_BUDGET,
@@ -428,13 +429,15 @@ def test_partition_count_matches_enumeration():
 @pytest.mark.parametrize("n", [5.0, True, "5", [5]])
 def test_partitions_of_refuses_a_non_int(n):
     # 5.0 and True equal 5 and 1: refused on a cold cache, and again once p(5) and p(1) are
-    # cached; [5] is unhashable, refused before the cache would hash it
+    # cached; [5] is unhashable, refused before the cache would hash it; none adds an entry
     partitions_of.cache_clear()
     for _ in ("cold", "warm"):
+        held = list(errors._store.items())
         with pytest.raises(DomainError, match=rf"^partitions of a non-integer {re.escape(repr(n))}$"):
             partitions_of(n)
         with pytest.raises(DomainError, match=rf"^springer_image needs an int n >= 1, got {re.escape(repr(n))}$"):
             springer_image(n, 2)
+        assert list(errors._store.items()) == held
         partitions_of(5), partitions_of(1)
 
 
@@ -450,6 +453,10 @@ def test_partition_budget_refuses_just_past_the_boundary(time_budget):
                 partitions_of(m)
         with pytest.raises(DomainError, match="partition budget"):
             springer_image(n, 2)
+        with pytest.raises(DomainError, match="^partitions of a negative integer$"):
+            partitions_of(-1)
+        assert partitions_of.cache_info() == (0, 5)  # each refused is a miss, and adds no entry
+        assert not any(key[0] is partitions_of for key in errors._store)
         # the cover rule is local, so the budget does not limit adjacency
         assert adjacent_in_dominance(*big)
         assert minimal_degeneration(*big) == ("simple_A", n)

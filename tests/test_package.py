@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import minorbit
-from minorbit import weyl_oracle
+from minorbit import errors
 from minorbit.errors import DomainError
 from minorbit.int_linalg import SmithForm, smith
 from minorbit.orbit_cohomology import OrbitCohomology, minimal_orbit_cohomology
@@ -145,10 +145,25 @@ RECORD_CALLS = [
 
 @pytest.mark.parametrize("module, name, args", RECORD_CALLS, ids=[name for _, name, _ in RECORD_CALLS])
 def test_record_entry_points_refuse_anything_but_a_root_system(module, name, args):
-    # one check, before any field is read: the oracle's per-type tables see no foreign key
+    # one check, before any field is read: the store sees no foreign key
     function = getattr(importlib.import_module(f"minorbit.{module}"), name)
-    held = list(weyl_oracle._tables.items())
+    held = list(errors._store.items())
     for bad in (["A", 3], TypeLabel("A", 3), "A3", None):
         with pytest.raises(DomainError, match=rf"^expected a RootSystem \(see build\), got {type(bad).__name__}$"):
             function(bad, *args)
-    assert list(weyl_oracle._tables.items()) == held
+    assert list(errors._store.items()) == held
+
+
+def test_no_module_caches_past_the_store():
+    # every cache goes through errors.weighed_cache, bounded by CACHE_BUDGET; functools'
+    # lru_cache and cache hold any number of entries of any size
+    unbounded = {"lru_cache", "cache"}
+    for path in sorted((SRC / "minorbit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "functools":
+                names = {node.attr}
+            else:
+                continue
+            assert not names & unbounded, f"{path.name}:{node.lineno} uses functools.{names & unbounded}"

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from minorbit import root_system
+from minorbit import errors, root_system
 from minorbit.decomposition import decomp_minimal, decomp_subregular, simple_singularity
 from minorbit.errors import DomainError, InvalidTypeError
 from minorbit.int_linalg import cokernel
@@ -210,20 +210,32 @@ def test_is_long_divisibility(rs):
         is_long(rs, tuple([5] * rs.rank))
 
 
+def check_no_root(rs, v):
+    """Each lookup refuses v with its DomainError, never with a TypeError or an answer."""
+    assert rs.is_root(v) is False
+    with pytest.raises(DomainError, match=f"is not a root of {rs.type_label}$"):
+        is_long(rs, v)
+    with pytest.raises(DomainError, match="^dual height is defined on long roots only"):
+        dual_height(rs, v)
+    with pytest.raises(DomainError, match="^level is defined on long roots only"):
+        level(rs, v)
+
+
 @pytest.mark.parametrize("kind", [list, set, lambda v: dict(enumerate(v))], ids=["list", "set", "dict"])
 def test_a_root_is_a_hashable_tuple(kind):
-    # the highest root given as a list, set or dict, alone or inside a tuple, is no
-    # root: each lookup refuses it with its DomainError, never with a TypeError
+    # the highest root given as a list, set or dict, alone or inside a tuple, is no root
     b3 = build(parse_type("B3"))
     top = highest_root(b3)
     for v in (kind(top), (kind(top),) + top[1:]):
-        assert b3.is_root(v) is False
-        with pytest.raises(DomainError, match="is not a root of B3$"):
-            is_long(b3, v)
-        with pytest.raises(DomainError, match="^dual height is defined on long roots only"):
-            dual_height(b3, v)
-        with pytest.raises(DomainError, match="^level is defined on long roots only"):
-            level(b3, v)
+        check_no_root(b3, v)
+
+
+@pytest.mark.parametrize("v", [(1.0, 0, 0), (True, False, False)], ids=["float", "bool"])
+def test_a_root_is_a_tuple_of_ints(v):
+    # both equal alpha_1 of A3 and hash as it does, but are no root
+    a3 = build(parse_type("A3"))
+    assert v == a3.roots[0] and a3.is_root(a3.roots[0])
+    check_no_root(a3, v)
 
 
 def test_is_long_matches_the_bilinear_form(rs):
@@ -310,7 +322,7 @@ LABEL_CALLS = [
     "decomp_minimal(label, 2)",
     "decomp_subregular(label, 2)",
 ]
-# a list is unhashable: it is refused before build's cache would hash it
+# a list is unhashable: it is refused before build's cache would hash it, and adds no entry
 NOT_LABELS = ["A3", ("A", 3), ("B", 3), ["A", 3], 3, None]
 
 
@@ -319,9 +331,11 @@ def test_label_entry_points_refuse_anything_but_a_type_label_when_warm(call):
     # A3 and B3 are in build's cache, and ("A", 3) == TypeLabel("A", 3)
     build(TypeLabel("A", 3))
     build(TypeLabel("B", 3))
+    held = list(errors._store.items())
     for label in NOT_LABELS:
         with pytest.raises(InvalidTypeError, match="expected a TypeLabel"):
             eval(call, globals(), {"label": label})
+    assert list(errors._store.items()) == held
 
 
 def test_label_entry_points_refuse_anything_but_a_type_label_when_cold():
@@ -338,10 +352,28 @@ def test_label_entry_points_refuse_anything_but_a_type_label_when_cold():
         "            assert str(exc).startswith('expected a TypeLabel'), (call, label, exc)\n"
         "        else:\n"
         "            raise AssertionError((call, label))\n"
-        "assert build.cache_info().currsize == 0\n"
+        "from minorbit.errors import _store\n"
+        "assert build.cache_info().misses == len(_store) == 0\n"
     ) % (LABEL_CALLS, NOT_LABELS)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: TypeLabel("A", 3)._replace(rank=0), "rank 0 invalid for series A"),
+        (lambda: TypeLabel._make(("E", 5)), "rank 5 invalid for series E"),
+        (lambda: TypeLabel._make(("Q", 3)), "unknown series 'Q'"),
+        (lambda: TypeLabel("A", 3)._replace(rank=3.0), "rank must be an int, got 3.0"),
+    ],
+    ids=["replace-rank-0", "make-E5", "make-Q3", "replace-rank-float"],
+)
+def test_make_and_replace_check_the_label(make, message):
+    # namedtuple's _make and _replace would skip __new__, and build then fail with a bare error
+    with pytest.raises(InvalidTypeError, match=f"^{message}$"):
+        build(make())
+    assert TypeLabel("A", 3)._replace(rank=4) == TypeLabel._make(["A", 4]) == TypeLabel("A", 4)
 
 
 def test_type_label_series_must_be_a_letter():
@@ -504,11 +536,11 @@ def test_closure_refuses_a_wrong_matrix(wrong, monkeypatch, time_budget):
     # the closure stops once it has taken a 7th positive root
     label = TypeLabel("A", 3)
     monkeypatch.setattr(root_system, "_cartan_and_lengths", lambda _: (*wrong, 4))
-    before = build.cache_info()
+    before = list(errors._store.items())
     with time_budget(1), pytest.raises(InvalidTypeError, match="root enumeration failed for A3") as info:
         build.__wrapped__(label)
     assert str(info.value) == "root enumeration failed for A3: the closure stopped at 14 roots, not rank * h = 12"
-    assert build.cache_info() == before
+    assert list(errors._store.items()) == before
 
 
 def test_cartan_matrix_budget_at_its_boundary():

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from minorbit import cli, long_root_poset, weyl_oracle
-from minorbit.errors import DomainError, InvariantFailureError
+from minorbit import cli, errors, long_root_poset, weyl_oracle
+from minorbit.errors import DomainError, InvariantFailureError, weighed_cache
+from minorbit.gln_springer import partitions_of
 from minorbit.long_root_poset import level
 from minorbit.root_system import (
     RootSystem,
@@ -26,17 +27,14 @@ from minorbit.weyl_oracle import (
     ORACLE_BUDGET,
     WeylElement,
     _check_budget,
-    _check_verify_budget,
     _compose,
     _coset_count,
     _coset_table,
-    _line_table,
     _orthogonal_simple_indices,
-    _reflection_lengths,
     _reflection_table,
     _root_index,
     _simple_reflections,
-    _tables,
+    _verify_table,
     _walk,
     coset_reps,
     level_length_failure,
@@ -250,17 +248,17 @@ def test_the_positions_the_oracle_reads(label):
         assert _reflection_table(rs)[: rs.rank] == _simple_reflections(rs)
 
 
-TABLES = (_simple_reflections, _reflection_table, _line_table, _reflection_lengths, _coset_table)
+TABLES = (_simple_reflections, _verify_table)
 
 
-def clear_oracle_caches():
-    # the tables are keyed on the type label, which a copy of the record shares
-    _tables.clear()
+def clear_store():
+    # the package's one store; the oracle's tables are keyed on the type label, which a copy of the record shares
+    errors.cache_clear()
 
 
-def held_tables() -> list:
-    """Each type the oracle keeps tables for, least recently used first, with its tables' names and slots."""
-    return [(label, sorted(tables), tables.slots) for label, tables in _tables.items()]
+def held() -> list:
+    """Each entry of the one store, least recently used first: (function name, key, slots)."""
+    return [(fn.__name__, key, slots) for (fn, key), (_, slots) in errors._store.items()]
 
 
 def added_slots(obj, known: set) -> int:
@@ -274,57 +272,123 @@ def added_slots(obj, known: set) -> int:
 
 @pytest.mark.parametrize("label", ["A1", "A3", "B3", "C4", "D5", "F4", "G2"])
 def test_each_table_weighs_the_tuple_slots_it_adds(label):
-    # a table is weighed in closed form before it is made: the slots of the tuples it
-    # adds, shared roots and reflections aside, and at most its own top-level entries less
-    rs = build(parse_type(label))
-    known = {id(root) for root in rs.roots}
-    clear_oracle_caches()
+    # an entry is weighed in closed form before it is made: the slots of the tuples it
+    # adds, shared roots and reflections aside, and at most its own top-level entries
+    # less; a record is weighed by its root coordinates, rank^2 h
+    clear_store()
     try:
-        for make in TABLES:  # in this order each call makes one table
-            before = sum(slots for *_, slots in held_tables())
+        rs = build(parse_type(label))
+        [(_, _, weight)] = held()
+        assert weight == sum(map(len, rs.roots)) == rs.rank * len(rs.roots)
+        assert weight <= added_slots(rs.roots, set()) <= weight + len(rs.roots)
+        known = {id(root) for root in rs.roots}
+        for make in TABLES:  # in this order each call makes one entry
             table = make(rs)
-            weight = sum(slots for *_, slots in held_tables()) - before
-            assert weight <= added_slots(table, known) <= weight + len(table), make.__name__
+            (name, _, weight) = held()[-1]
+            assert name == make.__name__ and weight <= added_slots(table, known) <= weight + len(table), name
+        assert len(held()) == 1 + len(TABLES)
     finally:
-        clear_oracle_caches()
+        clear_store()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 16, 30])
+def test_a_partition_list_weighs_its_parts(n):
+    clear_store()
+    try:
+        partitions = partitions_of(n)
+        [(_, _, weight)] = held()
+        assert weight == sum(map(len, partitions)) == added_slots(partitions, set()) - len(partitions)
+    finally:
+        clear_store()
+
+
+def test_the_store_drops_the_least_recently_used_entries(monkeypatch):
+    # before an entry is made, the entries used longest ago go until its slots fit; the
+    # entry being made is never dropped, nor one whose maker is still running, even
+    # alone over the budget
+    @weighed_cache(lambda n: None, lambda n: n)
+    def toy(n):
+        return (0,) * n
+
+    @weighed_cache(lambda n: None, lambda n: 2 * n)
+    def twice(n):
+        return toy(n) * 2
+
+    def keys():
+        return [(name, key) for name, key, _ in held()]
+
+    clear_store()
+    monkeypatch.setattr(errors, "CACHE_BUDGET", 10)
+    try:
+        for n in (3, 4, 2, 3):
+            toy(n)
+        assert keys() == [("toy", 4), ("toy", 2), ("toy", 3)] and errors._store.slots == 9
+        assert toy.cache_info() == (1, 3)
+        toy(5)  # 9 + 5 slots: 4, used longest ago, goes
+        assert keys() == [("toy", 2), ("toy", 3), ("toy", 5)]
+        toy(12)
+        assert keys() == [("toy", 12)] and errors._store.slots == 12
+        twice(3)  # its 6 slots are reserved before toy(3) is made beside them: toy(12) goes
+        assert held() == [("toy", 3, 3), ("twice", 3, 6)] and errors._store.slots == 9
+        toy.cache_clear()
+        assert held() == [("twice", 3, 6)] and errors._store.slots == 6
+        with pytest.raises(ZeroDivisionError):
+            weighed_cache(lambda n: None, lambda n: n)(lambda n: 1 // 0)(4)
+        assert held() == [("twice", 3, 6)] and errors._store.slots == 6  # a failed make keeps no reservation
+    finally:
+        clear_store()
+    assert errors._store.slots == 0
 
 
 def test_tables_drop_the_least_recently_used_types(monkeypatch):
-    # under a budget of three types' tables a fourth type drops, before its tables are
-    # made, the types used longest ago, each whole; the type in use is never dropped,
-    # even alone over the budget, and no verdict changes
+    # under a budget that three types' tables fill, a fourth type's drop, before they are
+    # made, the entries used longest ago; the tables being made are never dropped, even
+    # alone over the budget, and no verdict changes
     records = {name: build(parse_type(name)) for name in ("G2", "A3", "B3", "C3")}
-    clear_oracle_caches()
+    clear_store()
     try:
         for name in ("G2", "A3", "B3"):
             assert reasons(records[name]) == (None, None)
-        held = held_tables()
-        assert [str(label) for label, *_ in held] == ["G2", "A3", "B3"]
-        monkeypatch.setattr(weyl_oracle, "TABLE_BUDGET", sum(slots for *_, slots in held))
-        assert reasons(records["G2"]) == (None, None)  # now the most recent
+        monkeypatch.setattr(errors, "CACHE_BUDGET", errors._store.slots)
+        assert reasons(records["G2"]) == (None, None)  # its verify table is now the most recent
+        before = held()
+        assert before[-1][:2] == ("_verify_table", records["G2"].type_label)
         assert reasons(records["C3"]) == (None, None)
-        assert [str(label) for label, *_ in held_tables()] == ["G2", "C3"]
-        monkeypatch.setattr(weyl_oracle, "TABLE_BUDGET", 1)
+        *kept, simple, table = held()
+        c3 = records["C3"].type_label
+        assert (simple[:2], table[:2]) == (("_simple_reflections", c3), ("_verify_table", c3))
+        assert len(kept) < len(before) and kept == before[len(before) - len(kept) :]
+        assert errors._store.slots <= errors.CACHE_BUDGET
+        monkeypatch.setattr(errors, "CACHE_BUDGET", 1)
         assert reasons(records["B3"]) == (None, None)
-        assert held_tables() == [held[2]] and held[2][1] == sorted(make.__name__ for make in TABLES)
+        assert [(name, str(key)) for name, key, _ in held()] == [("_simple_reflections", "B3"), ("_verify_table", "B3")]
     finally:
-        clear_oracle_caches()
+        clear_store()
 
 
-def test_the_session_verify_types_drop_no_table():
-    # the benchmark's session-warm workload verifies these types in one process: all of
-    # them stay, so a warm verify there makes no table
+def test_a_session_warm_pass_drops_no_entry():
+    # the benchmark's session-warm workload makes the records of its hot set, the tables
+    # of its verify types and the partitions of its gln sizes in one process: all of them
+    # stay, so a warm request there makes no entry
     path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
     spec = importlib.util.spec_from_file_location("workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    clear_oracle_caches()
+    clear_store()
     try:
+        for name in workloads.HOT_SET:
+            build(parse_type(name))
         for name in workloads.VERIFY_TYPES:
             assert reasons(build(parse_type(name))) == (None, None)
-        assert [str(label) for label, *_ in held_tables()] == workloads.VERIFY_TYPES
+        for n in workloads.GLN_SIZES:
+            partitions_of(n)
+        expected = [("build", name) for name in workloads.HOT_SET]
+        expected += [(make.__name__, name) for name in workloads.VERIFY_TYPES for make in TABLES]
+        expected += [("partitions_of", str(n)) for n in workloads.GLN_SIZES]
+        assert sorted((name, str(key)) for name, key, _ in held()) == sorted(expected)
+        assert errors._store.slots == sum(slots for *_, slots in held()) < errors.CACHE_BUDGET
     finally:
-        clear_oracle_caches()
+        clear_store()
 
 
 @pytest.mark.parametrize("label", ["A4", "B3", "C4", "D5", "F4", "G2"])
@@ -334,16 +398,16 @@ def test_the_oracle_does_not_read_the_edge_record(label):
     # a row for a column would change the reflections there
     rs = build(parse_type(label))
     blind = RootSystem(**{**vars(rs), "_level": Poisoned(), "_levels": Poisoned(), "_columns": Poisoned()})
-    clear_oracle_caches()
+    clear_store()
     try:
         indices = _orthogonal_simple_indices(blind)
         seen = [make(blind) for make in TABLES] + [indices, coset_reps(blind, indices)]
-        assert [name for _, name, _ in held_tables()] == [sorted(make.__name__ for make in TABLES)]
-        clear_oracle_caches()
+        assert sorted((name, key) for name, key, _ in held()) == [(make.__name__, rs.type_label) for make in TABLES]
+        clear_store()
         indices = _orthogonal_simple_indices(rs)
         assert seen == [make(rs) for make in TABLES] + [indices, coset_reps(rs, indices)]
     finally:
-        clear_oracle_caches()
+        clear_store()
 
 
 @pytest.mark.parametrize("label", ["A4", "D5", "E6"])
@@ -355,7 +419,7 @@ def test_coset_reps_stop_past_the_coset_count(label, time_budget):
     positive = rs.positive_roots[1:] + rs.positive_roots[:1]
     negative = tuple(tuple(-x for x in v) for v in positive)
     moved = RootSystem(**{**vars(rs), "roots": positive + negative, "positive_roots": positive})
-    clear_oracle_caches()
+    clear_store()
     try:
         indices = _orthogonal_simple_indices(moved)
         count = _coset_count(moved, indices)
@@ -365,22 +429,22 @@ def test_coset_reps_stop_past_the_coset_count(label, time_budget):
         with time_budget(2.0), pytest.raises(InvariantFailureError, match=message):
             level_length_failure(moved)
     finally:
-        clear_oracle_caches()
+        clear_store()
 
 
 def test_coset_reps_build_no_table(time_budget):
     # coset_reps needs the simple reflections only; the table of every s_gamma
     # would be |Phi^+| |Phi| = 49,005,000 entries at A99
     a99 = build(parse_type("A99"))
-    clear_oracle_caches()
+    clear_store()
     try:
         with time_budget(1.0):
             reps = coset_reps(a99, tuple(range(1, 99)))
         assert len(reps) == 100 == _coset_count(a99, tuple(range(1, 99)))
         assert [w.length for w in reps] == list(range(100))
-        assert held_tables() == [(a99.type_label, ["_simple_reflections"], 99 * len(a99.roots))]
+        assert held() == [("_simple_reflections", a99.type_label, 99 * len(a99.roots))]
     finally:
-        clear_oracle_caches()
+        clear_store()
 
 
 @pytest.mark.parametrize("label", UP_TO_E6)
@@ -403,7 +467,7 @@ def test_the_table_walks_two_layers_at_a_time(label):
     # W^J as permutations would be |W^J| |Phi| tuple slots of 8 bytes; the walk
     # holds two layers of (w, w^-1) and the table a few ints per element
     rs = build(parse_type(label))
-    clear_oracle_caches()
+    clear_store()
     _simple_reflections(rs)
     tracemalloc.start()
     try:
@@ -411,7 +475,7 @@ def test_the_table_walks_two_layers_at_a_time(label):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-        clear_oracle_caches()
+        clear_store()
     assert peak < _coset_count(rs, _orthogonal_simple_indices(rs)) * len(rs.roots) * 8 / 4
 
 
@@ -440,16 +504,21 @@ def test_budget_at_its_boundary(time_budget):
     for series, n in tops.items():
         rs = build(TypeLabel(series, n))
         n_long = _coset_count(rs, _orthogonal_simple_indices(rs))
-        assert _check_verify_budget(rs) == n_long
+        assert sum(map(len, rs._levels)) == n_long
         assert max(n_long, len(rs.positive_roots)) * len(rs.roots) == VERIFY_COST[series](n)
-    before = held_tables()
-    for series, n in tops.items():
-        rs = build(TypeLabel(series, n + 1))
-        for check in (verify_level_length, verify_reflection_length):
+    refused = [build(TypeLabel(series, n + 1)) for series, n in tops.items()]
+    before = list(errors._store.items())
+    for rs in refused:
+        for check in (verify_level_length, verify_reflection_length, _verify_table):
             with time_budget(1.0), pytest.raises(DomainError, match="over the budget"):
                 check(rs)
-    # refused before any work: no table was made or touched, W^J was not walked
-    assert held_tables() == before
+    # refused before any work: no entry was made or touched, W^J was not walked; nor is
+    # anything but a record, hashable or not, let in
+    for bad in (["A", 3], TypeLabel("A", 3), {}):
+        for make in TABLES:
+            with pytest.raises(DomainError, match=r"^expected a RootSystem \(see build\)"):
+                make(bad)
+    assert list(errors._store.items()) == before
     # the whole of W(E6) is admitted, so the oracle above can be compared with it
     e6 = build(parse_type("E6"))
     _check_budget(e6, group_order(e6), "|W|")
@@ -553,12 +622,12 @@ def test_failure_names_a_one_sided_edge():
 def test_failure_when_the_group_lacks_the_reflection(monkeypatch):
     # An edge is read off the line of beta - alpha but decided by the group:
     # with the identity in place of s_gamma, the first edge along gamma fails.
-    # The line table is kept per type, so it is made afresh from the patched reflections.
+    # The line table is kept in the one store, so it is made afresh from the patched reflections.
     b3 = build(parse_type("B3"))
     gamma, *_ = b3.positive_roots
     table = weyl_oracle._reflection_table(b3)
     monkeypatch.setattr(weyl_oracle, "_reflection_table", lambda rs: (tuple(range(len(rs.roots))),) + table[1:])
-    clear_oracle_caches()
+    clear_store()
     lv = long_root_poset.levels(b3)
     i, col, row, c = next(
         (i, col, row, c)
@@ -573,7 +642,7 @@ def test_failure_when_the_group_lacks_the_reflection(monkeypatch):
     try:
         assert level_length_failure(b3) == f"({beta}, {alpha}): d_matrix({i + 1}) entry {c}, expected 0"
     finally:
-        clear_oracle_caches()
+        clear_store()
 
 
 def test_failure_names_a_repeated_image(monkeypatch):
@@ -582,11 +651,11 @@ def test_failure_names_a_repeated_image(monkeypatch):
     layers = list(_walk(b3, _orthogonal_simple_indices(b3)))
     layers[-1][-1] = layers[0][0]
     monkeypatch.setattr(weyl_oracle, "_walk", lambda rs, indices: iter(layers))
-    clear_oracle_caches()
+    clear_store()
     try:
         assert level_length_failure(b3) == f"two representatives send the highest root to {highest_root(b3)}"
     finally:
-        clear_oracle_caches()
+        clear_store()
 
 
 def test_failure_names_the_root(monkeypatch, capsys):
@@ -631,13 +700,13 @@ def test_warm_state_hides_no_bad_record(monkeypatch):
         patch.setattr(long_root_poset, "level", lambda rs, v: true_level(rs, v) + (v == top))
         patch.setattr(weyl_oracle, "dual_height", lambda rs, v: true_dual_height(rs, v) + (v == top))
 
-    clear_oracle_caches()
+    clear_store()
     try:
         cold = [reasons(rs) for rs in records]
         with monkeypatch.context() as patch:
             shifted(patch)
             cold_shifted = reasons(g2)
-        clear_oracle_caches()
+        clear_store()
         for name in ("B3", "G2", "A3"):
             assert reasons(build(parse_type(name))) == (None, None)
         assert [reasons(rs) for rs in records] == cold
@@ -647,7 +716,7 @@ def test_warm_state_hides_no_bad_record(monkeypatch):
             assert reasons(g2) == cold_shifted
         assert all(cold_shifted)
     finally:
-        clear_oracle_caches()
+        clear_store()
 
 
 def failure_by_permutations(rs):
