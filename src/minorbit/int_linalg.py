@@ -14,10 +14,10 @@ diagonal, and carries U and V along as extra columns, so they stay
 bounded.  ``invariant_factors`` (so ``cokernel``) carries no transform,
 and alternates single passes with pivots on entries +-1: on rows held as
 dicts of their nonzero entries, each unit pivot of least fill is one
-invariant factor 1.  Its core, ``_invariant_factors``, takes rows in
-that sparse form: the cohomology passes it the recorded columns of each
-boundary matrix unchecked, which leave diagonal blocks but for one 2x2
-in types D and E.
+invariant factor 1, and costs about what its step does.  The cohomology
+passes ``_invariant_factors`` the recorded columns of each boundary
+matrix in that form, unchecked.  Most leave no block, so nothing else
+runs; the rest leave diagonal blocks but for one 2x2 in types D and E.
 ``rank`` (so ``kernel_rank``) is one fraction-free Bareiss pass.  As both
 Smith entry points share the Hermite pass, the independent references
 live in the tests: gcds of minors, sympy, and the certification of
@@ -69,13 +69,15 @@ def _unit_pivots(rows, width: int) -> tuple[int, Matrix]:
     pivot (i, j) has the least fill (|row i| - 1) * (|column j| - 1), the
     most entries its step can create.  A unit alone in its row or column
     has fill 0: those of the input, and each one a step leaves, are stacked
-    and taken newest first.  With none stacked, a scan finds the least
-    fill, ties going to the least (i, j).  Row i times the pivot is
-    subtracted from every other row of column j, then row i and column j
-    go: one invariant factor 1.  The pivots are units, so every leftover
-    entry is, up to sign, a minor of the input.
+    and taken newest first.  With none stacked, a unit in a row of r + 1
+    entries has fill r or more: the scan for the least fill, ties going to
+    the least (i, j), skips rows too short or too long, builds nothing per
+    entry, stops at fill 1, and never runs on empty rows.  Row i times the
+    pivot is subtracted from every other row of column j, then row i and
+    column j go: one invariant factor 1.  The pivots are units, so every
+    leftover entry is, up to sign, a minor of the input.
     """
-    rows = [dict(row) for row in rows]
+    rows = list(map(dict, rows))
     cols = [set() for _ in range(width)]
     for i, row in enumerate(rows):
         for j in row:
@@ -89,17 +91,19 @@ def _unit_pivots(rows, width: int) -> tuple[int, Matrix]:
             i, j = alone.pop()
             if rows[i].get(j) not in (1, -1) or (len(rows[i]) > 1 and len(cols[j]) > 1):
                 continue  # the entry or a length changed since it was stacked
+        elif not any(rows):
+            return units, []
         else:
-            fills = (
-                ((len(row) - 1) * (len(cols[j]) - 1), i, j)
-                for i, row in enumerate(rows)
-                for j, x in row.items()
-                if x in (1, -1)
-            )
-            least = min(fills, default=None)
-            if least is None:
+            least, i = width * len(rows), -1  # above every fill
+            for k, row in enumerate(rows):
+                if 0 < (r := len(row) - 1) < least:
+                    for c, x in row.items():
+                        if x in (1, -1) and ((f := r * (len(cols[c]) - 1)) < least or f == least and k == i and c < j):
+                            least, i, j = f, k, c
+                    if least == 1:
+                        break
+            if i < 0:
                 break
-            _, i, j = least
         units += 1
         pivot, rows[i] = rows[i], {}
         p = pivot.pop(j)
@@ -278,6 +282,8 @@ def _invariant_factors(rows, width: int) -> tuple[int, ...]:
     empty, so no zero row survives), which leaves each pivot +-1 alone in
     its column: the next round takes it with no fill."""
     units, a = _unit_pivots(rows, width)
+    if not a:
+        return (1,) * units
     while not _diagonal(a):
         h = _hermite(a, [[]] * len(a))[0]
         more, a = _unit_pivots((compress(enumerate(col), col) for col in zip(*h)), len(h))

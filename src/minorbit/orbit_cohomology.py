@@ -84,21 +84,18 @@ def minimal_orbit_cohomology(rs: RootSystem) -> OrbitCohomology:
     kernel rank in degree 2i-1; its transpose, matrix d-i, gives degrees
     2(d-i) and 2(d-i)-1 with rows and columns swapped.  One Smith form per
     transposed pair serves all four: the recorded columns of matrix i, as the
-    rows of its transpose, for i <= h_dual-1."""
-    lv = long_root_poset.levels(rs)
-    d = long_root_poset.dimension(rs)
+    rows of its transpose, for i <= h_dual-1.  The group gets the nonzero degrees."""
+    lv, d = long_root_poset.levels(rs), long_root_poset.dimension(rs)
     # the map into level 0 and the map out of the last level are zero
-    entries: dict[int, tuple[int, tuple[int, ...]]] = {
-        0: (len(lv[0]), ()),
-        2 * d - 1: (len(lv[d - 1]), ()),
-    }
+    entries = {0: (len(lv[0]), ()), 2 * d - 1: (len(lv[d - 1]), ())}
     for i in range(1, rs.h_dual):
         factors = _invariant_factors(rs._columns[i], len(lv[i]))
-        torsion = tuple(x for x in factors if x > 1)
+        torsion = factors[factors.count(1) :]  # a divisibility chain puts its 1s first
         rows, cols = len(lv[i]) - len(factors), len(lv[i - 1]) - len(factors)
         entries[2 * i], entries[2 * i - 1] = (rows, torsion), (cols, ())
         entries[2 * (d - i)], entries[2 * (d - i) - 1] = (cols, torsion), (rows, ())
-    return OrbitCohomology(rs.type_label, d, rs.h_dual, GradedAbelianGroup(entries))
+    table = GradedAbelianGroup({n: entry for n, entry in entries.items() if entry[0] or entry[1]})
+    return OrbitCohomology(rs.type_label, d, rs.h_dual, table)
 
 
 def _lattice_quotient(label: TypeLabel, diagram: str, cartan: list[list[int]]) -> tuple[int, ...]:
@@ -132,12 +129,8 @@ def type_a_alternative(n: int) -> OrbitCohomology:
         raise DomainError(f"type A alternative needs an int n >= 2, got n = {n!r}")
     label = TypeLabel("A", n - 1)
     _check_root_budget(label)
-    entries: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for i in range(0, 2 * n - 3, 2):
-        entries[i] = (1, ())
+    entries = dict.fromkeys([*range(0, 2 * n - 3, 2), *range(2 * n - 1, 4 * n - 4, 2)], (1, ()))
     entries[2 * n - 2] = (0, (n,))
-    for i in range(2 * n - 1, 4 * n - 4, 2):
-        entries[i] = (1, ())
     return OrbitCohomology(label, 2 * n - 2, n, GradedAbelianGroup(entries))
 
 

@@ -313,9 +313,12 @@ def _long_level(rs: RootSystem, root: Root, what: str) -> int:
 
 
 def dual_height(rs: RootSystem, root: Root) -> int:
-    """Height of the coroot of a long root, negative for a negative root: build's level rule inverted."""
-    lv = _long_level(rs, root, "dual height")
-    return rs.h_dual - 1 - lv if lv < rs.h_dual - 1 else rs.h_dual - 2 - lv
+    """Height of the coroot of a long root, negative for a negative root."""
+    return _dual_height_at(rs, _long_level(rs, root, "dual height"))
+
+
+def _dual_height_at(rs: RootSystem, lv: int) -> int:
+    return rs.h_dual - 1 - lv if lv < rs.h_dual - 1 else rs.h_dual - 2 - lv  # build's level rule inverted
 
 
 def _check_indices(rs: RootSystem, indices) -> None:

@@ -35,7 +35,7 @@ from operator import add, attrgetter, itemgetter, sub
 
 from . import long_root_poset
 from .errors import DomainError, InvariantFailureError, weighed_cache
-from .root_system import RootSystem, _check_indices, _check_record, dual_height, height, highest_root, is_long
+from .root_system import RootSystem, _check_indices, _check_record, _dual_height_at, height, highest_root
 
 # Largest |W^I| * |Phi| an oracle call works on: W(E6) whole is 3,732,480;
 # verify admits A44, B31, C37, D32 and every exceptional type.
@@ -222,8 +222,7 @@ def level_length_failure(rs: RootSystem) -> str | None:
         image = rs.roots[top]
         if image in by_root:
             return f"two representatives send the highest root to {image}"
-        level = long_root_poset.level(rs, image)
-        if length != level:
+        if length != (level := rs._level[image]):  # the record's own root: read unchecked
             return f"the representative sending the highest root to {image} has length {length}, level {level}"
         by_root[image] = images
 
@@ -252,8 +251,8 @@ def reflection_length_failure(rs: RootSystem) -> str | None:
     heights are read off the record on every call.
     """
     _, _, lengths = _verify_table(rs)  # anything but a record is refused before a field is read
-    for b, length in zip(rs.positive_roots, lengths):
-        expected = 2 * (dual_height(rs, b) if is_long(rs, b) else height(b)) - 1
+    for b, length in zip(rs.positive_roots, lengths):  # the record's own roots: _level is read unchecked
+        expected = 2 * (height(b) if (lv := rs._level[b]) is None else _dual_height_at(rs, lv)) - 1
         if length != expected:
             return f"the reflection in {b} has length {length}, expected {expected}"
     return None

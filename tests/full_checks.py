@@ -2,8 +2,9 @@
 
 The golden tables stop at rank 8, so at ranks 9-99 the answers are held
 by these checks alone: the Weyl oracle on all 144 types its budget
-admits, the record checks and the simple-reflection rule on every
-boundary matrix of all 310 types the root budget admits, the dense route
+admits, the record checks, the simple-reflection rule and the Smith
+diagonal of every recorded boundary matrix of all 310 types the root
+budget admits, the dense route
 at the top rank of each classical series, the CLI in a fresh process at
 the top of each budget, sessions of large inputs under a stated peak
 resident memory, and the Smith layer on dense matrices larger
@@ -17,7 +18,7 @@ collects every file given on its command line:
 
     PYTHONPATH=src python -m pytest -q tests/full_checks.py
 
-It takes 1.5-2 minutes on a 2-vCPU VM.
+It takes 2-2.5 minutes on a 2-vCPU VM.
 """
 
 import math
@@ -90,6 +91,12 @@ def test_the_record_on_every_admitted_type(name):
     # every recorded entry and its transpose, held to a definition that shares no code
     # with build: between the oracle's budget and the top ranks the only such check
     test_long_root_poset.test_lowering_edges_are_the_simple_reflections(name)
+
+
+@pytest.mark.parametrize("name", RECORD_TYPES)
+def test_every_recorded_matrix_has_the_smith_diagonal(name):
+    # the unit-pivot kernel on the recorded columns, against smith on the dense matrices
+    test_int_linalg.check_smith_diagonal(name)
 
 
 @pytest.mark.parametrize("name", TOP_TYPES)

@@ -6,11 +6,14 @@ invariant factors from gcds of k x k minors or from sympy, and small
 quotient groups are enumerated coset by coset.
 """
 
+import importlib.util
 import itertools
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +34,8 @@ from minorbit.int_linalg import (
     smith,
     tensor_f_dimension,
 )
+from minorbit.long_root_poset import d_matrix, dimension, levels
+from minorbit.root_system import build, parse_type
 
 
 def transpose(m):
@@ -352,14 +357,168 @@ def unit_heavy_matrices(draw):
 @example([[2, 1, 0, 0], [1, 2, 1, 1], [0, 1, 2, 0], [0, 1, 0, 2]])
 def test_unit_pivots_keep_the_invariant_factors(m):
     assert list(invariant_factors(m)) == minor_gcd_oracle(m)
-    rows = [itertools.compress(enumerate(row), row) for row in m]  # the nonzero entries, as invariant_factors passes them
-    units, block = int_linalg._unit_pivots(rows, len(m[0]) if m else 0)
+    units, block = int_linalg._unit_pivots(sparse_rows(m), len(m[0]) if m else 0)
     bound = math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in m)  # above every minor
     assert all(abs(x) < bound for row in block for x in row)
     if units:  # the leftover block has no unit entry and no zero row or column
         assert not any(abs(x) == 1 for row in block for x in row)
         assert all(any(row) for row in block) and all(any(col) for col in zip(*block))
     assert units + rank(block) == rank(m)
+    assert (units, block) == unit_pivots_by_scan(sparse_rows(m), len(m[0]) if m else 0)  # the same pivots
+
+
+def unit_pivots_by_scan(rows, width):
+    """The reference for ``_unit_pivots``: the same pivot rule, with a scan that makes a
+    (fill, i, j) for every unit entry each time no lone unit is stacked, and runs once more
+    to find none left.  The kernel's scan skips rows and stops early, so equal counts and
+    blocks on every input show that it picks the same pivots."""
+    rows = [dict(row) for row in rows]
+    cols = [set() for _ in range(width)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    alone = [(*col, j) for j, col in enumerate(cols) if len(col) == 1][::-1]
+    alone += [(i, *row) for i, row in enumerate(rows) if len(row) == 1][::-1]
+    units = 0
+    while True:
+        if alone:
+            i, j = alone.pop()
+            if rows[i].get(j) not in (1, -1) or (len(rows[i]) > 1 and len(cols[j]) > 1):
+                continue
+        else:
+            fills = (
+                ((len(row) - 1) * (len(cols[j]) - 1), i, j)
+                for i, row in enumerate(rows)
+                for j, x in row.items()
+                if x in (1, -1)
+            )
+            least = min(fills, default=None)
+            if least is None:
+                break
+            _, i, j = least
+        units += 1
+        pivot, rows[i] = rows[i], {}
+        p = pivot.pop(j)
+        for c in pivot:
+            cols[c].discard(i)
+        below = cols[j]
+        below.discard(i)
+        for k in below:
+            row = rows[k]
+            q = row.pop(j) * p
+            for c, y in pivot.items():
+                z = row.get(c, 0) - q * y
+                if z:
+                    row[c] = z
+                    cols[c].add(k)
+                else:
+                    del row[c]
+                    cols[c].discard(k)
+            if len(row) == 1:
+                alone.append((k, *row))
+        below.clear()
+        for c in pivot:
+            if len(cols[c]) == 1:
+                alone.append((*cols[c], c))
+    left = [c for c, members in enumerate(cols) if members]
+    return units, [[row.get(c, 0) for c in left] for row in rows if row]
+
+
+def benchmark_workloads():
+    """benchmarks/workloads.py, which imports nothing of minorbit: the session-warm hot set
+    and the smith-dense pool."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+WORKLOADS = benchmark_workloads()
+
+
+def sparse_rows(m):
+    """The nonzero entries of each row, as ``invariant_factors`` passes them."""
+    return [list(itertools.compress(enumerate(row), row)) for row in m]
+
+
+def recorded_matrices(names):
+    """(recorded columns, width) of each matrix the cohomology factors, over the given types."""
+    for name in names:
+        rs = build(parse_type(name))
+        for i in range(1, rs.h_dual):
+            yield rs._columns[i], len(levels(rs)[i])
+
+
+def tied_matrices(count, seed):
+    """Sparse matrices of entries +-1 and +-2 up to 12 x 12, then cycles of units (every row
+    and column of two entries, so every fill 1), each row's entries in a shuffled order:
+    fills tie often, and the least (i, j) decides whatever the order of a row's dict."""
+    rng = random.Random(seed)
+    shapes = [(rng.randint(1, 12), rng.randint(1, 12), rng.choice((0.2, 0.35, 0.5))) for _ in range(count)]
+    entry = (1, -1, 2, -2)
+    sparse = [[[(j, rng.choice(entry)) for j in range(c) if rng.random() < p] for _ in range(r)] for r, c, p in shapes]
+    cycles = [[[(i, rng.choice((1, -1))), ((i + 1) % n, rng.choice((1, -1)))] for i in range(n)] for n in range(3, 13)]
+    for rows in sparse + cycles:
+        for row in rows:
+            rng.shuffle(row)
+        yield rows, max((j + 1 for row in rows for j, _ in row), default=0)
+
+
+PIVOT_SETS = {
+    "hot-set": lambda: recorded_matrices(WORKLOADS.HOT_SET),
+    "smith-dense": lambda: ((sparse_rows(m), len(m[0])) for m in WORKLOADS.smith_dense(0)["matrices"]),
+    "ties": lambda: tied_matrices(400, 33),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIVOT_SETS))
+def test_the_same_pivots_as_the_full_scan(name):
+    compared = 0
+    for rows, width in PIVOT_SETS[name]():
+        assert int_linalg._unit_pivots(rows, width) == unit_pivots_by_scan(rows, width)
+        compared += 1
+    assert compared == {"hot-set": 275, "smith-dense": 114, "ties": 410}[name]
+
+
+def test_no_block_takes_no_other_step(monkeypatch):
+    # Of the hot set's 275 matrices, 175 leave no block after the unit pivots: their
+    # invariant factors are the units alone, with no Hermite pass, diagonal test or
+    # divisibility chain.  92 leave a diagonal block, which takes no Hermite pass.
+    calls = []
+    for helper in ("_hermite", "_diagonal", "_divisibility_chain"):
+        f = getattr(int_linalg, helper)
+        monkeypatch.setattr(int_linalg, helper, lambda *a, f=f, helper=helper: calls.append(helper) or f(*a))
+    kinds = Counter()
+    for columns, width in recorded_matrices(WORKLOADS.HOT_SET):
+        units, block = unit_pivots_by_scan(columns, width)
+        calls.clear()
+        factors = int_linalg._invariant_factors(columns, width)
+        assert factors[:units] == (1,) * units
+        if not block:
+            kinds["none"] += 1
+            assert (factors, calls) == ((1,) * units, [])
+        elif all(x == 0 for i, row in enumerate(block) for j, x in enumerate(row) if i != j):
+            kinds["diagonal"] += 1
+            assert "_hermite" not in calls
+        else:
+            kinds["other"] += 1
+    assert kinds == {"none": 175, "diagonal": 92, "other": 8}
+
+
+def check_smith_diagonal(name):
+    """Each recorded matrix the cohomology factors, through the unit-pivot kernel, has the
+    nonzero Smith diagonal of its dense form: ``smith`` runs no unit pivot and shares only
+    ``_hermite`` with the kernel."""
+    rs = build(parse_type(name))
+    for i in range(1, rs.h_dual):
+        diagonal = tuple(x for x in smith(d_matrix(rs, i)).diag if x)
+        assert int_linalg._invariant_factors(rs._columns[i], len(levels(rs)[i])) == diagonal, (name, i)
+
+
+@pytest.mark.parametrize("name", WORKLOADS.HOT_SET)
+def test_recorded_matrices_have_the_smith_diagonal(name):
+    check_smith_diagonal(name)
 
 
 @pytest.mark.parametrize("entry", [1.5, 2.0, True, False, None, "1", Fraction(1)])
@@ -592,9 +751,6 @@ def test_smith_degenerate_shapes(name):
 
 
 def test_a_diagonal_block_takes_no_hermite_pass(monkeypatch):
-    from minorbit.long_root_poset import levels
-    from minorbit.root_system import build, parse_type
-
     passes = hermite_passes(monkeypatch)
     assert invariant_factors([[2, 0], [0, 3]]) == (1, 6)
     rs = build(parse_type("C8"))
@@ -702,9 +858,6 @@ TRAFFIC_TYPES = (
 
 @pytest.mark.parametrize("label", TRAFFIC_TYPES)
 def test_invariant_factors_on_boundary_matrices(label):
-    from minorbit.long_root_poset import d_matrix, dimension
-    from minorbit.root_system import build, parse_type
-
     rs = build(parse_type(label))
     for i in range(1, dimension(rs)):
         m = [list(row) for row in d_matrix(rs, i)]

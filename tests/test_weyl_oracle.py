@@ -1,11 +1,9 @@
-import importlib.util
 import itertools
 import math
 import random
 import re
 import tracemalloc
 from operator import add, itemgetter, sub
-from pathlib import Path
 
 import pytest
 
@@ -42,6 +40,7 @@ from minorbit.weyl_oracle import (
     verify_level_length,
     verify_reflection_length,
 )
+from test_int_linalg import benchmark_workloads
 from test_long_root_poset import edge_coefficient
 from test_root_system import FIRST_RANK, Poisoned, bilinear, coxeter_number, reflect, simple_roots, weyl_degrees
 
@@ -370,10 +369,7 @@ def test_a_session_warm_pass_drops_no_entry():
     # the benchmark's session-warm workload makes the records of its hot set, the tables
     # of its verify types and the partitions of its gln sizes in one process: all of them
     # stay, so a warm request there makes no entry
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = benchmark_workloads()
     clear_store()
     try:
         for name in workloads.HOT_SET:
@@ -658,21 +654,26 @@ def test_failure_names_a_repeated_image(monkeypatch):
         clear_store()
 
 
+def shifted_top(rs):
+    """A copy of the record rs whose highest root sits one level lower in ``_level``, which both
+    checks read directly for the roots of the record's own lists."""
+    top = highest_root(rs)
+    return RootSystem(**{**vars(rs), "_level": {**rs._level, top: rs._level[top] + 1}})
+
+
 def test_failure_names_the_root(monkeypatch, capsys):
     g2 = build(parse_type("G2"))
     top = highest_root(g2)
-    true_level = long_root_poset.level
-    monkeypatch.setattr(long_root_poset, "level", lambda rs, v: true_level(rs, v) + (v == top))
-    reason = level_length_failure(g2)
+    shifted = shifted_top(g2)
+    reason = level_length_failure(shifted)
     assert reason == f"the representative sending the highest root to {top} has length 0, level 1"
-
-    true_dual_height = weyl_oracle.dual_height
-    monkeypatch.setattr(weyl_oracle, "dual_height", lambda rs, v: true_dual_height(rs, v) + (v == top))
-    assert reflection_length_failure(g2) == f"the reflection in {top} has length 5, expected 7"
+    # level 1 is coroot height h_dual - 2 = 2 in G2, so 3 = 2 * 2 - 1 is expected of s_top
+    assert reflection_length_failure(shifted) == f"the reflection in {top} has length 5, expected 3"
+    monkeypatch.setattr(cli, "build", lambda label: shifted)
     assert cli.main(["verify", "--type", "G2"]) == 4
     captured = capsys.readouterr()
     assert captured.out == "level-length: FAILED\nreflection-length: FAILED\n"
-    assert captured.err.splitlines()[1] == f"reflection-length: the reflection in {top} has length 5, expected 7"
+    assert captured.err.splitlines()[1] == f"reflection-length: the reflection in {top} has length 5, expected 3"
 
 
 def bad_records():
@@ -687,34 +688,19 @@ def reasons(rs):
     return level_length_failure(rs), reflection_length_failure(rs)
 
 
-def test_warm_state_hides_no_bad_record(monkeypatch):
+def test_warm_state_hides_no_bad_record():
     # the caches hold what the Cartan matrix and the root list give, which a patched
-    # record or a patched level shares with the clean one; every call still compares
-    # them with the record, so a clean verify first changes no verdict and no reason
-    records = bad_records()
-    g2 = build(parse_type("G2"))
-    top = highest_root(g2)
-    true_level, true_dual_height = long_root_poset.level, weyl_oracle.dual_height
-
-    def shifted(patch):
-        patch.setattr(long_root_poset, "level", lambda rs, v: true_level(rs, v) + (v == top))
-        patch.setattr(weyl_oracle, "dual_height", lambda rs, v: true_dual_height(rs, v) + (v == top))
-
+    # record shares with the clean one; every call still compares them with the record,
+    # so a clean verify first changes no verdict and no reason
+    records = bad_records() + [shifted_top(build(parse_type("G2")))]
     clear_store()
     try:
         cold = [reasons(rs) for rs in records]
-        with monkeypatch.context() as patch:
-            shifted(patch)
-            cold_shifted = reasons(g2)
         clear_store()
         for name in ("B3", "G2", "A3"):
             assert reasons(build(parse_type(name))) == (None, None)
         assert [reasons(rs) for rs in records] == cold
-        assert all(level for level, _ in cold)
-        with monkeypatch.context() as patch:
-            shifted(patch)
-            assert reasons(g2) == cold_shifted
-        assert all(cold_shifted)
+        assert all(level for level, _ in cold) and all(cold[-1])
     finally:
         clear_store()
 
