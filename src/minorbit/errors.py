@@ -1,6 +1,6 @@
 """Exception types shared across the package, and its one cache.
 
-Every object the computation reads (a root record, the oracle's tables of a type, the
+Every object the computation reads (a root record, the oracle's one table of a type, the
 partitions of n) is fixed by its input, so ``weighed_cache`` keeps it in one store, least
 recently used first and bounded by the tuple slots its entries hold in all, not by their count.
 """
@@ -25,9 +25,9 @@ class InvariantFailureError(RuntimeError):
     """
 
 
-# Most tuple slots the store holds in all.  The oracle's tables of a type verify admits
-# hold under 4,000,000 (C37: 3,971,765), the largest record 980,100 (A99): a quarter more
-# fits any one type's tables whole, but no two types near C37.
+# Most tuple slots the store holds in all.  The oracle keeps one table per type verify
+# admits, of at most 4,073,071 (C37), the largest record 980,100 (A99): a fifth more fits
+# any one type's table and record whole, but no two types near C37.
 CACHE_BUDGET = 5_000_000
 
 CacheInfo = namedtuple("CacheInfo", "hits misses")

@@ -14,12 +14,12 @@ An element is a permutation of the root list, a tuple with perm[i] the
 index of the image of root i; the positive roots come first, so a root
 index i is positive iff i < |Phi^+|.  Only the simple reflections come
 from the Cartan matrix; the others are conjugated from them
-(s_gamma = s_j s_{s_j(gamma)} s_j).  The simple reflections and
-``_verify_table`` are kept per type in the package's one store
-(``errors.weighed_cache``), made from the Cartan matrix and the root list
-alone.  Each call reads the record afresh and compares it with them: the
-level of each image of the highest root, every entry of the recorded
-matrices, the height of each reflected root.  So a warm cache decides no
+(s_gamma = s_j s_{s_j(gamma)} s_j).  ``_verify_table``, made from the Cartan
+matrix and the root list alone, is the one entry kept per type in the package's
+one store (``errors.weighed_cache``), weighed by every tuple slot it holds.
+Each call reads the record afresh and compares it with the table: the shape
+and every entry of the recorded matrices, the level of each image of the
+highest root, the height of each reflected root.  So a warm cache decides no
 verdict.  Each call refuses, before any work or any table, an input whose
 element count times |Phi| exceeds ORACLE_BUDGET: |W^I| in ``coset_reps``,
 the larger of |W^J| and |Phi^+| in the checks.
@@ -30,10 +30,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import partial
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import add, attrgetter, itemgetter, sub
 
-from . import long_root_poset
 from .errors import DomainError, InvariantFailureError, weighed_cache
 from .root_system import RootSystem, _check_indices, _check_record, _dual_height_at, height, highest_root
 
@@ -46,10 +45,6 @@ class WeylElement(namedtuple("WeylElement", "perm length")):
     """perm[i] is the index of the image of root i; length is the Coxeter length."""
 
     __slots__ = ()
-
-
-def _root_index(rs: RootSystem) -> dict:
-    return {root: i for i, root in enumerate(rs.roots)}
 
 
 def _simple_reflection(rs: RootSystem, index: dict, k: int) -> tuple[int, ...]:
@@ -70,9 +65,9 @@ def _simple_reflection(rs: RootSystem, index: dict, k: int) -> tuple[int, ...]:
     return _compose(tuple(index.values()), perm + [p + npos if p < npos else p - npos for p in perm])
 
 
-@weighed_cache(_check_record, lambda rs: rs.rank * len(rs.roots), attrgetter("type_label"))
 def _simple_reflections(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    return tuple(map(partial(_simple_reflection, rs, _root_index(rs)), range(rs.rank)))
+    index = {root: i for i, root in enumerate(rs.roots)}
+    return tuple(map(partial(_simple_reflection, rs, index), range(rs.rank)))
 
 
 def _compose(outer: tuple, inner: tuple) -> tuple:
@@ -81,10 +76,10 @@ def _compose(outer: tuple, inner: tuple) -> tuple:
     return itemgetter(*inner)(outer)
 
 
-def _reflection_table(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    """s_gamma for each positive root gamma, in ``rs.positive_roots`` order: the simple roots
-    come first, and a later gamma has a lower s_j(gamma), so s_gamma = s_j s_{s_j(gamma)} s_j."""
-    table = list(_simple_reflections(rs))
+def _reflection_table(rs: RootSystem, simple: tuple) -> tuple[tuple[int, ...], ...]:
+    """s_gamma for each positive root gamma, in ``rs.positive_roots`` order: the simple ones
+    first, then each later gamma from a lower s_j(gamma), as s_gamma = s_j s_{s_j(gamma)} s_j."""
+    table = list(simple)
     for k in range(rs.rank, len(rs.positive_roots)):
         s = next(s for s in table[: rs.rank] if s[k] < k)
         table.append(_compose(s, _compose(table[s[k]], s)))
@@ -109,11 +104,11 @@ def _coset_count(rs: RootSystem, indices) -> int:
     return math.prod(h + 1 for h in heights) // math.prod(heights)
 
 
-def _walk(rs: RootSystem, indices):
-    """W^I for a simple-root subset I, one length at a time from the identity:
-    each layer is a list of (w, w's images of the simple roots), and only it
-    and the next are held.  The images determine w; A1 keeps a second one,
-    the image of -alpha_1, so ``_compose`` returns a tuple on them.
+def _walk(rs: RootSystem, indices, gens):
+    """W^I for a checked simple-root subset I by the simple reflections gens, one
+    length at a time from the identity: each layer is a list of (w, w's images of
+    the simple roots), and only it and the next are held.  The images determine w;
+    A1 keeps a second one, the image of -alpha_1, so ``_compose`` returns a tuple on them.
 
     W^I is the set of w sending every alpha_k, k in I, to a positive root.
     From w in W^I, s_j w is longer exactly when w^-1(alpha_j) > 0, and
@@ -123,12 +118,8 @@ def _walk(rs: RootSystem, indices):
     travels with w^-1, so w^-1(alpha_j) is one lookup, and a new s_j w is
     told apart by its images of the simple roots.
     """
-    _check_indices(rs, indices)
-    count = _coset_count(rs, indices)
-    _check_budget(rs, count, "|W^I|")
-    npos = len(rs.positive_roots)
+    count, npos = _coset_count(rs, indices), len(rs.positive_roots)
     blocked = set(indices)  # alpha_k is root k
-    gens = _simple_reflections(rs)
     identity = tuple(range(len(rs.roots)))
     layer, seen, length = [(identity, identity[: max(rs.rank, 2)], identity)], 0, 0  # (w, images, w^-1)
     while layer:
@@ -149,7 +140,10 @@ def _walk(rs: RootSystem, indices):
 def coset_reps(rs: RootSystem, indices) -> tuple[WeylElement, ...]:
     """Minimal-length representatives of W / W_I for a simple-root subset I,
     in order of length; ``coset_reps(rs, ())`` is all of W (see ``_walk``)."""
-    return tuple(WeylElement(w, length) for length, layer in enumerate(_walk(rs, indices)) for w, _ in layer)
+    _check_indices(rs, indices)
+    _check_budget(rs, _coset_count(rs, indices), "|W^I|")
+    layers = enumerate(_walk(rs, indices, _simple_reflections(rs)))
+    return tuple(WeylElement(w, length) for length, layer in layers for w, _ in layer)
 
 
 def _orthogonal_simple_indices(rs: RootSystem) -> tuple[int, ...]:
@@ -164,28 +158,22 @@ def _weigh_verify_table(rs: RootSystem) -> int:
     reflections), so that both refuse the same types before any work."""
     count, npos = _coset_count(rs, _orthogonal_simple_indices(rs)), len(rs.positive_roots)
     _check_budget(rs, max(count, npos), "max(|W^J|, |Phi^+|)")
-    # per x in W^J: its slot, a triple and the images; the reflections but the simple ones (an
-    # entry of their own); per gamma: 4 keys of rank slots and 6 pairs of lines, and a length
-    return count * (4 + max(rs.rank, 2)) + (npos - rs.rank) * len(rs.roots) + npos * (4 * rs.rank + 13)
-
-
-def _coset_table(rs: RootSystem) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """For each x in W^J, J the simple roots orthogonal to the highest root, in
-    walk order: (index of x(highest root), length of x, x's images of the simple
-    roots, as ``_walk`` gives them)."""
-    top = len(rs.positive_roots) - 1
-    layers = enumerate(_walk(rs, _orthogonal_simple_indices(rs)))
-    return tuple((w[top], length, images) for length, layer in layers for w, images in layer)
+    # per x in W^J: its slot, a triple and the images; every reflection; per gamma: 6 keys of
+    # rank slots (the record's own roots at c = 1 and -1) and 6 pairs of lines, and a length
+    return count * (4 + max(rs.rank, 2)) + npos * len(rs.roots) + npos * (6 * rs.rank + 13)
 
 
 @weighed_cache(_check_record, _weigh_verify_table, attrgetter("type_label"))
 def _verify_table(rs: RootSystem) -> tuple[tuple, dict, tuple[int, ...]]:
-    """What verify holds a record to: ``_coset_table``; the line table, which maps each
-    c gamma, gamma in Phi^+ and 0 < |c| <= 3, to (s_gamma, c); and l(s_gamma) for each
-    gamma in Phi^+, counted on the group element: the positive roots it negates.  W^J is
-    walked first, so its two layers are gone before the reflections are conjugated.  The
-    c = 1 and c = -1 keys are the root list's own tuples, shared, not copied: 1 MB at C37."""
-    cosets, reflections, npos = _coset_table(rs), _reflection_table(rs), len(rs.positive_roots)
+    """What verify holds a record to: (x(highest root) as an index, l(x), x's images of the
+    simple roots) for each x in W^J in walk order; the line table, which maps each c gamma,
+    gamma in Phi^+ and 0 < |c| <= 3, to (s_gamma, c); and l(s_gamma) for each gamma in Phi^+,
+    the positive roots it negates.  W^J is walked first, so its layers are gone before the
+    reflections are conjugated.  The c = 1 and c = -1 keys are the root list's own tuples."""
+    simple, npos = _simple_reflections(rs), len(rs.positive_roots)
+    layers = enumerate(_walk(rs, _orthogonal_simple_indices(rs), simple))
+    cosets = tuple((w[npos - 1], length, images) for length, layer in layers for w, images in layer)
+    reflections = _reflection_table(rs, simple)
     roots_on_line = {1: rs.positive_roots, -1: rs.roots[npos:]}
     lines = {}
     for c in (-3, -2, -1, 1, 2, 3):
@@ -199,10 +187,12 @@ def level_length_failure(rs: RootSystem) -> str | None:
 
     The representatives modulo the stabilizer of the highest root must
     biject onto the long roots via w -> w(highest), with length equal to
-    the level.  Then every entry of the recorded matrices 1 .. h_dual - 1,
-    the columns the cohomology is computed from, is checked against the
-    group: for beta in level i < h_dual - 1 and alpha in level i+1, beta ->
-    alpha is an edge when x_alpha x_beta^-1 is a reflection s_gamma.  Then
+    the level.  Then the record must hold matrices 0 .. h_dual - 1, and each
+    of 1 .. h_dual - 1, the columns the cohomology is computed from, a column
+    per root of the level it maps from and no row past the level it maps to.
+    Every entry of them is checked against the group: for beta in level
+    i < h_dual - 1 and alpha in level i+1, beta -> alpha is an edge when
+    x_alpha x_beta^-1 is a reflection s_gamma.  Then
     s_gamma(beta) = alpha gives beta - alpha = <beta, gamma^vee> gamma,
     with |<beta, gamma^vee>| <= 3 (2 on (beta, -beta) in the middle
     matrix).  So each pair looks up beta - alpha once in the line table,
@@ -213,7 +203,7 @@ def level_length_failure(rs: RootSystem) -> str | None:
     combinatorics and the group disagree, i.e. an implementation bug.
     """
     cosets, lines, _ = _verify_table(rs)
-    lv = long_root_poset.levels(rs)
+    lv = rs._levels
     if len(cosets) != (n_long := sum(map(len, lv))):
         return f"W^J has {len(cosets)} elements, but there are {n_long} long roots"
 
@@ -226,8 +216,13 @@ def level_length_failure(rs: RootSystem) -> str | None:
             return f"the representative sending the highest root to {image} has length {length}, level {level}"
         by_root[image] = images
 
+    if len(rs._columns) != rs.h_dual:
+        return f"the record holds {len(rs._columns)} matrices, expected {rs.h_dual}"
     for i in range(rs.h_dual - 1):
-        for beta, column in zip(lv[i], rs._columns[i + 1]):
+        columns, rows = rs._columns[i + 1], range(len(lv[i + 1]))
+        if len(columns) != len(lv[i]) or not all(map(rows.__contains__, chain.from_iterable(columns))):
+            return f"d_matrix({i + 1}) is not {len(rows)} x {len(lv[i])}, the sizes of levels {i + 1} and {i}"
+        for beta, column in zip(lv[i], columns):
             for row, alpha in enumerate(lv[i + 1]):
                 s, expected = lines.get(tuple(map(sub, beta, alpha)), (None, 0))
                 if s is not None and _compose(s, by_root[beta]) != by_root[alpha]:

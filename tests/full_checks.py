@@ -2,9 +2,9 @@
 
 The golden tables stop at rank 8, so at ranks 9-99 the answers are held
 by these checks alone: the Weyl oracle on all 144 types its budget
-admits, the record checks, the simple-reflection rule and the Smith
-diagonal of every recorded boundary matrix of all 310 types the root
-budget admits, the dense route
+admits, the record checks, the simple-reflection rule, the middle
+torsion and the Smith diagonal of every recorded boundary matrix of all
+310 types the root budget admits, the dense route
 at the top rank of each classical series, the CLI in a fresh process at
 the top of each budget, sessions of large inputs under a stated peak
 resident memory, and the Smith layer on dense matrices larger
@@ -57,7 +57,7 @@ TOP_VERIFIED = [f"{s}{test_weyl_oracle.last_verified_rank(s)}" for s in "ABCD"]
 
 @pytest.fixture(autouse=True)
 def clear_store():
-    # the oracle's tables at the top of its budget are about 30 MB
+    # the oracle's table of a type at the top of its budget is about 30 MB
     yield
     errors.cache_clear()
 
@@ -76,8 +76,13 @@ def test_the_oracle_on_every_admitted_type(label):
     test_weyl_oracle.test_verify_reflection_length(label)
     assert test_weyl_oracle.reasons(build(parse_type(label))) == (None, None)
     held = [(name, str(key)) for name, key, _ in test_weyl_oracle.held()]
-    assert sorted(held) == [("_simple_reflections", label), ("_verify_table", label), ("build", label)]
+    assert sorted(held) == [("_verify_table", label), ("build", label)]
     assert errors._store.slots <= errors.CACHE_BUDGET
+
+
+def test_the_largest_verify_table_weighs_the_tuple_slots_it_holds():
+    # C37's table is the largest the oracle budget admits
+    test_weyl_oracle.test_each_table_weighs_the_tuple_slots_it_adds("C37")
 
 
 @pytest.mark.parametrize("name", RECORD_TYPES)
@@ -97,6 +102,12 @@ def test_the_record_on_every_admitted_type(name):
 def test_every_recorded_matrix_has_the_smith_diagonal(name):
     # the unit-pivot kernel on the recorded columns, against smith on the dense matrices
     test_int_linalg.check_smith_diagonal(name)
+
+
+@pytest.mark.parametrize("name", RECORD_TYPES)
+def test_the_middle_torsion_on_every_admitted_type(name):
+    # the middle degree of the cohomology against the long-simple lattice quotient
+    test_orbit_cohomology.test_middle_cross_method(build(parse_type(name)))
 
 
 @pytest.mark.parametrize("name", TOP_TYPES)

@@ -27,10 +27,8 @@ from minorbit.weyl_oracle import (
     _check_budget,
     _compose,
     _coset_count,
-    _coset_table,
     _orthogonal_simple_indices,
     _reflection_table,
-    _root_index,
     _simple_reflections,
     _verify_table,
     _walk,
@@ -62,6 +60,10 @@ UP_TO_E6 = (
 _IDENTITY_TAIL = bytes(range(256))
 
 
+def root_index(rs) -> dict:
+    return {root: i for i, root in enumerate(rs.roots)}
+
+
 def group_order(rs) -> int:
     return math.prod(weyl_degrees(rs))
 
@@ -75,7 +77,7 @@ def enumerate_group(rs) -> list[WeylElement]:
     """All of W by closure under right multiplication, lengths counted."""
     nroots = len(rs.roots)
     assert nroots <= 255 and group_order(rs) <= 51840
-    index = _root_index(rs)
+    index = root_index(rs)
     gens = [bytes(index[reflect(rs, v, s)] for v in rs.roots) for s in simple_roots(rs)]
     ident = bytes(range(nroots))
     seen = {ident}
@@ -97,7 +99,7 @@ def enumerate_group(rs) -> list[WeylElement]:
 def filtered_coset_reps(rs, group, indices) -> set[WeylElement]:
     """The elements keeping every simple root of I positive."""
     npos = len(rs.positive_roots)
-    index = _root_index(rs)
+    index = root_index(rs)
     positions = [index[simple_roots(rs)[i]] for i in indices]
     return {w for w in group if all(w.perm[p] < npos for p in positions)}
 
@@ -215,11 +217,11 @@ def test_reflection_table(label):
     # conjugated from them, equal the ones made from the Gram form; each is an
     # involution, negates gamma, and has the length the height formula counts
     rs = build(parse_type(label))
-    index = _root_index(rs)
+    index = root_index(rs)
     npos = len(rs.positive_roots)
     for s, alpha in zip(_simple_reflections(rs), simple_roots(rs)):
         assert s == reflection_perm(rs, index, alpha) == tuple(index[reflect(rs, v, alpha)] for v in rs.roots)
-    table = _reflection_table(rs)
+    table = _reflection_table(rs, _simple_reflections(rs))
     assert len(table) == npos
     identity = tuple(range(len(rs.roots)))
     for k, (gamma, s, length) in enumerate(zip(rs.positive_roots, table, formula_lengths(rs))):
@@ -244,14 +246,11 @@ def test_the_positions_the_oracle_reads(label):
     assert height(top) == coxeter_number(rs) - 1
     assert all(t >= x for v in rs.positive_roots for t, x in zip(top, v))
     if npos * len(rs.roots) <= 1_000_000:  # the table at A99 would hold 49,005,000 entries
-        assert _reflection_table(rs)[: rs.rank] == _simple_reflections(rs)
-
-
-TABLES = (_simple_reflections, _verify_table)
+        assert _reflection_table(rs, _simple_reflections(rs))[: rs.rank] == _simple_reflections(rs)
 
 
 def clear_store():
-    # the package's one store; the oracle's tables are keyed on the type label, which a copy of the record shares
+    # the package's one store; the oracle's table is keyed on the type label, which a copy of the record shares
     errors.cache_clear()
 
 
@@ -269,23 +268,21 @@ def added_slots(obj, known: set) -> int:
     return (len(obj) if type(obj) is tuple else 0) + sum(added_slots(x, known) for x in held)
 
 
-@pytest.mark.parametrize("label", ["A1", "A3", "B3", "C4", "D5", "F4", "G2"])
+@pytest.mark.parametrize("label", ["A1", "A3", "B3", "C4", "D5", "F4", "G2", "E6", "A10", "C12"])
 def test_each_table_weighs_the_tuple_slots_it_adds(label):
-    # an entry is weighed in closed form before it is made: the slots of the tuples it
-    # adds, shared roots and reflections aside, and at most its own top-level entries
-    # less; a record is weighed by its root coordinates, rank^2 h
+    # an entry is weighed in closed form before it is made, by the tuple slots it holds
+    # and at most its own top-level entries less: a record by its root coordinates,
+    # rank^2 h; a verify table by all it holds, counted with nothing known, the record's
+    # roots it keys its lines on included, as no other entry need be held beside it
     clear_store()
     try:
         rs = build(parse_type(label))
         [(_, _, weight)] = held()
         assert weight == sum(map(len, rs.roots)) == rs.rank * len(rs.roots)
         assert weight <= added_slots(rs.roots, set()) <= weight + len(rs.roots)
-        known = {id(root) for root in rs.roots}
-        for make in TABLES:  # in this order each call makes one entry
-            table = make(rs)
-            (name, _, weight) = held()[-1]
-            assert name == make.__name__ and weight <= added_slots(table, known) <= weight + len(table), name
-        assert len(held()) == 1 + len(TABLES)
+        table = _verify_table(rs)
+        [_, (name, _, weight)] = held()
+        assert name == "_verify_table" and weight <= added_slots(table, set()) <= weight + len(table)
     finally:
         clear_store()
 
@@ -353,14 +350,13 @@ def test_tables_drop_the_least_recently_used_types(monkeypatch):
         before = held()
         assert before[-1][:2] == ("_verify_table", records["G2"].type_label)
         assert reasons(records["C3"]) == (None, None)
-        *kept, simple, table = held()
-        c3 = records["C3"].type_label
-        assert (simple[:2], table[:2]) == (("_simple_reflections", c3), ("_verify_table", c3))
+        *kept, table = held()
+        assert table[:2] == ("_verify_table", records["C3"].type_label)
         assert len(kept) < len(before) and kept == before[len(before) - len(kept) :]
         assert errors._store.slots <= errors.CACHE_BUDGET
         monkeypatch.setattr(errors, "CACHE_BUDGET", 1)
         assert reasons(records["B3"]) == (None, None)
-        assert [(name, str(key)) for name, key, _ in held()] == [("_simple_reflections", "B3"), ("_verify_table", "B3")]
+        assert [(name, str(key)) for name, key, _ in held()] == [("_verify_table", "B3")]
     finally:
         clear_store()
 
@@ -379,7 +375,7 @@ def test_a_session_warm_pass_drops_no_entry():
         for n in workloads.GLN_SIZES:
             partitions_of(n)
         expected = [("build", name) for name in workloads.HOT_SET]
-        expected += [(make.__name__, name) for name in workloads.VERIFY_TYPES for make in TABLES]
+        expected += [("_verify_table", name) for name in workloads.VERIFY_TYPES]
         expected += [("partitions_of", str(n)) for n in workloads.GLN_SIZES]
         assert sorted((name, str(key)) for name, key, _ in held()) == sorted(expected)
         assert errors._store.slots == sum(slots for *_, slots in held()) < errors.CACHE_BUDGET
@@ -389,19 +385,20 @@ def test_a_session_warm_pass_drops_no_entry():
 
 @pytest.mark.parametrize("label", ["A4", "B3", "C4", "D5", "F4", "G2"])
 def test_the_oracle_does_not_read_the_edge_record(label):
-    # every table the oracle keeps per type comes from the Cartan matrix and the root
-    # list alone; the Cartan matrices of B, C, F4 and G2 are not symmetric, so reading
-    # a row for a column would change the reflections there
+    # the one table the oracle keeps per type, and the simple reflections it and
+    # coset_reps make, come from the Cartan matrix and the root list alone; the Cartan
+    # matrices of B, C, F4 and G2 are not symmetric, so reading a row for a column would
+    # change the reflections there
     rs = build(parse_type(label))
     blind = RootSystem(**{**vars(rs), "_level": Poisoned(), "_levels": Poisoned(), "_columns": Poisoned()})
     clear_store()
     try:
         indices = _orthogonal_simple_indices(blind)
-        seen = [make(blind) for make in TABLES] + [indices, coset_reps(blind, indices)]
-        assert sorted((name, key) for name, key, _ in held()) == [(make.__name__, rs.type_label) for make in TABLES]
+        seen = [_simple_reflections(blind), _verify_table(blind), indices, coset_reps(blind, indices)]
+        assert [(name, key) for name, key, _ in held()] == [("_verify_table", rs.type_label)]
         clear_store()
         indices = _orthogonal_simple_indices(rs)
-        assert seen == [make(rs) for make in TABLES] + [indices, coset_reps(rs, indices)]
+        assert seen == [_simple_reflections(rs), _verify_table(rs), indices, coset_reps(rs, indices)]
     finally:
         clear_store()
 
@@ -429,8 +426,8 @@ def test_coset_reps_stop_past_the_coset_count(label, time_budget):
 
 
 def test_coset_reps_build_no_table(time_budget):
-    # coset_reps needs the simple reflections only; the table of every s_gamma
-    # would be |Phi^+| |Phi| = 49,005,000 entries at A99
+    # coset_reps makes the simple reflections only, and keeps nothing; the table of
+    # every s_gamma would be |Phi^+| |Phi| = 49,005,000 entries at A99
     a99 = build(parse_type("A99"))
     clear_store()
     try:
@@ -438,36 +435,38 @@ def test_coset_reps_build_no_table(time_budget):
             reps = coset_reps(a99, tuple(range(1, 99)))
         assert len(reps) == 100 == _coset_count(a99, tuple(range(1, 99)))
         assert [w.length for w in reps] == list(range(100))
-        assert held() == [("_simple_reflections", a99.type_label, 99 * len(a99.roots))]
+        assert held() == []
     finally:
         clear_store()
 
 
 @pytest.mark.parametrize("label", UP_TO_E6)
 def test_the_coset_table_reads_the_walk(label):
-    # the walk yields W^J one length at a time, and the table keeps of each element
+    # the walk yields W^J one length at a time, and the verify table keeps of each element
     # its image of the highest root, its length and its images of the simple roots
     rs = build(parse_type(label))
     indices = _orthogonal_simple_indices(rs)
     reps = coset_reps(rs, indices)
-    layers = list(_walk(rs, indices))
+    layers = list(_walk(rs, indices, _simple_reflections(rs)))
     assert [len(layer) for layer in layers] == [sum(w.length == k for w in reps) for k in range(len(layers))]
     assert all(images == w[: max(rs.rank, 2)] for layer in layers for w, images in layer)
     top = len(rs.positive_roots) - 1
-    assert _coset_table(rs) == tuple((w.perm[top], w.length, w.perm[: max(rs.rank, 2)]) for w in reps)
-    assert len({images for _, _, images in _coset_table(rs)}) == len(reps)
+    cosets, _, _ = _verify_table(rs)
+    assert cosets == tuple((w.perm[top], w.length, w.perm[: max(rs.rank, 2)]) for w in reps)
+    assert len({images for _, _, images in cosets}) == len(reps)
 
 
 @pytest.mark.parametrize("label", ["A30", "B20", "D20"])
-def test_the_table_walks_two_layers_at_a_time(label):
-    # W^J as permutations would be |W^J| |Phi| tuple slots of 8 bytes; the walk
-    # holds two layers of (w, w^-1) and the table a few ints per element
+def test_the_table_walks_two_layers_at_a_time(label, monkeypatch):
+    # W^J as permutations would be |W^J| |Phi| tuple slots of 8 bytes; the walk holds two
+    # layers of (w, w^-1), and the verify table keeps a few ints per element.  The
+    # reflections, which the table conjugates after the walk, stand at the simple ones
     rs = build(parse_type(label))
+    monkeypatch.setattr(weyl_oracle, "_reflection_table", lambda rs, simple: simple)
     clear_store()
-    _simple_reflections(rs)
     tracemalloc.start()
     try:
-        _coset_table(rs)
+        _verify_table(rs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -511,9 +510,8 @@ def test_budget_at_its_boundary(time_budget):
     # refused before any work: no entry was made or touched, W^J was not walked; nor is
     # anything but a record, hashable or not, let in
     for bad in (["A", 3], TypeLabel("A", 3), {}):
-        for make in TABLES:
-            with pytest.raises(DomainError, match=r"^expected a RootSystem \(see build\)"):
-                make(bad)
+        with pytest.raises(DomainError, match=r"^expected a RootSystem \(see build\)"):
+            _verify_table(bad)
     assert list(errors._store.items()) == before
     # the whole of W(E6) is admitted, so the oracle above can be compared with it
     e6 = build(parse_type("E6"))
@@ -565,14 +563,18 @@ def test_verify_level_length_a30(time_budget):
         assert verify_level_length(a30)
 
 
+def _patch_matrix(rs, i, columns):
+    """A copy of the record rs whose matrix i, which the oracle reads, holds the given columns."""
+    return RootSystem(**{**vars(rs), "_columns": rs._columns[:i] + (tuple(columns),) + rs._columns[i + 1 :]})
+
+
 def _patch_entry(rs, i, row, col, value):
-    """A copy of the record rs whose matrix i, which the oracle reads, holds value at (row, col)."""
+    """A copy of the record rs whose matrix i holds value at (row, col)."""
     columns = [dict(column) for column in rs._columns[i]]
     columns[col][row] = value
     if not value:
         del columns[col][row]
-    matrices = rs._columns[:i] + (tuple(columns),) + rs._columns[i + 1 :]
-    return RootSystem(**{**vars(rs), "_columns": matrices})
+    return _patch_matrix(rs, i, columns)
 
 
 def test_failure_names_the_pair(monkeypatch, capsys):
@@ -615,14 +617,39 @@ def test_failure_names_a_one_sided_edge():
     assert reason == f"({beta}, {alpha}): d_matrix(2) entry 1, expected 0"
 
 
+@pytest.mark.parametrize(
+    "reshape",
+    [
+        lambda columns, rows: columns[:-1],  # the cohomology would come out different
+        lambda columns, rows: columns + [{1: 1}],  # it would find a free rank of -1 in degree 3
+        lambda columns, rows: columns[:-1] + [{**columns[-1], rows: 1}],  # it would index past level 2
+    ],
+    ids=["a-column-missing", "an-extra-column", "a-row-past-the-level"],
+)
+def test_failure_names_a_matrix_of_the_wrong_shape(reshape):
+    # the entries are checked over the pairs of levels 1 and 2, which pass over a missing
+    # or an extra column and a row past level 2, so the shape is checked once per matrix
+    b3 = build(parse_type("B3"))
+    wrong = _patch_matrix(b3, 2, reshape(list(b3._columns[2]), len(b3._levels[2])))
+    assert level_length_failure(wrong) == "d_matrix(2) is not 2 x 1, the sizes of levels 2 and 1"
+    assert verify_reflection_length(wrong)
+
+
+def test_failure_names_a_missing_matrix():
+    # without its last matrix the record would send the entry check past its matrices
+    b3 = build(parse_type("B3"))
+    short = RootSystem(**{**vars(b3), "_columns": b3._columns[:-1]})
+    assert level_length_failure(short) == "the record holds 4 matrices, expected 5"
+
+
 def test_failure_when_the_group_lacks_the_reflection(monkeypatch):
     # An edge is read off the line of beta - alpha but decided by the group:
     # with the identity in place of s_gamma, the first edge along gamma fails.
     # The line table is kept in the one store, so it is made afresh from the patched reflections.
     b3 = build(parse_type("B3"))
     gamma, *_ = b3.positive_roots
-    table = weyl_oracle._reflection_table(b3)
-    monkeypatch.setattr(weyl_oracle, "_reflection_table", lambda rs: (tuple(range(len(rs.roots))),) + table[1:])
+    table = weyl_oracle._reflection_table(b3, _simple_reflections(b3))
+    monkeypatch.setattr(weyl_oracle, "_reflection_table", lambda rs, simple: (tuple(range(len(rs.roots))),) + table[1:])
     clear_store()
     lv = long_root_poset.levels(b3)
     i, col, row, c = next(
@@ -644,9 +671,9 @@ def test_failure_when_the_group_lacks_the_reflection(monkeypatch):
 def test_failure_names_a_repeated_image(monkeypatch):
     # the walk's last element replaced by its first, the identity, which the table then holds twice
     b3 = build(parse_type("B3"))
-    layers = list(_walk(b3, _orthogonal_simple_indices(b3)))
+    layers = list(_walk(b3, _orthogonal_simple_indices(b3), _simple_reflections(b3)))
     layers[-1][-1] = layers[0][0]
-    monkeypatch.setattr(weyl_oracle, "_walk", lambda rs, indices: iter(layers))
+    monkeypatch.setattr(weyl_oracle, "_walk", lambda rs, indices, gens: iter(layers))
     clear_store()
     try:
         assert level_length_failure(b3) == f"two representatives send the highest root to {highest_root(b3)}"
@@ -720,7 +747,7 @@ def failure_by_permutations(rs):
         if w.length != (grade := level(rs, image)):
             return f"the representative sending the highest root to {image} has length {w.length}, level {grade}"
         by_root[image] = w.perm
-    reflections = list(zip(rs.positive_roots, _reflection_table(rs)))
+    reflections = list(zip(rs.positive_roots, _reflection_table(rs, _simple_reflections(rs))))
     lines = {tuple(c * g for g in gamma): (s, c) for c in (-3, -2, -1, 1, 2, 3) for gamma, s in reflections}
     lv = long_root_poset.levels(rs)
     for i in range(rs.h_dual - 1):
@@ -765,7 +792,7 @@ def test_longest_element_identities(label):
     # the longest elements of W and of the highest-root stabilizer compose
     # to the reflection in the highest root
     indices = _orthogonal_simple_indices(rs)
-    index = _root_index(rs)
+    index = root_index(rs)
     ident = tuple(range(len(rs.roots)))
     gens = [reflection_perm(rs, index, simple_roots(rs)[i]) for i in indices]
     sub = {ident}
@@ -793,7 +820,7 @@ def test_negative_rep_factors_through_reflection(label):
     top_idx = rs.roots.index(highest_root(rs))
     reps = coset_reps(rs, _orthogonal_simple_indices(rs))
     by_image = {rs.roots[w.perm[top_idx]]: w for w in reps}
-    index = _root_index(rs)
+    index = root_index(rs)
     for root in rs.positive_roots:
         if not is_long(rs, root):
             continue
