@@ -38,7 +38,10 @@ def _validate(p: Partition) -> Partition:
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse comma-separated parts; exponents allowed, e.g. "2,1^3"."""
+    """Parse comma-separated parts; exponents allowed, e.g. "2,1^3".
+    Anything but a str is refused with DomainError."""
+    if type(text) is not str:
+        raise DomainError(f"a partition is parsed from a str, got {type(text).__name__}")
     parts: list[int] = []
     for chunk in text.split(","):
         m = re.fullmatch(r"\s*(\d+)\s*(?:\^\s*(\d+))?\s*", chunk)

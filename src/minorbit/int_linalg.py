@@ -7,21 +7,23 @@ a matrix or a row that is not a list or tuple.  Inputs are only read, so a
 tuple of tuples serves as well.  A matrix with zero columns is written
 ``[[], [], ...]``; a 0x0 matrix is ``[]``.
 
-Both Smith entry points diagonalise by row Hermite passes (Kannan and
-Bachem, SIAM J. Comput. 8, 1979), every entry reduced modulo a pivot.
-``smith`` alternates them on the matrix and on its transpose until it is
-diagonal, and carries U and V along as extra columns, so they stay
-bounded.  ``invariant_factors`` (so ``cokernel``) carries no transform,
-and alternates single passes with pivots on entries +-1: on rows held as
-dicts of their nonzero entries, each unit pivot of least fill is one
-invariant factor 1, and costs about what its step does.  The cohomology
-passes ``_invariant_factors`` the recorded columns of each boundary
-matrix in that form, unchecked.  Most leave no block, so nothing else
-runs; the rest leave diagonal blocks but for one 2x2 in types D and E.
-``rank`` (so ``kernel_rank``) is one fraction-free Bareiss pass.  As both
-Smith entry points share the Hermite pass, the independent references
-live in the tests: gcds of minors, sympy, and the certification of
-U * A * V.
+``smith`` diagonalises by row Hermite passes (Kannan and Bachem, SIAM J.
+Comput. 8, 1979), every entry reduced modulo a pivot, alternated on the
+matrix and on its transpose until it is diagonal; it carries U and V
+along as extra columns, so they stay bounded.  ``invariant_factors`` (so
+``cokernel``) carries no transform: on rows held as dicts of their
+nonzero entries, each pivot on an entry +-1 of least fill is one
+invariant factor 1, and costs about what its step does.  A block left
+with one row or column, or 2x2, has its factors in closed form (gcds of
+its minors), and a diagonal one its divisibility chain; any other takes
+a Hermite pass and a new round of unit pivots.  The cohomology passes
+``_invariant_factors`` the recorded columns of each boundary matrix in
+that form, unchecked.  Most leave no block; the rest, and the Cartan
+matrices of ``decomposition``, leave a diagonal or a 2x2 block, so no
+matrix the program makes takes a Hermite pass.  ``rank`` (so
+``kernel_rank``) is one fraction-free Bareiss pass.  The independent
+references live in the tests: gcds of minors, sympy, and the
+certification of U * A * V.
 """
 
 from __future__ import annotations
@@ -276,19 +278,27 @@ def invariant_factors(matrix: Matrix) -> tuple[int, ...]:
 
 def _invariant_factors(rows, width: int) -> tuple[int, ...]:
     """``invariant_factors`` of sparse rows, unchecked: a 1 for each unit
-    pivot, and the divisibility chain of the block left once it is diagonal
-    (with no zero row or column, it is then square).  Between rounds of
-    unit pivots runs one Hermite pass without a transform (its rows are
-    empty, so no zero row survives), which leaves each pivot +-1 alone in
-    its column: the next round takes it with no fill."""
+    pivot, then the factors of the block left, which has no zero row or
+    column.  A block of one row or column has the gcd g of its entries; a
+    2x2 has g and |det|/g (g^2 divides det), or g alone if det = 0; a
+    diagonal block (then square) has the divisibility chain of its entries.
+    Any other block takes one Hermite pass without a transform (its rows
+    are empty, so no zero row survives), which leaves each pivot +-1 alone
+    in its column: the next round of unit pivots takes it with no fill."""
     units, a = _unit_pivots(rows, width)
-    if not a:
-        return (1,) * units
-    while not _diagonal(a):
+    while a:
+        if len(a) == 1 or len(a[0]) == 1:
+            return (1,) * units + (math.gcd(*chain.from_iterable(a)),)
+        if len(a) == len(a[0]) == 2:
+            (w, x), (y, z) = a
+            g, det = math.gcd(w, x, y, z), abs(w * z - x * y)
+            return (1,) * units + ((g, det // g) if det else (g,))
+        if _diagonal(a):
+            return (1,) * units + tuple(_divisibility_chain([abs(row[i]) for i, row in enumerate(a)]))
         h = _hermite(a, [[]] * len(a))[0]
         more, a = _unit_pivots((compress(enumerate(col), col) for col in zip(*h)), len(h))
         units += more
-    return (1,) * units + tuple(_divisibility_chain([abs(row[i]) for i, row in enumerate(a)]))
+    return (1,) * units
 
 
 def rank(matrix: Matrix) -> int:

@@ -135,7 +135,10 @@ def type_a_alternative(n: int) -> OrbitCohomology:
 
 
 def to_json_dict(oc: OrbitCohomology) -> dict:
-    """Schema-stable JSON form: degrees ascending, torsion ascending."""
+    """Schema-stable JSON form: degrees ascending, torsion ascending.
+    Anything but an OrbitCohomology is refused with DomainError."""
+    if type(oc) is not OrbitCohomology:
+        raise DomainError(f"the JSON form is of an OrbitCohomology, got {type(oc).__name__}")
     return {
         "type": str(oc.type_label),
         "d": oc.d,

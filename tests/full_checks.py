@@ -4,7 +4,8 @@ The golden tables stop at rank 8, so at ranks 9-99 the answers are held
 by these checks alone: the Weyl oracle on all 144 types its budget
 admits, the record checks, the simple-reflection rule, the middle
 torsion and the Smith diagonal of every recorded boundary matrix of all
-310 types the root budget admits, the dense route
+310 types the root budget admits, with no Hermite pass in their
+cohomology or decomposition numbers, the dense route
 at the top rank of each classical series, the CLI in a fresh process at
 the top of each budget, sessions of large inputs under a stated peak
 resident memory, and the Smith layer on dense matrices larger
@@ -18,7 +19,7 @@ collects every file given on its command line:
 
     PYTHONPATH=src python -m pytest -q tests/full_checks.py
 
-It takes 2-2.5 minutes on a 2-vCPU VM.
+It takes 2.5-3 minutes on a 2-vCPU VM.
 """
 
 import math
@@ -102,6 +103,12 @@ def test_the_record_on_every_admitted_type(name):
 def test_every_recorded_matrix_has_the_smith_diagonal(name):
     # the unit-pivot kernel on the recorded columns, against smith on the dense matrices
     test_int_linalg.check_smith_diagonal(name)
+
+
+@pytest.mark.parametrize("name", RECORD_TYPES)
+def test_no_hermite_pass_on_every_admitted_type(name):
+    # the subregular numbers are refused only where B's or C's homogeneous diagram is over budget
+    assert test_int_linalg.check_no_hermite_pass(name) or name[0] in "BC"
 
 
 @pytest.mark.parametrize("name", RECORD_TYPES)

@@ -70,6 +70,13 @@ def test_parse_and_format():
         parse_partition("1^" + "9" * 5000)
 
 
+@pytest.mark.parametrize("bad", [0, None, b"2,1", ["2", "1"]], ids=["int", "None", "bytes", "list"])
+def test_parse_partition_refuses_anything_but_a_str(bad):
+    # an int or None once raised AttributeError, and bytes a TypeError
+    with pytest.raises(DomainError, match=f"^a partition is parsed from a str, got {type(bad).__name__}$"):
+        parse_partition(bad)
+
+
 def test_conjugate():
     assert conjugate((4,)) == (1, 1, 1, 1)
     assert conjugate((3, 1)) == (2, 1, 1)

@@ -19,8 +19,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from minorbit import int_linalg
-from minorbit.decomposition import characters
+from minorbit import cli, int_linalg
+from minorbit.decomposition import characters, decomp_minimal, decomp_subregular, simple_singularity
 from minorbit.errors import DomainError
 from minorbit.gln_springer import springer_image
 from minorbit.int_linalg import (
@@ -35,6 +35,7 @@ from minorbit.int_linalg import (
     tensor_f_dimension,
 )
 from minorbit.long_root_poset import d_matrix, dimension, levels
+from minorbit.orbit_cohomology import minimal_orbit_cohomology
 from minorbit.root_system import build, parse_type
 
 
@@ -309,13 +310,14 @@ def test_xgcd_bezout(a, b):
     assert s * a + c * b == g == math.gcd(a, b)
 
 
-# Each matrix drives one branch of a Hermite step, with its count of
-# extended-gcd pairs.  The column reaches the pivot 1 through 2 by two row
-# pairs, each clearing the entering row to zero; the row is that column
-# after one transposition.  With [0, 7, 0] added, the transposed pass takes
-# a pair for the 3 under the pivot 6 and one in the 7s' column, and the
-# divisibility chain a third, for diag(3, 7).  A negative pivot takes the
-# pair (-4, 6); a zero column is dropped without one.
+# Each matrix drives one branch of a Hermite step in ``smith``, with its
+# count of extended-gcd pairs.  The column reaches the pivot 1 through 2 by
+# two row pairs, each clearing the entering row to zero; the row is that
+# column after one transposition.  With [0, 7, 0] added, the transposed pass
+# takes a pair for the 3 under the pivot 6 and one in the 7s' column, and
+# the divisibility chain a third, for diag(3, 7).  A negative pivot takes
+# the pair (-4, 6); a zero column is dropped without one.
+# ``invariant_factors`` decides each in closed form but the row with [0, 7, 0].
 STEP_CASES = {
     "column": ([[6], [10], [15]], 2),
     "row": ([[6, 10, 15]], 2),
@@ -328,14 +330,14 @@ STEP_CASES = {
 @pytest.mark.parametrize("name", sorted(STEP_CASES))
 def test_one_pass_step_branches(name, monkeypatch):
     m, pairs = STEP_CASES[name]
-    form = check_form(m)
-    nonzero = tuple(d for d in form.diag if d)
-    assert list(nonzero) == minor_gcd_oracle(m)
     calls = []
     xgcd = int_linalg._xgcd
     monkeypatch.setattr(int_linalg, "_xgcd", lambda a, b: calls.append((a, b)) or xgcd(a, b))
-    assert invariant_factors(m) == nonzero
+    form = check_form(m)
     assert len(calls) == pairs
+    nonzero = tuple(d for d in form.diag if d)
+    assert list(nonzero) == minor_gcd_oracle(m)
+    assert invariant_factors(m) == nonzero
     assert cokernel(m) == (len(m) - len(nonzero), tuple(d for d in nonzero if d > 1))
     assert kernel_rank(m) == len(m[0]) - len(nonzero)
 
@@ -484,7 +486,8 @@ def test_the_same_pivots_as_the_full_scan(name):
 def test_no_block_takes_no_other_step(monkeypatch):
     # Of the hot set's 275 matrices, 175 leave no block after the unit pivots: their
     # invariant factors are the units alone, with no Hermite pass, diagonal test or
-    # divisibility chain.  92 leave a diagonal block, which takes no Hermite pass.
+    # divisibility chain.  92 leave a diagonal block and 8 a 2x2 one; none takes a
+    # Hermite pass.
     calls = []
     for helper in ("_hermite", "_diagonal", "_divisibility_chain"):
         f = getattr(int_linalg, helper)
@@ -495,15 +498,61 @@ def test_no_block_takes_no_other_step(monkeypatch):
         calls.clear()
         factors = int_linalg._invariant_factors(columns, width)
         assert factors[:units] == (1,) * units
+        assert "_hermite" not in calls
         if not block:
             kinds["none"] += 1
             assert (factors, calls) == ((1,) * units, [])
         elif all(x == 0 for i, row in enumerate(block) for j, x in enumerate(row) if i != j):
             kinds["diagonal"] += 1
-            assert "_hermite" not in calls
         else:
-            kinds["other"] += 1
-    assert kinds == {"none": 175, "diagonal": 92, "other": 8}
+            kinds[f"{len(block)}x{len(block[0])}"] += 1
+    assert kinds == {"none": 175, "diagonal": 92, "2x2": 8}
+
+
+def refuse_hermite(*args):
+    raise AssertionError("a Hermite pass ran")
+
+
+def test_closed_forms_on_every_small_matrix(monkeypatch):
+    # Every 2x2 with entries in [-5, 5], singular ones included, and every 1 x k and
+    # k x 1 with k <= 4 and entries in [-3, 3]: their invariant factors, with no
+    # Hermite pass, against the nonzero Smith diagonal and the gcds of minors.
+    matrices = [[[a, b], [c, d]] for a, b, c, d in itertools.product(range(-5, 6), repeat=4)]
+    for k in range(1, 5):
+        for row in itertools.product(range(-3, 4), repeat=k):
+            matrices += [[list(row)], [[x] for x in row]]
+    assert len(matrices) == 11**4 + 2 * (7 + 7**2 + 7**3 + 7**4)
+    diagonals = [tuple(x for x in smith(m).diag if x) for m in matrices]
+    monkeypatch.setattr(int_linalg, "_hermite", refuse_hermite)
+    for m, diagonal in zip(matrices, diagonals):
+        factors = invariant_factors(m)
+        assert factors == diagonal and list(factors) == minor_gcd_oracle(m), m
+
+
+def check_no_hermite_pass(label) -> bool:
+    """The cohomology of a type and its decomposition numbers at ell = 2, 3 and 5, with
+    ``_hermite`` made to raise: no boundary or Cartan matrix the program makes takes a
+    Hermite pass.  Returns whether the subregular numbers were admitted; for B and C of
+    high rank the homogeneous diagram is over the root budget."""
+    label = parse_type(str(label))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(int_linalg, "_hermite", refuse_hermite)
+        minimal_orbit_cohomology(build(label))
+        for ell in (2, 3, 5):
+            decomp_minimal(label, ell)
+        try:
+            simple_singularity(label)
+        except DomainError as exc:
+            assert "over the budget" in str(exc), exc
+            return False
+        for ell in (2, 3, 5):
+            decomp_subregular(label, ell)
+    return True
+
+
+@pytest.mark.parametrize("name", list(dict.fromkeys(WORKLOADS.HOT_SET + list(map(str, cli.TABLE_TYPES)))))
+def test_no_hermite_pass_on_the_hot_set_and_the_tables(name):
+    assert check_no_hermite_pass(name)
 
 
 def check_smith_diagonal(name):

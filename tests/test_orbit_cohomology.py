@@ -401,6 +401,13 @@ def test_json_round_trip(rs):
     assert again == oc
 
 
+@pytest.mark.parametrize("bad", [0, None, {"type": "A3"}], ids=["int", "None", "dict"])
+def test_to_json_dict_refuses_anything_but_an_orbit_cohomology(bad):
+    # each once raised AttributeError
+    with pytest.raises(DomainError, match=f"^the JSON form is of an OrbitCohomology, got {type(bad).__name__}$"):
+        to_json_dict(bad)
+
+
 def test_graded_group_validation():
     with pytest.raises(DomainError):
         GradedAbelianGroup({0: (0, (3, 2))})
