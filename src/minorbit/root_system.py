@@ -165,8 +165,7 @@ class RootSystem:
     positive_roots: tuple[Root, ...]
     long_simple_indices: tuple[int, ...]
     h_dual: int
-    # the one record of the roots, their length and grading: each root's level, None when short
-    _level: dict[Root, int | None]
+    _level: dict[Root, int | None]  # each root's level, None when short: read in this module alone
     _levels: tuple[tuple[Root, ...], ...]  # the long roots of each level
     # matrix i < h_dual, level i-1 to level i: per root of level i-1, its nonzero {place in level i: entry}
     _columns: tuple[tuple[dict[int, int], ...], ...]
@@ -314,10 +313,7 @@ def _long_level(rs: RootSystem, root: Root, what: str) -> int:
 
 def dual_height(rs: RootSystem, root: Root) -> int:
     """Height of the coroot of a long root, negative for a negative root."""
-    return _dual_height_at(rs, _long_level(rs, root, "dual height"))
-
-
-def _dual_height_at(rs: RootSystem, lv: int) -> int:
+    lv = _long_level(rs, root, "dual height")
     return rs.h_dual - 1 - lv if lv < rs.h_dual - 1 else rs.h_dual - 2 - lv  # build's level rule inverted
 
 

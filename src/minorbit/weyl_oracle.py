@@ -10,19 +10,17 @@ holding two layers at once and deciding every step on the permutations
 alone, never through ``levels`` or the boundary matrices.  ``coset_reps``
 collects the walk into a tuple.
 
-An element is a permutation of the root list, a tuple with perm[i] the
-index of the image of root i; the positive roots come first, so a root
-index i is positive iff i < |Phi^+|.  Only the simple reflections come
-from the Cartan matrix; the others are conjugated from them
-(s_gamma = s_j s_{s_j(gamma)} s_j).  ``_verify_table``, made from the Cartan
-matrix and the root list alone, is the one entry kept per type in the package's
-one store (``errors.weighed_cache``), weighed by every tuple slot it holds.
-Each call reads the record afresh and compares it with the table: the shape
-and every entry of the recorded matrices, the level of each image of the
-highest root, the height of each reflected root.  So a warm cache decides no
-verdict.  Each call refuses, before any work or any table, an input whose
-element count times |Phi| exceeds ORACLE_BUDGET: |W^I| in ``coset_reps``,
-the larger of |W^J| and |Phi^+| in the checks.
+An element is a permutation of the root list, a tuple with perm[i] the index of the
+image of root i; the positive roots come first, so a root index i is positive iff
+i < |Phi^+|.  Only the simple reflections come from the Cartan matrix; the others are
+conjugated from them (s_gamma = s_j s_{s_j(gamma)} s_j).  ``_verify_table``, made from the
+Cartan matrix and the root list alone, is the one entry kept per type in the package's one
+store (``errors.weighed_cache``), weighed by every tuple slot it holds.  Each call reads
+the record afresh and compares it with the table: the shape and every entry of the
+recorded matrices, the grading, read off the levels the cohomology reads, the height of
+each reflected root.  So a warm cache decides no verdict on them.  Each call refuses,
+before any work or any table, an input whose element count times |Phi| exceeds
+ORACLE_BUDGET: |W^I| in ``coset_reps``, the larger of |W^J| and |Phi^+| in the checks.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from itertools import chain, compress, repeat
 from operator import add, attrgetter, itemgetter, sub
 
 from .errors import DomainError, InvariantFailureError, weighed_cache
-from .root_system import RootSystem, _check_indices, _check_record, _dual_height_at, height, highest_root
+from .root_system import RootSystem, _check_indices, _check_record, _check_root_budget, height, highest_root
 
 # Largest |W^I| * |Phi| an oracle call works on: W(E6) whole is 3,732,480;
 # verify admits A44, B31, C37, D32 and every exceptional type.
@@ -61,7 +59,9 @@ def _simple_reflection(rs: RootSystem, index: dict, k: int) -> tuple[int, ...]:
     perm = list(range(npos))
     for i in compress(range(npos), dots):
         v = positive[i]
-        perm[i] = index[v[:k] + (v[k] - dots[i],) + v[k + 1 :]]
+        if (image := v[:k] + (v[k] - dots[i],) + v[k + 1 :]) not in index:
+            raise InvariantFailureError(f"{rs.type_label}: s_{k + 1} sends {v} to {image}, which the root list lacks")
+        perm[i] = index[image]
     return _compose(tuple(index.values()), perm + [p + npos if p < npos else p - npos for p in perm])
 
 
@@ -87,11 +87,10 @@ def _reflection_table(rs: RootSystem, simple: tuple) -> tuple[tuple[int, ...], .
 
 
 def _check_budget(rs: RootSystem, elements: int, what: str) -> None:
-    cost = elements * len(rs.roots)
+    cost = elements * (roots := rs.rank * _check_root_budget(rs.type_label))  # |Phi| = rank * h
     if cost > ORACLE_BUDGET:
         raise DomainError(
-            f"{rs.type_label}: {what} = {elements} times |Phi| = {len(rs.roots)} is {cost}, "
-            f"over the budget of {ORACLE_BUDGET}"
+            f"{rs.type_label}: {what} = {elements} times |Phi| = {roots} is {cost}, over the budget of {ORACLE_BUDGET}"
         )
 
 
@@ -153,26 +152,29 @@ def _orthogonal_simple_indices(rs: RootSystem) -> tuple[int, ...]:
 
 
 def _weigh_verify_table(rs: RootSystem) -> int:
-    """The tuple slots of ``_verify_table``, in closed form.  Refuses first a type on which
-    either verify check would walk more than the budget (W^J for the levels, Phi^+ for the
-    reflections), so that both refuse the same types before any work."""
-    count, npos = _coset_count(rs, _orthogonal_simple_indices(rs)), len(rs.positive_roots)
+    """The tuple slots of ``_verify_table``, in closed form from the type label.  Refuses first a
+    type on which either verify check would walk more than the budget (W^J for the levels,
+    Phi^+ for the reflections), so that both refuse the same types before any work."""
+    count, npos = _coset_count(rs, _orthogonal_simple_indices(rs)), rs.rank * _check_root_budget(rs.type_label) // 2
     _check_budget(rs, max(count, npos), "max(|W^J|, |Phi^+|)")
-    # per x in W^J: its slot, a triple and the images; every reflection; per gamma: 6 keys of
-    # rank slots (the record's own roots at c = 1 and -1) and 6 pairs of lines, and a length
-    return count * (4 + max(rs.rank, 2)) + npos * len(rs.roots) + npos * (6 * rs.rank + 13)
+    # per x in W^J: a pair and the images; every reflection; per gamma: 6 keys of rank slots
+    # (the record's own roots at c = 1 and -1, which key the cosets too) and 6 pairs, and a length
+    return count * (2 + max(rs.rank, 2)) + 2 * npos * npos + npos * (6 * rs.rank + 13)
 
 
 @weighed_cache(_check_record, _weigh_verify_table, attrgetter("type_label"))
-def _verify_table(rs: RootSystem) -> tuple[tuple, dict, tuple[int, ...]]:
-    """What verify holds a record to: (x(highest root) as an index, l(x), x's images of the
-    simple roots) for each x in W^J in walk order; the line table, which maps each c gamma,
-    gamma in Phi^+ and 0 < |c| <= 3, to (s_gamma, c); and l(s_gamma) for each gamma in Phi^+,
-    the positive roots it negates.  W^J is walked first, so its layers are gone before the
-    reflections are conjugated.  The c = 1 and c = -1 keys are the root list's own tuples."""
+def _verify_table(rs: RootSystem) -> tuple[dict, dict, tuple[int, ...]]:
+    """What verify holds a record to: the cosets, x(highest root) -> (l(x), x's images of the simple
+    roots) for each x in W^J, two x with one image being a fault of the walk; the line table, which
+    maps each c gamma, gamma in Phi^+ and 0 < |c| <= 3, to (s_gamma, c); and l(s_gamma) for each
+    gamma in Phi^+, the positive roots it negates.  W^J is walked first, so its layers are gone
+    before the reflections are conjugated.  The cosets' keys and the lines' at c = +-1 are the record's roots."""
     simple, npos = _simple_reflections(rs), len(rs.positive_roots)
     layers = enumerate(_walk(rs, _orthogonal_simple_indices(rs), simple))
-    cosets = tuple((w[npos - 1], length, images) for length, layer in layers for w, images in layer)
+    walked, cosets = [(rs.roots[w[npos - 1]], (length, images)) for length, layer in layers for w, images in layer], {}
+    for top, coset in walked:  # after the whole walk, so that its count guard speaks first
+        if cosets.setdefault(top, coset) is not coset:
+            raise InvariantFailureError(f"{rs.type_label}: two representatives send the highest root to {top}")
     reflections = _reflection_table(rs, simple)
     roots_on_line = {1: rs.positive_roots, -1: rs.roots[npos:]}
     lines = {}
@@ -185,36 +187,33 @@ def _verify_table(rs: RootSystem) -> tuple[tuple, dict, tuple[int, ...]]:
 def level_length_failure(rs: RootSystem) -> str | None:
     """Why the long roots and W^J disagree, or None when they agree.
 
-    The representatives modulo the stabilizer of the highest root must
-    biject onto the long roots via w -> w(highest), with length equal to
-    the level.  Then the record must hold matrices 0 .. h_dual - 1, and each
-    of 1 .. h_dual - 1, the columns the cohomology is computed from, a column
-    per root of the level it maps from and no row past the level it maps to.
-    Every entry of them is checked against the group: for beta in level
-    i < h_dual - 1 and alpha in level i+1, beta -> alpha is an edge when
-    x_alpha x_beta^-1 is a reflection s_gamma.  Then
-    s_gamma(beta) = alpha gives beta - alpha = <beta, gamma^vee> gamma,
-    with |<beta, gamma^vee>| <= 3 (2 on (beta, -beta) in the middle
-    matrix).  So each pair looks up beta - alpha once in the line table,
-    which maps each c gamma (gamma in Phi^+, 0 < |c| <= 3) to (s_gamma, c),
-    and the entry must be that c when s_gamma x_beta = x_alpha, and 0
-    otherwise, decided on the images of the simple roots that
-    ``_verify_table`` keeps.  A failure means the level
-    combinatorics and the group disagree, i.e. an implementation bug.
+    The representatives modulo the stabilizer of the highest root must biject onto the
+    long roots via w -> w(highest), with length equal to the level, read off the levels
+    the cohomology reads: a root they list that no x(highest) is, at another length, or
+    listed twice is named.  Then the record must hold matrices 0 .. h_dual - 1, and each of
+    1 .. h_dual - 1, the columns the cohomology is computed from, a column per root of the
+    level it maps from and no row past the level it maps to.  Every entry of them is
+    checked against the group: for beta in level i < h_dual - 1 and alpha in level i+1,
+    beta -> alpha is an edge when x_alpha x_beta^-1 is a reflection s_gamma.  Then
+    s_gamma(beta) = alpha gives beta - alpha = <beta, gamma^vee> gamma, with
+    |<beta, gamma^vee>| <= 3 (2 on (beta, -beta) in the middle matrix).  So each pair
+    looks up beta - alpha once in the line table, which maps each c gamma (gamma in Phi^+,
+    0 < |c| <= 3) to (s_gamma, c), and the entry must be that c when s_gamma x_beta =
+    x_alpha, and 0 otherwise, decided on the images of the simple roots the cosets keep.
+    A failure means the level combinatorics and the group disagree, i.e. an implementation bug.
     """
     cosets, lines, _ = _verify_table(rs)
     lv = rs._levels
     if len(cosets) != (n_long := sum(map(len, lv))):
         return f"W^J has {len(cosets)} elements, but there are {n_long} long roots"
-
-    by_root = {}
-    for top, length, images in cosets:
-        image = rs.roots[top]
-        if image in by_root:
-            return f"two representatives send the highest root to {image}"
-        if length != (level := rs._level[image]):  # the record's own root: read unchecked
-            return f"the representative sending the highest root to {image} has length {length}, level {level}"
-        by_root[image] = images
+    for i, level in enumerate(lv):
+        for root in level:
+            if (coset := cosets.get(root)) is None:
+                return f"no representative sends the highest root to {root}, of level {i}"
+            if coset[0] != i:
+                return f"the representative sending the highest root to {root} has length {coset[0]}, level {i}"
+        if len(set(level)) < len(level):
+            return f"level {i} lists {next(root for k, root in enumerate(level) if root in level[:k])} twice"
 
     if len(rs._columns) != rs.h_dual:
         return f"the record holds {len(rs._columns)} matrices, expected {rs.h_dual}"
@@ -225,7 +224,7 @@ def level_length_failure(rs: RootSystem) -> str | None:
         for beta, column in zip(lv[i], columns):
             for row, alpha in enumerate(lv[i + 1]):
                 s, expected = lines.get(tuple(map(sub, beta, alpha)), (None, 0))
-                if s is not None and _compose(s, by_root[beta]) != by_root[alpha]:
+                if s is not None and _compose(s, cosets[beta][1]) != cosets[alpha][1]:
                     expected = 0
                 if (entry := column.get(row, 0)) != expected:
                     return f"({beta}, {alpha}): d_matrix({i + 1}) entry {entry}, expected {expected}"
@@ -242,13 +241,14 @@ def reflection_length_failure(rs: RootSystem) -> str | None:
 
     l(s_b) = 2 ht_coroot(b) - 1 for long b and 2 ht(b) - 1 for short b.
     l(s_b) is counted on the group element, s_b conjugated from the simple
-    reflections: the positive roots it negates, kept in ``_verify_table``; the
-    heights are read off the record on every call.
+    reflections: the positive roots it negates, kept in ``_verify_table``.  On
+    every call the heights are read off the record, and the long roots with
+    their coroot heights off its positive levels: h_dual - 1 - i in level i.
     """
     _, _, lengths = _verify_table(rs)  # anything but a record is refused before a field is read
-    for b, length in zip(rs.positive_roots, lengths):  # the record's own roots: _level is read unchecked
-        expected = 2 * (height(b) if (lv := rs._level[b]) is None else _dual_height_at(rs, lv)) - 1
-        if length != expected:
+    coroot = {b: rs.h_dual - 1 - i for i, level in enumerate(rs._levels[: rs.h_dual - 1]) for b in level}
+    for b, length in zip(rs.positive_roots, lengths):
+        if length != (expected := 2 * (coroot.get(b) or height(b)) - 1):
             return f"the reflection in {b} has length {length}, expected {expected}"
     return None
 

@@ -72,13 +72,16 @@ def test_the_admitted_types():
 @pytest.mark.parametrize("label", ORACLE_TYPES)
 def test_the_oracle_on_every_admitted_type(label):
     # cold, then warm on the tables the first call made: the same verdict; and the
-    # record and tables of any one type fit whole under the store's budget
+    # record and tables of any one type fit whole under the store's budget.  Then, warm,
+    # a root listed twice in a level is named, and the grading is read from the levels alone
     test_weyl_oracle.test_verify_level_length(label)
     test_weyl_oracle.test_verify_reflection_length(label)
     assert test_weyl_oracle.reasons(build(parse_type(label))) == (None, None)
     held = [(name, str(key)) for name, key, _ in test_weyl_oracle.held()]
     assert sorted(held) == [("_verify_table", label), ("build", label)]
     assert errors._store.slots <= errors.CACHE_BUDGET
+    test_weyl_oracle.check_a_root_listed_twice(label)
+    test_weyl_oracle.check_warm_without_the_level_map(label)
 
 
 def test_the_largest_verify_table_weighs_the_tuple_slots_it_holds():

@@ -3,6 +3,7 @@ import math
 import random
 import re
 import tracemalloc
+from collections import Counter
 from operator import add, itemgetter, sub
 
 import pytest
@@ -11,6 +12,7 @@ from minorbit import cli, errors, long_root_poset, weyl_oracle
 from minorbit.errors import DomainError, InvariantFailureError, weighed_cache
 from minorbit.gln_springer import partitions_of
 from minorbit.long_root_poset import level
+from minorbit.orbit_cohomology import minimal_orbit_cohomology
 from minorbit.root_system import (
     RootSystem,
     TypeLabel,
@@ -272,8 +274,9 @@ def added_slots(obj, known: set) -> int:
 def test_each_table_weighs_the_tuple_slots_it_adds(label):
     # an entry is weighed in closed form before it is made, by the tuple slots it holds
     # and at most its own top-level entries less: a record by its root coordinates,
-    # rank^2 h; a verify table by all it holds, counted with nothing known, the record's
-    # roots it keys its lines on included, as no other entry need be held beside it
+    # rank^2 h; a verify table by all it holds but its own three slots, counted with
+    # nothing known, the record's roots it keys its cosets and lines on included, as no
+    # other entry need be held beside it
     clear_store()
     try:
         rs = build(parse_type(label))
@@ -282,7 +285,7 @@ def test_each_table_weighs_the_tuple_slots_it_adds(label):
         assert weight <= added_slots(rs.roots, set()) <= weight + len(rs.roots)
         table = _verify_table(rs)
         [_, (name, _, weight)] = held()
-        assert name == "_verify_table" and weight <= added_slots(table, set()) <= weight + len(table)
+        assert name == "_verify_table" and len(table) == 3 and weight <= added_slots(table, set()) <= weight + 3
     finally:
         clear_store()
 
@@ -442,8 +445,9 @@ def test_coset_reps_build_no_table(time_budget):
 
 @pytest.mark.parametrize("label", UP_TO_E6)
 def test_the_coset_table_reads_the_walk(label):
-    # the walk yields W^J one length at a time, and the verify table keeps of each element
-    # its image of the highest root, its length and its images of the simple roots
+    # the walk yields W^J one length at a time, and the verify table keeps each element's
+    # length and images of the simple roots under its image of the highest root, the record's
+    # own tuple
     rs = build(parse_type(label))
     indices = _orthogonal_simple_indices(rs)
     reps = coset_reps(rs, indices)
@@ -452,8 +456,9 @@ def test_the_coset_table_reads_the_walk(label):
     assert all(images == w[: max(rs.rank, 2)] for layer in layers for w, images in layer)
     top = len(rs.positive_roots) - 1
     cosets, _, _ = _verify_table(rs)
-    assert cosets == tuple((w.perm[top], w.length, w.perm[: max(rs.rank, 2)]) for w in reps)
-    assert len({images for _, _, images in cosets}) == len(reps)
+    assert cosets == {rs.roots[w.perm[top]]: (w.length, w.perm[: max(rs.rank, 2)]) for w in reps}
+    assert len(cosets) == len(reps) and {id(v) for v in rs.roots}.issuperset(map(id, cosets))
+    assert len({images for _, images in cosets.values()}) == len(reps)
 
 
 @pytest.mark.parametrize("label", ["A30", "B20", "D20"])
@@ -669,23 +674,28 @@ def test_failure_when_the_group_lacks_the_reflection(monkeypatch):
 
 
 def test_failure_names_a_repeated_image(monkeypatch):
-    # the walk's last element replaced by its first, the identity, which the table then holds twice
+    # the walk's last element replaced by its first, the identity: a fault of the oracle, not
+    # of the record, so the table is not made, and both checks raise
     b3 = build(parse_type("B3"))
     layers = list(_walk(b3, _orthogonal_simple_indices(b3), _simple_reflections(b3)))
     layers[-1][-1] = layers[0][0]
     monkeypatch.setattr(weyl_oracle, "_walk", lambda rs, indices, gens: iter(layers))
     clear_store()
+    message = f"^B3: two representatives send the highest root to {re.escape(str(highest_root(b3)))}$"
     try:
-        assert level_length_failure(b3) == f"two representatives send the highest root to {highest_root(b3)}"
+        for check in (level_length_failure, reflection_length_failure):
+            with pytest.raises(InvariantFailureError, match=message):
+                check(b3)
+        assert held() == []
     finally:
         clear_store()
 
 
 def shifted_top(rs):
-    """A copy of the record rs whose highest root sits one level lower in ``_level``, which both
-    checks read directly for the roots of the record's own lists."""
-    top = highest_root(rs)
-    return RootSystem(**{**vars(rs), "_level": {**rs._level, top: rs._level[top] + 1}})
+    """A copy of the record rs whose highest root is listed first in level 1 of ``_levels``, and
+    level 0 is empty: both checks read the grading there."""
+    lv = rs._levels
+    return RootSystem(**{**vars(rs), "_levels": ((), lv[0] + lv[1]) + lv[2:]})
 
 
 def test_failure_names_the_root(monkeypatch, capsys):
@@ -719,15 +729,115 @@ def test_warm_state_hides_no_bad_record():
     # the caches hold what the Cartan matrix and the root list give, which a patched
     # record shares with the clean one; every call still compares them with the record,
     # so a clean verify first changes no verdict and no reason
-    records = bad_records() + [shifted_top(build(parse_type("G2")))]
+    records = bad_records() + [shifted_top(build(parse_type("G2"))), repeated_root(build(parse_type("A4")))[0]]
     clear_store()
     try:
         cold = [reasons(rs) for rs in records]
         clear_store()
-        for name in ("B3", "G2", "A3"):
+        for name in ("B3", "G2", "A3", "A4"):
             assert reasons(build(parse_type(name))) == (None, None)
         assert [reasons(rs) for rs in records] == cold
-        assert all(level for level, _ in cold) and all(cold[-1])
+        assert all(level for level, _ in cold) and all(cold[-2])
+    finally:
+        clear_store()
+
+
+def repeated_root(rs):
+    """(a copy of the record rs, i, root) whose level i, the first from 1 with two roots, lists
+    its first root twice and not its second, with that root's row of matrix i and column of
+    matrix i + 1 copied into the dropped root's place, so the level sizes and every entry agree
+    with the duplicate; None when every level holds one root."""
+    i = next((i for i in range(1, rs.h_dual - 1) if len(rs._levels[i]) > 1), None)
+    if i is None:
+        return None
+    root, _, *rest = rs._levels[i]
+    rows = [dict(column) for column in rs._columns[i]]  # per root of level i - 1, {place in level i: entry}
+    for column in rows:
+        column.pop(1, None)
+        if 0 in column:
+            column[1] = column[0]
+    columns = rs._columns[i + 1][:1] * 2 + rs._columns[i + 1][2:]
+    levels = rs._levels[:i] + ((root, root, *rest),) + rs._levels[i + 1 :]
+    matrices = rs._columns[:i] + (tuple(rows), columns) + rs._columns[i + 2 :]
+    return RootSystem(**{**vars(rs), "_levels": levels, "_columns": matrices}), i, root
+
+
+def check_a_root_listed_twice(label):
+    # the level sizes, and so the count of long roots, and every matrix entry hold, so only
+    # the bijection onto W^J tells it apart; where every level holds one root (A1, G2, C_n)
+    # no root can be listed twice at its own length.  The dropped root now reads as short,
+    # which changes the height rule on it only where its coroot height is not its height
+    rs = build(parse_type(label))
+    if (repeated := repeated_root(rs)) is None:
+        assert all(len(members) == 1 for members in rs._levels)
+        return
+    record, i, root = repeated
+    assert level_length_failure(record) == f"level {i} lists {root} twice"
+    dropped, coroot = rs._levels[i][1], rs.h_dual - 1 - i
+    lengths = f"length {2 * coroot - 1}, expected {2 * height(dropped) - 1}"
+    assert reflection_length_failure(record) == (None if coroot == height(dropped) else f"the reflection in {dropped} has {lengths}")
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "A4", "B3", "B4", "D4", "D5", "E6", "F4"])
+def test_a_root_listed_twice_is_named(label):
+    clear_store()
+    try:
+        check_a_root_listed_twice(label)
+    finally:
+        clear_store()
+
+
+def test_a_root_listed_twice_changes_the_cohomology(monkeypatch, capsys):
+    # A4's level 1 lists (1, 1, 1, 0) twice and not (0, 1, 1, 1): the cohomology read off that
+    # record gains a free summand in degrees 3, 4, 11 and 12, and verify names the root
+    a4 = build(parse_type("A4"))
+    record, i, root = repeated_root(a4)
+    assert (i, record._levels[1]) == (1, ((1, 1, 1, 0), (1, 1, 1, 0)))
+    clean, changed = (minimal_orbit_cohomology(rs).table for rs in (a4, record))
+    gained = {n: changed.free_rank(n) - clean.free_rank(n) for n in changed.degrees()}
+    assert {n: k for n, k in gained.items() if k} == {3: 1, 4: 1, 11: 1, 12: 1}
+    monkeypatch.setattr(cli, "build", lambda label: record)
+    assert cli.main(["verify", "--type", "A4"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "level-length: FAILED\nreflection-length: ok\n"
+    assert captured.err == "level-length: level 1 lists (1, 1, 1, 0) twice\n"
+
+
+def check_warm_without_the_level_map(label):
+    # both checks take the grading from the levels alone: warm on the clean record, they
+    # give its verdicts on a copy whose map of each root to its level raises on any read
+    rs = build(parse_type(label))
+    assert reasons(rs) == (None, None)
+    assert reasons(RootSystem(**{**vars(rs), "_level": Poisoned()})) == (None, None)
+
+
+@pytest.mark.parametrize("label", SMALL_TYPES + ["D5", "E6"])
+def test_warm_without_the_level_map(label):
+    clear_store()
+    try:
+        check_warm_without_the_level_map(label)
+    finally:
+        clear_store()
+
+
+def test_a_root_the_record_lacks_is_an_invariant_failure(monkeypatch, capsys):
+    # B3 without the short root (0, 1, 1) and its negative: s_1 sends (1, 1, 1) there, so the
+    # table is not made, and verify ends with exit code 4 and a message, not a traceback
+    b3 = build(parse_type("B3"))
+    gone = {(0, 1, 1), (0, -1, -1)}
+    kept = {name: tuple(v for v in getattr(b3, name) if v not in gone) for name in ("roots", "positive_roots")}
+    lacking = RootSystem(**{**vars(b3), **kept, "_level": {v: lv for v, lv in b3._level.items() if v not in gone}})
+    message = "B3: s_1 sends (1, 1, 1) to (0, 1, 1), which the root list lacks"
+    clear_store()
+    try:
+        for check in (level_length_failure, reflection_length_failure):
+            with pytest.raises(InvariantFailureError, match=f"^{re.escape(message)}$"):
+                check(lacking)
+        monkeypatch.setattr(cli, "build", lambda label: lacking)
+        assert cli.main(["verify", "--type", "B3"]) == 4
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"invariant failure: {message}\n")
+        assert held() == []
     finally:
         clear_store()
 
@@ -735,21 +845,24 @@ def test_warm_state_hides_no_bad_record():
 def failure_by_permutations(rs):
     """The level check on whole permutations, the reference for the table's images:
     W^J from coset_reps, and an edge decided by composing s_gamma with x_beta on all of Phi."""
-    n_long = sum(map(len, rs._levels))
+    lv = long_root_poset.levels(rs)
+    n_long = sum(map(len, lv))
     reps = coset_reps(rs, _orthogonal_simple_indices(rs))
     if len(reps) != n_long:
         return f"W^J has {len(reps)} elements, but there are {n_long} long roots"
-    by_root = {}
-    for w in reps:
-        image = rs.roots[w.perm[len(rs.positive_roots) - 1]]
-        if image in by_root:
-            return f"two representatives send the highest root to {image}"
-        if w.length != (grade := level(rs, image)):
-            return f"the representative sending the highest root to {image} has length {w.length}, level {grade}"
-        by_root[image] = w.perm
+    by_root = {rs.roots[w.perm[len(rs.positive_roots) - 1]]: w for w in reps}
+    assert len(by_root) == len(reps)  # W^J sends the highest root to each long root once
+    for i, members in enumerate(lv):
+        for root in members:
+            if root not in by_root:
+                return f"no representative sends the highest root to {root}, of level {i}"
+            if by_root[root].length != i:
+                return f"the representative sending the highest root to {root} has length {by_root[root].length}, level {i}"
+        if len(set(members)) < len(members):
+            return f"level {i} lists {next(r for r, n in Counter(members).items() if n > 1)} twice"
+    by_root = {root: w.perm for root, w in by_root.items()}
     reflections = list(zip(rs.positive_roots, _reflection_table(rs, _simple_reflections(rs))))
     lines = {tuple(c * g for g in gamma): (s, c) for c in (-3, -2, -1, 1, 2, 3) for gamma, s in reflections}
-    lv = long_root_poset.levels(rs)
     for i in range(rs.h_dual - 1):
         for beta, column in zip(lv[i], rs._columns[i + 1]):
             for row, alpha in enumerate(lv[i + 1]):
@@ -763,8 +876,9 @@ def failure_by_permutations(rs):
 
 @pytest.mark.parametrize("label", SMALL_TYPES + ["D5", "E6"])
 def test_failure_equals_the_permutation_route(label):
-    # on the record and on 40 copies with one entry changed, the images of the simple
-    # roots give the verdict and the reason that whole permutations give
+    # on the record, on 40 copies with one entry changed, and on copies with the highest
+    # root moved and a root listed twice, the images of the simple roots give the verdict
+    # and the reason that whole permutations give
     rs = build(parse_type(label))
     rng = random.Random(label)
     records = [rs]
@@ -772,6 +886,9 @@ def test_failure_equals_the_permutation_route(label):
         i = rng.randrange(1, rs.h_dual)
         col, row = rng.randrange(len(rs._levels[i - 1])), rng.randrange(len(rs._levels[i]))
         records.append(_patch_entry(rs, i, row, col, rng.choice([0, -1, 1, 2, 3])))
+    records.append(shifted_top(rs))
+    if repeated := repeated_root(rs):
+        records.append(repeated[0])
     found = [level_length_failure(record) for record in records]
     assert found == [failure_by_permutations(record) for record in records]
     assert found[0] is None and any(found)
