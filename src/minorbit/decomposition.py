@@ -7,14 +7,20 @@ to the minimal class.  The subregular map is keyed by the modular
 characters that ``characters`` lists, zero but for the few nonzero entries
 each inhomogeneous series has; a degree-weighted sum rule guards it
 against the dimension of the full quotient.
+
+The weight/root quotient depends on the type alone, so ``simple_singularity``
+keeps it in the package's one store (``errors.weighed_cache``), keyed on the
+label.  The minimal-class quotient is not kept: ``middle_via_lattice``
+reads it from the record on each call.  Each number tests ell once, after the type's own checks and before
+any record or quotient is made, so a refusal costs no work.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import DomainError, InvariantFailureError
-from .int_linalg import is_prime, tensor_f_dimension
+from .errors import DomainError, InvariantFailureError, weighed_cache
+from .int_linalg import _check_prime, _torsion_f_dimension
 from .orbit_cohomology import _lattice_quotient, middle_via_lattice
 from .root_system import TypeLabel, _check_root_budget, build, cartan_matrix
 
@@ -43,23 +49,40 @@ def _gamma_hat(label: TypeLabel) -> tuple[TypeLabel, str]:
     return label, "trivial"
 
 
-def simple_singularity(label: TypeLabel) -> SimpleSingularityData:
-    """Attach the homogeneous diagram, its symmetry group, and the
-    invariant factors of its weight lattice modulo root lattice."""
+def _homogeneous(label: TypeLabel) -> tuple[TypeLabel, str]:
+    """The homogeneous diagram and symmetry group of a type; DomainError names
+    the type when its diagram is over the root budget (B51 and up)."""
     _check_root_budget(label)
     hat, sym = _gamma_hat(label)
     try:
-        cartan = cartan_matrix(hat)
+        _check_root_budget(hat)
     except DomainError as exc:
         raise DomainError(f"{label}: the homogeneous diagram {exc}") from None
-    quotient = _lattice_quotient(label, f"its homogeneous diagram {hat}", cartan)
+    return hat, sym
+
+
+def _weigh_singularity(label: TypeLabel) -> int:
+    """The tuple slots of a type's ``SimpleSingularityData``, in closed form: its
+    own four, two for a homogeneous diagram that is another label, and one per
+    invariant factor (none for E8, two for D of even rank, else one).  Refuses
+    first a diagram over the root budget."""
+    hat = _homogeneous(label)[0]
+    factors = 0 if hat == ("E", 8) else 2 if hat.series == "D" and hat.rank % 2 == 0 else 1
+    return 4 + 2 * (hat != label) + factors
+
+
+@weighed_cache(_check_root_budget, _weigh_singularity)
+def simple_singularity(label: TypeLabel) -> SimpleSingularityData:
+    """Attach the homogeneous diagram, its symmetry group, and the
+    invariant factors of its weight lattice modulo root lattice."""
+    hat, sym = _gamma_hat(label)
+    quotient = _lattice_quotient(label, f"its homogeneous diagram {hat}", cartan_matrix(hat))
     return SimpleSingularityData(label, hat, sym, quotient)
 
 
 def characters(symmetry_group: str, ell: int) -> tuple[str, ...]:
     """Names of the irreducible modular characters of the symmetry group."""
-    if not is_prime(ell):
-        raise DomainError(f"{ell} is not prime")
+    _check_prime(ell)
     if symmetry_group == "trivial":
         return ("1",)
     if symmetry_group == "Z2":
@@ -84,16 +107,19 @@ def decomp_minimal(label: TypeLabel, ell: int) -> int:
     subsystem generated by the long simple roots; nonzero exactly when ell
     divides its connection index.
     """
-    return tensor_f_dimension(middle_via_lattice(build(label)), 0, ell)
+    _check_root_budget(label)
+    _check_prime(ell)
+    return _torsion_f_dimension(middle_via_lattice(build(label)), ell)
 
 
 def decomp_subregular(label: TypeLabel, ell: int) -> dict[str, int]:
     """Per-character multiplicities tying the regular class to the
     subregular one, as a map over the modular characters at ell."""
+    # the type's checks, then ell's (in characters), then the quotient
+    out = dict.fromkeys(characters(_homogeneous(label)[1], ell), 0)
     data = simple_singularity(label)
     s, n = label.series, label.rank
-    out = dict.fromkeys(characters(data.symmetry_group, ell), 0)
-    dim = tensor_f_dimension(data.quotient, 0, ell)
+    dim = _torsion_f_dimension(data.quotient, ell)
     if data.symmetry_group == "trivial":
         out["1"] = dim
     elif s == "B" and ell == 2:

@@ -14,7 +14,7 @@ import re
 from itertools import accumulate
 
 from .errors import DomainError, weighed_cache
-from .int_linalg import is_prime
+from .int_linalg import _check_prime
 
 Partition = tuple[int, ...]
 
@@ -163,8 +163,7 @@ def springer_image(n: int, ell: int) -> tuple[Partition, ...]:
     """Orbits hit by simple modules mod ell: the ell-restricted partitions."""
     if type(n) is not int or n < 1:
         raise DomainError(f"springer_image needs an int n >= 1, got {n!r}")
-    if not is_prime(ell):
-        raise DomainError(f"{ell} is not prime")
+    _check_prime(ell)
     return tuple(p for p in partitions_of(n) if _restricted(p, ell))
 
 
@@ -266,7 +265,6 @@ def minimal_degeneration(lam: Partition, mu: Partition) -> tuple[str, int]:
 def decomp_adjacent(lam: Partition, mu: Partition, ell: int) -> int:
     """Multiplicity for an adjacent orbit pair: 1 iff ell divides the box
     count of the reduced extreme pair."""
-    if not is_prime(ell):
-        raise DomainError(f"{ell} is not prime")
+    _check_prime(ell)
     _, m = minimal_degeneration(lam, mu)
     return 1 if m % ell == 0 else 0

@@ -374,6 +374,16 @@ def tensor_f_dimension(torsion: tuple[int, ...] | list[int], free_rank: int, ell
         raise DomainError(f"free rank {free_rank!r} is not an int >= 0")
     if type(torsion) not in (tuple, list) or not {int}.issuperset(map(type, torsion)):
         raise DomainError(f"torsion must be a tuple or list of ints: {torsion!r}")
+    _check_prime(ell)
+    return free_rank + _torsion_f_dimension(torsion, ell)
+
+
+def _check_prime(ell: int) -> None:
+    """DomainError unless ell is a prime (see is_prime for what it refuses to decide)."""
     if not is_prime(ell):
         raise DomainError(f"{ell} is not prime")
-    return free_rank + sum(1 for t in torsion if t % ell == 0)
+
+
+def _torsion_f_dimension(torsion, ell: int) -> int:
+    """dim over F_ell of F_ell tensor (sum Z/t), for ints t and a prime ell, unchecked."""
+    return sum(1 for t in torsion if t % ell == 0)

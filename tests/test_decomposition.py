@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from minorbit.decomposition import (
@@ -7,10 +9,11 @@ from minorbit.decomposition import (
     decomp_subregular,
     simple_singularity,
 )
-from minorbit import decomposition
-from minorbit.errors import DomainError, InvariantFailureError
+from minorbit import decomposition, errors, int_linalg
+from minorbit.errors import DomainError, InvalidTypeError, InvariantFailureError
 from minorbit.int_linalg import tensor_f_dimension
-from minorbit.root_system import parse_type
+from minorbit.root_system import TypeLabel, parse_type
+from test_weyl_oracle import added_slots, clear_store, held
 
 ALL_TYPES = [
     "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8",
@@ -32,8 +35,12 @@ def test_simple_singularity_homogeneous():
 def test_singular_homogeneous_cartan_names_type_and_shape(monkeypatch):
     monkeypatch.setattr(decomposition, "cartan_matrix", lambda label: [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
     message = "G2: the Cartan matrix of its homogeneous diagram D4 (3x3) is singular"
-    with pytest.raises(InvariantFailureError) as caught:
-        simple_singularity(parse_type("G2"))
+    simple_singularity.cache_clear()  # a stored G2 would answer before the patched Cartan matrix
+    try:
+        with pytest.raises(InvariantFailureError) as caught:
+            simple_singularity(parse_type("G2"))
+    finally:
+        simple_singularity.cache_clear()
     assert str(caught.value) == message
 
 
@@ -187,3 +194,104 @@ def test_prime_validation():
         decomp_minimal(parse_type("A2"), 6)
     with pytest.raises(DomainError):
         decomp_subregular(parse_type("B3"), 1)
+
+
+def test_ell_is_tested_before_the_record_is_built(monkeypatch):
+    # A99's record takes tens of ms to build; a non-prime ell is refused without it
+    def refuse(label):
+        raise AssertionError(f"built {label}")
+
+    monkeypatch.setattr(decomposition, "build", refuse)
+    with pytest.raises(DomainError, match="^4 is not prime$"):
+        decomp_minimal(TypeLabel("A", 99), 4)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 10**9 + 7])
+def test_decomp_subregular_tests_ell_once(ell, monkeypatch):
+    calls = []
+    for module in (int_linalg, decomposition):
+        if hasattr(module, "is_prime"):
+            monkeypatch.setattr(module, "is_prime", lambda p, f=int_linalg.is_prime: calls.append(p) or f(p))
+    for label in ("A4", "B3", "G2"):
+        calls.clear()
+        decomp_subregular(parse_type(label), ell)
+        assert calls == [ell], label
+
+
+def test_a_refused_ell_makes_no_quotient():
+    clear_store()
+    try:
+        for ell in (4, 1, 4.0):
+            with pytest.raises(DomainError, match="is not prime|non-integer"):
+                decomp_subregular(parse_type("G2"), ell)
+        assert held() == [] and errors._store.slots == 0
+    finally:
+        clear_store()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [decomp_minimal, decomp_subregular, lambda label, ell: simple_singularity(label)],
+    ids=["minimal", "subregular", "simple"],
+)
+def test_a_refused_type_wins_over_a_refused_ell(call):
+    # the type's own checks come first, the homogeneous diagram's included where the
+    # subregular numbers read it
+    cases = [
+        ("A2", InvalidTypeError, "expected a TypeLabel (see parse_type), got 'A2'"),
+        (TypeLabel("A", 200), DomainError, "A200 has 40200 roots, over the budget of 10000"),
+    ]
+    if call is not decomp_minimal:  # B51's record is within the budget; its minimal number is 0 or 1
+        cases.append(
+            (TypeLabel("B", 51), DomainError, "B51: the homogeneous diagram A101 has 10302 roots, over the budget of 10000")
+        )
+    for label, error, message in cases:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call(label, 4)
+
+
+@pytest.mark.parametrize("label", ["A1", "B3", "C3", "C4", "D4", "E8", "F4", "G2"])
+def test_a_quotient_weighs_the_tuple_slots_it_adds(label):
+    # one entry per type, keyed on the label and weighed in closed form before it is made:
+    # the record's four slots, two for a homogeneous diagram that is not the label itself,
+    # one per invariant factor (none for E8, two for the D4 of C3, D4 and G2)
+    key = parse_type(label)
+    clear_store()
+    try:
+        hits, misses = simple_singularity.cache_info()
+        data = simple_singularity(key)
+        [(name, held_key, weight)] = held()
+        assert (name, held_key) == ("simple_singularity", key)
+        assert weight == added_slots(data, {id(key)}) == errors._store.slots
+        assert decomp_subregular(key, 2) and simple_singularity(key) is data and len(held()) == 1
+        assert simple_singularity.cache_info() == (hits + 2, misses + 1)
+    finally:
+        clear_store()
+
+
+@pytest.mark.parametrize(
+    "call", [simple_singularity, lambda label: decomp_subregular(label, 3)], ids=["simple", "subregular"]
+)
+def test_a_refused_type_adds_no_entry(call, monkeypatch):
+    b51 = "B51: the homogeneous diagram A101 has 10302 roots, over the budget of 10000"
+    refusals = [
+        ("B3", InvalidTypeError, "expected a TypeLabel (see parse_type), got 'B3'"),
+        (["B", 3], InvalidTypeError, "expected a TypeLabel (see parse_type), got ['B', 3]"),
+        (TypeLabel("B", 51), DomainError, b51),
+    ]
+    clear_store()
+    try:
+        for label, error, message in refusals:
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                call(label)
+            assert held() == [] and errors._store.slots == 0
+        call(TypeLabel("B", 50))  # its homogeneous diagram A99 is the largest within the budget
+        before = held()
+        # with the store full, a slot reserved for B51 would drop B50's entry
+        monkeypatch.setattr(errors, "CACHE_BUDGET", errors._store.slots)
+        with pytest.raises(DomainError, match=f"^{re.escape(b51)}$"):
+            call(TypeLabel("B", 51))
+        assert held() == before and [key for _, key, _ in before] == [TypeLabel("B", 50)]
+        assert errors._store.slots == sum(slots for *_, slots in before)
+    finally:
+        clear_store()

@@ -9,6 +9,7 @@ from operator import add, itemgetter, sub
 import pytest
 
 from minorbit import cli, errors, long_root_poset, weyl_oracle
+from minorbit.decomposition import simple_singularity
 from minorbit.errors import DomainError, InvariantFailureError, weighed_cache
 from minorbit.gln_springer import partitions_of
 from minorbit.long_root_poset import level
@@ -262,12 +263,13 @@ def held() -> list:
 
 
 def added_slots(obj, known: set) -> int:
-    """Tuple slots in obj and in what it holds, each object counted once and none whose id is in known."""
-    if type(obj) not in (tuple, dict) or id(obj) in known:
+    """Tuple slots in obj and in what it holds, named tuples included, each object counted once and
+    none whose id is in known."""
+    if not isinstance(obj, (tuple, dict)) or id(obj) in known:
         return 0
     known.add(id(obj))
-    held = [*obj.keys(), *obj.values()] if type(obj) is dict else obj
-    return (len(obj) if type(obj) is tuple else 0) + sum(added_slots(x, known) for x in held)
+    held = [*obj.keys(), *obj.values()] if isinstance(obj, dict) else obj
+    return (len(obj) if isinstance(obj, tuple) else 0) + sum(added_slots(x, known) for x in held)
 
 
 @pytest.mark.parametrize("label", ["A1", "A3", "B3", "C4", "D5", "F4", "G2", "E6", "A10", "C12"])
@@ -365,19 +367,20 @@ def test_tables_drop_the_least_recently_used_types(monkeypatch):
 
 
 def test_a_session_warm_pass_drops_no_entry():
-    # the benchmark's session-warm workload makes the records of its hot set, the tables
-    # of its verify types and the partitions of its gln sizes in one process: all of them
-    # stay, so a warm request there makes no entry
+    # the benchmark's session-warm workload makes the records and the simple-singularity
+    # quotients of its hot set, the tables of its verify types and the partitions of its gln
+    # sizes in one process: all of them stay, so a warm request there makes no entry
     workloads = benchmark_workloads()
     clear_store()
     try:
         for name in workloads.HOT_SET:
             build(parse_type(name))
+            simple_singularity(parse_type(name))
         for name in workloads.VERIFY_TYPES:
             assert reasons(build(parse_type(name))) == (None, None)
         for n in workloads.GLN_SIZES:
             partitions_of(n)
-        expected = [("build", name) for name in workloads.HOT_SET]
+        expected = [(fn, name) for name in workloads.HOT_SET for fn in ("build", "simple_singularity")]
         expected += [("_verify_table", name) for name in workloads.VERIFY_TYPES]
         expected += [("partitions_of", str(n)) for n in workloads.GLN_SIZES]
         assert sorted((name, str(key)) for name, key, _ in held()) == sorted(expected)
