@@ -7,7 +7,7 @@ in all, not by their count.
 """
 
 from collections import namedtuple
-from functools import wraps
+from functools import partial, wraps
 
 
 class InvalidTypeError(ValueError):
@@ -26,9 +26,9 @@ class InvariantFailureError(RuntimeError):
     """
 
 
-# Most tuple slots the store holds in all.  The oracle keeps one table per type verify
-# admits, of at most 4,073,071 (C37), the largest record 980,100 (A99): a fifth more fits
-# any one type's table and record whole, but no two types near C37.
+# Most tuple slots the store holds in all.  The largest entry is the A99 record, 980,100; the
+# oracle's table of a type verify admits is at most 178,200 (A44), and the reflections it
+# conjugates on the way are not kept, bounded instead by ORACLE_BUDGET as its walk is.
 CACHE_BUDGET = 5_000_000
 
 CacheInfo = namedtuple("CacheInfo", "hits misses")
@@ -39,12 +39,16 @@ class _Store(dict):
 
 
 _store = _Store()  # (cached function, key) -> (value, slots), least recently used first
+_counts = {}  # cached function -> [hits, misses]
 
 
 def cache_clear(owner=None) -> None:
-    """Drop every entry of the store, or every entry owner made."""
+    """Drop every entry of the store and reset every cached function's counts, or owner's alone."""
     for k in [k for k in _store if owner is None or k[0] is owner]:
         _store.slots -= _store.pop(k)[1]
+    for fn, counts in _counts.items():
+        if owner is None or fn is owner:
+            counts[:] = 0, 0
 
 
 def weighed_cache(admit, weigh, key=None):
@@ -80,12 +84,9 @@ def weighed_cache(admit, weigh, key=None):
             _store[k] = entry  # now the most recent
             return entry[0]
 
-        def clear():
-            counts[:] = 0, 0
-            cache_clear(cached)
-
+        _counts[cached] = counts
         cached.cache_info = lambda: CacheInfo(*counts)
-        cached.cache_clear = clear
+        cached.cache_clear = partial(cache_clear, cached)
         return cached
 
     return decorate

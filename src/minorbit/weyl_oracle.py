@@ -13,14 +13,17 @@ collects the walk into a tuple.
 An element is a permutation of the root list, a tuple with perm[i] the index of the
 image of root i; the positive roots come first, so a root index i is positive iff
 i < |Phi^+|.  Only the simple reflections come from the Cartan matrix; the others are
-conjugated from them (s_gamma = s_j s_{s_j(gamma)} s_j).  ``_verify_table``, made from the
-Cartan matrix and the root list alone, is the one entry kept per type in the package's one
-store (``errors.weighed_cache``), weighed by every tuple slot it holds.  Each call reads
-the record afresh and compares it with the table: the shape and every entry of the
-recorded matrices, the grading, read off the levels the cohomology reads, the height of
-each reflected root.  So a warm cache decides no verdict on them.  Each call refuses,
-before any work or any table, an input whose element count times |Phi| exceeds
-ORACLE_BUDGET: |W^I| in ``coset_reps``, the larger of |W^J| and |Phi^+| in the checks.
+conjugated from them (s_gamma = s_j s_{s_j(gamma)} s_j), a few heights at a time, and none
+is kept.  An entry beta -> alpha of a boundary matrix is nonzero exactly when x_alpha =
+s_gamma x_beta, so the matrices are a fact about the group alone.  ``_verify_table``, made
+from the Cartan matrix and the root list alone, is the one entry kept per type in the
+package's one store (``errors.weighed_cache``), weighed by every tuple slot it holds: W^J,
+those edges, and the reflection lengths.  Each call reads the record afresh and compares it
+with the table: the shape and every entry of the recorded matrices, the grading, read off
+the levels the cohomology reads, the positive roots and their heights.  So a warm cache
+decides no verdict on them.  Each call refuses, before any work or any table, an input
+whose element count times |Phi| exceeds ORACLE_BUDGET: |W^I| in ``coset_reps``, the larger
+of |W^J| and |Phi^+| in the checks.
 """
 
 from __future__ import annotations
@@ -76,14 +79,26 @@ def _compose(outer: tuple, inner: tuple) -> tuple:
     return itemgetter(*inner)(outer)
 
 
-def _reflection_table(rs: RootSystem, simple: tuple) -> tuple[tuple[int, ...], ...]:
-    """s_gamma for each positive root gamma, in ``rs.positive_roots`` order: the simple ones
-    first, then each later gamma from a lower s_j(gamma), as s_gamma = s_j s_{s_j(gamma)} s_j."""
-    table = list(simple)
-    for k in range(rs.rank, len(rs.positive_roots)):
-        s = next(s for s in table[: rs.rank] if s[k] < k)
-        table.append(_compose(s, _compose(table[s[k]], s)))
-    return tuple(table)
+def _reflection_table(rs: RootSystem, simple: tuple):
+    """Yield s_gamma for each positive root gamma, in ``rs.positive_roots`` order: the simple ones
+    first, then each later gamma from a lower s_j(gamma), as s_gamma = s_j s_{s_j(gamma)} s_j.
+    s_j(gamma) = gamma - <gamma, alpha_j^vee> alpha_j is at most 3 heights lower, so only the
+    reflections of heights ht(gamma) - 3 .. ht(gamma) are held, dropped by height.  A Phi^+ out of
+    height order, listing gamma before every lower s_j(gamma) or after the one it needs was dropped,
+    is an invariant failure."""
+    positive, held = rs.positive_roots, {}  # height -> {root index: s_gamma}
+    for k, gamma in enumerate(positive):
+        if k < rs.rank:
+            s = simple[k]
+        else:
+            lower = next((s for s in simple if s[k] < k), None)
+            if (between := lower and held.get(height(positive[lower[k]]), {}).get(lower[k])) is None:
+                raise InvariantFailureError(f"{rs.type_label}: Phi^+ is out of height order at {gamma}")
+            s = _compose(lower, _compose(between, lower))
+        held.setdefault(top := height(gamma), {})[k] = s
+        for h in [h for h in held if h < top - 3]:
+            del held[h]
+        yield s
 
 
 def _check_budget(rs: RootSystem, elements: int, what: str) -> None:
@@ -157,31 +172,49 @@ def _weigh_verify_table(rs: RootSystem) -> int:
     Phi^+ for the reflections), so that both refuse the same types before any work."""
     count, npos = _coset_count(rs, _orthogonal_simple_indices(rs)), rs.rank * _check_root_budget(rs.type_label) // 2
     _check_budget(rs, max(count, npos), "max(|W^J|, |Phi^+|)")
-    # per x in W^J: a pair and the images; every reflection; per gamma: 6 keys of rank slots
-    # (the record's own roots at c = 1 and -1, which key the cosets too) and 6 pairs, and a length
-    return count * (2 + max(rs.rank, 2)) + 2 * npos * npos + npos * (6 * rs.rank + 13)
+    # per x in W^J: its root, a pair and the images; the edges hold only roots the cosets key, and
+    # the lengths add the short positive roots (|Phi^+| less the count / 2 long ones)
+    return count * (rs.rank + 2 + max(rs.rank, 2)) + (npos - count // 2) * rs.rank
 
 
 @weighed_cache(_check_record, _weigh_verify_table, attrgetter("type_label"))
-def _verify_table(rs: RootSystem) -> tuple[dict, dict, tuple[int, ...]]:
+def _verify_table(rs: RootSystem) -> tuple[dict, dict, dict]:
     """What verify holds a record to: the cosets, x(highest root) -> (l(x), x's images of the simple
-    roots) for each x in W^J, two x with one image being a fault of the walk; the line table, which
-    maps each c gamma, gamma in Phi^+ and 0 < |c| <= 3, to (s_gamma, c); and l(s_gamma) for each
-    gamma in Phi^+, the positive roots it negates.  W^J is walked first, so its layers are gone
-    before the reflections are conjugated.  The cosets' keys and the lines' at c = +-1 are the record's roots."""
-    simple, npos = _simple_reflections(rs), len(rs.positive_roots)
+    roots) for each x in W^J, two x with one image being a fault of the walk; the edges, beta ->
+    {alpha: c} for each beta at length i < h_dual - 1 and each alpha at length i + 1 with x_alpha =
+    s_gamma x_beta and beta - alpha = c gamma; and gamma -> l(s_gamma) for each gamma in Phi^+, the
+    positive roots it negates.  W^J is walked first, so its layers are gone before the reflections
+    are conjugated.  Its lengths run 0 .. 2 h_dual - 3, so the lower half is read off the walk.
+    Each pair of that half on a line c gamma (0 < c <= 3, as <beta, gamma^vee> >= 0 when s_gamma
+    lengthens x_beta, the highest root being dominant) waits for s_gamma, which is then held only
+    while its height is among the last four conjugated.  Every root the table holds is the record's."""
+    simple, positive = _simple_reflections(rs), rs.positive_roots
+    npos = len(positive)
     layers = enumerate(_walk(rs, _orthogonal_simple_indices(rs), simple))
-    walked, cosets = [(rs.roots[w[npos - 1]], (length, images)) for length, layer in layers for w, images in layer], {}
-    for top, coset in walked:  # after the whole walk, so that its count guard speaks first
+    walked = [[(rs.roots[w[npos - 1]], (length, images)) for w, images in layer] for length, layer in layers]
+    cosets = {}
+    for top, coset in chain.from_iterable(walked):  # after the whole walk, so that its count guard speaks first
         if cosets.setdefault(top, coset) is not coset:
             raise InvariantFailureError(f"{rs.type_label}: two representatives send the highest root to {top}")
-    reflections = _reflection_table(rs, simple)
-    roots_on_line = {1: rs.positive_roots, -1: rs.roots[npos:]}
-    lines = {}
-    for c in (-3, -2, -1, 1, 2, 3):
-        keys = roots_on_line.get(c) or [tuple(map(c.__mul__, v)) for v in rs.positive_roots]
-        lines.update(zip(keys, zip(reflections, repeat(c))))
-    return cosets, lines, tuple(sum(map(npos.__le__, perm[:npos])) for perm in reflections)
+    lines = {}  # c gamma -> (gamma's index, c), keyed at c = 1 by the record's own roots
+    for c in (3, 2, 1):
+        keys = positive if c == 1 else [tuple(map(c.__mul__, v)) for v in positive]
+        lines.update(zip(keys, zip(range(npos), repeat(c))))
+    edges, waiting = {}, [[] for _ in positive]  # per gamma, its (beta, alpha, c)
+    for upper, lower in zip(walked[: len(walked) // 2], walked[1:]):
+        for beta, _ in upper:
+            edges[beta] = {}
+            for alpha, _ in lower:
+                if (line := lines.get(tuple(map(sub, beta, alpha)))) is not None:
+                    waiting[line[0]].append((beta, alpha, line[1]))
+    del lines
+    lengths = {}
+    for gamma, s, pairs in zip(positive, _reflection_table(rs, simple), waiting):
+        lengths[gamma] = sum(map(npos.__le__, s[:npos]))
+        for beta, alpha, c in pairs:
+            if _compose(s, cosets[beta][1]) == cosets[alpha][1]:
+                edges[beta][alpha] = c
+    return cosets, edges, lengths
 
 
 def level_length_failure(rs: RootSystem) -> str | None:
@@ -195,14 +228,14 @@ def level_length_failure(rs: RootSystem) -> str | None:
     level it maps from and no row past the level it maps to.  Every entry of them is
     checked against the group: for beta in level i < h_dual - 1 and alpha in level i+1,
     beta -> alpha is an edge when x_alpha x_beta^-1 is a reflection s_gamma.  Then
-    s_gamma(beta) = alpha gives beta - alpha = <beta, gamma^vee> gamma, with
-    |<beta, gamma^vee>| <= 3 (2 on (beta, -beta) in the middle matrix).  So each pair
-    looks up beta - alpha once in the line table, which maps each c gamma (gamma in Phi^+,
-    0 < |c| <= 3) to (s_gamma, c), and the entry must be that c when s_gamma x_beta =
-    x_alpha, and 0 otherwise, decided on the images of the simple roots the cosets keep.
+    s_gamma(beta) = alpha gives beta - alpha = <beta, gamma^vee> gamma, and the entry must be
+    that coefficient; it must be 0 where the group has no edge.  The table holds the group's
+    edges from beta, keyed by alpha, so each recorded column, its entries keyed by the roots
+    of level i + 1, is compared with them at once; only on a difference are its rows walked
+    in order, to name the first pair whose entry differs.
     A failure means the level combinatorics and the group disagree, i.e. an implementation bug.
     """
-    cosets, lines, _ = _verify_table(rs)
+    cosets, edges, _ = _verify_table(rs)
     lv = rs._levels
     if len(cosets) != (n_long := sum(map(len, lv))):
         return f"W^J has {len(cosets)} elements, but there are {n_long} long roots"
@@ -218,15 +251,19 @@ def level_length_failure(rs: RootSystem) -> str | None:
     if len(rs._columns) != rs.h_dual:
         return f"the record holds {len(rs._columns)} matrices, expected {rs.h_dual}"
     for i in range(rs.h_dual - 1):
-        columns, rows = rs._columns[i + 1], range(len(lv[i + 1]))
+        columns, below = rs._columns[i + 1], lv[i + 1]
+        roots = dict(enumerate(below))  # a row past level i + 1 is keyed None, which no edge is
+        keyed = [{roots.get(row): entry for row, entry in column.items()} for column in columns]
+        if keyed == list(map(edges.get, lv[i])):
+            continue
+        rows = range(len(below))
         if len(columns) != len(lv[i]) or not all(map(rows.__contains__, chain.from_iterable(columns))):
             return f"d_matrix({i + 1}) is not {len(rows)} x {len(lv[i])}, the sizes of levels {i + 1} and {i}"
-        for beta, column in zip(lv[i], columns):
-            for row, alpha in enumerate(lv[i + 1]):
-                s, expected = lines.get(tuple(map(sub, beta, alpha)), (None, 0))
-                if s is not None and _compose(s, cosets[beta][1]) != cosets[alpha][1]:
-                    expected = 0
-                if (entry := column.get(row, 0)) != expected:
+        for beta, column in zip(lv[i], columns):  # an explicit 0 differs above, but passes here
+            if (edge := edges.get(beta)) is None:
+                return f"d_matrix({i + 1}) maps from level {i}, which is not in the lower half of W^J"
+            for alpha, entry in zip(below, map(column.get, rows, repeat(0))):
+                if entry != (expected := edge.get(alpha, 0)):
                     return f"({beta}, {alpha}): d_matrix({i + 1}) entry {entry}, expected {expected}"
     return None
 
@@ -241,13 +278,18 @@ def reflection_length_failure(rs: RootSystem) -> str | None:
 
     l(s_b) = 2 ht_coroot(b) - 1 for long b and 2 ht(b) - 1 for short b.
     l(s_b) is counted on the group element, s_b conjugated from the simple
-    reflections: the positive roots it negates, kept in ``_verify_table``.  On
-    every call the heights are read off the record, and the long roots with
-    their coroot heights off its positive levels: h_dual - 1 - i in level i.
+    reflections: the positive roots it negates, kept in ``_verify_table`` by b.
+    On every call the record's positive roots are counted and each is looked up
+    there, its height read off it, and the long roots with their coroot heights
+    off its positive levels: h_dual - 1 - i in level i.
     """
     _, _, lengths = _verify_table(rs)  # anything but a record is refused before a field is read
+    if len(rs.positive_roots) != len(lengths):
+        return f"the record lists {len(rs.positive_roots)} positive roots, the group has {len(lengths)}"
     coroot = {b: rs.h_dual - 1 - i for i, level in enumerate(rs._levels[: rs.h_dual - 1]) for b in level}
-    for b, length in zip(rs.positive_roots, lengths):
+    for b in rs.positive_roots:
+        if (length := lengths.get(b)) is None:
+            return f"{b} is not a positive root of the group"
         if length != (expected := 2 * (coroot.get(b) or height(b)) - 1):
             return f"the reflection in {b} has length {length}, expected {expected}"
     return None

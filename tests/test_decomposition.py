@@ -258,13 +258,13 @@ def test_a_quotient_weighs_the_tuple_slots_it_adds(label):
     key = parse_type(label)
     clear_store()
     try:
-        hits, misses = simple_singularity.cache_info()
+        assert simple_singularity.cache_info() == (0, 0)  # the store's clear resets every count
         data = simple_singularity(key)
         [(name, held_key, weight)] = held()
         assert (name, held_key) == ("simple_singularity", key)
         assert weight == added_slots(data, {id(key)}) == errors._store.slots
         assert decomp_subregular(key, 2) and simple_singularity(key) is data and len(held()) == 1
-        assert simple_singularity.cache_info() == (hits + 2, misses + 1)
+        assert simple_singularity.cache_info() == (2, 1)
     finally:
         clear_store()
 

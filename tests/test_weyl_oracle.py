@@ -224,7 +224,7 @@ def test_reflection_table(label):
     npos = len(rs.positive_roots)
     for s, alpha in zip(_simple_reflections(rs), simple_roots(rs)):
         assert s == reflection_perm(rs, index, alpha) == tuple(index[reflect(rs, v, alpha)] for v in rs.roots)
-    table = _reflection_table(rs, _simple_reflections(rs))
+    table = tuple(_reflection_table(rs, _simple_reflections(rs)))
     assert len(table) == npos
     identity = tuple(range(len(rs.roots)))
     for k, (gamma, s, length) in enumerate(zip(rs.positive_roots, table, formula_lengths(rs))):
@@ -249,7 +249,7 @@ def test_the_positions_the_oracle_reads(label):
     assert height(top) == coxeter_number(rs) - 1
     assert all(t >= x for v in rs.positive_roots for t, x in zip(top, v))
     if npos * len(rs.roots) <= 1_000_000:  # the table at A99 would hold 49,005,000 entries
-        assert _reflection_table(rs, _simple_reflections(rs))[: rs.rank] == _simple_reflections(rs)
+        assert tuple(_reflection_table(rs, _simple_reflections(rs)))[: rs.rank] == _simple_reflections(rs)
 
 
 def clear_store():
@@ -277,8 +277,8 @@ def test_each_table_weighs_the_tuple_slots_it_adds(label):
     # an entry is weighed in closed form before it is made, by the tuple slots it holds
     # and at most its own top-level entries less: a record by its root coordinates,
     # rank^2 h; a verify table by all it holds but its own three slots, counted with
-    # nothing known, the record's roots it keys its cosets and lines on included, as no
-    # other entry need be held beside it
+    # nothing known, the record's roots it keys its cosets, edges and lengths on included,
+    # as no other entry need be held beside it
     clear_store()
     try:
         rs = build(parse_type(label))
@@ -341,6 +341,33 @@ def test_the_store_drops_the_least_recently_used_entries(monkeypatch):
     assert errors._store.slots == 0
 
 
+def test_clearing_the_store_resets_every_count():
+    # errors.cache_clear() drops every entry and resets the hits and misses of every cached
+    # function, so counts read after it are absolute; a function's own cache_clear() drops its
+    # entries and resets its counts alone
+    @weighed_cache(lambda n: None, lambda n: n)
+    def toy(n):
+        return (0,) * n
+
+    clear_store()
+    try:
+        a2 = build(parse_type("A2"))
+        for n in (2, 2, 3):
+            toy(n)
+        assert reasons(a2) == reasons(a2) == (None, None)
+        assert toy.cache_info() == (1, 2) and _verify_table.cache_info() == (3, 1)
+        clear_store()
+        assert toy.cache_info() == build.cache_info() == _verify_table.cache_info() == (0, 0)
+        assert held() == [] and errors._store.slots == 0
+        toy(2)
+        assert reasons(build(parse_type("A2"))) == (None, None)
+        toy.cache_clear()
+        assert toy.cache_info() == (0, 0) and build.cache_info() == (0, 1) and _verify_table.cache_info() == (1, 1)
+        assert [name for name, _, _ in held()] == ["build", "_verify_table"]
+    finally:
+        clear_store()
+
+
 def test_tables_drop_the_least_recently_used_types(monkeypatch):
     # under a budget that three types' tables fill, a fourth type's drop, before they are
     # made, the entries used longest ago; the tables being made are never dropped, even
@@ -348,7 +375,7 @@ def test_tables_drop_the_least_recently_used_types(monkeypatch):
     records = {name: build(parse_type(name)) for name in ("G2", "A3", "B3", "C3")}
     clear_store()
     try:
-        for name in ("G2", "A3", "B3"):
+        for name in ("G2", "B3", "A3"):  # B3's table, of 105 slots, is then the one C3's 66 push out
             assert reasons(records[name]) == (None, None)
         monkeypatch.setattr(errors, "CACHE_BUDGET", errors._store.slots)
         assert reasons(records["G2"]) == (None, None)  # its verify table is now the most recent
@@ -653,10 +680,10 @@ def test_failure_names_a_missing_matrix():
 def test_failure_when_the_group_lacks_the_reflection(monkeypatch):
     # An edge is read off the line of beta - alpha but decided by the group:
     # with the identity in place of s_gamma, the first edge along gamma fails.
-    # The line table is kept in the one store, so it is made afresh from the patched reflections.
+    # The edges are kept in the one store, so they are made afresh from the patched reflections.
     b3 = build(parse_type("B3"))
     gamma, *_ = b3.positive_roots
-    table = weyl_oracle._reflection_table(b3, _simple_reflections(b3))
+    table = tuple(weyl_oracle._reflection_table(b3, _simple_reflections(b3)))
     monkeypatch.setattr(weyl_oracle, "_reflection_table", lambda rs, simple: (tuple(range(len(rs.roots))),) + table[1:])
     clear_store()
     lv = long_root_poset.levels(b3)
@@ -741,6 +768,146 @@ def test_warm_state_hides_no_bad_record():
             assert reasons(build(parse_type(name))) == (None, None)
         assert [reasons(rs) for rs in records] == cold
         assert all(level for level, _ in cold) and all(cold[-2])
+    finally:
+        clear_store()
+
+
+def _with_entries(rs, i, col, entries):
+    """A copy of the record rs whose column col of matrix i is the dict entries, in its order."""
+    columns = list(rs._columns[i])
+    columns[col] = entries
+    return _patch_matrix(rs, i, columns)
+
+
+def poisoned(name):
+    """(a copy of a clean record with one fault or none, the verdicts the oracle gives it)."""
+    b3, a3, a4 = (build(parse_type(label)) for label in ("B3", "A3", "A4"))
+    lv = b3._levels
+    if name == "a-flipped-entry":  # an edge's coefficient with its sign changed
+        edge = f"({lv[2][0]}, {lv[3][0]}): d_matrix(3) entry -1, expected 1"
+        return _patch_entry(b3, 3, 0, 0, -1), (edge, None)
+    mat = long_root_poset.d_matrix(a3, 2)
+    row, col = next((r, c) for r in range(len(mat)) for c in range(len(mat[0])) if not mat[r][c])
+    pair = a3._levels[1][col], a3._levels[2][row]
+    if name == "an-added-entry":  # a coefficient where the group has no edge
+        return _patch_entry(a3, 2, row, col, 1), (f"({pair[0]}, {pair[1]}): d_matrix(2) entry 1, expected 0", None)
+    if name == "an-explicit-zero":  # stored, where the group has no edge: the same matrix
+        return _with_entries(a3, 2, col, {**a3._columns[2][col], row: 0}), (None, None)
+    if name == "a-wrong-shape":  # a row past the level the matrix maps to
+        wrong = _with_entries(b3, 2, 0, {**b3._columns[2][0], len(lv[2]): 1})
+        return wrong, ("d_matrix(2) is not 2 x 1, the sizes of levels 2 and 1", None)
+    record, i, root = repeated_root(a4)
+    return record, (f"level {i} lists {root} twice", None)
+
+
+POISONS = ["a-flipped-entry", "an-added-entry", "an-explicit-zero", "a-wrong-shape", "a-root-listed-twice"]
+
+
+@pytest.mark.parametrize("name", POISONS)
+def test_warm_equals_cold(name):
+    # the table holds the group's edges, and every recorded entry is still compared with them:
+    # cold, and after a clean verify of the same type, the same verdict and the same reason
+    record, expected = poisoned(name)
+    clear_store()
+    try:
+        assert reasons(record) == expected
+        clear_store()
+        assert reasons(build(record.type_label)) == (None, None)
+        assert reasons(record) == expected
+    finally:
+        clear_store()
+
+
+def test_a_column_with_two_wrong_entries_names_the_first_row():
+    # A4's matrix 3 column 1 maps (0, 1, 1, 0) to rows 1 and 2; both entries wrong, the one
+    # stored last the lower row, so the pair named is the first in row order, cold and warm
+    a4 = build(parse_type("A4"))
+    lv = a4._levels
+    assert a4._columns[3][1] == {1: 1, 2: 1}
+    wrong = _with_entries(a4, 3, 1, {2: 5, 1: 4})
+    message = f"({lv[2][1]}, {lv[3][1]}): d_matrix(3) entry 4, expected 1"
+    clear_store()
+    try:
+        assert level_length_failure(wrong) == message
+        assert level_length_failure(a4) is None and level_length_failure(wrong) == message
+    finally:
+        clear_store()
+
+
+def test_a_matrix_past_the_lower_half_is_named():
+    # the table holds the edges of W^J's lower half, lengths 0 .. h_dual - 2, read off the walk;
+    # a record claiming one more matrix, with h_dual to match, asks for edges past them
+    b3 = build(parse_type("B3"))
+    longer = RootSystem(**{**vars(b3), "h_dual": 6, "_columns": b3._columns + (tuple({} for _ in b3._levels[4]),)})
+    clear_store()
+    try:
+        assert level_length_failure(longer) == "d_matrix(5) maps from level 4, which is not in the lower half of W^J"
+    finally:
+        clear_store()
+
+
+def swapped(rs, u, v):
+    """A copy of the record rs whose root list has u and v, and -u and -v, swapped."""
+    place = {u: v, v: u, tuple(-x for x in u): tuple(-x for x in v), tuple(-x for x in v): tuple(-x for x in u)}
+    roots = tuple(place.get(root, root) for root in rs.roots)
+    return RootSystem(**{**vars(rs), "roots": roots, "positive_roots": roots[: len(rs.positive_roots)]})
+
+
+def test_the_reflection_lengths_are_keyed_by_root():
+    # B3 with (1, 1, 1) and (0, 1, 2), both of height 3, swapped in its root list passes cold and
+    # warm alike; without the short root (0, 1, 1) it fails cold in the table, warm in the count
+    b3 = build(parse_type("B3"))
+    swap = swapped(b3, (1, 1, 1), (0, 1, 2))
+    gone = {(0, 1, 1), (0, -1, -1)}
+    kept = {name: tuple(v for v in getattr(b3, name) if v not in gone) for name in ("roots", "positive_roots")}
+    lacking = RootSystem(**{**vars(b3), **kept})
+    clear_store()
+    try:
+        assert reasons(swap) == (None, None)
+        clear_store()
+        with pytest.raises(InvariantFailureError, match=re.escape("B3: s_1 sends (1, 1, 1) to (0, 1, 1)")):
+            reflection_length_failure(lacking)
+        assert reasons(b3) == (None, None)
+        assert reasons(swap) == (None, None)
+        assert reasons(lacking) == (None, "the record lists 8 positive roots, the group has 9")
+        replaced = RootSystem(**{**vars(b3), "positive_roots": b3.positive_roots[:-1] + ((2, 2, 2),)})
+        assert reflection_length_failure(replaced) == "(2, 2, 2) is not a positive root of the group"
+    finally:
+        clear_store()
+
+
+def moved_late(rs, k):
+    """A copy of the record rs whose positive root k is listed just before the highest root."""
+    positive = list(rs.positive_roots)
+    positive.insert(len(positive) - 2, positive.pop(k))
+    negative = tuple(tuple(-x for x in v) for v in positive)
+    return RootSystem(**{**vars(rs), "roots": tuple(positive) + negative, "positive_roots": tuple(positive)})
+
+
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        ("A5", None),
+        ("A7", "A7: Phi^+ is out of height order at (1, 1, 0, 0, 0, 0, 0)"),  # s_1 of it, of height 1, was dropped
+        ("B4", "B4: Phi^+ is out of height order at (1, 1, 0, 0)"),
+        ("G2", "G2: Phi^+ is out of height order at (1, 2)"),  # listed before (1, 1), its one lower s_j image
+    ],
+)
+def test_a_root_listed_out_of_height_order(label, message):
+    # the reflections are conjugated a few heights at a time and dropped by height: a record
+    # listing its first root of height 2 just before the highest root verifies as a sorted one
+    # while the reflection it is conjugated from is still held (A5), and otherwise ends in a
+    # named invariant failure, not a KeyError or a bare StopIteration
+    record = moved_late(build(parse_type(label)), build(parse_type(label)).rank)
+    clear_store()
+    try:
+        if message is None:
+            assert reasons(record) == (None, None)
+        else:
+            for check in (level_length_failure, reflection_length_failure):
+                with pytest.raises(InvariantFailureError, match=f"^{re.escape(message)}$"):
+                    check(record)
+            assert held() == []
     finally:
         clear_store()
 
