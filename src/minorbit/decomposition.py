@@ -8,11 +8,13 @@ characters that ``characters`` lists, zero but for the few nonzero entries
 each inhomogeneous series has; a degree-weighted sum rule guards it
 against the dimension of the full quotient.
 
-The weight/root quotient depends on the type alone, so ``simple_singularity``
-keeps it in the package's one store (``errors.weighed_cache``), keyed on the
-label.  The minimal-class quotient is not kept: ``middle_via_lattice``
-reads it from the record on each call.  Each number tests ell once, after the type's own checks and before
-any record or quotient is made, so a refusal costs no work.
+Both quotients depend on the type alone, so each is kept in the package's one
+store (``errors.weighed_cache``), keyed on the label: the weight/root quotient
+by ``simple_singularity``, and the minimal-class one, of the long-simple
+subsystem, by ``orbit_cohomology._long_simple_quotient``, which
+``middle_via_lattice`` reads too; it comes from the Dynkin diagram, so no
+root is built.  Each number tests ell once, after the type's own checks and
+before any quotient is made, so a refusal costs no work.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from collections import namedtuple
 
 from .errors import DomainError, InvariantFailureError, weighed_cache
 from .int_linalg import _check_prime, _torsion_f_dimension
-from .orbit_cohomology import _lattice_quotient, middle_via_lattice
-from .root_system import TypeLabel, _check_root_budget, build, cartan_matrix
+from .orbit_cohomology import _factor_count, _lattice_quotient, _long_simple_quotient
+from .root_system import TypeLabel, _check_root_budget, cartan_matrix
 
 # irreducible characters of the symmetry group that survive reduction mod ell
 _CHARACTER_DEGREES = {"1": 1, "eps": 1, "psi": 2}
@@ -64,11 +66,10 @@ def _homogeneous(label: TypeLabel) -> tuple[TypeLabel, str]:
 def _weigh_singularity(label: TypeLabel) -> int:
     """The tuple slots of a type's ``SimpleSingularityData``, in closed form: its
     own four, two for a homogeneous diagram that is another label, and one per
-    invariant factor (none for E8, two for D of even rank, else one).  Refuses
-    first a diagram over the root budget."""
+    invariant factor of that diagram's quotient.  Refuses first a diagram over
+    the root budget."""
     hat = _homogeneous(label)[0]
-    factors = 0 if hat == ("E", 8) else 2 if hat.series == "D" and hat.rank % 2 == 0 else 1
-    return 4 + 2 * (hat != label) + factors
+    return 4 + 2 * (hat != label) + _factor_count(hat)
 
 
 @weighed_cache(_check_root_budget, _weigh_singularity)
@@ -97,6 +98,9 @@ def characters(symmetry_group: str, ell: int) -> tuple[str, ...]:
 
 
 def character_degree(name: str) -> int:
+    """Degree of a character that ``characters`` lists; DomainError names any other."""
+    if type(name) is not str or name not in _CHARACTER_DEGREES:
+        raise DomainError(f"unknown character {name!r}")
     return _CHARACTER_DEGREES[name]
 
 
@@ -105,11 +109,13 @@ def decomp_minimal(label: TypeLabel, ell: int) -> int:
 
     Equals the F_ell-dimension of the coweight/coroot quotient of the
     subsystem generated by the long simple roots; nonzero exactly when ell
-    divides its connection index.
+    divides its connection index.  The type is checked, then ell, then the
+    stored quotient is read: it comes from the Dynkin diagram, so no record
+    is ever built.
     """
     _check_root_budget(label)
     _check_prime(ell)
-    return _torsion_f_dimension(middle_via_lattice(build(label)), ell)
+    return _torsion_f_dimension(_long_simple_quotient(label), ell)
 
 
 def decomp_subregular(label: TypeLabel, ell: int) -> dict[str, int]:

@@ -1,9 +1,9 @@
 """Exception types shared across the package, and its one cache.
 
-Every object the computation reads (a root record, a type's simple-singularity quotient, the
-oracle's one table of a type, the partitions of n) is fixed by its input, so ``weighed_cache``
-keeps it in one store, least recently used first and bounded by the tuple slots its entries hold
-in all, not by their count.
+Every object the computation reads (a root record, a type's simple-singularity quotient and the
+quotient of its long-simple subsystem, the oracle's one table of a type, the partitions of n) is
+fixed by its input, so ``weighed_cache`` keeps it in one store, least recently used first and
+bounded by the tuple slots its entries hold in all, not by their count.
 """
 
 from collections import namedtuple

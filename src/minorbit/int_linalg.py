@@ -332,14 +332,22 @@ def kernel_rank(matrix: Matrix) -> int:
 
 # Miller-Rabin with the first 13 primes as bases decides every p below
 # MILLER_RABIN_BOUND exactly (Sorenson and Webster, Strong pseudoprimes to
-# twelve prime bases, Math. Comp. 86, 2017).
+# twelve prime bases, Math. Comp. 86, 2017).  The first k bases decide every
+# p below psi_k, the least strong pseudoprime to all of them (OEIS A014233).
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+_MILLER_RABIN_PSI = (
+    2047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747, 3_474_749_660_383,
+    341_550_071_728_321, 341_550_071_728_321, 3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461, MILLER_RABIN_BOUND,
+)
 
 
 def is_prime(p: int) -> bool:
     """Deterministic primality test for p < MILLER_RABIN_BOUND (~3.3e24).
 
+    Trial division by the 13 bases, then Miller-Rabin to the first k of
+    them, k the least with p < psi_k: a p below 2047 takes one base.
     Larger p and a p that is not an int raise DomainError, bools included.
     """
     if type(p) is not int:
@@ -355,7 +363,7 @@ def is_prime(p: int) -> bool:
     while odd % 2 == 0:
         odd //= 2
         twos += 1
-    for a in _MILLER_RABIN_BASES:
+    for a in _MILLER_RABIN_BASES[: bisect.bisect_right(_MILLER_RABIN_PSI, p) + 1]:
         x = pow(a, odd, p)
         if x in (1, p - 1):
             continue

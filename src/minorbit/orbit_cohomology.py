@@ -13,10 +13,11 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import long_root_poset
-from .errors import DomainError, InvariantFailureError
+from .errors import DomainError, InvariantFailureError, weighed_cache
 from .int_linalg import _invariant_factors, cokernel
 from .root_system import (
-    _DUAL_COXETER_NUMBER, RootSystem, TypeLabel, _check_record, _check_root_budget, cartan_of_subset, parse_type,
+    _DUAL_COXETER_NUMBER, RootSystem, TypeLabel, _cartan_and_lengths, _check_record, _check_root_budget,
+    _long_simple_indices, parse_type,
 )
 
 
@@ -109,12 +110,29 @@ def _lattice_quotient(label: TypeLabel, diagram: str, cartan: list[list[int]]) -
     return torsion
 
 
+def _factor_count(label: TypeLabel) -> int:
+    """The invariant factors of the lattice quotient of a simply laced diagram: none for E8, two
+    for D of even rank, else one.  The long simple roots of B, C, F and G form a chain A_k, which
+    has one, so this also counts those of any type's long-simple quotient."""
+    return 0 if label == ("E", 8) else 2 if label.series == "D" and label.rank % 2 == 0 else 1
+
+
+@weighed_cache(_check_root_budget, _factor_count)
+def _long_simple_quotient(label: TypeLabel) -> tuple[int, ...]:
+    """Invariant factors of the coweight/coroot quotient of the long-simple subsystem, read
+    from the diagram alone: no record is made."""
+    cartan, lengths, r, _ = _cartan_and_lengths(label)
+    long_simple = _long_simple_indices(lengths, r)
+    sub = [[cartan[i][j] for j in long_simple] for i in long_simple]
+    return _lattice_quotient(label, "its long-simple subsystem", sub)
+
+
 def middle_via_lattice(rs: RootSystem) -> tuple[int, ...]:
     """Invariant factors of the coweight/coroot quotient of the long-simple
-    subsystem; an independent route to the torsion in degree d."""
+    subsystem; an independent route to the torsion in degree d.  The quotient
+    is a fact of the type, kept in the store once per label."""
     _check_record(rs)
-    cartan = cartan_of_subset(rs, rs.long_simple_indices)
-    return _lattice_quotient(rs.type_label, "its long-simple subsystem", cartan)
+    return _long_simple_quotient(rs.type_label)
 
 
 def type_a_alternative(n: int) -> OrbitCohomology:

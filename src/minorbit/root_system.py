@@ -149,6 +149,12 @@ def _cartan_and_lengths(label: TypeLabel) -> tuple[list[list[int]], list[int], i
     return c, lengths, max(lengths), h
 
 
+def _long_simple_indices(lengths: list[int], r: int) -> tuple[int, ...]:
+    """The simple roots of the largest squared length r, as ``_cartan_and_lengths`` gives both:
+    the one place that decides which simple roots are long."""
+    return tuple(i for i, x in enumerate(lengths) if x == r)
+
+
 class RootSystem:
     """All roots and derived data of one irreducible type.
 
@@ -261,7 +267,7 @@ def build(label: TypeLabel) -> RootSystem:
     # Between the two middle levels the matrix is the long simple roots' Cartan matrix, symmetric
     # as they have one length, unsigned.  Matrix d-i, of the negated edges, is left to d_matrix.
     levels = tuple(tuple(by_level[i]) for i in range(d))
-    long_simple = tuple(i for i in range(n) if lengths[i] == r)
+    long_simple = _long_simple_indices(lengths, r)
     columns = [()] + [[{} for _ in members] for members in levels[: h_dual - 2]]
     for w, c, v in edges:
         (i, row), (up, col) = place[w], place[v]

@@ -5,7 +5,8 @@ by these checks alone: the Weyl oracle on all 144 types its budget
 admits, the record checks, the simple-reflection rule, the middle
 torsion and the Smith diagonal of every recorded boundary matrix of all
 310 types the root budget admits, with no Hermite pass in their
-cohomology or decomposition numbers, the dense route
+cohomology or decomposition numbers and their long-simple quotient
+read from the diagram equal to the record's, the dense route
 at the top rank of each classical series, the CLI in a fresh process at
 the top of each budget, sessions of large inputs under a stated peak
 resident memory, and the Smith layer on dense matrices larger
@@ -30,6 +31,7 @@ from pathlib import Path
 
 import pytest
 
+import test_decomposition
 import test_gln_springer
 import test_int_linalg
 import test_long_root_poset
@@ -118,6 +120,12 @@ def test_no_hermite_pass_on_every_admitted_type(name):
 def test_the_middle_torsion_on_every_admitted_type(name):
     # the middle degree of the cohomology against the long-simple lattice quotient
     test_orbit_cohomology.test_middle_cross_method(build(parse_type(name)))
+
+
+@pytest.mark.parametrize("name", RECORD_TYPES)
+def test_the_stored_quotient_on_every_admitted_type(name):
+    # the long-simple quotient read from the diagram against the record's own Cartan submatrix
+    test_decomposition.test_the_stored_quotient_is_the_record_route(name)
 
 
 @pytest.mark.parametrize("name", TOP_TYPES)

@@ -264,11 +264,14 @@ def test_invariant_failure_exit_4(capsys, monkeypatch):
 )
 def test_singular_cartan_names_the_type(module, argv, message, capsys, monkeypatch):
     monkeypatch.setattr(module, "cokernel", lambda matrix: (1, ()))
-    simple_singularity.cache_clear()  # a stored quotient would answer before the patched cokernel
+    quotients = (simple_singularity, orbit_cohomology._long_simple_quotient)
+    for stored in quotients:  # a stored quotient would answer before the patched cokernel
+        stored.cache_clear()
     try:
         code, out, err = run(capsys, *argv)
     finally:
-        simple_singularity.cache_clear()
+        for stored in quotients:
+            stored.cache_clear()
     shape = {"B3": "5x5", "F4": "2x2"}[argv[-1]]  # A5's Cartan matrix, and F4's long simple roots
     assert code == 4 and not out and err == f"invariant failure: {message} ({shape}) is singular\n"
 

@@ -12,7 +12,8 @@ from minorbit.decomposition import (
 from minorbit import decomposition, errors, int_linalg
 from minorbit.errors import DomainError, InvalidTypeError, InvariantFailureError
 from minorbit.int_linalg import tensor_f_dimension
-from minorbit.root_system import TypeLabel, parse_type
+from minorbit.orbit_cohomology import _lattice_quotient, _long_simple_quotient
+from minorbit.root_system import TypeLabel, build, cartan_of_subset, parse_type
 from test_weyl_oracle import added_slots, clear_store, held
 
 ALL_TYPES = [
@@ -71,6 +72,13 @@ def test_characters():
     with pytest.raises(DomainError):
         characters("Z2", 4)
     assert character_degree("psi") == 2
+
+
+@pytest.mark.parametrize("name", ["x", "PSI", "", None, 2, 2.0, ["1"], ("1",)])
+def test_character_degree_refuses_an_unknown_name(name):
+    # once a KeyError, or a TypeError for an unhashable name
+    with pytest.raises(DomainError, match=f"^unknown character {re.escape(repr(name))}$"):
+        character_degree(name)
 
 
 def expected_minimal(label: str, ell: int) -> int:
@@ -196,14 +204,35 @@ def test_prime_validation():
         decomp_subregular(parse_type("B3"), 1)
 
 
-def test_ell_is_tested_before_the_record_is_built(monkeypatch):
-    # A99's record takes tens of ms to build; a non-prime ell is refused without it
-    def refuse(label):
-        raise AssertionError(f"built {label}")
+def test_ell_is_tested_before_the_record_is_built():
+    # a refused ell makes no quotient and no record
+    clear_store()
+    try:
+        with pytest.raises(DomainError, match="^4 is not prime$"):
+            decomp_minimal(TypeLabel("A", 99), 4)
+        assert held() == [] and _long_simple_quotient.cache_info() == build.cache_info() == (0, 0)
+    finally:
+        clear_store()
 
-    monkeypatch.setattr(decomposition, "build", refuse)
-    with pytest.raises(DomainError, match="^4 is not prime$"):
-        decomp_minimal(TypeLabel("A", 99), 4)
+
+def test_decomp_minimal_builds_no_record():
+    # A99's record, 9,900 roots, takes tens of ms to build; its quotient is read from the diagram
+    clear_store()
+    try:
+        assert decomp_minimal(TypeLabel("A", 99), 2) == 1
+        assert build.cache_info().misses == 0
+        assert [(name, key) for name, key, _ in held()] == [("_long_simple_quotient", TypeLabel("A", 99))]
+    finally:
+        clear_store()
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "B3", "C4", "D4", "D5", "E6", "E7", "E8", "A9"])
+def test_the_stored_quotient_is_the_record_route(name):
+    # the diagram route against the principal submatrix of the record's Cartan matrix on the
+    # long simple indices build lists
+    rs = build(parse_type(name))
+    cartan = cartan_of_subset(rs, rs.long_simple_indices)
+    assert _long_simple_quotient(rs.type_label) == _lattice_quotient(rs.type_label, "the record", cartan), name
 
 
 @pytest.mark.parametrize("ell", [2, 3, 5, 10**9 + 7])
@@ -222,8 +251,9 @@ def test_a_refused_ell_makes_no_quotient():
     clear_store()
     try:
         for ell in (4, 1, 4.0):
-            with pytest.raises(DomainError, match="is not prime|non-integer"):
-                decomp_subregular(parse_type("G2"), ell)
+            for call in (decomp_subregular, decomp_minimal):
+                with pytest.raises(DomainError, match="is not prime|non-integer"):
+                    call(parse_type("G2"), ell)
         assert held() == [] and errors._store.slots == 0
     finally:
         clear_store()
@@ -252,9 +282,10 @@ def test_a_refused_type_wins_over_a_refused_ell(call):
 
 @pytest.mark.parametrize("label", ["A1", "B3", "C3", "C4", "D4", "E8", "F4", "G2"])
 def test_a_quotient_weighs_the_tuple_slots_it_adds(label):
-    # one entry per type, keyed on the label and weighed in closed form before it is made:
-    # the record's four slots, two for a homogeneous diagram that is not the label itself,
-    # one per invariant factor (none for E8, two for the D4 of C3, D4 and G2)
+    # one entry per type and quotient, keyed on the label and weighed in closed form before it
+    # is made: for the simple singularity, the record's four slots, two for a homogeneous diagram
+    # that is not the label itself, one per invariant factor (none for E8, two for the D4 of C3,
+    # D4 and G2); for the long-simple subsystem, one per invariant factor (none for E8, two for D4)
     key = parse_type(label)
     clear_store()
     try:
@@ -265,33 +296,50 @@ def test_a_quotient_weighs_the_tuple_slots_it_adds(label):
         assert weight == added_slots(data, {id(key)}) == errors._store.slots
         assert decomp_subregular(key, 2) and simple_singularity(key) is data and len(held()) == 1
         assert simple_singularity.cache_info() == (2, 1)
+        quotient = _long_simple_quotient(key)
+        [_, (name, held_key, long_weight)] = held()
+        assert (name, held_key) == ("_long_simple_quotient", key)
+        assert long_weight == added_slots(quotient, set()) == errors._store.slots - weight
+        assert decomp_minimal(key, 2) >= 0 and _long_simple_quotient(key) is quotient and len(held()) == 2
+        assert _long_simple_quotient.cache_info() == (2, 1)
     finally:
         clear_store()
 
 
+B51 = "B51: the homogeneous diagram A101 has 10302 roots, over the budget of 10000"
+B71 = "B71 has 10082 roots, over the budget of 10000"
+
+
 @pytest.mark.parametrize(
-    "call", [simple_singularity, lambda label: decomp_subregular(label, 3)], ids=["simple", "subregular"]
+    "call, last, message",
+    [
+        # B50's homogeneous diagram A99 is the largest within the budget; B70 is the last B admitted
+        (simple_singularity, 50, B51),
+        (lambda label: decomp_subregular(label, 3), 50, B51),
+        (_long_simple_quotient, 70, B71),
+        (lambda label: decomp_minimal(label, 3), 70, B71),
+    ],
+    ids=["simple", "subregular", "long-simple", "minimal"],
 )
-def test_a_refused_type_adds_no_entry(call, monkeypatch):
-    b51 = "B51: the homogeneous diagram A101 has 10302 roots, over the budget of 10000"
+def test_a_refused_type_adds_no_entry(call, last, message, monkeypatch):
     refusals = [
         ("B3", InvalidTypeError, "expected a TypeLabel (see parse_type), got 'B3'"),
         (["B", 3], InvalidTypeError, "expected a TypeLabel (see parse_type), got ['B', 3]"),
-        (TypeLabel("B", 51), DomainError, b51),
+        (TypeLabel("B", last + 1), DomainError, message),
     ]
     clear_store()
     try:
-        for label, error, message in refusals:
-            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        for label, error, refusal in refusals:
+            with pytest.raises(error, match=f"^{re.escape(refusal)}$"):
                 call(label)
             assert held() == [] and errors._store.slots == 0
-        call(TypeLabel("B", 50))  # its homogeneous diagram A99 is the largest within the budget
+        call(TypeLabel("B", last))
         before = held()
-        # with the store full, a slot reserved for B51 would drop B50's entry
+        # with the store full, a slot reserved for the refused type would drop the admitted one's entry
         monkeypatch.setattr(errors, "CACHE_BUDGET", errors._store.slots)
-        with pytest.raises(DomainError, match=f"^{re.escape(b51)}$"):
-            call(TypeLabel("B", 51))
-        assert held() == before and [key for _, key, _ in before] == [TypeLabel("B", 50)]
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call(TypeLabel("B", last + 1))
+        assert held() == before and [key for _, key, _ in before] == [TypeLabel("B", last)]
         assert errors._store.slots == sum(slots for *_, slots in before)
     finally:
         clear_store()

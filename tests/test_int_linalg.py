@@ -24,6 +24,7 @@ from minorbit.decomposition import characters, decomp_minimal, decomp_subregular
 from minorbit.errors import DomainError
 from minorbit.gln_springer import springer_image
 from minorbit.int_linalg import (
+    _MILLER_RABIN_PSI,
     MILLER_RABIN_BOUND,
     cokernel,
     identity,
@@ -35,7 +36,7 @@ from minorbit.int_linalg import (
     tensor_f_dimension,
 )
 from minorbit.long_root_poset import d_matrix, dimension, levels
-from minorbit.orbit_cohomology import minimal_orbit_cohomology
+from minorbit.orbit_cohomology import _long_simple_quotient, minimal_orbit_cohomology
 from minorbit.root_system import build, parse_type
 
 
@@ -251,6 +252,25 @@ def test_is_prime_large():
         is_prime(MILLER_RABIN_BOUND)
     with pytest.raises(DomainError):
         is_prime(10**30)
+    # psi_k, the least strong pseudoprime to the first k prime bases, is where the first k
+    # bases stop deciding: each is refused, and the primes on either side of it accepted
+    sympy = pytest.importorskip("sympy")
+    for psi in _MILLER_RABIN_PSI[:12]:
+        assert not is_prime(psi)
+        assert is_prime(sympy.prevprime(psi)) and is_prime(sympy.nextprime(psi)), psi
+
+
+@pytest.mark.parametrize("k", range(1, 14))
+def test_is_prime_runs_the_bases_its_size_needs(k, monkeypatch):
+    # a prime passes every base it is tested to: at most k below psi_k, more at or past it
+    sympy = pytest.importorskip("sympy")
+    calls = []
+    monkeypatch.setattr(int_linalg, "pow", lambda *args: calls.append(args[0]) or pow(*args), raising=False)
+    psi = _MILLER_RABIN_PSI[k - 1]
+    assert is_prime(sympy.prevprime(psi)) and 1 <= len(calls) <= k
+    if k < 13:
+        calls.clear()
+        assert is_prime(sympy.nextprime(psi)) and len(calls) > k
 
 
 @pytest.mark.parametrize("ell", [2.0, 3.0, True, False, "2", None, Fraction(2)])
@@ -534,15 +554,17 @@ def check_no_hermite_pass(label) -> bool:
     ``_hermite`` made to raise: no boundary or Cartan matrix the program makes takes a
     Hermite pass.  Returns whether the subregular numbers were admitted; for B and C of
     high rank the homogeneous diagram is over the root budget.  The stored quotients are
-    dropped before and after, so the type's quotient is made under the patch."""
+    dropped before and after, so the type's quotients are made under the patch."""
     label = parse_type(str(label))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(int_linalg, "_hermite", refuse_hermite)
         simple_singularity.cache_clear()
+        _long_simple_quotient.cache_clear()
         try:
             minimal_orbit_cohomology(build(label))
             for ell in (2, 3, 5):
                 decomp_minimal(label, ell)
+            assert _long_simple_quotient.cache_info().misses == 1  # made here, not read from the store
             try:
                 simple_singularity(label)
             except DomainError as exc:
@@ -554,6 +576,7 @@ def check_no_hermite_pass(label) -> bool:
                 decomp_subregular(label, ell)
         finally:
             simple_singularity.cache_clear()
+            _long_simple_quotient.cache_clear()
     return True
 
 

@@ -277,10 +277,18 @@ def test_middle_values():
 
 
 def test_singular_long_simple_cartan_names_type_and_shape(monkeypatch):
-    monkeypatch.setattr(orbit_cohomology, "cartan_of_subset", lambda rs, indices: [[2, -4, 0], [-1, 2, 0]])
-    message = "B3: the Cartan matrix of its long-simple subsystem (2x3) is singular"
-    with pytest.raises(InvariantFailureError) as caught:
-        middle_via_lattice(build(parse_type("B3")))
+    # the quotient is read from the diagram: B3's, with its two long simple roots bonded as in
+    # the affine A~1, whose Cartan matrix is singular
+    rs = build(parse_type("B3"))
+    diagram = ([[2, -2, 0], [-2, 2, -2], [0, -1, 2]], [2, 2, 1], 2, 6)
+    monkeypatch.setattr(orbit_cohomology, "_cartan_and_lengths", lambda label: diagram)
+    message = "B3: the Cartan matrix of its long-simple subsystem (2x2) is singular"
+    orbit_cohomology._long_simple_quotient.cache_clear()  # a stored B3 would answer before the patch
+    try:
+        with pytest.raises(InvariantFailureError) as caught:
+            middle_via_lattice(rs)
+    finally:
+        orbit_cohomology._long_simple_quotient.cache_clear()
     assert str(caught.value) == message
 
 
